@@ -16,6 +16,7 @@
 
 use crate::runner::{build, InterconnectKind};
 use bluescale_interconnect::system::System;
+use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry, SampleKind};
 use bluescale_sim::rng::SimRng;
 use bluescale_sim::Cycle;
@@ -107,7 +108,15 @@ pub fn run_with_registry(config: &IsolationConfig) -> (Vec<IsolationRow>, Metric
             // Rogue run: client 0 floods. The interconnect was configured
             // from the *declared* task sets — the rogue lied.
             let mut system = System::new(build(kind, &sets), &sets);
-            system.set_misbehaviour_factor(0, config.misbehaviour_factor);
+            let mut rogue = FaultPlan::default();
+            rogue.push(
+                FaultKind::RogueDemand {
+                    client: 0,
+                    factor: config.misbehaviour_factor,
+                },
+                FaultWindow::ALWAYS,
+            );
+            system.set_fault_plan(rogue);
             system.run(config.horizon);
             registry.observe(
                 series,

@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod element;
+mod memory_side;
 pub mod network;
 pub mod rab;
 pub mod scheduler;

@@ -13,18 +13,19 @@
 //! a pipelined response path.
 
 use crate::element::ScaleElement;
+use crate::memory_side::{stuck_mask, MemorySide};
 use crate::selector::TableRow;
 use crate::soa::SoaCore;
 use crate::topology::{BlueScaleConfig, SeIndex};
 use bluescale_interconnect::admission::{CancelToken, ReconfigOutcome};
 use bluescale_interconnect::{ClientId, Interconnect, MemoryRequest, MemoryResponse, ServiceEvent};
-use bluescale_mem::{ControllerStats, DramConfig, GrantCandidate, MemoryController, MemoryPolicy};
+use bluescale_mem::ControllerStats;
 use bluescale_rt::interface::root_admissible;
 use bluescale_rt::supply::PeriodicResource;
 use bluescale_rt::task::TaskSet;
 use bluescale_rt::Error as RtError;
-use bluescale_sim::fault::{FaultKind, FaultPlan};
-use bluescale_sim::metrics::{ComponentId, Counter, Event, MetricsRegistry};
+use bluescale_sim::fault::FaultPlan;
+use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry};
 use bluescale_sim::Cycle;
 use std::collections::VecDeque;
 use std::fmt;
@@ -179,11 +180,11 @@ pub struct BlueScaleInterconnect {
     /// ([`BlueScaleConfig::soa_core`]); `None` runs the legacy per-SE
     /// engine, kept as the differential oracle.
     soa: Option<SoaCore>,
-    controller: MemoryController<MemoryRequest>,
-    /// Memory-scheduling policy at the root-arbitration seam
-    /// ([`BlueScaleConfig::mem_policy`]). A passive policy keeps the
-    /// arbitration hot path byte-identical to having none.
-    policy: Box<dyn MemoryPolicy>,
+    /// The root's memory side: controller, memory policy and the
+    /// interconnect-side fault plan (stuck grant ports, DRAM jitter,
+    /// dropped responses). An empty plan and a passive policy keep `step`
+    /// on the exact fault-free, policy-free code path.
+    mem: MemorySide,
     ready: VecDeque<MemoryResponse>,
     service_events: VecDeque<ServiceEvent>,
     client_tasks: Vec<TaskSet>,
@@ -192,10 +193,6 @@ pub struct BlueScaleInterconnect {
     /// bandwidth selection succeeded there (false = fallback interfaces).
     se_analysis_ok: Vec<Vec<bool>>,
     metrics: MetricsRegistry,
-    /// Interconnect-side fault plan (stuck grant ports, DRAM jitter,
-    /// dropped responses). Empty by default, keeping `step` on the exact
-    /// fault-free code path.
-    faults: FaultPlan,
 }
 
 /// One path SE's trial result: `(depth, order, selected interfaces)`.
@@ -271,12 +268,7 @@ impl BlueScaleInterconnect {
         }
 
         let mut this = Self {
-            controller: MemoryController::new(
-                config
-                    .dram
-                    .unwrap_or(DramConfig::flat(config.memory_service_cycles)),
-            ),
-            policy: config.mem_policy.build(),
+            mem: MemorySide::new(&config),
             ready: VecDeque::new(),
             service_events: VecDeque::new(),
             client_tasks: task_sets.to_vec(),
@@ -284,7 +276,6 @@ impl BlueScaleInterconnect {
                 .map(|d| vec![true; config.elements_at(d)])
                 .collect(),
             metrics: MetricsRegistry::new(),
-            faults: FaultPlan::default(),
             composition: CompositionReport {
                 schedulable: false,
                 analysis_ok: false,
@@ -341,7 +332,7 @@ impl BlueScaleInterconnect {
     /// # Ok::<(), bluescale::BuildError>(())
     /// ```
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        self.controller.record_metrics(&mut self.metrics);
+        self.mem.controller().record_metrics(&mut self.metrics);
         if let Some(soa) = self.soa.as_mut() {
             soa.flush_metrics(&mut self.metrics);
         }
@@ -364,12 +355,12 @@ impl BlueScaleInterconnect {
     /// (refreshed only on [`metrics_mut`](Self::metrics_mut)), this reads
     /// the controller directly and can never be stale.
     pub fn memory_stats(&self) -> ControllerStats {
-        self.controller.stats()
+        self.mem.controller().stats()
     }
 
     /// The active memory policy's stable name (bench/export labelling).
     pub fn memory_policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.mem.policy_name()
     }
 
     /// Per-SE forwarded-request counters, indexed `[depth][order]`
@@ -414,16 +405,7 @@ impl BlueScaleInterconnect {
         }
         let levels = self.config.levels();
         let (leaf_order, port) = self.config.attach_point(client);
-        let rows: Vec<TableRow> = tasks
-            .iter()
-            .map(|t| TableRow {
-                port: port as u8,
-                task_id: t.id(),
-                period: t.period(),
-                deadline: self.config.analysis_deadline(t.period(), t.wcet()),
-                wcet: t.wcet(),
-            })
-            .collect();
+        let rows = self.leaf_rows(port, &tasks);
         self.elements[levels - 1][leaf_order]
             .selector_mut()
             .reload_port(port as u8, &rows)?;
@@ -432,39 +414,12 @@ impl BlueScaleInterconnect {
         // Walk the request path from the leaf to the root, recomputing and
         // reprogramming each SE and refreshing the parent's table row.
         let mut order = leaf_order;
-        let mut reprogrammed = 0;
         for depth in (0..levels).rev() {
-            let (ifaces, ok) = Self::compute_or_fallback(&self.elements[depth][order]);
-            self.se_analysis_ok[depth][order] = ok;
-            self.elements[depth][order].program(&ifaces);
-            if let Some(soa) = self.soa.as_mut() {
-                soa.program_se(depth, order, &ifaces);
-            }
-            self.composition.interfaces[depth][order] = ifaces.clone();
-            reprogrammed += 1;
-            if depth > 0 {
-                let parent_order = order / self.config.branch;
-                let parent_port = (order % self.config.branch) as u8;
-                let rows = Self::interface_rows(&self.config, parent_port, &ifaces);
-                let (upper, lower) = self.elements.split_at_mut(depth);
-                upper[depth - 1][parent_order]
-                    .selector_mut()
-                    .reload_port(parent_port, &rows)?;
-                let _ = &lower; // silence unused when levels == 1
-                order = parent_order;
-            }
+            self.resolve_se(depth, order)?;
+            order /= self.config.branch;
         }
         // Every other SE kept its parameters: refresh only the summary.
-        self.composition.analysis_ok = self.se_analysis_ok.iter().flatten().all(|&ok| ok);
-        self.composition.root_bandwidth = Self::bandwidth_sum(&self.composition.interfaces[0][0]);
-        self.composition.schedulable =
-            self.composition.analysis_ok && self.composition.root_bandwidth <= 1.0 + 1e-9;
-        self.composition.reprogrammed_elements = reprogrammed;
-        self.metrics.set_gauge(
-            ComponentId::System,
-            "root_bandwidth",
-            self.composition.root_bandwidth,
-        );
+        self.refresh_summary(levels);
         Ok(&self.composition)
     }
 
@@ -643,16 +598,7 @@ impl BlueScaleInterconnect {
                     .expect("rows validated by the admission trial");
             }
         }
-        self.composition.analysis_ok = self.se_analysis_ok.iter().flatten().all(|&ok| ok);
-        self.composition.root_bandwidth = Self::bandwidth_sum(&self.composition.interfaces[0][0]);
-        self.composition.schedulable =
-            self.composition.analysis_ok && self.composition.root_bandwidth <= 1.0 + 1e-9;
-        self.composition.reprogrammed_elements = trial.len();
-        self.metrics.set_gauge(
-            ComponentId::System,
-            "root_bandwidth",
-            self.composition.root_bandwidth,
-        );
+        self.refresh_summary(trial.len());
         // Deliberately no `Reconfigurations` tally here: churn accounting
         // (`Reconfigurations`/`Admitted`/`AdmissionRejected`) is owned by
         // the harness registry alone, so `merged_registry()` never double
@@ -719,30 +665,17 @@ impl BlueScaleInterconnect {
         Ok(())
     }
 
-    /// Emits one fault-activation event (plus counters) per
-    /// interconnect-side fault window that opens this cycle. Per-cycle
-    /// fault activity (masked grants, stretched service) is tallied at
-    /// the affected component as it happens.
-    fn announce_faults(&mut self, now: Cycle) {
-        for spec in self.faults.specs() {
-            if spec.window.start != now || !spec.window.contains(now) {
-                continue;
-            }
-            let component = match spec.kind {
-                FaultKind::StuckGrant { depth, order, .. } => ComponentId::Se { depth, order },
-                FaultKind::DramJitter { bank, .. } => ComponentId::Bank(bank),
-                FaultKind::DropResponse { client, .. } => ComponentId::Client(client),
-                // Client-side faults are announced by the harness.
-                FaultKind::RogueDemand { .. } | FaultKind::RequestBurst { .. } => continue,
-            };
-            self.metrics.record(
-                now,
-                Event::FaultInjected {
-                    component,
-                    class: spec.kind.class(),
-                },
-            );
-        }
+    /// Refreshes the composition summary (analysis verdict, root
+    /// bandwidth, schedulability) after `reprogrammed` SEs changed, and
+    /// mirrors the root bandwidth into the registry's gauge.
+    fn refresh_summary(&mut self, reprogrammed: usize) {
+        let c = &mut self.composition;
+        c.analysis_ok = self.se_analysis_ok.iter().flatten().all(|&ok| ok);
+        c.root_bandwidth = Self::bandwidth_sum(&c.interfaces[0][0]);
+        c.schedulable = c.analysis_ok && c.root_bandwidth <= 1.0 + 1e-9;
+        c.reprogrammed_elements = reprogrammed;
+        self.metrics
+            .set_gauge(ComponentId::System, "root_bandwidth", c.root_bandwidth);
     }
 
     fn bandwidth_sum(interfaces: &[Option<PeriodicResource>]) -> f64 {
@@ -815,34 +748,34 @@ impl BlueScaleInterconnect {
     /// Resolves every interface-selection problem from the leaves to the
     /// root and programs all SEs (used at construction).
     fn recompute_all(&mut self) -> Result<(), BuildError> {
-        let levels = self.config.levels();
-        for depth in (0..levels).rev() {
+        for depth in (0..self.config.levels()).rev() {
             for order in 0..self.config.elements_at(depth) {
-                let (ifaces, ok) = Self::compute_or_fallback(&self.elements[depth][order]);
-                self.se_analysis_ok[depth][order] = ok;
-                self.elements[depth][order].program(&ifaces);
-                self.composition.interfaces[depth][order] = ifaces.clone();
-                if depth > 0 {
-                    let parent_order = order / self.config.branch;
-                    let parent_port = (order % self.config.branch) as u8;
-                    let rows = Self::interface_rows(&self.config, parent_port, &ifaces);
-                    let (upper, _lower) = self.elements.split_at_mut(depth);
-                    upper[depth - 1][parent_order]
-                        .selector_mut()
-                        .reload_port(parent_port, &rows)?;
-                }
+                self.resolve_se(depth, order)?;
             }
         }
-        self.composition.analysis_ok = self.se_analysis_ok.iter().flatten().all(|&ok| ok);
-        self.composition.root_bandwidth = Self::bandwidth_sum(&self.composition.interfaces[0][0]);
-        self.composition.schedulable =
-            self.composition.analysis_ok && self.composition.root_bandwidth <= 1.0 + 1e-9;
-        self.composition.reprogrammed_elements = self.elements.iter().map(Vec::len).sum();
-        self.metrics.set_gauge(
-            ComponentId::System,
-            "root_bandwidth",
-            self.composition.root_bandwidth,
-        );
+        self.refresh_summary(self.elements.iter().map(Vec::len).sum());
+        Ok(())
+    }
+
+    /// Resolves SE `(depth, order)`'s interface selection (falling back on
+    /// analytical failure), programs the result into every live engine and
+    /// reloads the parent's table row for this SE's port.
+    fn resolve_se(&mut self, depth: usize, order: usize) -> Result<(), BuildError> {
+        let (ifaces, ok) = Self::compute_or_fallback(&self.elements[depth][order]);
+        self.se_analysis_ok[depth][order] = ok;
+        self.elements[depth][order].program(&ifaces);
+        if let Some(soa) = self.soa.as_mut() {
+            soa.program_se(depth, order, &ifaces);
+        }
+        self.composition.interfaces[depth][order] = ifaces.clone();
+        if depth > 0 {
+            let branch = self.config.branch;
+            let parent_port = (order % branch) as u8;
+            let rows = Self::interface_rows(&self.config, parent_port, &ifaces);
+            self.elements[depth - 1][order / branch]
+                .selector_mut()
+                .reload_port(parent_port, &rows)?;
+        }
         Ok(())
     }
 
@@ -851,10 +784,7 @@ impl BlueScaleInterconnect {
     /// arena. Kept line-for-line parallel with the legacy path so the two
     /// stay bit-identical (the differential suites enforce it).
     fn step_soa(&mut self, now: Cycle) {
-        let have_faults = !self.faults.is_empty();
-        if have_faults {
-            self.announce_faults(now);
-        }
+        let have_faults = !self.mem.faults().is_empty();
         let levels = self.config.levels();
         let branch = self.config.branch;
         // With detail recording off, arbitration runs on the batched fast
@@ -862,140 +792,35 @@ impl BlueScaleInterconnect {
         // write-through `step_se` so typed events keep the legacy order.
         let detail = self.metrics.detail();
         let soa = self.soa.as_mut().expect("step_soa requires the SoA engine");
-        // 1. Response path: each SE's demultiplexer routes one response per
-        //    cycle toward its client. Leaves deliver first (bottom-up), so
-        //    a response advances exactly one level per cycle.
-        for depth in (0..levels).rev() {
-            if soa.responses_at_level(depth) == 0 {
-                continue;
-            }
-            for order in 0..self.config.elements_at(depth) {
-                if depth == levels - 1 {
-                    if let Some(request) = soa.pop_response(depth, order) {
-                        self.metrics.request_completed(now, request.id);
-                        self.ready.push_back(MemoryResponse {
-                            request,
-                            completed_at: now,
-                        });
-                    }
-                } else if let Some(request) = soa.pop_response(depth, order) {
-                    // Route by client id: which child subtree owns it?
-                    let leaf_order = request.client as usize / branch;
-                    let child_order = leaf_order / branch.pow((levels - 2 - depth) as u32);
-                    debug_assert_eq!(
-                        child_order / branch.max(1),
-                        order,
-                        "response routed through the wrong subtree"
-                    );
-                    soa.accept_response(depth + 1, child_order, request);
-                }
-            }
+        // 1. Response path: leaves deliver first (bottom-up), so a response
+        //    advances exactly one level per cycle.
+        let (metrics, ready) = (&mut self.metrics, &mut self.ready);
+        soa.route_responses(0, |request| {
+            metrics.request_completed(now, request.id);
+            ready.push_back(MemoryResponse {
+                request,
+                completed_at: now,
+            });
+        });
+        // 2. Memory completions enter the root's demultiplexer.
+        if let Some(done) = self.mem.complete(now, &mut self.metrics) {
+            soa.accept_response(0, 0, done);
         }
-        // 2. Memory completions enter the root's demultiplexer — unless a
-        //    drop-response fault swallows the completion on the way back.
-        if let Some(done) = self.controller.poll_complete(now) {
-            if have_faults && self.faults.should_drop_response(done.client, now) {
-                self.metrics
-                    .inc(ComponentId::System, Counter::FaultsInjected);
-                self.metrics
-                    .inc(ComponentId::System, Counter::ResponsesDropped);
-                self.metrics
-                    .inc(ComponentId::Client(done.client), Counter::ResponsesDropped);
-                self.metrics.record(
-                    now,
-                    Event::ResponseDropped {
-                        client: done.client,
-                        request: done.id,
-                    },
-                );
-            } else {
-                self.metrics.request_mem_complete(now, done.id);
-                soa.accept_response(0, 0, done);
-            }
-        }
-        // 3. Root arbitration feeds the memory controller. An active
-        //    memory policy widens the stuck-grant mask before arbitration:
-        //    deferred candidates stay queued in their RABs, so request
-        //    conservation is untouched.
-        let root_ready = self.controller.can_accept();
-        let passive = self.policy.is_passive();
-        let mut mask: Option<Vec<bool>> = None;
-        if have_faults {
-            mask = self.faults.stuck_mask(0, 0, branch, now);
-            if mask.is_some() {
-                self.metrics
-                    .inc(ComponentId::System, Counter::FaultsInjected);
-                self.metrics.inc(
-                    ComponentId::Se { depth: 0, order: 0 },
-                    Counter::FaultsInjected,
-                );
-            }
-        }
-        if !passive && root_ready {
-            let mut candidates: Vec<GrantCandidate> = Vec::with_capacity(branch);
-            for port in 0..branch {
-                if mask.as_ref().is_some_and(|m| m[port]) {
-                    continue;
-                }
-                if let Some(head) = soa.peek_head(0, 0, port) {
-                    let (bank, _) = self.controller.decode(head.addr);
-                    candidates.push(GrantCandidate {
-                        port,
-                        client: head.client,
-                        bank,
-                        deadline: head.deadline,
-                    });
-                }
-            }
-            if !candidates.is_empty() {
-                let defer = self.policy.defer_mask(now, &candidates);
-                if defer != 0 {
-                    let m = mask.get_or_insert_with(|| vec![false; branch]);
-                    for (i, c) in candidates.iter().enumerate() {
-                        if defer & (1 << i) != 0 {
-                            m[c.port] = true;
-                            self.metrics
-                                .inc(ComponentId::Memory, Counter::PolicyDeferred);
-                        }
-                    }
-                }
-            }
-        }
+        // 3. Root arbitration feeds the memory controller.
+        let root_ready = self.mem.can_accept();
+        let mask = self
+            .mem
+            .root_mask(now, root_ready, branch, &mut self.metrics, |port| {
+                soa.peek_head(0, 0, port)
+            });
         let granted = if detail {
             soa.step_se(0, 0, now, root_ready, mask.as_deref(), &mut self.metrics)
         } else {
             soa.step_se_batched(0, 0, now, root_ready, mask.as_deref())
         };
         if let Some(request) = granted {
-            let (id, addr, client, deadline) =
-                (request.id, request.addr, request.client, request.deadline);
-            let extra = if have_faults {
-                let (bank, _) = self.controller.decode(addr);
-                let extra = self.faults.dram_jitter(bank, now);
-                if extra > 0 {
-                    self.metrics
-                        .inc(ComponentId::System, Counter::FaultsInjected);
-                    self.metrics
-                        .inc(ComponentId::Bank(bank), Counter::FaultsInjected);
-                }
-                extra
-            } else {
-                0
-            };
-            let class = self.policy.service_class(client);
-            let duration = self
-                .controller
-                .accept_classed(request, addr, now, extra, class);
-            if !passive {
-                let (bank, _) = self.controller.decode(addr);
-                self.policy.on_issue(now, client, bank);
-            }
-            self.metrics.request_mem_issue(now, id, duration);
-            self.service_events.push_back(ServiceEvent {
-                at: now,
-                deadline,
-                duration,
-            });
+            let event = self.mem.issue(request, now, &mut self.metrics);
+            self.service_events.push_back(event);
         }
         // 4. Deeper levels forward one request per SE toward their parents.
         for depth in 1..levels {
@@ -1003,23 +828,22 @@ impl BlueScaleInterconnect {
                 let parent_order = order / branch;
                 let port = order % branch;
                 let ready = soa.can_accept(depth - 1, parent_order, port);
-                let granted = if have_faults {
-                    let mask = self.faults.stuck_mask(depth, order, branch, now);
-                    if mask.is_some() {
-                        self.metrics
-                            .inc(ComponentId::System, Counter::FaultsInjected);
-                        self.metrics
-                            .inc(ComponentId::Se { depth, order }, Counter::FaultsInjected);
-                    }
-                    if detail {
-                        soa.step_se(depth, order, now, ready, mask.as_deref(), &mut self.metrics)
-                    } else {
-                        soa.step_se_batched(depth, order, now, ready, mask.as_deref())
-                    }
-                } else if detail {
-                    soa.step_se(depth, order, now, ready, None, &mut self.metrics)
+                let mask = if have_faults {
+                    stuck_mask(
+                        self.mem.faults(),
+                        depth,
+                        order,
+                        branch,
+                        now,
+                        &mut self.metrics,
+                    )
                 } else {
-                    soa.step_se_batched(depth, order, now, ready, None)
+                    None
+                };
+                let granted = if detail {
+                    soa.step_se(depth, order, now, ready, mask.as_deref(), &mut self.metrics)
+                } else {
+                    soa.step_se_batched(depth, order, now, ready, mask.as_deref())
                 };
                 if let Some(request) = granted {
                     soa.try_accept(depth - 1, parent_order, port, request)
@@ -1051,9 +875,7 @@ impl Interconnect for BlueScaleInterconnect {
     }
 
     fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        let mut plan = plan.clone();
-        plan.reset_state();
-        self.faults = plan;
+        self.mem.install_faults(plan);
     }
 
     fn demote_client(&mut self, client: u32) -> bool {
@@ -1111,13 +933,13 @@ impl Interconnect for BlueScaleInterconnect {
     }
 
     fn step(&mut self, now: Cycle) {
+        let have_faults = !self.mem.faults().is_empty();
+        if have_faults {
+            self.mem.announce(now, &mut self.metrics);
+        }
         if self.soa.is_some() {
             self.step_soa(now);
             return;
-        }
-        let have_faults = !self.faults.is_empty();
-        if have_faults {
-            self.announce_faults(now);
         }
         // 1. Response path: each SE's demultiplexer routes one response per
         //    cycle toward its client. Leaves deliver first (bottom-up), so
@@ -1154,112 +976,24 @@ impl Interconnect for BlueScaleInterconnect {
                 }
             }
         }
-        // 2. Memory completions enter the root's demultiplexer — unless a
-        //    drop-response fault swallows the completion on the way back
-        //    (models a corrupted/lost response beat; the request is gone
-        //    until a guard-layer watchdog re-issues it).
-        if let Some(done) = self.controller.poll_complete(now) {
-            if have_faults && self.faults.should_drop_response(done.client, now) {
-                self.metrics
-                    .inc(ComponentId::System, Counter::FaultsInjected);
-                self.metrics
-                    .inc(ComponentId::System, Counter::ResponsesDropped);
-                self.metrics
-                    .inc(ComponentId::Client(done.client), Counter::ResponsesDropped);
-                self.metrics.record(
-                    now,
-                    Event::ResponseDropped {
-                        client: done.client,
-                        request: done.id,
-                    },
-                );
-            } else {
-                self.metrics.request_mem_complete(now, done.id);
-                self.elements[0][0].accept_response(done);
-            }
+        // 2. Memory completions enter the root's demultiplexer.
+        if let Some(done) = self.mem.complete(now, &mut self.metrics) {
+            self.elements[0][0].accept_response(done);
         }
-        // 3. Root arbitration feeds the memory controller. A stuck-grant
-        //    fault hides the affected port from the scheduler; a DRAM
-        //    jitter fault stretches the granted request's service time. An
-        //    active memory policy widens the same mask: deferred candidates
-        //    stay queued in their RABs, preserving request conservation.
-        let root_ready = self.controller.can_accept();
-        let passive = self.policy.is_passive();
-        let mut mask: Option<Vec<bool>> = None;
-        if have_faults {
-            mask = self.faults.stuck_mask(0, 0, self.config.branch, now);
-            if mask.is_some() {
-                self.metrics
-                    .inc(ComponentId::System, Counter::FaultsInjected);
-                self.metrics.inc(
-                    ComponentId::Se { depth: 0, order: 0 },
-                    Counter::FaultsInjected,
-                );
-            }
-        }
-        if !passive && root_ready {
-            let branch = self.config.branch;
-            let mut candidates: Vec<GrantCandidate> = Vec::with_capacity(branch);
-            for port in 0..branch {
-                if mask.as_ref().is_some_and(|m| m[port]) {
-                    continue;
-                }
-                if let Some(head) = self.elements[0][0].peek_port(port) {
-                    let (bank, _) = self.controller.decode(head.addr);
-                    candidates.push(GrantCandidate {
-                        port,
-                        client: head.client,
-                        bank,
-                        deadline: head.deadline,
-                    });
-                }
-            }
-            if !candidates.is_empty() {
-                let defer = self.policy.defer_mask(now, &candidates);
-                if defer != 0 {
-                    let m = mask.get_or_insert_with(|| vec![false; branch]);
-                    for (i, c) in candidates.iter().enumerate() {
-                        if defer & (1 << i) != 0 {
-                            m[c.port] = true;
-                            self.metrics
-                                .inc(ComponentId::Memory, Counter::PolicyDeferred);
-                        }
-                    }
-                }
-            }
-        }
+        // 3. Root arbitration feeds the memory controller.
+        let root_ready = self.mem.can_accept();
+        let mask = self.mem.root_mask(
+            now,
+            root_ready,
+            self.config.branch,
+            &mut self.metrics,
+            |port| self.elements[0][0].peek_port(port),
+        );
         let granted =
             self.elements[0][0].step_masked(now, root_ready, &mut self.metrics, mask.as_deref());
         if let Some(request) = granted {
-            let (id, addr, client, deadline) =
-                (request.id, request.addr, request.client, request.deadline);
-            let extra = if have_faults {
-                let (bank, _) = self.controller.decode(addr);
-                let extra = self.faults.dram_jitter(bank, now);
-                if extra > 0 {
-                    self.metrics
-                        .inc(ComponentId::System, Counter::FaultsInjected);
-                    self.metrics
-                        .inc(ComponentId::Bank(bank), Counter::FaultsInjected);
-                }
-                extra
-            } else {
-                0
-            };
-            let class = self.policy.service_class(client);
-            let duration = self
-                .controller
-                .accept_classed(request, addr, now, extra, class);
-            if !passive {
-                let (bank, _) = self.controller.decode(addr);
-                self.policy.on_issue(now, client, bank);
-            }
-            self.metrics.request_mem_issue(now, id, duration);
-            self.service_events.push_back(ServiceEvent {
-                at: now,
-                deadline,
-                duration,
-            });
+            let event = self.mem.issue(request, now, &mut self.metrics);
+            self.service_events.push_back(event);
         }
         // 4. Deeper levels forward one request per SE toward their parents.
         for depth in 1..self.config.levels() {
@@ -1269,20 +1003,20 @@ impl Interconnect for BlueScaleInterconnect {
                 let parent = &mut parents[order / self.config.branch];
                 let port = order % self.config.branch;
                 let ready = parent.can_accept(port);
-                let granted = if have_faults {
-                    let mask = self
-                        .faults
-                        .stuck_mask(depth, order, self.config.branch, now);
-                    if mask.is_some() {
-                        self.metrics
-                            .inc(ComponentId::System, Counter::FaultsInjected);
-                        self.metrics
-                            .inc(ComponentId::Se { depth, order }, Counter::FaultsInjected);
-                    }
-                    se.step_masked(now, ready, &mut self.metrics, mask.as_deref())
+                let mask = if have_faults {
+                    let branch = self.config.branch;
+                    stuck_mask(
+                        self.mem.faults(),
+                        depth,
+                        order,
+                        branch,
+                        now,
+                        &mut self.metrics,
+                    )
                 } else {
-                    se.step(now, ready, &mut self.metrics)
+                    None
                 };
+                let granted = se.step_masked(now, ready, &mut self.metrics, mask.as_deref());
                 if let Some(request) = granted {
                     parent
                         .try_accept(port, request)
@@ -1318,7 +1052,7 @@ impl Interconnect for BlueScaleInterconnect {
                 .map(|se| se.occupancy() + se.response_occupancy())
                 .sum(),
         };
-        let in_service = usize::from(!self.controller.can_accept());
+        let in_service = usize::from(!self.mem.can_accept());
         buffered + in_service + self.ready.len()
     }
 
@@ -1339,24 +1073,7 @@ impl Interconnect for BlueScaleInterconnect {
         if fabric_busy {
             return Some(now);
         }
-        let mut next = self
-            .controller
-            .next_completion()
-            .map_or(Cycle::MAX, |done| done.max(now));
-        if !self.faults.is_empty() {
-            // Active fault windows (stuck grants count an injection every
-            // cycle; jitter and drops key off the current cycle) force
-            // per-cycle stepping; future windows bound the jump.
-            next = next.min(self.faults.next_activity(now));
-        }
-        if !self.policy.is_passive() {
-            // A policy can only defer pending requests, and pending
-            // requests already pin the hint to `now` above — but bounding
-            // the jump by the policy's next unblock keeps the lookahead
-            // conservative even if a policy ever tracked cross-idle state.
-            next = next.min(self.policy.next_unblock(now));
-        }
-        Some(next)
+        Some(self.mem.idle_bound(now))
     }
 
     fn advance_idle(&mut self, _now: Cycle, delta: u64) {
@@ -1380,6 +1097,7 @@ mod tests {
     use super::*;
     use bluescale_interconnect::AccessKind;
     use bluescale_rt::task::Task;
+    use bluescale_sim::fault::FaultKind;
 
     fn sets(n: usize, period: u64, wcet: u64) -> Vec<TaskSet> {
         (0..n)

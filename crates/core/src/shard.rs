@@ -12,13 +12,18 @@
 //! §14). Each level-1 subtree becomes a *shard* — a private
 //! [`SoaCore`] covering global depths `1..levels` plus the subtree's traffic
 //! generators and metrics delta buffers — advanced by a pool of workers.
-//! The coordinator keeps the root SE, the memory controller and the
-//! service log, and runs the root's GEDF argmin over the shards' boundary
-//! offers between two barrier-fenced parallel regions per cycle. The §11
-//! lookahead contract (`next_event_hint`) makes the root-arbitration
-//! barrier conservative-safe: no shard can produce a boundary event
-//! earlier than its reported hint, so jumping idle stretches in closed
-//! form remains exact.
+//! The coordinator owns the root SE and the root's memory side — the same
+//! [`MemorySide`] type the serial engines drive — and the same
+//! [`HarnessCore`] as the serial harness, and runs the root's GEDF argmin
+//! over the shards' boundary offers between two barrier-fenced parallel
+//! regions per cycle. The client phase, response accounting, verdict
+//! tallies, fast-forward loop and telemetry chunking are the serial
+//! harness's own code (`bluescale_interconnect::system`), so the only
+//! sharded-specific logic is the cut itself. The §11 lookahead contract
+//! (`next_event_hint`) makes the root-arbitration barrier
+//! conservative-safe: no shard can produce a boundary event earlier than
+//! its reported hint, so jumping idle stretches in closed form remains
+//! exact.
 //!
 //! The serial engine stays the bit-identity oracle:
 //! `tests/shard_differential.rs` pins counts, per-client counts, per-SE
@@ -27,27 +32,24 @@
 //! churn and fault scenarios. Worker count is a pure wall-clock knob — the
 //! schedule below never depends on it.
 //!
-//! Not supported in sharded mode (use the serial harness): detail
-//! recording (typed events are inherently sequential) and runtime guards.
-//!
 //! Worker panics are contained: a panic inside a shard advance is caught
 //! at the shard boundary, surfaced as [`ShardError::WorkerPanicked`], and
 //! the rest of the run continues on the serial engine over the surviving
 //! state (`ShardFallbacks` counts the demotion). A degraded run completes
 //! but is *not* bit-identical — the interrupted cycle was half-applied.
 
+use crate::memory_side::{stuck_mask, MemorySide};
 use crate::network::{BlueScaleInterconnect, BuildError, CompositionReport};
 use crate::soa::SoaCore;
 use crate::topology::BlueScaleConfig;
-use bluescale_interconnect::admission::ChurnPlan;
+use bluescale_interconnect::admission::{ChurnPlan, ReconfigOutcome};
 use bluescale_interconnect::client::TrafficGenerator;
 use bluescale_interconnect::metrics::RunMetrics;
-use bluescale_interconnect::{ClientId, MemoryRequest, MemoryResponse, ServiceEvent};
-use bluescale_mem::{DramConfig, GrantCandidate, MemoryController, MemoryPolicy};
+use bluescale_interconnect::system::{self, client_phase, run_span, Driver, HarnessCore, Stepper};
+use bluescale_interconnect::{ClientId, MemoryRequest, MemoryResponse};
 use bluescale_rt::task::TaskSet;
-use bluescale_sim::fault::{FaultKind, FaultPlan};
-use bluescale_sim::metrics::{ComponentId, Counter, Event, MetricsRegistry, SampleKind};
-use bluescale_sim::next_event::jump_target;
+use bluescale_sim::fault::FaultPlan;
+use bluescale_sim::metrics::{ComponentId, Counter, Event, MetricsRegistry};
 use bluescale_sim::Cycle;
 use bluescale_telemetry::Pipeline;
 use std::fmt;
@@ -90,10 +92,11 @@ impl std::error::Error for ShardError {}
 const NO_FAILURE: usize = usize::MAX;
 
 /// Locks a shard, tolerating poison: a contained worker panic poisons the
-/// shard's mutex, and both the failure bookkeeping and the serial fallback
-/// must still reach the surviving state. The data is a plain simulation
-/// core — no invariant depends on the interrupted critical section having
-/// completed, beyond the documented loss of bit-identity.
+/// shard's mutex, and the failure bookkeeping, the serial fallback and any
+/// later reconfiguration must still reach the surviving state. The data is
+/// a plain simulation core — no invariant depends on the interrupted
+/// critical section having completed, beyond the documented loss of
+/// bit-identity.
 fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -118,7 +121,6 @@ struct Shard {
     /// Read-only clone of the fault plan for worker-side queries
     /// (multipliers, bursts, stuck masks — all stateless lookups).
     faults: FaultPlan,
-    have_faults: bool,
     /// Harness-side counters (Issued/Rejected/FaultsInjected), merged into
     /// the coordinator's registry on flush.
     harness_delta: MetricsRegistry,
@@ -147,81 +149,36 @@ impl Shard {
             self.panic_at = None;
             panic!("injected shard-worker panic (test probe) at cycle {now}");
         }
-        // 1. Client phase (the harness's loop, restricted to this
-        //    subtree). Each client owns a dedicated leaf port, so clients
-        //    are independent and the per-shard split is exact.
-        for client in &mut self.clients {
-            if self.have_faults {
-                let owner = client.client();
-                let factor = self.faults.demand_multiplier(owner, now);
-                client.on_cycle_with_factor(now, factor);
-                let burst = self.faults.burst_at(owner, now);
-                if burst > 0 && client.inject_burst(now, burst) > 0 {
-                    self.harness_delta
-                        .inc(ComponentId::System, Counter::FaultsInjected);
-                    self.harness_delta
-                        .inc(ComponentId::Client(owner), Counter::FaultsInjected);
-                }
-            } else {
-                client.on_cycle(now);
-            }
-            if let Some(req) = client.take() {
+        // 1. The harness's client phase, restricted to this subtree. Each
+        //    client owns a dedicated leaf port, so clients are independent
+        //    and the per-shard split is exact.
+        let (core, fabric_delta) = (&mut self.core, &mut self.fabric_delta);
+        let (leaf, branch, client_lo) = (self.levels - 1, self.branch, self.client_lo);
+        client_phase(
+            &mut self.clients,
+            &self.faults,
+            &mut self.harness_delta,
+            now,
+            |req| {
                 let owner = req.client;
-                let local = owner as usize - self.client_lo;
-                match self.core.try_accept(
-                    self.levels - 1,
-                    local / self.branch,
-                    local % self.branch,
-                    req,
-                ) {
-                    Ok(()) => {
-                        self.fabric_delta
-                            .inc(ComponentId::Client(owner), Counter::Enqueued);
-                        self.harness_delta.inc(ComponentId::System, Counter::Issued);
-                        self.harness_delta
-                            .inc(ComponentId::Client(owner), Counter::Issued);
-                    }
-                    Err(rejected) => {
-                        client.give_back(rejected);
-                        self.harness_delta
-                            .inc(ComponentId::System, Counter::Rejected);
-                        self.harness_delta
-                            .inc(ComponentId::Client(owner), Counter::Rejected);
-                    }
-                }
-            }
-        }
-        // 2. Response path, bottom-up: leaves deliver, inner demuxes route
-        //    one response per cycle toward the owning client. Global
-        //    depths `levels..1` are local depths `levels-1..0`; the global
-        //    depth-0 (root) leg runs coordinator-side after the barrier,
-        //    so its push lands here next cycle — the serial order, where
-        //    the root demux is processed last.
-        for depth in (0..self.levels).rev() {
-            if self.core.responses_at_level(depth) == 0 {
-                continue;
-            }
-            for order in 0..self.branch.pow(depth as u32) {
-                if depth == self.levels - 1 {
-                    if let Some(request) = self.core.pop_response(depth, order) {
-                        self.ready.push(MemoryResponse {
-                            request,
-                            completed_at: now,
-                        });
-                    }
-                } else if let Some(request) = self.core.pop_response(depth, order) {
-                    let leaf_order = (request.client as usize - self.client_lo) / self.branch;
-                    let child_order =
-                        leaf_order / self.branch.pow((self.levels - 2 - depth) as u32);
-                    debug_assert_eq!(
-                        child_order / self.branch.max(1),
-                        order,
-                        "response routed through the wrong subtree"
-                    );
-                    self.core.accept_response(depth + 1, child_order, request);
-                }
-            }
-        }
+                let local = owner as usize - client_lo;
+                core.try_accept(leaf, local / branch, local % branch, req)?;
+                fabric_delta.inc(ComponentId::Client(owner), Counter::Enqueued);
+                Ok(())
+            },
+        );
+        // 2. Response path, bottom-up. Global depths `levels..1` are local
+        //    depths `levels-1..0`; the global depth-0 (root) leg runs
+        //    coordinator-side after the barrier, so its push lands here
+        //    next cycle — the serial order, where the root demux is
+        //    processed last.
+        let ready = &mut self.ready;
+        self.core.route_responses(self.client_lo, |request| {
+            ready.push(MemoryResponse {
+                request,
+                completed_at: now,
+            });
+        });
     }
 
     /// Region B: the subtree's arbitration sweep. `root_ready` is the
@@ -258,26 +215,15 @@ impl Shard {
         now: Cycle,
         ready: bool,
     ) -> Option<MemoryRequest> {
-        if self.have_faults {
-            let gd = depth + 1;
-            let go = self.q * self.branch.pow(depth as u32) + order;
-            let mask = self.faults.stuck_mask(gd, go, self.branch, now);
-            if mask.is_some() {
-                self.fabric_delta
-                    .inc(ComponentId::System, Counter::FaultsInjected);
-                self.fabric_delta.inc(
-                    ComponentId::Se {
-                        depth: gd,
-                        order: go,
-                    },
-                    Counter::FaultsInjected,
-                );
-            }
-            self.core
-                .step_se_batched(depth, order, now, ready, mask.as_deref())
+        let mask = if self.faults.is_empty() {
+            None
         } else {
-            self.core.step_se_batched(depth, order, now, ready, None)
-        }
+            let global_order = self.q * self.branch.pow(depth as u32) + order;
+            let (plan, delta) = (&self.faults, &mut self.fabric_delta);
+            stuck_mask(plan, depth + 1, global_order, self.branch, now, delta)
+        };
+        self.core
+            .step_se_batched(depth, order, now, ready, mask.as_deref())
     }
 
     /// Earliest next release across this shard's clients (fast-forward).
@@ -294,9 +240,10 @@ impl Shard {
     }
 }
 
-/// Everything the coordinator owns: the root SE, the memory side, the
-/// registries and the master plans. Split from the shard vector so the
-/// coordinator can hold `&mut` state while workers hold the shard locks.
+/// Everything outside the shards: the root SE, the root's memory side,
+/// the fabric registry and the harness state. Split from the shard vector
+/// so the coordinator can hold `&mut` state while workers hold the shard
+/// locks.
 struct Coordinator {
     /// Admission control and composition analysis only — its legacy
     /// elements are never stepped (`soa_core` forced off).
@@ -307,27 +254,17 @@ struct Coordinator {
     clients_per_shard: usize,
     /// A one-level core holding just the root SE (global `(0,0)`).
     root: SoaCore,
-    controller: MemoryController<MemoryRequest>,
-    /// Memory-scheduling policy at the root seam — the coordinator-owned
-    /// replica of [`BlueScaleConfig::mem_policy`]. Fed absolute cycles
-    /// only, so it stays in lock-step with the serial engines.
-    policy: Box<dyn MemoryPolicy>,
-    service_log: Vec<ServiceEvent>,
-    /// Harness-side registry (System/Client aggregates + churn verdicts).
-    registry: MetricsRegistry,
-    /// Fabric-side registry — the sharded replica of the serial
+    /// Memory controller, memory policy and the stateful interconnect-side
+    /// fault plan — the serial engines' memory side, fed absolute cycles
+    /// only, so it stays in lock-step with them.
+    mem: MemorySide,
+    /// Fabric-side registry, indexed exactly like the serial
     /// interconnect's internal one.
     fabric: MetricsRegistry,
-    /// Master harness-side plan (client fault announcements, FF bounds).
-    faults: FaultPlan,
-    /// Master interconnect-side plan; owns the stateful drop-response
-    /// bookkeeping, so coordinator-side queries only.
-    ic_faults: FaultPlan,
-    churn: ChurnPlan,
-    now: Cycle,
-    fast_forward: bool,
-    ff_jumps: u64,
-    ff_skipped: u64,
+    /// Harness state shared with the serial harness: clock, service log,
+    /// master fault and churn plans, the harness registry (System/Client
+    /// aggregates + churn verdicts), fast-forward tallies and telemetry.
+    core: HarnessCore,
 }
 
 /// Shared coordination state for one threaded run.
@@ -347,18 +284,46 @@ struct Ctrl {
     failed: AtomicUsize,
 }
 
+impl Ctrl {
+    /// Runs `region` on shards `first, first + stride, …`, catching a
+    /// panic at the shard boundary. The first failure is published in
+    /// `failed` and ends the region early (`false`).
+    fn run_region(
+        &self,
+        shards: &[Mutex<Shard>],
+        first: usize,
+        stride: usize,
+        region: impl Fn(&mut Shard),
+    ) -> bool {
+        for q in (first..shards.len()).step_by(stride) {
+            let outcome =
+                std::panic::catch_unwind(AssertUnwindSafe(|| region(&mut lock_shard(&shards[q]))));
+            if outcome.is_err() {
+                let _ = self.failed.compare_exchange(
+                    NO_FAILURE,
+                    q,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+                return false;
+            }
+        }
+        true
+    }
+}
+
 impl Coordinator {
     /// Pre-cycle serial work: due reconfigurations, then client-side
     /// fault-window announcements — exactly the serial harness prologue.
     fn pre_phase(&mut self, shards: &[Mutex<Shard>], now: Cycle) {
-        if !self.churn.is_empty() {
-            while let Some(spec) = self.churn.take_due(now) {
+        if !self.core.churn.is_empty() {
+            while let Some(spec) = self.core.churn.take_due(now) {
                 let tasks = spec.kind.requested_tasks();
                 self.apply_reconfiguration(shards, spec.client, &tasks, now);
             }
         }
-        if !self.faults.is_empty() {
-            self.announce_client_faults(now);
+        if !self.core.faults.is_empty() {
+            self.core.announce_client_faults(now);
         }
     }
 
@@ -368,7 +333,6 @@ impl Coordinator {
     /// Writes the post-arbitration per-port `can_accept` verdicts into
     /// `root_ready`.
     fn mid_phase(&mut self, shards: &[Mutex<Shard>], now: Cycle, root_ready: &mut [bool]) {
-        let have_faults = !self.ic_faults.is_empty();
         // Root demux: route one response per cycle into the owning
         // subtree's local root demux (global depth-1 SE `q` *is* shard
         // `q`'s local `(0,0)`). The shard already ran its response sweep
@@ -379,101 +343,23 @@ impl Coordinator {
                 lock_shard(&shards[q]).core.accept_response(0, 0, request);
             }
         }
-        // Memory completions enter the root's demux — unless a
-        // drop-response fault swallows the completion on the way back.
-        if let Some(done) = self.controller.poll_complete(now) {
-            if have_faults && self.ic_faults.should_drop_response(done.client, now) {
-                self.fabric
-                    .inc(ComponentId::System, Counter::FaultsInjected);
-                self.fabric
-                    .inc(ComponentId::System, Counter::ResponsesDropped);
-                self.fabric
-                    .inc(ComponentId::Client(done.client), Counter::ResponsesDropped);
-            } else {
-                self.root.accept_response(0, 0, done);
-            }
+        if let Some(done) = self.mem.complete(now, &mut self.fabric) {
+            self.root.accept_response(0, 0, done);
         }
         // Root arbitration feeds the memory controller. The root's port
         // queues still hold last cycle's boundary offers — pushes happen
         // in the post phase, after this cycle's arbitration, exactly as
         // the serial phase-4 ordering has it.
-        let ready = self.controller.can_accept();
-        let passive = self.policy.is_passive();
-        let mut mask: Option<Vec<bool>> = None;
-        if have_faults {
-            mask = self.ic_faults.stuck_mask(0, 0, self.branch, now);
-            if mask.is_some() {
-                self.fabric
-                    .inc(ComponentId::System, Counter::FaultsInjected);
-                self.fabric.inc(
-                    ComponentId::Se { depth: 0, order: 0 },
-                    Counter::FaultsInjected,
-                );
-            }
-        }
-        // An active policy widens the stuck mask before arbitration, just
-        // like the serial engines: deferred candidates stay queued in the
-        // root's port buffers, so conservation and the boundary protocol
-        // are untouched.
-        if !passive && ready {
-            let mut candidates: Vec<GrantCandidate> = Vec::with_capacity(self.branch);
-            for port in 0..self.branch {
-                if mask.as_ref().is_some_and(|m| m[port]) {
-                    continue;
-                }
-                if let Some(head) = self.root.peek_head(0, 0, port) {
-                    let (bank, _) = self.controller.decode(head.addr);
-                    candidates.push(GrantCandidate {
-                        port,
-                        client: head.client,
-                        bank,
-                        deadline: head.deadline,
-                    });
-                }
-            }
-            if !candidates.is_empty() {
-                let defer = self.policy.defer_mask(now, &candidates);
-                if defer != 0 {
-                    let m = mask.get_or_insert_with(|| vec![false; self.branch]);
-                    for (i, c) in candidates.iter().enumerate() {
-                        if defer & (1 << i) != 0 {
-                            m[c.port] = true;
-                            self.fabric
-                                .inc(ComponentId::Memory, Counter::PolicyDeferred);
-                        }
-                    }
-                }
-            }
-        }
-        let granted = self.root.step_se_batched(0, 0, now, ready, mask.as_deref());
-        if let Some(request) = granted {
-            let (addr, client, deadline) = (request.addr, request.client, request.deadline);
-            let extra = if have_faults {
-                let (bank, _) = self.controller.decode(addr);
-                let extra = self.ic_faults.dram_jitter(bank, now);
-                if extra > 0 {
-                    self.fabric
-                        .inc(ComponentId::System, Counter::FaultsInjected);
-                    self.fabric
-                        .inc(ComponentId::Bank(bank), Counter::FaultsInjected);
-                }
-                extra
-            } else {
-                0
-            };
-            let class = self.policy.service_class(client);
-            let duration = self
-                .controller
-                .accept_classed(request, addr, now, extra, class);
-            if !passive {
-                let (bank, _) = self.controller.decode(addr);
-                self.policy.on_issue(now, client, bank);
-            }
-            self.service_log.push(ServiceEvent {
-                at: now,
-                deadline,
-                duration,
+        let ready = self.mem.can_accept();
+        let root = &self.root;
+        let mask = self
+            .mem
+            .root_mask(now, ready, self.branch, &mut self.fabric, |port| {
+                root.peek_head(0, 0, port)
             });
+        if let Some(request) = self.root.step_se_batched(0, 0, now, ready, mask.as_deref()) {
+            let event = self.mem.issue(request, now, &mut self.fabric);
+            self.core.service_log.push(event);
         }
         // Each boundary offer targets its own dedicated root port, so the
         // verdicts can be taken for all ports at once.
@@ -486,7 +372,7 @@ impl Coordinator {
     /// ports (shard order = port order), account delivered responses
     /// (shard order = the serial engine's global leaf order), tick the
     /// root's servers, advance time.
-    fn post_phase(&mut self, shards: &[Mutex<Shard>], _now: Cycle) {
+    fn post_phase(&mut self, shards: &[Mutex<Shard>]) {
         for shard in shards {
             let mut s = lock_shard(shard);
             let q = s.q;
@@ -495,37 +381,30 @@ impl Coordinator {
                     .try_accept(0, 0, q, request)
                     .expect("root advertised a free slot");
             }
-            for mut resp in s.ready.drain(..) {
-                resp.request.blocked_cycles = blocking_in_window(
-                    &self.service_log,
-                    resp.request.issued_at,
-                    resp.completed_at,
-                    resp.request.deadline,
-                );
-                self.record_response(&resp);
+            for resp in s.ready.drain(..) {
+                self.core.record_response(resp);
             }
         }
         self.root.tick_all();
-        self.now += 1;
+        self.core.now += 1;
     }
 
-    /// Replica of the serial harness's reconfiguration path, with the
-    /// engine programming routed to the root/shard cores. Admission is
-    /// decided by the analysis interconnect on cloned tables; a rejection
-    /// writes nothing anywhere.
+    /// The serial harness's reconfiguration path, with the engine
+    /// programming routed to the root/shard cores. Admission is decided by
+    /// the analysis interconnect on cloned tables; a rejection writes
+    /// nothing anywhere.
     fn apply_reconfiguration(
         &mut self,
         shards: &[Mutex<Shard>],
         client: ClientId,
         tasks: &TaskSet,
         now: Cycle,
-    ) -> bool {
+    ) {
         if client as usize >= self.num_clients {
-            self.registry
-                .inc(ComponentId::System, Counter::AdmissionRejected);
-            return false;
+            self.core.reject_unknown_client(client, now);
+            return;
         }
-        match self.analysis.commit_reconfiguration(client as usize, tasks) {
+        let outcome = match self.analysis.commit_reconfiguration(client as usize, tasks) {
             Some(trial) => {
                 let mut transition_cycles = 0;
                 for (depth, order, ifaces) in &trial {
@@ -533,11 +412,11 @@ impl Coordinator {
                         self.root.program_se_deferred(0, 0, ifaces)
                     } else {
                         let per = self.branch.pow((*depth - 1) as u32);
-                        shards[order / per]
-                            .lock()
-                            .unwrap()
-                            .core
-                            .program_se_deferred(*depth - 1, order % per, ifaces)
+                        lock_shard(&shards[order / per]).core.program_se_deferred(
+                            *depth - 1,
+                            order % per,
+                            ifaces,
+                        )
                     };
                 }
                 // Mirror the serial fabric's gauge (the analysis registry
@@ -547,120 +426,40 @@ impl Coordinator {
                     "root_bandwidth",
                     self.analysis.composition().root_bandwidth,
                 );
-                let q = client as usize / self.clients_per_shard;
-                {
-                    let mut s = lock_shard(&shards[q]);
-                    let local = client as usize - s.client_lo;
-                    s.clients[local].set_tasks(tasks, now);
-                }
-                for component in [ComponentId::System, ComponentId::Client(client)] {
-                    self.registry.inc(component, Counter::Admitted);
-                    self.registry.inc(component, Counter::Reconfigurations);
-                    if transition_cycles > 0 {
-                        self.registry
-                            .add(component, Counter::TransitionCycles, transition_cycles);
-                    }
-                }
-                true
+                ReconfigOutcome::Admitted { transition_cycles }
             }
-            None => {
-                for component in [ComponentId::System, ComponentId::Client(client)] {
-                    self.registry.inc(component, Counter::AdmissionRejected);
-                }
-                false
-            }
+            None => ReconfigOutcome::Rejected,
+        };
+        if self.core.account_reconfiguration(client, now, &outcome) {
+            let mut s = lock_shard(&shards[client as usize / self.clients_per_shard]);
+            let local = client as usize - s.client_lo;
+            s.clients[local].set_tasks(tasks, now);
         }
     }
 
-    /// One fault-activation counter per client-side window opening this
-    /// cycle (the serial harness's announcement, minus detail events).
-    fn announce_client_faults(&mut self, now: Cycle) {
-        for spec in self.faults.specs() {
-            if let FaultKind::RogueDemand { client, .. } = spec.kind {
-                if spec.window.start == now && spec.window.contains(now) {
-                    self.registry
-                        .inc(ComponentId::System, Counter::FaultsInjected);
-                    self.registry
-                        .inc(ComponentId::Client(client), Counter::FaultsInjected);
-                }
-            }
-        }
-    }
-
-    /// The serial harness's response accounting, verbatim.
-    fn record_response(&mut self, response: &MemoryResponse) {
-        let latency = response.latency() as f64;
-        let blocking = response.request.blocked_cycles as f64;
-        let window = response
-            .request
-            .deadline
-            .saturating_sub(response.request.issued_at)
-            .max(1);
-        let normalized = latency / window as f64;
-        let missed = response.missed_deadline();
-        for component in [
-            ComponentId::System,
-            ComponentId::Client(response.request.client),
-        ] {
-            self.registry.inc(component, Counter::Completed);
-            self.registry
-                .sample(component, SampleKind::Latency, latency);
-            self.registry
-                .sample(component, SampleKind::Blocking, blocking);
-            self.registry
-                .sample(component, SampleKind::NormalizedResponse, normalized);
-            if missed {
-                self.registry.inc(component, Counter::Missed);
-            }
-        }
-    }
-
-    /// The split-core replica of the serial `next_event_hint` (§11): busy
-    /// anywhere → step now; otherwise the memory completion bounds the
-    /// jump, tightened by interconnect-side fault windows.
-    fn next_event_hint(&self, shards: &[Mutex<Shard>], now: Cycle) -> Option<Cycle> {
+    /// The split-core counterpart of the serial `next_event_hint` (§11):
+    /// busy anywhere → step now; otherwise the memory side bounds the
+    /// jump.
+    fn next_event_hint(&self, shards: &[Mutex<Shard>], now: Cycle) -> Cycle {
         if !self.root.is_quiescent() {
-            return Some(now);
+            return now;
         }
         for shard in shards {
             let s = lock_shard(shard);
             if !s.core.is_quiescent() || !s.ready.is_empty() {
-                return Some(now);
+                return now;
             }
         }
-        let mut next = self
-            .controller
-            .next_completion()
-            .map_or(Cycle::MAX, |done| done.max(now));
-        if !self.ic_faults.is_empty() {
-            next = next.min(self.ic_faults.next_activity(now));
-        }
-        if !self.policy.is_passive() {
-            // Mirrors the serial hint: conservative bound, see §16.
-            next = next.min(self.policy.next_unblock(now));
-        }
-        Some(next)
+        self.mem.idle_bound(now)
     }
 
     /// The cycle to jump to when every layer promises nothing happens
-    /// before it (the serial `fast_forward_target`, minus guards).
+    /// before it (the serial target, minus guards).
     fn fast_forward_target(&self, shards: &[Mutex<Shard>], horizon: Cycle) -> Option<Cycle> {
-        let now = self.now;
-        let hint = self.next_event_hint(shards, now)?;
-        if hint <= now {
-            return None; // busy fabric: veto before the O(clients) scan
-        }
-        let mut reports = vec![hint];
-        if !self.faults.is_empty() {
-            reports.push(self.faults.next_activity(now));
-        }
-        if !self.churn.is_empty() {
-            reports.push(self.churn.next_activity(now));
-        }
-        for shard in shards {
-            reports.push(lock_shard(shard).next_client_event(now));
-        }
-        jump_target(now, horizon, reports)
+        let now = self.core.now;
+        let hint = self.next_event_hint(shards, now);
+        let clients = shards.iter().map(|s| lock_shard(s).next_client_event(now));
+        self.core.jump_target(horizon, hint, clients)
     }
 
     /// Replays `delta` provably-idle cycles in closed form on the root
@@ -675,9 +474,9 @@ impl Coordinator {
     /// Folds every batched tally into the two registries: memory-controller
     /// counters, the root core's deltas (identity coordinates), each shard
     /// core's deltas (remapped to global coordinates) and the per-shard
-    /// harness/fabric delta registries.
+    /// harness/fabric delta registries. Idempotent.
     fn flush(&mut self, shards: &[Mutex<Shard>]) {
-        self.controller.record_metrics(&mut self.fabric);
+        self.mem.controller().record_metrics(&mut self.fabric);
         self.root.flush_metrics(&mut self.fabric);
         for shard in shards {
             let mut s = lock_shard(shard);
@@ -686,7 +485,7 @@ impl Coordinator {
                 .flush_metrics_mapped(&mut self.fabric, |depth, order| {
                     (depth + 1, q * branch.pow(depth as u32) + order)
                 });
-            self.registry.merge(&s.harness_delta);
+            self.core.registry.merge(&s.harness_delta);
             self.fabric.merge(&s.fabric_delta);
             s.harness_delta = MetricsRegistry::new();
             s.fabric_delta = MetricsRegistry::new();
@@ -694,21 +493,89 @@ impl Coordinator {
     }
 }
 
-/// Blocking latency of a request that waited during `[issued, done)`:
-/// total channel time granted to later-deadline requests in that window
-/// (the serial harness's measure, over the coordinator's service log).
-fn blocking_in_window(log: &[ServiceEvent], issued: Cycle, done: Cycle, deadline: Cycle) -> u64 {
-    let start = log.partition_point(|e| e.at < issued);
-    log[start..]
-        .iter()
-        .take_while(|e| e.at < done)
-        .filter(|e| e.deadline > deadline)
-        .map(|e| e.duration)
-        .sum()
+/// One run of the cycle schedule under the shared run loop: inline
+/// (`ctrl: None`) or with the two shard regions on the parked workers.
+/// Both modes run the same phase implementations in the same order.
+struct Schedule<'a> {
+    coord: &'a mut Coordinator,
+    shards: &'a [Mutex<Shard>],
+    ctrl: Option<&'a Ctrl>,
+    root_ready: Vec<bool>,
+    /// Cycle at which a worker failure was observed (threaded mode).
+    failed_at: Cycle,
+}
+
+impl Stepper for Schedule<'_> {
+    fn core(&mut self) -> &mut HarnessCore {
+        &mut self.coord.core
+    }
+
+    fn jump_target(&mut self, horizon: Cycle) -> Option<Cycle> {
+        self.coord.fast_forward_target(self.shards, horizon)
+    }
+
+    fn advance_idle(&mut self, delta: Cycle) {
+        self.coord.advance_idle(self.shards, delta);
+    }
+
+    fn step(&mut self) -> bool {
+        let (coord, shards) = (&mut *self.coord, self.shards);
+        let now = coord.core.now;
+        coord.pre_phase(shards, now);
+        match self.ctrl {
+            None => {
+                for shard in shards {
+                    lock_shard(shard).advance_front(now);
+                }
+            }
+            Some(ctrl) => {
+                ctrl.now.store(now, Ordering::Relaxed);
+                ctrl.barrier.wait(); // region A release
+                ctrl.barrier.wait(); // region A join
+            }
+        }
+        coord.mid_phase(shards, now, &mut self.root_ready);
+        match self.ctrl {
+            None => {
+                for shard in shards {
+                    let mut s = lock_shard(shard);
+                    let ready = self.root_ready[s.q];
+                    s.advance_back(now, ready);
+                }
+            }
+            Some(ctrl) => {
+                for (q, &ready) in self.root_ready.iter().enumerate() {
+                    ctrl.root_ready[q].store(ready, Ordering::Relaxed);
+                }
+                ctrl.barrier.wait(); // region B release
+                ctrl.barrier.wait(); // region B join
+            }
+        }
+        coord.post_phase(shards);
+        // The barrier gives the happens-before edge on `failed`. The
+        // interrupted cycle is half-applied; finishing the post phase
+        // keeps root offers and time consistent before the serial engine
+        // takes over.
+        if self
+            .ctrl
+            .is_some_and(|ctrl| ctrl.failed.load(Ordering::Acquire) != NO_FAILURE)
+        {
+            self.failed_at = now;
+            return false;
+        }
+        true
+    }
 }
 
 /// A deterministic parallel twin of the serial harness: same inputs, same
 /// seed, bit-identical outputs at any worker count (see the module docs).
+///
+/// Not supported in sharded mode (use the serial harness): detail
+/// recording, because typed events are inherently sequential — their
+/// order is the serial engine's per-cycle interleaving, which the
+/// parallel regions deliberately give up — and runtime guards, because a
+/// watchdog re-injection enters a leaf port from the harness and would
+/// cross a shard boundary mid-cycle.
 pub struct ShardedSystem {
     coord: Coordinator,
     shards: Vec<Mutex<Shard>>,
@@ -716,9 +583,25 @@ pub struct ShardedSystem {
     /// A contained worker failure. Once set, every subsequent advance runs
     /// on the serial engine (`ShardFallbacks` counts the demotion).
     error: Option<ShardError>,
-    /// Attached telemetry pipeline, flushed at span boundaries on the
-    /// coordinator (never inside a worker or the per-cycle loop).
-    telemetry: Option<Pipeline>,
+}
+
+/// [`ShardedSystem`] as seen by the shared telemetry-chunked advance.
+struct Spans<'a>(&'a mut ShardedSystem);
+
+impl Driver for Spans<'_> {
+    fn core(&mut self) -> &mut HarnessCore {
+        &mut self.0.coord.core
+    }
+
+    fn advance_span(&mut self, horizon: Cycle) {
+        self.0.advance_span(horizon);
+    }
+
+    fn sources(&mut self) -> (&mut HarnessCore, Option<&MetricsRegistry>) {
+        let sys = &mut *self.0;
+        sys.coord.flush(&sys.shards);
+        (&mut sys.coord.core, Some(&sys.coord.fabric))
+    }
 }
 
 impl ShardedSystem {
@@ -817,7 +700,6 @@ impl ShardedSystem {
                     core: SoaCore::new(&scfg, &sub),
                     clients,
                     faults: FaultPlan::default(),
-                    have_faults: false,
                     harness_delta: MetricsRegistry::new(),
                     fabric_delta: MetricsRegistry::new(),
                     ready: Vec::new(),
@@ -826,11 +708,6 @@ impl ShardedSystem {
                 })
             })
             .collect();
-        let controller = MemoryController::new(
-            config
-                .dram
-                .unwrap_or_else(|| DramConfig::flat(config.memory_service_cycles)),
-        );
         let mut fabric = MetricsRegistry::new();
         fabric.set_gauge(
             ComponentId::System,
@@ -844,24 +721,14 @@ impl ShardedSystem {
                 num_clients,
                 clients_per_shard,
                 root,
-                controller,
-                policy: config.mem_policy.build(),
-                service_log: Vec::new(),
-                registry: MetricsRegistry::new(),
+                mem: MemorySide::new(&config),
                 fabric,
-                faults: FaultPlan::default(),
-                ic_faults: FaultPlan::default(),
-                churn: ChurnPlan::new(0),
-                now: 0,
-                fast_forward: true,
-                ff_jumps: 0,
-                ff_skipped: 0,
+                core: HarnessCore::default(),
                 config,
             },
             shards,
             workers: workers.min(branch).max(1),
             error: None,
-            telemetry: None,
         }
     }
 
@@ -892,44 +759,40 @@ impl ShardedSystem {
     /// Installs a fault plan: the stateful master stays coordinator-side,
     /// each worker gets a read-only clone for its stateless queries.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let mut ic = plan.clone();
-        ic.reset_state();
-        self.coord.ic_faults = ic;
+        self.coord.mem.install_faults(&plan);
         for shard in &mut self.shards {
             let s = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
-            let mut copy = plan.clone();
-            copy.reset_state();
-            s.have_faults = !copy.is_empty();
-            s.faults = copy;
+            s.faults = plan.clone();
+            s.faults.reset_state();
         }
-        self.coord.faults = plan;
+        self.coord.core.faults = plan;
     }
 
     /// Installs a churn plan (applied-state reset, like the serial setter).
     pub fn set_churn_plan(&mut self, mut plan: ChurnPlan) {
         plan.reset_state();
-        self.coord.churn = plan;
+        self.coord.core.churn = plan;
     }
 
     /// Enables or disables next-event fast-forward (on by default;
     /// results are bit-identical either way).
     pub fn set_fast_forward(&mut self, on: bool) {
-        self.coord.fast_forward = on;
+        self.coord.core.config.fast_forward = on;
     }
 
     /// Idle jumps taken so far.
     pub fn fast_forward_jumps(&self) -> u64 {
-        self.coord.ff_jumps
+        self.coord.core.ff_jumps
     }
 
     /// Cycles skipped in closed form so far.
     pub fn fast_forwarded_cycles(&self) -> u64 {
-        self.coord.ff_skipped
+        self.coord.core.ff_skipped
     }
 
     /// Current simulation time.
     pub fn now(&self) -> Cycle {
-        self.coord.now
+        self.coord.core.now
     }
 
     /// Effective worker count (clamped to the shard count).
@@ -950,11 +813,11 @@ impl ShardedSystem {
     /// The harness-level registry (System and Client aggregates). Exact
     /// after a `run`/flush; per-shard deltas may be pending mid-run.
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.coord.registry
+        &self.coord.core.registry
     }
 
     /// The fabric registry (per-SE/port/bank tallies under global
-    /// coordinates), flushed — the sharded replica of the serial
+    /// coordinates), flushed — indexed exactly like the serial
     /// interconnect's internal registry.
     pub fn fabric_metrics(&mut self) -> &MetricsRegistry {
         self.coord.flush(&self.shards);
@@ -965,7 +828,7 @@ impl ShardedSystem {
     /// `System::merged_registry`.
     pub fn merged_registry(&mut self) -> MetricsRegistry {
         self.coord.flush(&self.shards);
-        let mut merged = self.coord.registry.clone();
+        let mut merged = self.coord.core.registry.clone();
         merged.merge(&self.coord.fabric);
         merged
     }
@@ -992,13 +855,15 @@ impl ShardedSystem {
     /// per-client slices (exact after a `run`).
     pub fn per_client_metrics(&self) -> Vec<RunMetrics> {
         (0..self.coord.num_clients)
-            .map(|c| RunMetrics::from_registry(&self.coord.registry, ComponentId::Client(c as u32)))
+            .map(|c| {
+                RunMetrics::from_registry(&self.coord.core.registry, ComponentId::Client(c as u32))
+            })
             .collect()
     }
 
     /// Requests currently inside the fabric or the memory controller.
     pub fn pending(&self) -> usize {
-        let in_service = usize::from(!self.coord.controller.can_accept());
+        let in_service = usize::from(!self.coord.mem.can_accept());
         let root = self.coord.root.buffered() + self.coord.root.responses_queued();
         root + in_service
             + self
@@ -1013,22 +878,10 @@ impl ShardedSystem {
     /// does. Returns the aggregate metrics.
     pub fn run(&mut self, horizon: Cycle) -> RunMetrics {
         self.advance_to(horizon);
-        let coord = &mut self.coord;
-        let mut metrics = RunMetrics::from_registry(&coord.registry, ComponentId::System);
+        let core = &mut self.coord.core;
+        let mut metrics = RunMetrics::from_registry(&core.registry, ComponentId::System);
         for shard in &self.shards {
-            let mut s = lock_shard(shard);
-            for client in &mut s.clients {
-                while let Some(req) = client.take() {
-                    metrics.on_issued();
-                    metrics.on_incomplete(req.deadline, horizon);
-                    let owner = ComponentId::Client(req.client);
-                    coord.registry.inc(owner, Counter::Issued);
-                    coord.registry.inc(owner, Counter::Backlog);
-                    if req.deadline < horizon {
-                        coord.registry.inc(owner, Counter::Missed);
-                    }
-                }
-            }
+            core.account_backlog(&mut metrics, &mut lock_shard(shard).clients, horizon);
         }
         metrics
     }
@@ -1039,64 +892,42 @@ impl ShardedSystem {
     /// moves where the coordinator pauses, never what it computes, so
     /// results stay bit-identical streaming on or off.
     pub fn advance_to(&mut self, horizon: Cycle) {
-        if self.telemetry.is_none() {
-            self.advance_span(horizon);
-            return;
-        }
-        while self.coord.now < horizon {
-            let due = self.telemetry.as_ref().expect("checked above").next_flush();
-            let bound = horizon.min(due.max(self.coord.now + 1));
-            self.advance_span(bound);
-            self.flush_telemetry_due();
-        }
+        system::advance_to(&mut Spans(self), horizon);
     }
 
     /// Attaches a telemetry pipeline, aligning its first flush one period
     /// past the current cycle. Returns the previously attached pipeline.
-    pub fn attach_telemetry(&mut self, mut pipeline: Pipeline) -> Option<Pipeline> {
-        pipeline.align(self.coord.now);
-        self.telemetry.replace(pipeline)
+    pub fn attach_telemetry(&mut self, pipeline: Pipeline) -> Option<Pipeline> {
+        self.coord.core.attach_telemetry(pipeline)
     }
 
     /// Detaches and returns the telemetry pipeline, if any.
     pub fn detach_telemetry(&mut self) -> Option<Pipeline> {
-        self.telemetry.take()
+        self.coord.core.telemetry.take()
     }
 
     /// Whether a telemetry pipeline is attached.
     pub fn telemetry_attached(&self) -> bool {
-        self.telemetry.is_some()
+        self.coord.core.telemetry.is_some()
     }
 
     /// Epochs flushed by the attached pipeline (0 when detached).
     pub fn telemetry_epochs(&self) -> u64 {
-        self.telemetry.as_ref().map_or(0, Pipeline::epochs_flushed)
+        self.coord.core.telemetry_epochs()
     }
 
     /// Final telemetry flush + sink finalization. Call after the run's
     /// end-of-run accounting so the stream's tail matches the final
     /// registries. Idempotent; no-op when detached.
     pub fn finish_telemetry(&mut self) {
-        self.coord.flush(&self.shards);
-        let coord = &self.coord;
-        if let Some(pipe) = self.telemetry.as_mut() {
-            let sources = [("harness", &coord.registry), ("fabric", &coord.fabric)];
-            pipe.finish(coord.now, &sources);
-        }
+        system::finish_telemetry(&mut Spans(self));
     }
 
     /// Flushes one telemetry epoch if the pipeline's boundary has been
     /// reached. Runs on the coordinator between spans; extraction is
-    /// read-only on the (already flushed) registries.
+    /// read-only on the (flushed) registries.
     pub fn flush_telemetry_due(&mut self) {
-        let coord = &self.coord;
-        if let Some(pipe) = self.telemetry.as_mut() {
-            if coord.now < pipe.next_flush() {
-                return;
-            }
-            let sources = [("harness", &coord.registry), ("fabric", &coord.fabric)];
-            pipe.flush(coord.now, &sources);
-        }
+        system::flush_telemetry_due(&mut Spans(self));
     }
 
     /// One uninterrupted span: serial-or-threaded advance plus the
@@ -1109,7 +940,7 @@ impl ShardedSystem {
             // A contained worker panic leaves the run short of the
             // horizon: finish it on the serial engine. Degraded, not
             // bit-identical — the interrupted cycle was half-applied.
-            if self.error.is_some() && self.coord.now < horizon {
+            if self.error.is_some() && self.coord.core.now < horizon {
                 self.advance_serial(horizon);
             }
         }
@@ -1120,39 +951,15 @@ impl ShardedSystem {
     /// as the 1-worker mode and as the reference the threaded path must
     /// match (they share every phase implementation).
     fn advance_serial(&mut self, horizon: Cycle) {
-        const ATTEMPT_BACKOFF: Cycle = 16;
-        let coord = &mut self.coord;
-        let shards = &self.shards;
-        let mut root_ready = vec![false; coord.branch];
-        let mut next_attempt = coord.now;
-        while coord.now < horizon {
-            if coord.fast_forward && coord.now >= next_attempt {
-                if let Some(target) = coord.fast_forward_target(shards, horizon) {
-                    let delta = target - coord.now;
-                    coord.advance_idle(shards, delta);
-                    coord.ff_jumps += 1;
-                    coord.ff_skipped += delta;
-                    coord.now = target;
-                    if coord.now >= horizon {
-                        break;
-                    }
-                } else {
-                    next_attempt = coord.now + ATTEMPT_BACKOFF;
-                }
-            }
-            let now = coord.now;
-            coord.pre_phase(shards, now);
-            for shard in shards {
-                lock_shard(shard).advance_front(now);
-            }
-            coord.mid_phase(shards, now, &mut root_ready);
-            for shard in shards {
-                let mut s = lock_shard(shard);
-                let ready = root_ready[s.q];
-                s.advance_back(now, ready);
-            }
-            coord.post_phase(shards, now);
-        }
+        let fast = self.coord.core.config.fast_forward;
+        let mut schedule = Schedule {
+            root_ready: vec![false; self.coord.branch],
+            failed_at: self.coord.core.now,
+            coord: &mut self.coord,
+            shards: &self.shards,
+            ctrl: None,
+        };
+        run_span(&mut schedule, horizon, fast);
     }
 
     /// Multi-worker path: persistent scoped threads, four barrier
@@ -1161,21 +968,23 @@ impl ShardedSystem {
     /// their regions; the coordinator runs pre/mid/post between barriers
     /// and fast-forwards while the workers are parked.
     fn advance_threaded(&mut self, horizon: Cycle) {
-        const ATTEMPT_BACKOFF: Cycle = 16;
-        let coord = &mut self.coord;
         let shards: &[Mutex<Shard>] = &self.shards;
-        if coord.now >= horizon {
+        let start = self.coord.core.now;
+        if start >= horizon {
             return;
         }
         let nworkers = self.workers;
         let ctrl = Ctrl {
             barrier: Barrier::new(nworkers + 1),
-            now: AtomicU64::new(coord.now),
+            now: AtomicU64::new(start),
             stop: AtomicBool::new(false),
-            root_ready: (0..coord.branch).map(|_| AtomicBool::new(false)).collect(),
+            root_ready: (0..self.coord.branch)
+                .map(|_| AtomicBool::new(false))
+                .collect(),
             failed: AtomicUsize::new(NO_FAILURE),
         };
-        let mut failed_at = coord.now;
+        let fast = self.coord.core.config.fast_forward;
+        let mut failed_at = start;
         std::thread::scope(|scope| {
             for w in 0..nworkers {
                 let ctrl = &ctrl;
@@ -1188,93 +997,36 @@ impl ShardedSystem {
                     // Once any worker has failed, every worker skips its
                     // shard work but keeps hitting all four barriers:
                     // abandoning a barrier would deadlock the coordinator.
-                    let mut healthy = ctrl.failed.load(Ordering::Acquire) == NO_FAILURE;
-                    if healthy {
-                        for q in (w..shards.len()).step_by(nworkers) {
-                            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                lock_shard(&shards[q]).advance_front(now);
-                            }));
-                            if outcome.is_err() {
-                                let _ = ctrl.failed.compare_exchange(
-                                    NO_FAILURE,
-                                    q,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                );
-                                healthy = false;
-                                break;
-                            }
-                        }
-                    }
+                    let healthy = ctrl.failed.load(Ordering::Acquire) == NO_FAILURE
+                        && ctrl.run_region(shards, w, nworkers, |s| s.advance_front(now));
                     ctrl.barrier.wait(); // region A join
                     ctrl.barrier.wait(); // region B release
                     if healthy && ctrl.failed.load(Ordering::Acquire) == NO_FAILURE {
-                        for q in (w..shards.len()).step_by(nworkers) {
-                            let ready = ctrl.root_ready[q].load(Ordering::Relaxed);
-                            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                lock_shard(&shards[q]).advance_back(now, ready);
-                            }));
-                            if outcome.is_err() {
-                                let _ = ctrl.failed.compare_exchange(
-                                    NO_FAILURE,
-                                    q,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                );
-                                break;
-                            }
-                        }
+                        ctrl.run_region(shards, w, nworkers, |s| {
+                            let ready = ctrl.root_ready[s.q].load(Ordering::Relaxed);
+                            s.advance_back(now, ready);
+                        });
                     }
                     ctrl.barrier.wait(); // region B join
                 });
             }
-            let mut root_ready = vec![false; coord.branch];
-            let mut next_attempt = coord.now;
-            while coord.now < horizon {
-                if coord.fast_forward && coord.now >= next_attempt {
-                    if let Some(target) = coord.fast_forward_target(shards, horizon) {
-                        let delta = target - coord.now;
-                        coord.advance_idle(shards, delta);
-                        coord.ff_jumps += 1;
-                        coord.ff_skipped += delta;
-                        coord.now = target;
-                        if coord.now >= horizon {
-                            break;
-                        }
-                    } else {
-                        next_attempt = coord.now + ATTEMPT_BACKOFF;
-                    }
-                }
-                let now = coord.now;
-                coord.pre_phase(shards, now);
-                ctrl.now.store(now, Ordering::Relaxed);
-                ctrl.barrier.wait(); // region A release
-                ctrl.barrier.wait(); // region A join
-                coord.mid_phase(shards, now, &mut root_ready);
-                for (q, &ready) in root_ready.iter().enumerate() {
-                    ctrl.root_ready[q].store(ready, Ordering::Relaxed);
-                }
-                ctrl.barrier.wait(); // region B release
-                ctrl.barrier.wait(); // region B join
-                coord.post_phase(shards, now);
-                // The barrier gives the happens-before edge on `failed`.
-                // The interrupted cycle is half-applied; finishing the
-                // post phase keeps root offers and time consistent before
-                // the serial engine takes over.
-                if ctrl.failed.load(Ordering::Acquire) != NO_FAILURE {
-                    failed_at = now;
-                    break;
-                }
-            }
+            let mut schedule = Schedule {
+                root_ready: vec![false; self.coord.branch],
+                failed_at: start,
+                coord: &mut self.coord,
+                shards,
+                ctrl: Some(&ctrl),
+            };
+            run_span(&mut schedule, horizon, fast);
+            failed_at = schedule.failed_at;
             ctrl.stop.store(true, Ordering::Relaxed);
             ctrl.barrier.wait(); // wake workers into the stop check
         });
         let failed = ctrl.failed.load(Ordering::Acquire);
         if failed != NO_FAILURE {
-            coord
-                .registry
-                .inc(ComponentId::System, Counter::ShardFallbacks);
-            coord.registry.record(
+            let registry = &mut self.coord.core.registry;
+            registry.inc(ComponentId::System, Counter::ShardFallbacks);
+            registry.record(
                 failed_at,
                 Event::ShardFallback {
                     shard: failed as u32,
@@ -1459,6 +1211,30 @@ mod tests {
             1,
             "the demotion is counted once, not per advance"
         );
+    }
+
+    #[test]
+    fn churn_after_a_contained_worker_panic_reaches_the_poisoned_shard() {
+        // The panic poisons shard 2's mutex; a later admitted churn event
+        // for one of its clients must still program the shard's core and
+        // retask its generator instead of panicking on the poisoned lock.
+        let sets = sets(16, 400, 2);
+        let mut sys = sharded(&sets, 4);
+        sys.inject_worker_panic(2, 100);
+        let mut plan = ChurnPlan::new(3);
+        plan.push(
+            500,
+            9,
+            ChurnKind::UpdateTasks {
+                tasks: TaskSet::new(vec![Task::new(0, 200, 2).unwrap()]).unwrap(),
+            },
+        );
+        sys.set_churn_plan(plan);
+        sys.run(4_000);
+        assert_eq!(sys.now(), 4_000, "the run reaches the horizon");
+        let reg = sys.registry();
+        assert_eq!(reg.counter(ComponentId::System, Counter::ShardFallbacks), 1);
+        assert_eq!(reg.counter(ComponentId::System, Counter::Admitted), 1);
     }
 
     #[test]

@@ -923,6 +923,38 @@ impl SoaCore {
         self.responses_per_level[depth]
     }
 
+    /// One cycle of the response path, bottom-up: every SE's demultiplexer
+    /// routes at most one response toward its client, so a response
+    /// advances exactly one level per cycle; leaf deliveries go to
+    /// `deliver` in leaf order. `client_lo` is the first client id this
+    /// core serves (non-zero for a shard's subtree core).
+    pub fn route_responses(&mut self, client_lo: usize, mut deliver: impl FnMut(MemoryRequest)) {
+        let (levels, branch) = (self.levels, self.branch);
+        for depth in (0..levels).rev() {
+            if self.responses_at_level(depth) == 0 {
+                continue;
+            }
+            for order in 0..self.level_base[depth + 1] - self.level_base[depth] {
+                let Some(request) = self.pop_response(depth, order) else {
+                    continue;
+                };
+                if depth == levels - 1 {
+                    deliver(request);
+                    continue;
+                }
+                // Route by client id: which child subtree owns it?
+                let leaf_order = (request.client as usize - client_lo) / branch;
+                let child_order = leaf_order / branch.pow((levels - 2 - depth) as u32);
+                debug_assert_eq!(
+                    child_order / branch.max(1),
+                    order,
+                    "response routed through the wrong subtree"
+                );
+                self.accept_response(depth + 1, child_order, request);
+            }
+        }
+    }
+
     /// Requests buffered across all ports of the tree.
     pub fn buffered(&self) -> usize {
         self.buffered
@@ -960,99 +992,29 @@ impl SoaCore {
         let b0 = se * self.branch;
         let detail = metrics.detail();
         let component = ComponentId::Se { depth, order };
-
-        // Pending mask: a port is eligible when its buffer is non-empty
-        // and its grant line is not held stuck by the fault layer.
-        let mut pending_mask = self.queues.occupancy_mask(b0, self.branch);
-        if let Some(m) = stuck {
-            for (port, &held) in m.iter().take(self.branch).enumerate() {
-                if held {
-                    pending_mask &= !(1 << port);
-                }
-            }
-        }
-        let any_pending = pending_mask != 0;
+        let pending_mask = self.eligible_ports(b0, stuck);
 
         let mut granted = None;
-        if provider_ready {
-            // GEDF argmin over the contiguous P-counter slice: strict `<`
-            // keeps the lowest port on ties, as the legacy scan does.
-            let mut winner: Option<(Cycle, usize)> = None;
-            for port in 0..self.branch {
-                if pending_mask & (1 << port) == 0 {
-                    continue;
+        if let Some(port) = self.gedf_winner(b0, pending_mask, now, provider_ready) {
+            let request = if detail {
+                let (request, overrun) = self.take_grant(se, b0, port);
+                metrics.inc(component, Counter::Grants);
+                metrics.inc(component.port(port), Counter::Grants);
+                if overrun {
+                    metrics.inc(component, Counter::BudgetOverruns);
+                    metrics.inc(component.port(port), Counter::BudgetOverruns);
                 }
-                let slot = b0 + port;
-                if !self.arena.programmed[slot] || self.arena.b[slot] == 0 {
-                    continue;
-                }
-                let deadline = now + self.arena.p[slot];
-                if winner.is_none_or(|(best, _)| deadline < best) {
-                    winner = Some((deadline, port));
-                }
-            }
-            if winner.is_none() && self.work_conserving {
-                for port in 0..self.branch {
-                    if pending_mask & (1 << port) == 0 {
-                        continue;
-                    }
-                    let slot = b0 + port;
-                    let deadline = if self.arena.programmed[slot] {
-                        now + self.arena.p[slot]
-                    } else {
-                        Cycle::MAX
-                    };
-                    if winner.is_none_or(|(best, _)| deadline < best) {
-                        winner = Some((deadline, port));
-                    }
-                }
-            }
-            if let Some((_, port)) = winner {
-                let slot = b0 + port;
-                let request = self
-                    .queues
-                    .pop(slot)
-                    .expect("selected port must have a pending request");
-                self.buffered -= 1;
-                self.buffered_se[se] -= 1;
-                // commit_grant: tally under the SE and its port, consume a
-                // budget unit or record the overrun.
-                let overrun = !(self.arena.programmed[slot] && self.arena.b[slot] > 0);
-                if detail {
-                    metrics.inc(component, Counter::Grants);
-                    metrics.inc(component.port(port), Counter::Grants);
-                    if overrun {
-                        metrics.inc(component, Counter::BudgetOverruns);
-                        metrics.inc(component.port(port), Counter::BudgetOverruns);
-                    }
-                } else {
-                    self.d_grants_se[se] += 1;
-                    self.d_grants_port[slot] += 1;
-                    if overrun {
-                        self.d_overrun_se[se] += 1;
-                        self.d_overrun_port[slot] += 1;
-                    }
-                    self.dirty = true;
-                }
-                if !overrun {
-                    self.arena.b[slot] -= 1;
-                }
-                // Blocking accounting across every port of this SE.
-                self.queues
-                    .charge_blocking_se(b0, self.branch, request.deadline);
-                if detail {
-                    metrics.inc(component, Counter::Forwarded);
-                    metrics.request_granted(now, request.id, component, port);
-                } else {
-                    self.d_forwarded_se[se] += 1;
-                    self.dirty = true;
-                }
-                granted = Some(request);
-            }
+                metrics.inc(component, Counter::Forwarded);
+                metrics.request_granted(now, request.id, component, port);
+                request
+            } else {
+                self.grant_batched(se, b0, port)
+            };
+            granted = Some(request);
         }
 
         // Scheduler tick: throttle statistic, then per-server countdowns.
-        if any_pending && granted.is_none() {
+        if pending_mask != 0 && granted.is_none() {
             if detail {
                 metrics.inc(component, Counter::ThrottledCycles);
                 metrics.record(now, Event::Throttle { component });
@@ -1063,28 +1025,15 @@ impl SoaCore {
         }
         for port in 0..self.branch {
             let slot = b0 + port;
-            if !self.arena.programmed[slot] {
+            if !self.arena.programmed[slot] || !self.tick_slot(slot) {
                 continue;
             }
-            self.arena.p[slot] -= 1;
-            if self.arena.p[slot] == 0 {
-                // Period boundary: commit a staged swap, reload both
-                // counters — ServerTask::tick on the slices.
-                if self.arena.pend_period[slot] != 0 {
-                    self.arena.period[slot] = self.arena.pend_period[slot];
-                    self.arena.budget[slot] = self.arena.pend_budget[slot];
-                    self.arena.pend_period[slot] = 0;
-                    self.arena.pend_budget[slot] = 0;
-                }
-                self.arena.p[slot] = self.arena.period[slot];
-                self.arena.b[slot] = self.arena.budget[slot];
-                if detail {
-                    metrics.inc(component.port(port), Counter::Replenishments);
-                    metrics.record(now, Event::Replenish { component, port });
-                } else {
-                    self.d_replenish_port[slot] += 1;
-                    self.dirty = true;
-                }
+            if detail {
+                metrics.inc(component.port(port), Counter::Replenishments);
+                metrics.record(now, Event::Replenish { component, port });
+            } else {
+                self.d_replenish_port[slot] += 1;
+                self.dirty = true;
             }
         }
         granted
@@ -1112,7 +1061,21 @@ impl SoaCore {
             return None;
         }
         let b0 = se * self.branch;
+        let pending_mask = self.eligible_ports(b0, stuck);
+        let granted = self
+            .gedf_winner(b0, pending_mask, now, provider_ready)
+            .map(|port| self.grant_batched(se, b0, port));
+        if pending_mask != 0 && granted.is_none() {
+            self.d_throttled_se[se] += 1;
+            self.dirty = true;
+        }
+        granted
+    }
 
+    /// The ports of the SE at slot base `b0` eligible this cycle: buffer
+    /// non-empty and grant line not held stuck by the fault layer.
+    #[inline(always)]
+    fn eligible_ports(&self, b0: usize, stuck: Option<&[bool]>) -> u64 {
         let mut pending_mask = self.queues.occupancy_mask(b0, self.branch);
         if let Some(m) = stuck {
             for (port, &held) in m.iter().take(self.branch).enumerate() {
@@ -1121,71 +1084,114 @@ impl SoaCore {
                 }
             }
         }
-        let any_pending = pending_mask != 0;
+        pending_mask
+    }
 
-        let mut granted = None;
-        if provider_ready {
-            let mut winner: Option<(Cycle, usize)> = None;
+    /// The port the SE grants this cycle, if the provider can take a
+    /// request: the GEDF argmin over the eligible ports' P-counters among
+    /// servers with budget left, else (work-conserving) among all eligible
+    /// ports. Strict `<` keeps the lowest port on ties, as the legacy scan
+    /// does.
+    #[inline(always)]
+    fn gedf_winner(
+        &self,
+        b0: usize,
+        pending_mask: u64,
+        now: Cycle,
+        provider_ready: bool,
+    ) -> Option<usize> {
+        if !provider_ready {
+            return None;
+        }
+        let mut winner: Option<(Cycle, usize)> = None;
+        for port in 0..self.branch {
+            if pending_mask & (1 << port) == 0 {
+                continue;
+            }
+            let slot = b0 + port;
+            if !self.arena.programmed[slot] || self.arena.b[slot] == 0 {
+                continue;
+            }
+            let deadline = now + self.arena.p[slot];
+            if winner.is_none_or(|(best, _)| deadline < best) {
+                winner = Some((deadline, port));
+            }
+        }
+        if winner.is_none() && self.work_conserving {
             for port in 0..self.branch {
                 if pending_mask & (1 << port) == 0 {
                     continue;
                 }
                 let slot = b0 + port;
-                if !self.arena.programmed[slot] || self.arena.b[slot] == 0 {
-                    continue;
-                }
-                let deadline = now + self.arena.p[slot];
+                let deadline = if self.arena.programmed[slot] {
+                    now + self.arena.p[slot]
+                } else {
+                    Cycle::MAX
+                };
                 if winner.is_none_or(|(best, _)| deadline < best) {
                     winner = Some((deadline, port));
                 }
             }
-            if winner.is_none() && self.work_conserving {
-                for port in 0..self.branch {
-                    if pending_mask & (1 << port) == 0 {
-                        continue;
-                    }
-                    let slot = b0 + port;
-                    let deadline = if self.arena.programmed[slot] {
-                        now + self.arena.p[slot]
-                    } else {
-                        Cycle::MAX
-                    };
-                    if winner.is_none_or(|(best, _)| deadline < best) {
-                        winner = Some((deadline, port));
-                    }
-                }
-            }
-            if let Some((_, port)) = winner {
-                let slot = b0 + port;
-                let request = self
-                    .queues
-                    .pop(slot)
-                    .expect("selected port must have a pending request");
-                self.buffered -= 1;
-                self.buffered_se[se] -= 1;
-                let overrun = !(self.arena.programmed[slot] && self.arena.b[slot] > 0);
-                self.d_grants_se[se] += 1;
-                self.d_grants_port[slot] += 1;
-                if overrun {
-                    self.d_overrun_se[se] += 1;
-                    self.d_overrun_port[slot] += 1;
-                }
-                if !overrun {
-                    self.arena.b[slot] -= 1;
-                }
-                self.queues
-                    .charge_blocking_se(b0, self.branch, request.deadline);
-                self.d_forwarded_se[se] += 1;
-                self.dirty = true;
-                granted = Some(request);
-            }
         }
+        winner.map(|(_, port)| port)
+    }
 
-        if any_pending && granted.is_none() {
-            self.d_throttled_se[se] += 1;
-            self.dirty = true;
+    /// Pops `port`'s head request and commits the grant (the legacy
+    /// `commit_grant`): consumes a budget unit or reports the overrun, and
+    /// charges blocking across every port of the SE.
+    #[inline(always)]
+    fn take_grant(&mut self, se: usize, b0: usize, port: usize) -> (MemoryRequest, bool) {
+        let slot = b0 + port;
+        let request = self
+            .queues
+            .pop(slot)
+            .expect("selected port must have a pending request");
+        self.buffered -= 1;
+        self.buffered_se[se] -= 1;
+        let overrun = !(self.arena.programmed[slot] && self.arena.b[slot] > 0);
+        if !overrun {
+            self.arena.b[slot] -= 1;
         }
-        granted
+        self.queues
+            .charge_blocking_se(b0, self.branch, request.deadline);
+        (request, overrun)
+    }
+
+    /// [`take_grant`](Self::take_grant) with the grant's tallies in the
+    /// delta arrays.
+    #[inline(always)]
+    fn grant_batched(&mut self, se: usize, b0: usize, port: usize) -> MemoryRequest {
+        let (request, overrun) = self.take_grant(se, b0, port);
+        let slot = b0 + port;
+        self.d_grants_se[se] += 1;
+        self.d_grants_port[slot] += 1;
+        if overrun {
+            self.d_overrun_se[se] += 1;
+            self.d_overrun_port[slot] += 1;
+        }
+        self.d_forwarded_se[se] += 1;
+        self.dirty = true;
+        request
+    }
+
+    /// One countdown of a programmed server (`ServerTask::tick` on the
+    /// slices): at the period boundary a staged swap commits and both
+    /// counters reload. Returns whether the server replenished.
+    #[inline(always)]
+    fn tick_slot(&mut self, slot: usize) -> bool {
+        self.arena.p[slot] -= 1;
+        if self.arena.p[slot] != 0 {
+            return false;
+        }
+        if self.arena.pend_period[slot] != 0 {
+            self.arena.period[slot] = self.arena.pend_period[slot];
+            self.arena.budget[slot] = self.arena.pend_budget[slot];
+            self.arena.pend_period[slot] = 0;
+            self.arena.pend_budget[slot] = 0;
+        }
+        self.arena.p[slot] = self.arena.period[slot];
+        self.arena.b[slot] = self.arena.budget[slot];
+        true
     }
 
     /// One cycle of server countdowns for the whole arena: the tick loop
@@ -1195,19 +1201,7 @@ impl SoaCore {
     /// in the legacy order).
     pub fn tick_all(&mut self) {
         for slot in 0..self.arena.len() {
-            if !self.arena.programmed[slot] {
-                continue;
-            }
-            self.arena.p[slot] -= 1;
-            if self.arena.p[slot] == 0 {
-                if self.arena.pend_period[slot] != 0 {
-                    self.arena.period[slot] = self.arena.pend_period[slot];
-                    self.arena.budget[slot] = self.arena.pend_budget[slot];
-                    self.arena.pend_period[slot] = 0;
-                    self.arena.pend_budget[slot] = 0;
-                }
-                self.arena.p[slot] = self.arena.period[slot];
-                self.arena.b[slot] = self.arena.budget[slot];
+            if self.arena.programmed[slot] && self.tick_slot(slot) {
                 self.d_replenish_port[slot] += 1;
                 self.dirty = true;
             }

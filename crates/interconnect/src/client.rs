@@ -54,8 +54,6 @@ pub struct TrafficGenerator {
     pending: EdfQueue<MemoryRequest>,
     issued: u64,
     next_request_serial: u64,
-    /// Multiplies every job's demand at release time (1 = well-behaved).
-    misbehaviour_factor: u64,
     /// Earliest `next_release` across `tasks` ([`Cycle::MAX`] when
     /// taskless): lets [`on_cycle`](Self::on_cycle) return in one compare
     /// on the (vast majority of) cycles with no release due.
@@ -90,7 +88,6 @@ impl TrafficGenerator {
             pending: EdfQueue::new(),
             issued: 0,
             next_request_serial: 0,
-            misbehaviour_factor: 1,
             earliest_release: 0,
             partition: None,
         };
@@ -127,19 +124,6 @@ impl TrafficGenerator {
         }
         this.refresh_earliest_release();
         this
-    }
-
-    /// Turns the generator into a *rogue*: every job issues `factor ×` its
-    /// declared demand. Models a misbehaving or compromised client whose
-    /// runtime behaviour exceeds the parameters it registered with the
-    /// interconnect — the scenario budget-based isolation exists for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn set_misbehaviour_factor(&mut self, factor: u64) {
-        assert!(factor > 0, "misbehaviour factor must be positive");
-        self.misbehaviour_factor = factor;
     }
 
     /// Confines this client's address walk to DRAM bank `client % banks`
@@ -260,8 +244,8 @@ impl TrafficGenerator {
         self.on_cycle_with_factor(now, 1);
     }
 
-    /// Like [`on_cycle`](Self::on_cycle), but demand is additionally
-    /// multiplied by `extra_factor` — the hook a fault plan's rogue-demand
+    /// Like [`on_cycle`](Self::on_cycle), but every released job's demand
+    /// is multiplied by `extra_factor` — the hook a fault plan's rogue-demand
     /// fault uses to make the client exceed its declared parameters for a
     /// window of cycles without mutating the generator's own configuration.
     pub fn on_cycle_with_factor(&mut self, now: Cycle, extra_factor: u64) {
@@ -272,7 +256,7 @@ impl TrafficGenerator {
             while t.next_release <= now {
                 let release = t.next_release;
                 let deadline = release + t.period;
-                for _ in 0..t.demand * self.misbehaviour_factor * extra_factor {
+                for _ in 0..t.demand * extra_factor {
                     let id = Self::next_id(self.client, &mut self.next_request_serial);
                     self.issued += 1;
                     self.pending.push(
@@ -568,24 +552,8 @@ mod tests {
     #[test]
     fn rogue_generator_floods() {
         let mut g = gen(&[(10, 2)]);
-        g.set_misbehaviour_factor(5);
-        g.on_cycle(0);
+        g.on_cycle_with_factor(0, 5);
         assert_eq!(g.backlog(), 10, "5× the declared demand");
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn zero_misbehaviour_factor_panics() {
-        let mut g = gen(&[(10, 1)]);
-        g.set_misbehaviour_factor(0);
-    }
-
-    #[test]
-    fn extra_factor_multiplies_on_top_of_configured_rogue() {
-        let mut g = gen(&[(10, 2)]);
-        g.set_misbehaviour_factor(3);
-        g.on_cycle_with_factor(0, 2);
-        assert_eq!(g.backlog(), 12, "2 × 3 × 2 requests");
     }
 
     #[test]

@@ -1,15 +1,23 @@
 //! The system harness: clients + interconnect + metrics, stepped in
 //! lock-step for a fixed horizon.
+//!
+//! The harness bookkeeping is written once and shared by every engine
+//! driver — [`System`] here and the sharded engine in the `bluescale`
+//! crate: the state lives in [`HarnessCore`] (clock, service log, fault
+//! and churn plans, harness registry, fast-forward tallies, telemetry),
+//! the per-cycle client phase is [`client_phase`], the fast-forward run
+//! loop is [`run_span`] and the telemetry-chunked advance is
+//! [`advance_to`]. The shared pieces are generic over the engine, so each
+//! driver's copy is monomorphised — no dynamic dispatch on the hot path.
 
 use crate::admission::{CancelToken, ChurnPlan, ReconfigOutcome};
 use crate::client::TrafficGenerator;
 use crate::guard::{GuardConfig, GuardConfigError, GuardState};
 use crate::metrics::RunMetrics;
-use crate::{ClientId, Interconnect, MemoryResponse, ServiceEvent};
+use crate::{ClientId, Interconnect, MemoryRequest, MemoryResponse, ServiceEvent};
 use bluescale_rt::task::TaskSet;
-use bluescale_sim::fault::{FaultClass, FaultKind, FaultPlan, FaultWindow};
+use bluescale_sim::fault::{FaultClass, FaultKind, FaultPlan};
 use bluescale_sim::metrics::{ComponentId, Counter, Event, MetricsRegistry, SampleKind};
-use bluescale_sim::next_event::jump_target;
 use bluescale_sim::Cycle;
 use bluescale_telemetry::Pipeline;
 use std::cmp::Reverse;
@@ -34,6 +42,427 @@ impl Default for SystemConfig {
     fn default() -> Self {
         Self { fast_forward: true }
     }
+}
+
+/// The harness state every engine driver shares, with the accounting
+/// written against it. [`System`] and the sharded engine each own one, so
+/// a serial and a sharded run of the same workload tally identically by
+/// construction.
+pub struct HarnessCore {
+    /// Harness-level observability: System/Client aggregates (issued,
+    /// completed, missed, latency/blocking samples) and churn verdicts.
+    /// Engines keep their own registry for component-level tallies.
+    pub registry: MetricsRegistry,
+    /// Current simulation time.
+    pub now: Cycle,
+    /// Chronological log of memory-channel grants, used to compute each
+    /// request's blocking latency (cycles the channel served a
+    /// later-deadline request while this one was waiting).
+    pub service_log: Vec<ServiceEvent>,
+    /// Active fault plan. An empty plan keeps the harness on the exact
+    /// fault-free code path, so a faultless run is bit-identical to one
+    /// built before the fault layer existed.
+    pub faults: FaultPlan,
+    /// Active churn plan (tenant joins/leaves/updates). Same discipline as
+    /// the fault plan: an empty plan keeps the harness on the exact
+    /// churn-free code path.
+    pub churn: ChurnPlan,
+    /// Harness knobs (fast-forward gating).
+    pub config: SystemConfig,
+    /// Fast-forward jumps taken. Kept out of the metrics registry on
+    /// purpose — the registry must stay bit-identical between stepping
+    /// modes.
+    pub ff_jumps: u64,
+    /// Cycles skipped by fast-forward jumps.
+    pub ff_skipped: u64,
+    /// Streaming telemetry, if attached. Flushes happen at span
+    /// boundaries inside [`advance_to`] — never inside the per-cycle loop
+    /// — and extraction is read-only on the registries, so an attached
+    /// pipeline cannot perturb results (pinned by
+    /// `tests/telemetry_differential.rs`).
+    pub telemetry: Option<Pipeline>,
+}
+
+impl Default for HarnessCore {
+    fn default() -> Self {
+        Self {
+            registry: MetricsRegistry::new(),
+            now: 0,
+            service_log: Vec::new(),
+            faults: FaultPlan::default(),
+            churn: ChurnPlan::default(),
+            config: SystemConfig::default(),
+            ff_jumps: 0,
+            ff_skipped: 0,
+            telemetry: None,
+        }
+    }
+}
+
+impl HarnessCore {
+    /// Records a delivered response into the System aggregate and the
+    /// owning client's slice of the registry, after replacing its
+    /// per-stage blocking with the architecture-fair bottleneck measure
+    /// (see `blocking_in_window`).
+    pub fn record_response(&mut self, mut response: MemoryResponse) {
+        response.request.blocked_cycles = self.blocking_in_window(
+            response.request.issued_at,
+            response.completed_at,
+            response.request.deadline,
+        );
+        let latency = response.latency() as f64;
+        let blocking = response.request.blocked_cycles as f64;
+        let window = response
+            .request
+            .deadline
+            .saturating_sub(response.request.issued_at)
+            .max(1);
+        let normalized = latency / window as f64;
+        let missed = response.missed_deadline();
+        let r = &mut self.registry;
+        for component in [
+            ComponentId::System,
+            ComponentId::Client(response.request.client),
+        ] {
+            r.inc(component, Counter::Completed);
+            r.sample(component, SampleKind::Latency, latency);
+            r.sample(component, SampleKind::Blocking, blocking);
+            r.sample(component, SampleKind::NormalizedResponse, normalized);
+            if missed {
+                r.inc(component, Counter::Missed);
+            }
+        }
+    }
+
+    /// Blocking latency of a request that waited during `[issued, done)`:
+    /// total channel time granted to *later-deadline* requests in that
+    /// window. The log is chronological, so a binary search finds the
+    /// window start.
+    fn blocking_in_window(&self, issued: Cycle, done: Cycle, deadline: Cycle) -> u64 {
+        let start = self.service_log.partition_point(|e| e.at < issued);
+        self.service_log[start..]
+            .iter()
+            .take_while(|e| e.at < done)
+            .filter(|e| e.deadline > deadline)
+            .map(|e| e.duration)
+            .sum()
+    }
+
+    /// Emits one fault-activation counter/event per client-side fault
+    /// window that opens this cycle (bursts are additionally counted at
+    /// their injection site). Interconnect-side fault activity is tallied
+    /// by the interconnect into its own registry.
+    pub fn announce_client_faults(&mut self, now: Cycle) {
+        let r = &mut self.registry;
+        for spec in self.faults.specs() {
+            if let FaultKind::RogueDemand { client, .. } = spec.kind {
+                if spec.window.start == now && spec.window.contains(now) {
+                    let component = ComponentId::Client(client);
+                    r.inc(ComponentId::System, Counter::FaultsInjected);
+                    r.inc(component, Counter::FaultsInjected);
+                    let class = FaultClass::RogueDemand;
+                    r.record(now, Event::FaultInjected { component, class });
+                }
+            }
+        }
+    }
+
+    /// Tallies a reconfiguration request naming a client the system does
+    /// not have (always a rejection).
+    pub fn reject_unknown_client(&mut self, client: ClientId, now: Cycle) {
+        let r = &mut self.registry;
+        r.inc(ComponentId::System, Counter::AdmissionRejected);
+        r.record(now, Event::ReconfigRejected { client });
+    }
+
+    /// Tallies a reconfiguration verdict and returns whether the client's
+    /// traffic generator must be retasked. Counters: `Admitted`,
+    /// `AdmissionRejected` or `AdmissionTimeouts` for the admission
+    /// decision, `Reconfigurations` and `TransitionCycles` for applied
+    /// transitions, plus a typed event when detail is on.
+    pub fn account_reconfiguration(
+        &mut self,
+        client: ClientId,
+        now: Cycle,
+        outcome: &ReconfigOutcome,
+    ) -> bool {
+        let (counters, transition_cycles, event, applied): (&[Counter], _, _, _) = match *outcome {
+            ReconfigOutcome::Admitted { transition_cycles } => (
+                &[Counter::Admitted, Counter::Reconfigurations],
+                transition_cycles,
+                Event::Reconfigured { client },
+                true,
+            ),
+            ReconfigOutcome::Rejected => (
+                &[Counter::AdmissionRejected],
+                0,
+                Event::ReconfigRejected { client },
+                false,
+            ),
+            // The caller's deadline expired (or it gave up) before the
+            // admission analysis finished; nothing was mutated, and the
+            // caller may retry. Counted separately from rejections so
+            // overload shows up as timeouts, not capacity exhaustion.
+            ReconfigOutcome::Cancelled => (
+                &[Counter::AdmissionTimeouts],
+                0,
+                Event::AdmissionTimeout { client },
+                false,
+            ),
+            // No admission control to consult: apply the retask anyway so
+            // churn scenarios still drive baselines and test doubles —
+            // counted as a reconfiguration, not an admission.
+            ReconfigOutcome::Unsupported => (
+                &[Counter::Reconfigurations],
+                0,
+                Event::Reconfigured { client },
+                true,
+            ),
+        };
+        let r = &mut self.registry;
+        for component in [ComponentId::System, ComponentId::Client(client)] {
+            for &counter in counters {
+                r.inc(component, counter);
+            }
+            if transition_cycles > 0 {
+                r.add(component, Counter::TransitionCycles, transition_cycles);
+            }
+        }
+        r.record(now, event);
+        applied
+    }
+
+    /// End-of-run accounting for requests still queued at `clients`: each
+    /// counts as issued, lands in `metrics` as incomplete, and is tallied
+    /// in its client's registry slice as `Backlog` (plus `Missed` when its
+    /// deadline lies before the horizon). The System-level registry
+    /// counters stay a pure record of the stepped simulation, usable for
+    /// further runs.
+    pub fn account_backlog(
+        &mut self,
+        metrics: &mut RunMetrics,
+        clients: &mut [TrafficGenerator],
+        horizon: Cycle,
+    ) {
+        for client in clients {
+            while let Some(req) = client.take() {
+                metrics.on_issued();
+                metrics.on_incomplete(req.deadline, horizon);
+                let owner = ComponentId::Client(req.client);
+                let r = &mut self.registry;
+                r.inc(owner, Counter::Issued);
+                r.inc(owner, Counter::Backlog);
+                if req.deadline < horizon {
+                    r.inc(owner, Counter::Missed);
+                }
+            }
+        }
+    }
+
+    /// The cycle to jump to, when every layer promises nothing happens
+    /// before it: the minimum of the engine's `hint`, the fault and churn
+    /// plans' next activity and the engine's other `reports` (client
+    /// releases, guard timers), clamped to `horizon`. `None` when any
+    /// layer is busy at `now`. Cheapest vetoes first: the chain is
+    /// consumed lazily and bails at the first `report <= now`, so a busy
+    /// fabric (the common mid-drain case) is detected before the
+    /// O(clients) scan.
+    pub fn jump_target(
+        &self,
+        horizon: Cycle,
+        hint: Cycle,
+        reports: impl IntoIterator<Item = Cycle>,
+    ) -> Option<Cycle> {
+        let now = self.now;
+        let reports = std::iter::once(hint)
+            .chain((!self.faults.is_empty()).then(|| self.faults.next_activity(now)))
+            .chain((!self.churn.is_empty()).then(|| self.churn.next_activity(now)))
+            .chain(reports);
+        bluescale_sim::next_event::jump_target(now, horizon, reports)
+    }
+
+    /// Attaches a streaming-telemetry pipeline; its first flush boundary
+    /// is aligned one period after the current cycle. Replaces (and
+    /// returns) any previously attached pipeline without finishing it.
+    pub fn attach_telemetry(&mut self, mut pipeline: Pipeline) -> Option<Pipeline> {
+        pipeline.align(self.now);
+        self.telemetry.replace(pipeline)
+    }
+
+    /// Epochs the attached pipeline has flushed (0 when none attached).
+    pub fn telemetry_epochs(&self) -> u64 {
+        self.telemetry.as_ref().map_or(0, Pipeline::epochs_flushed)
+    }
+}
+
+/// The per-cycle client phase every engine shares: each generator
+/// releases this cycle's jobs (demand scaled by any rogue-demand fault),
+/// takes any due request burst, then offers at most one request through
+/// `accept` — the engine's injection step. Acceptances count `Issued`;
+/// a bounced request goes back to its generator (retried next cycle) and
+/// counts `Rejected`.
+pub fn client_phase<F>(
+    clients: &mut [TrafficGenerator],
+    faults: &FaultPlan,
+    registry: &mut MetricsRegistry,
+    now: Cycle,
+    mut accept: F,
+) where
+    F: FnMut(MemoryRequest) -> Result<(), MemoryRequest>,
+{
+    let have_faults = !faults.is_empty();
+    for client in clients {
+        if have_faults {
+            let owner = client.client();
+            client.on_cycle_with_factor(now, faults.demand_multiplier(owner, now));
+            let burst = faults.burst_at(owner, now);
+            if burst > 0 && client.inject_burst(now, burst) > 0 {
+                registry.inc(ComponentId::System, Counter::FaultsInjected);
+                registry.inc(ComponentId::Client(owner), Counter::FaultsInjected);
+                registry.record(
+                    now,
+                    Event::FaultInjected {
+                        component: ComponentId::Client(owner),
+                        class: FaultClass::RequestBurst,
+                    },
+                );
+            }
+        } else {
+            client.on_cycle(now);
+        }
+        if let Some(req) = client.take() {
+            let owner = req.client;
+            match accept(req) {
+                Ok(()) => {
+                    registry.inc(ComponentId::System, Counter::Issued);
+                    registry.inc(ComponentId::Client(owner), Counter::Issued);
+                }
+                Err(rejected) => {
+                    client.give_back(rejected);
+                    registry.inc(ComponentId::System, Counter::Rejected);
+                    registry.inc(ComponentId::Client(owner), Counter::Rejected);
+                }
+            }
+        }
+    }
+}
+
+/// One engine's per-cycle surface, as driven by [`run_span`].
+pub trait Stepper {
+    /// The shared harness state (clock, fast-forward tallies).
+    fn core(&mut self) -> &mut HarnessCore;
+    /// The cycle every layer promises to stay idle until, or `None` when
+    /// something is busy now (see [`HarnessCore::jump_target`]).
+    fn jump_target(&mut self, horizon: Cycle) -> Option<Cycle>;
+    /// Replays `delta` provably-idle cycles from the current one in closed
+    /// form.
+    fn advance_idle(&mut self, delta: Cycle);
+    /// Steps one cycle, advancing the clock. Returning `false` ends the
+    /// span early (a contained failure).
+    fn step(&mut self) -> bool;
+}
+
+/// Steps `engine` up to `horizon`, jumping provably-idle stretches in
+/// closed form when `fast` is set.
+pub fn run_span(engine: &mut impl Stepper, horizon: Cycle, fast: bool) {
+    // After a failed jump attempt the system is mid-drain and will stay
+    // busy for a while; probing every cycle would pay the O(n) veto scan
+    // per stepped cycle. Backing off is always sound — skipping a jump
+    // opportunity just steps cycles the oracle way — so results stay
+    // bit-identical, only wall-clock changes.
+    const ATTEMPT_BACKOFF: Cycle = 16;
+    let mut next_attempt = engine.core().now;
+    while engine.core().now < horizon {
+        let now = engine.core().now;
+        if fast && now >= next_attempt {
+            if let Some(target) = engine.jump_target(horizon) {
+                let delta = target - now;
+                engine.advance_idle(delta);
+                let core = engine.core();
+                core.ff_jumps += 1;
+                core.ff_skipped += delta;
+                core.now = target;
+                if target >= horizon {
+                    break;
+                }
+            } else {
+                next_attempt = now + ATTEMPT_BACKOFF;
+            }
+        }
+        if !engine.step() {
+            break;
+        }
+    }
+}
+
+/// A harness as seen by the telemetry-chunked [`advance_to`].
+pub trait Driver {
+    /// The shared harness state.
+    fn core(&mut self) -> &mut HarnessCore;
+    /// One uninterrupted simulation span up to `horizon`, leaving every
+    /// batched tally folded into the registries.
+    fn advance_span(&mut self, horizon: Cycle);
+    /// Folds the engine's batched tallies (memory-controller stats, SoA
+    /// delta arrays, shard deltas) and returns the harness state alongside
+    /// the engine's fabric registry, for telemetry extraction.
+    fn sources(&mut self) -> (&mut HarnessCore, Option<&MetricsRegistry>);
+}
+
+/// Steps (or fast-forwards) `driver` up to `horizon` without any
+/// end-of-run accounting. With telemetry attached, the horizon is covered
+/// as a sequence of spans bounded by flush boundaries; the per-cycle loop
+/// itself never checks for flushes, and chunking only moves where the
+/// driver pauses, never what it computes.
+pub fn advance_to(driver: &mut impl Driver, horizon: Cycle) {
+    if driver.core().telemetry.is_none() {
+        driver.advance_span(horizon);
+        return;
+    }
+    while driver.core().now < horizon {
+        let core = driver.core();
+        let due = core.telemetry.as_ref().expect("checked above").next_flush();
+        // `max(now + 1)` guarantees progress even if a boundary is
+        // somehow at or behind `now`; `flush` advances the boundary
+        // strictly past `now` afterwards.
+        let bound = horizon.min(due.max(core.now + 1));
+        driver.advance_span(bound);
+        flush_telemetry_due(driver);
+    }
+}
+
+/// Flushes the attached pipeline if the current cycle has reached its
+/// boundary.
+pub fn flush_telemetry_due(driver: &mut impl Driver) {
+    let core = driver.core();
+    match &core.telemetry {
+        Some(p) if core.now >= p.next_flush() => {}
+        _ => return,
+    }
+    let (core, fabric) = driver.sources();
+    let sources = telemetry_sources(&core.registry, fabric);
+    let pipeline = core.telemetry.as_mut().expect("checked above");
+    pipeline.flush(core.now, &sources);
+}
+
+/// Final telemetry flush + sink finalization over freshly folded
+/// registries; a no-op (beyond the fold) when no pipeline is attached.
+pub fn finish_telemetry(driver: &mut impl Driver) {
+    let (core, fabric) = driver.sources();
+    let sources = telemetry_sources(&core.registry, fabric);
+    if let Some(pipeline) = core.telemetry.as_mut() {
+        pipeline.finish(core.now, &sources);
+    }
+}
+
+fn telemetry_sources<'a>(
+    harness: &'a MetricsRegistry,
+    fabric: Option<&'a MetricsRegistry>,
+) -> Vec<(&'static str, &'a MetricsRegistry)> {
+    let mut sources = vec![("harness", harness)];
+    if let Some(m) = fabric {
+        sources.push(("fabric", m));
+    }
+    sources
 }
 
 /// A complete simulated system: one [`TrafficGenerator`] per client port of
@@ -61,44 +490,75 @@ impl Default for SystemConfig {
 /// ```
 pub struct System<I: ?Sized + Interconnect> {
     clients: Vec<TrafficGenerator>,
-    /// Harness-level observability: System/Client aggregates (issued,
-    /// completed, missed, latency/blocking samples). The interconnect keeps
-    /// its own registry for component-level tallies; [`merged_registry`]
-    /// combines both for export.
+    /// Clock, plans, service log, harness registry, fast-forward tallies
+    /// and telemetry. The interconnect keeps its own registry for
+    /// component-level tallies; [`merged_registry`] combines both for
+    /// export.
     ///
     /// [`merged_registry`]: Self::merged_registry
-    registry: MetricsRegistry,
-    now: Cycle,
-    /// Chronological log of memory-channel grants, used to compute each
-    /// request's blocking latency (cycles the channel served a
-    /// later-deadline request while this one was waiting).
-    service_log: Vec<ServiceEvent>,
+    core: HarnessCore,
     interconnect: Box<I>,
-    /// Active fault plan. An empty plan keeps the harness on the exact
-    /// fault-free code path, so a faultless run is bit-identical to one
-    /// built before the fault layer existed.
-    faults: FaultPlan,
-    /// Active churn plan (tenant joins/leaves/updates). Same discipline as
-    /// the fault plan: an empty plan keeps the harness on the exact
-    /// churn-free code path.
-    churn: ChurnPlan,
     /// Which runtime guards are active (all off by default).
     guards: GuardConfig,
     /// The guard layer's deterministic bookkeeping.
     guard: GuardState,
-    /// Harness knobs (fast-forward gating).
-    config: SystemConfig,
-    /// Fast-forward bookkeeping: jumps taken and cycles skipped. Kept out
-    /// of the metrics registry on purpose — the registry must stay
-    /// bit-identical between stepping modes.
-    ff_jumps: u64,
-    ff_skipped: u64,
-    /// Streaming telemetry, if attached. Flushes happen at span
-    /// boundaries inside [`advance_to`](Self::advance_to) — never inside
-    /// the per-cycle loop — and extraction is read-only on the
-    /// registries, so an attached pipeline cannot perturb results
-    /// (pinned by `tests/telemetry_differential.rs`).
-    telemetry: Option<Pipeline>,
+}
+
+/// [`System`] as seen by the shared run loops.
+struct Serial<'a, I: ?Sized + Interconnect>(&'a mut System<I>);
+
+impl<I: ?Sized + Interconnect> Stepper for Serial<'_, I> {
+    fn core(&mut self) -> &mut HarnessCore {
+        &mut self.0.core
+    }
+
+    fn jump_target(&mut self, horizon: Cycle) -> Option<Cycle> {
+        let sys = &*self.0;
+        let now = sys.core.now;
+        let hint = sys.interconnect.next_event_hint(now)?;
+        let guard = sys.guards.tracks().then(|| sys.guard.next_event());
+        let clients = sys.clients.iter().map(|c| c.next_event(now));
+        sys.core
+            .jump_target(horizon, hint, guard.into_iter().chain(clients))
+    }
+
+    fn advance_idle(&mut self, delta: Cycle) {
+        let sys = &mut *self.0;
+        sys.interconnect.advance_idle(sys.core.now, delta);
+    }
+
+    fn step(&mut self) -> bool {
+        self.0.step();
+        true
+    }
+}
+
+impl<I: ?Sized + Interconnect> Driver for Serial<'_, I> {
+    fn core(&mut self) -> &mut HarnessCore {
+        &mut self.0.core
+    }
+
+    fn advance_span(&mut self, horizon: Cycle) {
+        // Fast-forward is gated off while detail recording is on: typed
+        // per-cycle events (e.g. `Replenish` at every period boundary)
+        // cannot be replayed in closed form, and detail runs are
+        // diagnostics where wall-clock is secondary.
+        let sys = &*self.0;
+        let fast = sys.core.config.fast_forward
+            && !sys.core.registry.detail()
+            && sys.interconnect.metrics().is_none_or(|m| !m.detail());
+        run_span(self, horizon, fast);
+        // Fold in any counters the interconnect batches during the run so
+        // that read-only `metrics()` fingerprints taken after a run are
+        // exact.
+        self.0.interconnect.metrics_mut();
+    }
+
+    fn sources(&mut self) -> (&mut HarnessCore, Option<&MetricsRegistry>) {
+        let sys = &mut *self.0;
+        sys.interconnect.metrics_mut();
+        (&mut sys.core, sys.interconnect.metrics())
+    }
 }
 
 impl<I: ?Sized + Interconnect> System<I> {
@@ -154,69 +614,37 @@ impl<I: ?Sized + Interconnect> System<I> {
     fn from_generators(interconnect: Box<I>, clients: Vec<TrafficGenerator>) -> Self {
         Self {
             clients,
-            registry: MetricsRegistry::new(),
-            now: 0,
-            service_log: Vec::new(),
+            core: HarnessCore::default(),
             interconnect,
-            faults: FaultPlan::default(),
-            churn: ChurnPlan::default(),
             guards: GuardConfig::default(),
             guard: GuardState::new(),
-            config: SystemConfig::default(),
-            ff_jumps: 0,
-            ff_skipped: 0,
-            telemetry: None,
         }
     }
 
     /// The harness configuration.
     pub fn config(&self) -> SystemConfig {
-        self.config
+        self.core.config
     }
 
     /// Replaces the harness configuration.
     pub fn set_config(&mut self, config: SystemConfig) {
-        self.config = config;
+        self.core.config = config;
     }
 
     /// Convenience toggle for the idle-cycle fast-forward path (see
     /// [`SystemConfig::fast_forward`]).
     pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.config.fast_forward = enabled;
+        self.core.config.fast_forward = enabled;
     }
 
     /// Number of idle-stretch jumps the fast-forward path has taken.
     pub fn fast_forward_jumps(&self) -> u64 {
-        self.ff_jumps
+        self.core.ff_jumps
     }
 
     /// Total cycles skipped (not stepped per-cycle) by fast-forwarding.
     pub fn fast_forwarded_cycles(&self) -> u64 {
-        self.ff_skipped
-    }
-
-    /// Marks `client` as a rogue issuing `factor ×` its declared demand,
-    /// for the whole run. Legacy shim: this appends a permanent
-    /// [`FaultKind::RogueDemand`] entry to the active fault plan and
-    /// reinstalls it through [`set_fault_plan`](Self::set_fault_plan) —
-    /// one plumbing path, no duplicated state — so it composes with
-    /// windowed and multi-class fault scenarios and is pinned equivalent
-    /// to building the same plan by hand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of range or `factor` is zero.
-    pub fn set_misbehaviour_factor(&mut self, client: usize, factor: u64) {
-        assert!(client < self.clients.len(), "client out of range");
-        let mut plan = std::mem::take(&mut self.faults);
-        plan.push(
-            FaultKind::RogueDemand {
-                client: client as u32,
-                factor,
-            },
-            FaultWindow::ALWAYS,
-        );
-        self.set_fault_plan(plan);
+        self.core.ff_skipped
     }
 
     /// Confines every client's address walk to its own DRAM bank stripe
@@ -243,12 +671,12 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// previously installed plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.interconnect.install_fault_plan(&plan);
-        self.faults = plan;
+        self.core.faults = plan;
     }
 
     /// The active fault plan (empty by default).
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
+        &self.core.faults
     }
 
     /// Installs a churn plan: tenant `Join`/`Leave`/`UpdateTasks` requests
@@ -259,12 +687,12 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// rewound so a reused plan replays from its first request.
     pub fn set_churn_plan(&mut self, mut plan: ChurnPlan) {
         plan.reset_state();
-        self.churn = plan;
+        self.core.churn = plan;
     }
 
     /// The active churn plan (empty by default).
     pub fn churn_plan(&self) -> &ChurnPlan {
-        &self.churn
+        &self.core.churn
     }
 
     /// Applies one live reconfiguration request: `tasks` becomes `client`'s
@@ -283,10 +711,7 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// `Reconfigured` / `ReconfigRejected` events when detail is on.
     pub fn apply_reconfiguration(&mut self, client: ClientId, tasks: &TaskSet, now: Cycle) -> bool {
         if client as usize >= self.clients.len() {
-            self.registry
-                .inc(ComponentId::System, Counter::AdmissionRejected);
-            self.registry
-                .record(now, Event::ReconfigRejected { client });
+            self.core.reject_unknown_client(client, now);
             return false;
         }
         let outcome = self.interconnect.reconfigure_client(client, tasks, now);
@@ -309,10 +734,7 @@ impl<I: ?Sized + Interconnect> System<I> {
         cancel: &CancelToken,
     ) -> ReconfigOutcome {
         if client as usize >= self.clients.len() {
-            self.registry
-                .inc(ComponentId::System, Counter::AdmissionRejected);
-            self.registry
-                .record(now, Event::ReconfigRejected { client });
+            self.core.reject_unknown_client(client, now);
             return ReconfigOutcome::Rejected;
         }
         let outcome = self
@@ -322,9 +744,9 @@ impl<I: ?Sized + Interconnect> System<I> {
         outcome
     }
 
-    /// Shared accounting for the reconfiguration entry points: applies the
-    /// client-side retask for outcomes that took effect and tallies the
-    /// verdict counters/events. Returns whether the request was applied.
+    /// Shared accounting for the reconfiguration entry points: tallies the
+    /// verdict and retasks the client for outcomes that took effect.
+    /// Returns whether the request was applied.
     fn account_reconfiguration(
         &mut self,
         client: ClientId,
@@ -332,61 +754,11 @@ impl<I: ?Sized + Interconnect> System<I> {
         now: Cycle,
         outcome: &ReconfigOutcome,
     ) -> bool {
-        match *outcome {
-            ReconfigOutcome::Admitted { transition_cycles } => {
-                self.clients[client as usize].set_tasks(tasks, now);
-                for component in [ComponentId::System, ComponentId::Client(client)] {
-                    self.registry.inc(component, Counter::Admitted);
-                    self.registry.inc(component, Counter::Reconfigurations);
-                    if transition_cycles > 0 {
-                        self.registry
-                            .add(component, Counter::TransitionCycles, transition_cycles);
-                    }
-                }
-                self.registry.record(now, Event::Reconfigured { client });
-                true
-            }
-            ReconfigOutcome::Rejected => {
-                for component in [ComponentId::System, ComponentId::Client(client)] {
-                    self.registry.inc(component, Counter::AdmissionRejected);
-                }
-                self.registry
-                    .record(now, Event::ReconfigRejected { client });
-                false
-            }
-            ReconfigOutcome::Cancelled => {
-                // The caller's deadline expired (or it gave up) before the
-                // admission analysis finished; nothing was mutated, and the
-                // caller may retry. Counted separately from rejections so
-                // overload shows up as timeouts, not capacity exhaustion.
-                for component in [ComponentId::System, ComponentId::Client(client)] {
-                    self.registry.inc(component, Counter::AdmissionTimeouts);
-                }
-                self.registry
-                    .record(now, Event::AdmissionTimeout { client });
-                false
-            }
-            ReconfigOutcome::Unsupported => {
-                // No admission control to consult: apply the retask anyway
-                // so churn scenarios still drive baselines and test
-                // doubles — counted as a reconfiguration, not an admission.
-                self.clients[client as usize].set_tasks(tasks, now);
-                for component in [ComponentId::System, ComponentId::Client(client)] {
-                    self.registry.inc(component, Counter::Reconfigurations);
-                }
-                self.registry.record(now, Event::Reconfigured { client });
-                true
-            }
+        let applied = self.core.account_reconfiguration(client, now, outcome);
+        if applied {
+            self.clients[client as usize].set_tasks(tasks, now);
         }
-    }
-
-    /// Drains every churn request due at `now` in arrival order and applies
-    /// each through [`apply_reconfiguration`](Self::apply_reconfiguration).
-    fn apply_churn_due(&mut self, now: Cycle) {
-        while let Some(spec) = self.churn.take_due(now) {
-            let tasks = spec.kind.requested_tasks();
-            self.apply_reconfiguration(spec.client, &tasks, now);
-        }
+        applied
     }
 
     /// Activates runtime guards. Configure before stepping: requests
@@ -454,7 +826,7 @@ impl<I: ?Sized + Interconnect> System<I> {
             return false;
         }
         self.guard.quarantined.insert(client);
-        let now = self.now;
+        let now = self.core.now;
         self.demote_quarantined(client, now)
     }
 
@@ -467,24 +839,24 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// built from the harness registry's per-client slices.
     pub fn per_client_metrics(&self) -> Vec<RunMetrics> {
         (0..self.interconnect.num_clients())
-            .map(|c| RunMetrics::from_registry(&self.registry, ComponentId::Client(c as u32)))
+            .map(|c| RunMetrics::from_registry(&self.core.registry, ComponentId::Client(c as u32)))
             .collect()
     }
 
     /// The harness-level metrics registry (System and Client aggregates).
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        &self.core.registry
     }
 
     /// Mutable access to the harness registry.
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
+        &mut self.core.registry
     }
 
     /// Turns on detail recording (typed events + request lifecycles) in
     /// both the harness registry and the interconnect's own, if it has one.
     pub fn enable_detail(&mut self) {
-        self.registry.enable_detail();
+        self.core.registry.enable_detail();
         if let Some(m) = self.interconnect.metrics_mut() {
             m.enable_detail();
         }
@@ -497,30 +869,16 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// tallied by the harness registry alone — so merging never
     /// double-counts.
     pub fn merged_registry(&mut self) -> MetricsRegistry {
-        let mut merged = self.registry.clone();
+        let mut merged = self.core.registry.clone();
         if let Some(m) = self.interconnect.metrics_mut() {
             merged.merge(m);
         }
         merged
     }
 
-    /// Blocking latency of a request that waited during `[issued, done)`:
-    /// total channel time granted to *later-deadline* requests in that
-    /// window. The log is chronological, so a binary search finds the
-    /// window start.
-    fn blocking_in_window(&self, issued: Cycle, done: Cycle, deadline: Cycle) -> u64 {
-        let start = self.service_log.partition_point(|e| e.at < issued);
-        self.service_log[start..]
-            .iter()
-            .take_while(|e| e.at < done)
-            .filter(|e| e.deadline > deadline)
-            .map(|e| e.duration)
-            .sum()
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Cycle {
-        self.now
+        self.core.now
     }
 
     /// The interconnect under test.
@@ -530,132 +888,72 @@ impl<I: ?Sized + Interconnect> System<I> {
 
     /// Advances the system by one cycle.
     pub fn step(&mut self) {
-        let now = self.now;
-        let have_faults = !self.faults.is_empty();
+        let now = self.core.now;
         let tracks = self.guards.tracks();
         // Reconfigurations apply before this cycle's releases, so a tenant
         // joining at cycle t releases its first job at t under the new
         // contract. The empty-plan branch keeps churn-free runs exact.
-        if !self.churn.is_empty() {
-            self.apply_churn_due(now);
-        }
-        if have_faults {
-            self.announce_client_faults(now);
-        }
-        for client in &mut self.clients {
-            if have_faults {
-                let owner = client.client();
-                let factor = self.faults.demand_multiplier(owner, now);
-                client.on_cycle_with_factor(now, factor);
-                let burst = self.faults.burst_at(owner, now);
-                if burst > 0 && client.inject_burst(now, burst) > 0 {
-                    self.registry
-                        .inc(ComponentId::System, Counter::FaultsInjected);
-                    self.registry
-                        .inc(ComponentId::Client(owner), Counter::FaultsInjected);
-                    self.registry.record(
-                        now,
-                        Event::FaultInjected {
-                            component: ComponentId::Client(owner),
-                            class: FaultClass::RequestBurst,
-                        },
-                    );
-                }
-            } else {
-                client.on_cycle(now);
+        if !self.core.churn.is_empty() {
+            while let Some(spec) = self.core.churn.take_due(now) {
+                let tasks = spec.kind.requested_tasks();
+                self.apply_reconfiguration(spec.client, &tasks, now);
             }
-            if let Some(req) = client.take() {
-                let owner = req.client;
+        }
+        if !self.core.faults.is_empty() {
+            self.core.announce_client_faults(now);
+        }
+        let (interconnect, guard, guards) = (&mut self.interconnect, &mut self.guard, &self.guards);
+        let core = &mut self.core;
+        client_phase(
+            &mut self.clients,
+            &core.faults,
+            &mut core.registry,
+            now,
+            |req| {
                 // Capture what the guard layer needs before the request is
                 // moved into the interconnect; the clone is taken only
                 // while a watchdog is armed.
                 let tracked = tracks.then(|| {
-                    (
-                        req.id,
-                        req.deadline,
-                        self.guards.watchdog.map(|_| req.clone()),
-                    )
+                    let keep = guards.watchdog.map(|_| req.clone());
+                    (req.id, req.client, req.deadline, keep)
                 });
-                match self.interconnect.inject(req, now) {
-                    Ok(()) => {
-                        // Issues are counted on acceptance only; a bounce
-                        // is retried next cycle and counted then.
-                        self.registry.inc(ComponentId::System, Counter::Issued);
-                        self.registry
-                            .inc(ComponentId::Client(owner), Counter::Issued);
-                        if let Some((id, deadline, keep)) = tracked {
-                            self.guard
-                                .track(id, owner, deadline, keep, now, &self.guards);
-                        }
-                    }
-                    Err(rejected) => {
-                        client.give_back(rejected);
-                        self.registry.inc(ComponentId::System, Counter::Rejected);
-                        self.registry
-                            .inc(ComponentId::Client(owner), Counter::Rejected);
-                    }
+                interconnect.inject(req, now)?;
+                if let Some((id, owner, deadline, keep)) = tracked {
+                    guard.track(id, owner, deadline, keep, now, guards);
                 }
-            }
-        }
+                Ok(())
+            },
+        );
         self.interconnect.step(now);
         while let Some(event) = self.interconnect.pop_service_event() {
-            self.service_log.push(event);
+            self.core.service_log.push(event);
         }
-        while let Some(mut resp) = self.interconnect.pop_response() {
+        while let Some(resp) = self.interconnect.pop_response() {
             if tracks && !self.guard.close(resp.request.id) {
                 // A watchdog retry raced the original delivery (or the
                 // request predates tracking): suppress so completion
                 // counts stay exact.
-                let owner = resp.request.client;
-                self.registry
-                    .inc(ComponentId::System, Counter::DuplicateResponses);
-                self.registry
-                    .inc(ComponentId::Client(owner), Counter::DuplicateResponses);
+                let r = &mut self.core.registry;
+                r.inc(ComponentId::System, Counter::DuplicateResponses);
+                r.inc(
+                    ComponentId::Client(resp.request.client),
+                    Counter::DuplicateResponses,
+                );
                 continue;
             }
-            // Replace the per-stage accounting with the architecture-fair
-            // bottleneck measure (see `blocking_in_window`).
-            resp.request.blocked_cycles = self.blocking_in_window(
-                resp.request.issued_at,
-                resp.completed_at,
-                resp.request.deadline,
-            );
-            self.record_response(&resp);
+            self.core.record_response(resp);
         }
         if tracks {
             self.guard_tick(now);
         }
-        self.now += 1;
-    }
-
-    /// Emits one fault-activation counter/event per client-side fault
-    /// window that opens this cycle (bursts are additionally counted at
-    /// their injection site). Interconnect-side fault activity is tallied
-    /// by the interconnect into its own registry.
-    fn announce_client_faults(&mut self, now: Cycle) {
-        for spec in self.faults.specs() {
-            if let FaultKind::RogueDemand { client, .. } = spec.kind {
-                if spec.window.start == now && spec.window.contains(now) {
-                    self.registry
-                        .inc(ComponentId::System, Counter::FaultsInjected);
-                    self.registry
-                        .inc(ComponentId::Client(client), Counter::FaultsInjected);
-                    self.registry.record(
-                        now,
-                        Event::FaultInjected {
-                            component: ComponentId::Client(client),
-                            class: FaultClass::RogueDemand,
-                        },
-                    );
-                }
-            }
-        }
+        self.core.now += 1;
     }
 
     /// Runs the active guards once, after the cycle's responses drained:
     /// flag freshly missed deadlines, fire due watchdog retries, demote
     /// clients past the quarantine threshold.
     fn guard_tick(&mut self, now: Cycle) {
+        let r = &mut self.core.registry;
         if self.guards.detects_misses() {
             while let Some(Reverse((deadline, id))) = self.guard.deadline_heap.peek().copied() {
                 if deadline >= now {
@@ -669,19 +967,11 @@ impl<I: ?Sized + Interconnect> System<I> {
                     continue;
                 }
                 entry.miss_flagged = true;
-                let owner = entry.client;
-                *self.guard.miss_tally.entry(owner).or_insert(0) += 1;
-                self.registry
-                    .inc(ComponentId::System, Counter::MissesDetected);
-                self.registry
-                    .inc(ComponentId::Client(owner), Counter::MissesDetected);
-                self.registry.record(
-                    now,
-                    Event::DeadlineMiss {
-                        client: owner,
-                        request: id,
-                    },
-                );
+                let (client, request) = (entry.client, id);
+                *self.guard.miss_tally.entry(client).or_insert(0) += 1;
+                r.inc(ComponentId::System, Counter::MissesDetected);
+                r.inc(ComponentId::Client(client), Counter::MissesDetected);
+                r.record(now, Event::DeadlineMiss { client, request });
             }
         }
         if let Some(w) = self.guards.watchdog {
@@ -699,7 +989,7 @@ impl<I: ?Sized + Interconnect> System<I> {
                 let Some(request) = entry.request.clone() else {
                     continue;
                 };
-                let owner = entry.client;
+                let client = entry.client;
                 match self.interconnect.inject(request, now) {
                     Ok(()) => {
                         entry.retries += 1;
@@ -709,13 +999,12 @@ impl<I: ?Sized + Interconnect> System<I> {
                         self.guard
                             .retry_due
                             .insert((now.saturating_add(w.timeout.max(1)), id));
-                        self.registry.inc(ComponentId::System, Counter::Retries);
-                        self.registry
-                            .inc(ComponentId::Client(owner), Counter::Retries);
-                        self.registry.record(
+                        r.inc(ComponentId::System, Counter::Retries);
+                        r.inc(ComponentId::Client(client), Counter::Retries);
+                        r.record(
                             now,
                             Event::Retry {
-                                client: owner,
+                                client,
                                 request: id,
                             },
                         );
@@ -760,14 +1049,14 @@ impl<I: ?Sized + Interconnect> System<I> {
             .reconfigure_client(c, &TaskSet::empty(), now)
         {
             ReconfigOutcome::Admitted { transition_cycles } => {
+                let r = &mut self.core.registry;
                 for component in [ComponentId::System, ComponentId::Client(c)] {
-                    self.registry.inc(component, Counter::Reconfigurations);
+                    r.inc(component, Counter::Reconfigurations);
                     if transition_cycles > 0 {
-                        self.registry
-                            .add(component, Counter::TransitionCycles, transition_cycles);
+                        r.add(component, Counter::TransitionCycles, transition_cycles);
                     }
                 }
-                self.registry.record(now, Event::Reconfigured { client: c });
+                r.record(now, Event::Reconfigured { client: c });
                 true
             }
             // Shedding load cannot fail admission; reported only for an
@@ -778,54 +1067,25 @@ impl<I: ?Sized + Interconnect> System<I> {
             ReconfigOutcome::Unsupported => self.interconnect.demote_client(c),
         };
         if demoted {
-            self.registry.inc(ComponentId::System, Counter::Quarantines);
-            self.registry
-                .inc(ComponentId::Client(c), Counter::Quarantines);
-            self.registry.record(now, Event::Quarantine { client: c });
+            let r = &mut self.core.registry;
+            r.inc(ComponentId::System, Counter::Quarantines);
+            r.inc(ComponentId::Client(c), Counter::Quarantines);
+            r.record(now, Event::Quarantine { client: c });
         }
         demoted
-    }
-
-    /// Records a delivered response into the System aggregate and the
-    /// owning client's slice of the registry.
-    fn record_response(&mut self, response: &MemoryResponse) {
-        let latency = response.latency() as f64;
-        let blocking = response.request.blocked_cycles as f64;
-        let window = response
-            .request
-            .deadline
-            .saturating_sub(response.request.issued_at)
-            .max(1);
-        let normalized = latency / window as f64;
-        let missed = response.missed_deadline();
-        for component in [
-            ComponentId::System,
-            ComponentId::Client(response.request.client),
-        ] {
-            self.registry.inc(component, Counter::Completed);
-            self.registry
-                .sample(component, SampleKind::Latency, latency);
-            self.registry
-                .sample(component, SampleKind::Blocking, blocking);
-            self.registry
-                .sample(component, SampleKind::NormalizedResponse, normalized);
-            if missed {
-                self.registry.inc(component, Counter::Missed);
-            }
-        }
     }
 
     /// Discards all metrics collected so far (the warm-up transient) while
     /// keeping the simulation state. Subsequent metrics reflect steady
     /// state only.
     pub fn reset_metrics(&mut self) {
-        let detail = self.registry.detail();
-        let window = self.registry.sample_window();
-        self.registry = MetricsRegistry::new();
+        let detail = self.core.registry.detail();
+        let window = self.core.registry.sample_window();
+        self.core.registry = MetricsRegistry::new();
         if detail {
-            self.registry.enable_detail();
+            self.core.registry.enable_detail();
         }
-        self.registry.set_sample_window(window);
+        self.core.registry.set_sample_window(window);
     }
 
     /// Runs until `horizon`, discarding everything recorded before
@@ -845,42 +1105,30 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// Attaches a streaming-telemetry pipeline; its first flush boundary
     /// is aligned one period after the current cycle. Replaces (and
     /// returns) any previously attached pipeline without finishing it.
-    pub fn attach_telemetry(&mut self, mut pipeline: Pipeline) -> Option<Pipeline> {
-        pipeline.align(self.now);
-        self.telemetry.replace(pipeline)
+    pub fn attach_telemetry(&mut self, pipeline: Pipeline) -> Option<Pipeline> {
+        self.core.attach_telemetry(pipeline)
     }
 
     /// Removes the attached pipeline without a final flush.
     pub fn detach_telemetry(&mut self) -> Option<Pipeline> {
-        self.telemetry.take()
+        self.core.telemetry.take()
     }
 
     /// Whether a telemetry pipeline is attached.
     pub fn telemetry_attached(&self) -> bool {
-        self.telemetry.is_some()
+        self.core.telemetry.is_some()
     }
 
     /// Epochs the attached pipeline has flushed (0 when none attached).
     pub fn telemetry_epochs(&self) -> u64 {
-        self.telemetry.as_ref().map_or(0, Pipeline::epochs_flushed)
+        self.core.telemetry_epochs()
     }
 
     /// Final telemetry flush + sink finalization. Call after the last
     /// [`run`](Self::run) so the stream's tail captures end-of-run
     /// accounting (backlog misses land after the horizon is reached).
     pub fn finish_telemetry(&mut self) {
-        // Fold interconnect-batched tallies before the last extraction.
-        self.interconnect.metrics_mut();
-        let now = self.now;
-        let Some(pipeline) = self.telemetry.as_mut() else {
-            return;
-        };
-        let fabric = self.interconnect.metrics();
-        let mut sources: Vec<(&'static str, &MetricsRegistry)> = vec![("harness", &self.registry)];
-        if let Some(m) = fabric {
-            sources.push(("fabric", m));
-        }
-        pipeline.finish(now, &sources);
+        finish_telemetry(&mut Serial(self));
     }
 
     /// Flushes the attached pipeline if the current cycle has reached its
@@ -888,21 +1136,7 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// daemon steps in small batches) call this between batches; `run`
     /// and `advance_to` call it at span boundaries automatically.
     pub fn flush_telemetry_due(&mut self) {
-        let now = self.now;
-        match &self.telemetry {
-            Some(p) if now >= p.next_flush() => {}
-            _ => return,
-        }
-        // Fold any counters the interconnect batches (memory-controller
-        // stats, the SoA engine's delta arrays) so the epoch sees them.
-        self.interconnect.metrics_mut();
-        let fabric = self.interconnect.metrics();
-        let pipeline = self.telemetry.as_mut().expect("checked above");
-        let mut sources: Vec<(&'static str, &MetricsRegistry)> = vec![("harness", &self.registry)];
-        if let Some(m) = fabric {
-            sources.push(("fabric", m));
-        }
-        pipeline.flush(now, &sources);
+        flush_telemetry_due(&mut Serial(self));
     }
 
     /// Steps (or fast-forwards) the simulation up to `horizon` without any
@@ -910,78 +1144,7 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// covered as a sequence of spans bounded by flush boundaries; the
     /// per-cycle loop itself never checks for flushes.
     pub fn advance_to(&mut self, horizon: Cycle) {
-        if self.telemetry.is_none() {
-            self.advance_span(horizon);
-            return;
-        }
-        while self.now < horizon {
-            let due = self.telemetry.as_ref().expect("checked above").next_flush();
-            // `max(now + 1)` guarantees progress even if a boundary is
-            // somehow at or behind `now`; `flush` advances the boundary
-            // strictly past `now` afterwards.
-            let bound = horizon.min(due.max(self.now + 1));
-            self.advance_span(bound);
-            self.flush_telemetry_due();
-        }
-    }
-
-    /// One uninterrupted simulation span (the pre-telemetry `advance_to`).
-    fn advance_span(&mut self, horizon: Cycle) {
-        // Fast-forward is gated off while detail recording is on: typed
-        // per-cycle events (e.g. `Replenish` at every period boundary)
-        // cannot be replayed in closed form, and detail runs are
-        // diagnostics where wall-clock is secondary.
-        let fast = self.config.fast_forward
-            && !self.registry.detail()
-            && self.interconnect.metrics().is_none_or(|m| !m.detail());
-        // After a failed jump attempt the system is mid-drain and will
-        // stay busy for a while; probing every cycle would pay the O(n)
-        // veto scan per stepped cycle. Backing off is always sound —
-        // skipping a jump opportunity just steps cycles the oracle way —
-        // so results stay bit-identical, only wall-clock changes.
-        const ATTEMPT_BACKOFF: Cycle = 16;
-        let mut next_attempt = self.now;
-        while self.now < horizon {
-            if fast && self.now >= next_attempt {
-                if let Some(target) = self.fast_forward_target(horizon) {
-                    let delta = target - self.now;
-                    self.interconnect.advance_idle(self.now, delta);
-                    self.ff_jumps += 1;
-                    self.ff_skipped += delta;
-                    self.now = target;
-                    if self.now >= horizon {
-                        break;
-                    }
-                } else {
-                    next_attempt = self.now + ATTEMPT_BACKOFF;
-                }
-            }
-            self.step();
-        }
-        // Fold in any counters the interconnect batches during the run
-        // (memory-controller stats, the SoA engine's delta arrays) so that
-        // read-only `metrics()` fingerprints taken after a run are exact.
-        self.interconnect.metrics_mut();
-    }
-
-    /// The cycle to jump to, when every layer promises nothing happens
-    /// before it: the minimum of the interconnect's hint, each client's
-    /// next release (or backlog), the fault plan's next window and the
-    /// guard layer's next timer, clamped to `horizon`. `None` when any
-    /// layer is busy at `now` (or the interconnect does not support
-    /// hinting) — the caller then steps one cycle as usual.
-    fn fast_forward_target(&self, horizon: Cycle) -> Option<Cycle> {
-        let now = self.now;
-        // Cheapest vetoes first: `jump_target` consumes the chain lazily
-        // and bails at the first `report <= now`, so a busy fabric (the
-        // common mid-drain case) is detected before the O(clients) scan.
-        let hint = self.interconnect.next_event_hint(now)?;
-        let reports = std::iter::once(hint)
-            .chain((!self.faults.is_empty()).then(|| self.faults.next_activity(now)))
-            .chain((!self.churn.is_empty()).then(|| self.churn.next_activity(now)))
-            .chain(self.guards.tracks().then(|| self.guard.next_event()))
-            .chain(self.clients.iter().map(|c| c.next_event(now)));
-        jump_target(now, horizon, reports)
+        advance_to(&mut Serial(self), horizon);
     }
 
     /// Runs until `horizon` cycles have elapsed, then accounts still-pending
@@ -993,23 +1156,9 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// interconnect cooperates; results are bit-identical either way.
     pub fn run(&mut self, horizon: Cycle) -> RunMetrics {
         self.advance_to(horizon);
-        // Requests still queued at the clients past their deadline. They
-        // land in the returned aggregate and in the registry's per-client
-        // slices (so the system-level registry counters stay a pure record
-        // of the stepped simulation, usable for further run() calls).
-        let mut metrics = RunMetrics::from_registry(&self.registry, ComponentId::System);
-        for client in &mut self.clients {
-            while let Some(req) = client.take() {
-                metrics.on_issued();
-                metrics.on_incomplete(req.deadline, horizon);
-                let owner = ComponentId::Client(req.client);
-                self.registry.inc(owner, Counter::Issued);
-                self.registry.inc(owner, Counter::Backlog);
-                if req.deadline < horizon {
-                    self.registry.inc(owner, Counter::Missed);
-                }
-            }
-        }
+        let mut metrics = RunMetrics::from_registry(&self.core.registry, ComponentId::System);
+        self.core
+            .account_backlog(&mut metrics, &mut self.clients, horizon);
         // Requests absorbed by the interconnect but not completed are
         // counted as issued already; their deadline state is unknown here,
         // so implementations expose only the count. Treat each as missed
@@ -1030,8 +1179,8 @@ impl<I: ?Sized + Interconnect> System<I> {
 mod tests {
     use super::*;
     use crate::guard::{QuarantinePolicy, WatchdogConfig};
-    use crate::{MemoryRequest, MemoryResponse};
     use bluescale_rt::task::Task;
+    use bluescale_sim::fault::FaultWindow;
     use std::collections::VecDeque;
 
     /// A trivial interconnect: accepts one request per client per cycle
@@ -1254,7 +1403,15 @@ mod tests {
             latency: 1,
         });
         let mut sys = System::new(ic as Box<dyn Interconnect>, &sets(2, 100, 2));
-        sys.set_misbehaviour_factor(1, 4);
+        let mut plan = FaultPlan::default();
+        plan.push(
+            FaultKind::RogueDemand {
+                client: 1,
+                factor: 4,
+            },
+            FaultWindow::ALWAYS,
+        );
+        sys.set_fault_plan(plan);
         sys.run(1_000);
         let per_client = sys.per_client_metrics();
         assert_eq!(per_client[1].issued(), 4 * per_client[0].issued());
@@ -1725,42 +1882,6 @@ mod tests {
             reg.counter(ComponentId::System, Counter::Reconfigurations),
             0
         );
-    }
-
-    #[test]
-    fn misbehaviour_shim_matches_handbuilt_fault_plan() {
-        // The deprecated shim must be a pure alias for pushing a
-        // RogueDemand fault over an always-open window.
-        let run = |shim: bool| {
-            let ic = Box::new(IdealInterconnect {
-                clients: 2,
-                queue: VecDeque::new(),
-                ready: VecDeque::new(),
-                latency: 1,
-            });
-            let mut sys = System::new(ic as Box<dyn Interconnect>, &sets(2, 100, 2));
-            if shim {
-                sys.set_misbehaviour_factor(1, 4);
-            } else {
-                let mut plan = FaultPlan::default();
-                plan.push(
-                    FaultKind::RogueDemand {
-                        client: 1,
-                        factor: 4,
-                    },
-                    FaultWindow::ALWAYS,
-                );
-                sys.set_fault_plan(plan);
-            }
-            let m = sys.run(1_000);
-            let per_client: Vec<u64> = sys
-                .per_client_metrics()
-                .iter()
-                .map(|m| m.issued())
-                .collect();
-            (m.issued(), m.completed(), m.missed(), per_client)
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use bluescale_repro::core::{BlueScaleConfig, BlueScaleInterconnect};
 use bluescale_repro::interconnect::system::System;
 use bluescale_repro::interconnect::Interconnect;
 use bluescale_repro::rt::task::{Task, TaskSet};
+use bluescale_repro::sim::fault::{FaultKind, FaultPlan, FaultWindow};
 
 fn task_sets() -> Vec<TaskSet> {
     (0..16)
@@ -32,7 +33,15 @@ fn report(label: &str, make: impl Fn(&[TaskSet]) -> Box<dyn Interconnect>) {
     for &rogue_active in &[false, true] {
         let mut system = System::new(make(&sets), &sets);
         if rogue_active {
-            system.set_misbehaviour_factor(0, 16);
+            let mut plan = FaultPlan::default();
+            plan.push(
+                FaultKind::RogueDemand {
+                    client: 0,
+                    factor: 16,
+                },
+                FaultWindow::ALWAYS,
+            );
+            system.set_fault_plan(plan);
         }
         system.run(30_000);
         let per_client = system.per_client_metrics();

@@ -64,4 +64,7 @@ RUST_BACKTRACE=1 cargo test -q --release --test mem_policy_differential -- --tes
 echo "==> telemetry differential (streaming invisible + JSONL fold lossless)"
 RUST_BACKTRACE=1 cargo test -q --release --test telemetry_differential -- --test-threads=1
 
+echo "==> benchmark smoke (stepper fingerprint parity with System's call order)"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "All checks passed."

@@ -125,8 +125,17 @@ fn rogue_client_is_bit_identical() {
     let sets = task_sets(&SyntheticConfig::fig6(16));
     let mut fast = build_system(&sets, false);
     let mut slow = build_system(&sets, false);
-    fast.set_misbehaviour_factor(0, 5);
-    slow.set_misbehaviour_factor(0, 5);
+    for sys in [&mut fast, &mut slow] {
+        let mut plan = FaultPlan::default();
+        plan.push(
+            FaultKind::RogueDemand {
+                client: 0,
+                factor: 5,
+            },
+            FaultWindow::ALWAYS,
+        );
+        sys.set_fault_plan(plan);
+    }
     assert_modes_agree(fast, slow, "rogue client");
 }
 

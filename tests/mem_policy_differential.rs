@@ -210,7 +210,7 @@ fn fault_plan() -> FaultPlan {
     )
     .push(
         FaultKind::DropResponse {
-            client: 3,
+            client: 2,
             every: 3,
         },
         FaultWindow::new(0, 8_000),
@@ -291,6 +291,67 @@ fn active_policies_agree_across_engines() {
         let label = format!("active/{}", policy.name());
         assert_engines_agree(&sets, &policy, &|_| {}, &|_| {}, &label);
     }
+    // The root seam under load from both sides: the defer mask composes
+    // with a *root* stuck-grant mask, while DRAM jitter stretches service
+    // and dropped responses vanish on the way back.
+    let policy = MemPolicyConfig::PerBankRegulation {
+        window: 400,
+        budget: 8,
+    };
+    assert_engines_agree(
+        &sets,
+        &policy,
+        &|sys| sys.set_fault_plan(root_fault_plan()),
+        &|sys| sys.set_fault_plan(root_fault_plan()),
+        "active/per-bank+root-faults",
+    );
+    let mut sys = build_serial(&sets, true, &policy);
+    sys.set_fault_plan(root_fault_plan());
+    sys.run(HORIZON);
+    let merged = sys.merged_registry();
+    for (component, counter) in [
+        (ComponentId::Memory, Counter::PolicyDeferred),
+        (
+            ComponentId::Se { depth: 0, order: 0 },
+            Counter::FaultsInjected,
+        ),
+        (ComponentId::Bank(0), Counter::FaultsInjected),
+        (ComponentId::System, Counter::ResponsesDropped),
+    ] {
+        assert!(
+            merged.counter(component, counter) > 0,
+            "{counter:?} at {component:?} must bite in the root-fault case"
+        );
+    }
+}
+
+/// Interconnect-side faults aimed at the root seam only: a stuck root
+/// port, DRAM jitter on the shared bank and dropped responses.
+fn root_fault_plan() -> FaultPlan {
+    let mut plan = FaultPlan::new(SEED ^ 0x2007);
+    plan.push(
+        FaultKind::StuckGrant {
+            depth: 0,
+            order: 0,
+            port: 1,
+        },
+        FaultWindow::new(3_000, 3_400),
+    )
+    .push(
+        FaultKind::DramJitter {
+            bank: 0,
+            max_extra_cycles: 4,
+        },
+        FaultWindow::new(1_000, 9_000),
+    )
+    .push(
+        FaultKind::DropResponse {
+            client: 2,
+            every: 3,
+        },
+        FaultWindow::new(0, 8_000),
+    );
+    plan
 }
 
 #[test]

@@ -13,6 +13,7 @@
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::TaskSet;
+use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 use bluescale_sim::metrics::{ComponentId, Counter, SampleKind};
 use bluescale_sim::rng::SimRng;
 use bluescale_workload::synthetic::{generate, SyntheticConfig};
@@ -109,10 +110,21 @@ fn detail_recording_is_inert_under_a_rogue_client() {
     // when a client floods; detail recording must stay inert there too.
     let sets = task_sets(16);
 
+    let rogue = || {
+        let mut plan = FaultPlan::default();
+        plan.push(
+            FaultKind::RogueDemand {
+                client: 0,
+                factor: 8,
+            },
+            FaultWindow::ALWAYS,
+        );
+        plan
+    };
     let mut plain = build_system(&sets);
-    plain.set_misbehaviour_factor(0, 8);
+    plain.set_fault_plan(rogue());
     let mut observed = build_system(&sets);
-    observed.set_misbehaviour_factor(0, 8);
+    observed.set_fault_plan(rogue());
     observed.enable_detail();
 
     let m_plain = plain.run(HORIZON);
