@@ -2,7 +2,7 @@
 //!
 //! The serial harness ([`System`](bluescale_interconnect::system::System)
 //! over [`BlueScaleInterconnect`]) advances the whole tree one cycle at a
-//! time. At 65k–1M clients the per-cycle client loop and leaf sweeps
+//! time. At 65k–1M clients the leaf sweeps and the due clients' releases
 //! dominate wall-clock, and they are embarrassingly parallel across the
 //! root's subtrees: a request born under level-1 SE `q` never touches the
 //! state of any other subtree until it reaches the root's port `q`, and a
@@ -43,9 +43,10 @@ use crate::network::{BlueScaleInterconnect, BuildError, CompositionReport};
 use crate::soa::SoaCore;
 use crate::topology::BlueScaleConfig;
 use bluescale_interconnect::admission::{ChurnPlan, ReconfigOutcome};
+use bluescale_interconnect::calendar::Clients;
 use bluescale_interconnect::client::TrafficGenerator;
 use bluescale_interconnect::metrics::RunMetrics;
-use bluescale_interconnect::system::{self, client_phase, run_span, Driver, HarnessCore, Stepper};
+use bluescale_interconnect::system::{self, run_span, Driver, HarnessCore, Stepper};
 use bluescale_interconnect::{ClientId, MemoryRequest, MemoryResponse};
 use bluescale_rt::task::TaskSet;
 use bluescale_sim::fault::FaultPlan;
@@ -117,7 +118,7 @@ struct Shard {
     /// First global client id owned by this subtree.
     client_lo: usize,
     core: SoaCore,
-    clients: Vec<TrafficGenerator>,
+    clients: Clients,
     /// Read-only clone of the fault plan for worker-side queries
     /// (multipliers, bursts, stuck masks — all stateless lookups).
     faults: FaultPlan,
@@ -154,19 +155,14 @@ impl Shard {
         //    and the per-shard split is exact.
         let (core, fabric_delta) = (&mut self.core, &mut self.fabric_delta);
         let (leaf, branch, client_lo) = (self.levels - 1, self.branch, self.client_lo);
-        client_phase(
-            &mut self.clients,
-            &self.faults,
-            &mut self.harness_delta,
-            now,
-            |req| {
+        self.clients
+            .phase(&self.faults, &mut self.harness_delta, now, |req| {
                 let owner = req.client;
                 let local = owner as usize - client_lo;
                 core.try_accept(leaf, local / branch, local % branch, req)?;
                 fabric_delta.inc(ComponentId::Client(owner), Counter::Enqueued);
                 Ok(())
-            },
-        );
+            });
         // 2. Response path, bottom-up. Global depths `levels..1` are local
         //    depths `levels-1..0`; the global depth-0 (root) leg runs
         //    coordinator-side after the barrier, so its push lands here
@@ -224,15 +220,6 @@ impl Shard {
         };
         self.core
             .step_se_batched(depth, order, now, ready, mask.as_deref())
-    }
-
-    /// Earliest next release across this shard's clients (fast-forward).
-    fn next_client_event(&self, now: Cycle) -> Cycle {
-        self.clients
-            .iter()
-            .map(|c| c.next_event(now))
-            .min()
-            .unwrap_or(Cycle::MAX)
     }
 
     fn pending(&self) -> usize {
@@ -433,7 +420,7 @@ impl Coordinator {
         if self.core.account_reconfiguration(client, now, &outcome) {
             let mut s = lock_shard(&shards[client as usize / self.clients_per_shard]);
             let local = client as usize - s.client_lo;
-            s.clients[local].set_tasks(tasks, now);
+            s.clients.retask(local, tasks, now);
         }
     }
 
@@ -458,7 +445,7 @@ impl Coordinator {
     fn fast_forward_target(&self, shards: &[Mutex<Shard>], horizon: Cycle) -> Option<Cycle> {
         let now = self.core.now;
         let hint = self.next_event_hint(shards, now);
-        let clients = shards.iter().map(|s| lock_shard(s).next_client_event(now));
+        let clients = shards.iter().map(|s| lock_shard(s).clients.next_event(now));
         self.core.jump_target(horizon, hint, clients)
     }
 
@@ -689,9 +676,11 @@ impl ShardedSystem {
                     .collect();
                 let client_lo = q * clients_per_shard;
                 let hi = ((q + 1) * clients_per_shard).min(num_clients);
-                let clients = (client_lo.min(hi)..hi)
-                    .map(|i| TrafficGenerator::new(i as ClientId, &task_sets[i]))
-                    .collect();
+                let clients = Clients::new(
+                    (client_lo.min(hi)..hi)
+                        .map(|i| TrafficGenerator::new(i as ClientId, &task_sets[i]))
+                        .collect(),
+                );
                 Mutex::new(Shard {
                     q,
                     branch,

@@ -335,6 +335,12 @@ impl TrafficGenerator {
         self.earliest_release
     }
 
+    /// The earliest pending job release across this generator's tasks
+    /// ([`Cycle::MAX`] for a taskless generator), whatever its backlog.
+    pub fn next_release(&self) -> Cycle {
+        self.earliest_release
+    }
+
     /// Borrows the next request to offer (earliest deadline first).
     pub fn peek(&self) -> Option<&MemoryRequest> {
         self.pending.peek()

@@ -13,6 +13,7 @@
 
 pub mod admission;
 pub mod buffer;
+pub mod calendar;
 pub mod client;
 pub mod guard;
 pub mod metrics;

@@ -5,16 +5,17 @@
 //! driver — [`System`] here and the sharded engine in the `bluescale`
 //! crate: the state lives in [`HarnessCore`] (clock, service log, fault
 //! and churn plans, harness registry, fast-forward tallies, telemetry),
-//! the per-cycle client phase is [`client_phase`], the fast-forward run
-//! loop is [`run_span`] and the telemetry-chunked advance is
-//! [`advance_to`]. The shared pieces are generic over the engine, so each
+//! the per-cycle client phase is [`Clients::phase`] over the release
+//! calendar, the fast-forward run loop is [`run_span`] and the
+//! telemetry-chunked advance is [`advance_to`]. The shared pieces are generic over the engine, so each
 //! driver's copy is monomorphised — no dynamic dispatch on the hot path.
 
 use crate::admission::{CancelToken, ChurnPlan, ReconfigOutcome};
+use crate::calendar::Clients;
 use crate::client::TrafficGenerator;
 use crate::guard::{GuardConfig, GuardConfigError, GuardState};
 use crate::metrics::RunMetrics;
-use crate::{ClientId, Interconnect, MemoryRequest, MemoryResponse, ServiceEvent};
+use crate::{ClientId, Interconnect, MemoryResponse, ServiceEvent};
 use bluescale_rt::task::TaskSet;
 use bluescale_sim::fault::{FaultClass, FaultKind, FaultPlan};
 use bluescale_sim::metrics::{ComponentId, Counter, Event, MetricsRegistry, SampleKind};
@@ -241,32 +242,29 @@ impl HarnessCore {
     pub fn account_backlog(
         &mut self,
         metrics: &mut RunMetrics,
-        clients: &mut [TrafficGenerator],
+        clients: &mut Clients,
         horizon: Cycle,
     ) {
-        for client in clients {
-            while let Some(req) = client.take() {
-                metrics.on_issued();
-                metrics.on_incomplete(req.deadline, horizon);
-                let owner = ComponentId::Client(req.client);
-                let r = &mut self.registry;
-                r.inc(owner, Counter::Issued);
-                r.inc(owner, Counter::Backlog);
-                if req.deadline < horizon {
-                    r.inc(owner, Counter::Missed);
-                }
+        clients.drain_backlogs(|req| {
+            metrics.on_issued();
+            metrics.on_incomplete(req.deadline, horizon);
+            let owner = ComponentId::Client(req.client);
+            let r = &mut self.registry;
+            r.inc(owner, Counter::Issued);
+            r.inc(owner, Counter::Backlog);
+            if req.deadline < horizon {
+                r.inc(owner, Counter::Missed);
             }
-        }
+        });
     }
 
     /// The cycle to jump to, when every layer promises nothing happens
     /// before it: the minimum of the engine's `hint`, the fault and churn
-    /// plans' next activity and the engine's other `reports` (client
-    /// releases, guard timers), clamped to `horizon`. `None` when any
-    /// layer is busy at `now`. Cheapest vetoes first: the chain is
-    /// consumed lazily and bails at the first `report <= now`, so a busy
-    /// fabric (the common mid-drain case) is detected before the
-    /// O(clients) scan.
+    /// plans' next activity and the engine's other `reports` (the release
+    /// calendars' heads, guard timers), clamped to `horizon`. `None` when
+    /// any layer is busy at `now`. The chain is consumed lazily and bails
+    /// at the first `report <= now`, so a busy fabric (the common mid-drain
+    /// case) vetoes before the plans are consulted.
     pub fn jump_target(
         &self,
         horizon: Cycle,
@@ -295,58 +293,6 @@ impl HarnessCore {
     }
 }
 
-/// The per-cycle client phase every engine shares: each generator
-/// releases this cycle's jobs (demand scaled by any rogue-demand fault),
-/// takes any due request burst, then offers at most one request through
-/// `accept` — the engine's injection step. Acceptances count `Issued`;
-/// a bounced request goes back to its generator (retried next cycle) and
-/// counts `Rejected`.
-pub fn client_phase<F>(
-    clients: &mut [TrafficGenerator],
-    faults: &FaultPlan,
-    registry: &mut MetricsRegistry,
-    now: Cycle,
-    mut accept: F,
-) where
-    F: FnMut(MemoryRequest) -> Result<(), MemoryRequest>,
-{
-    let have_faults = !faults.is_empty();
-    for client in clients {
-        if have_faults {
-            let owner = client.client();
-            client.on_cycle_with_factor(now, faults.demand_multiplier(owner, now));
-            let burst = faults.burst_at(owner, now);
-            if burst > 0 && client.inject_burst(now, burst) > 0 {
-                registry.inc(ComponentId::System, Counter::FaultsInjected);
-                registry.inc(ComponentId::Client(owner), Counter::FaultsInjected);
-                registry.record(
-                    now,
-                    Event::FaultInjected {
-                        component: ComponentId::Client(owner),
-                        class: FaultClass::RequestBurst,
-                    },
-                );
-            }
-        } else {
-            client.on_cycle(now);
-        }
-        if let Some(req) = client.take() {
-            let owner = req.client;
-            match accept(req) {
-                Ok(()) => {
-                    registry.inc(ComponentId::System, Counter::Issued);
-                    registry.inc(ComponentId::Client(owner), Counter::Issued);
-                }
-                Err(rejected) => {
-                    client.give_back(rejected);
-                    registry.inc(ComponentId::System, Counter::Rejected);
-                    registry.inc(ComponentId::Client(owner), Counter::Rejected);
-                }
-            }
-        }
-    }
-}
-
 /// One engine's per-cycle surface, as driven by [`run_span`].
 pub trait Stepper {
     /// The shared harness state (clock, fast-forward tallies).
@@ -363,20 +309,15 @@ pub trait Stepper {
 }
 
 /// Steps `engine` up to `horizon`, jumping provably-idle stretches in
-/// closed form when `fast` is set.
+/// closed form when `fast` is set. The probe runs before every stepped
+/// cycle: every term of it is O(1) in the client count (the clients'
+/// term is the release calendar's head), so a stretch becomes a jump the
+/// first cycle it is idle.
 pub fn run_span(engine: &mut impl Stepper, horizon: Cycle, fast: bool) {
-    // After a failed jump attempt the system is mid-drain and will stay
-    // busy for a while; probing every cycle would pay the O(n) veto scan
-    // per stepped cycle. Backing off is always sound — skipping a jump
-    // opportunity just steps cycles the oracle way — so results stay
-    // bit-identical, only wall-clock changes.
-    const ATTEMPT_BACKOFF: Cycle = 16;
-    let mut next_attempt = engine.core().now;
     while engine.core().now < horizon {
-        let now = engine.core().now;
-        if fast && now >= next_attempt {
+        if fast {
             if let Some(target) = engine.jump_target(horizon) {
-                let delta = target - now;
+                let delta = target - engine.core().now;
                 engine.advance_idle(delta);
                 let core = engine.core();
                 core.ff_jumps += 1;
@@ -385,8 +326,6 @@ pub fn run_span(engine: &mut impl Stepper, horizon: Cycle, fast: bool) {
                 if target >= horizon {
                     break;
                 }
-            } else {
-                next_attempt = now + ATTEMPT_BACKOFF;
             }
         }
         if !engine.step() {
@@ -469,8 +408,8 @@ fn telemetry_sources<'a>(
 /// an [`Interconnect`], plus metric collection.
 ///
 /// Each cycle the harness:
-/// 1. advances every generator (task releases),
-/// 2. offers at most one request per client port,
+/// 1. advances every generator with a release due (task releases),
+/// 2. offers at most one request per backlogged client port,
 /// 3. steps the interconnect (arbitration, memory, response routing),
 /// 4. drains responses into the metrics.
 ///
@@ -489,7 +428,7 @@ fn telemetry_sources<'a>(
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct System<I: ?Sized + Interconnect> {
-    clients: Vec<TrafficGenerator>,
+    clients: Clients,
     /// Clock, plans, service log, harness registry, fast-forward tallies
     /// and telemetry. The interconnect keeps its own registry for
     /// component-level tallies; [`merged_registry`] combines both for
@@ -517,9 +456,9 @@ impl<I: ?Sized + Interconnect> Stepper for Serial<'_, I> {
         let now = sys.core.now;
         let hint = sys.interconnect.next_event_hint(now)?;
         let guard = sys.guards.tracks().then(|| sys.guard.next_event());
-        let clients = sys.clients.iter().map(|c| c.next_event(now));
+        let clients = sys.clients.next_event(now);
         sys.core
-            .jump_target(horizon, hint, guard.into_iter().chain(clients))
+            .jump_target(horizon, hint, guard.into_iter().chain([clients]))
     }
 
     fn advance_idle(&mut self, delta: Cycle) {
@@ -613,7 +552,7 @@ impl<I: ?Sized + Interconnect> System<I> {
 
     fn from_generators(interconnect: Box<I>, clients: Vec<TrafficGenerator>) -> Self {
         Self {
-            clients,
+            clients: Clients::new(clients),
             core: HarnessCore::default(),
             interconnect,
             guards: GuardConfig::default(),
@@ -659,9 +598,7 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// Panics if `banks` or `row_bytes` is zero, or `row_bytes` is not a
     /// multiple of the generators' address stride.
     pub fn set_bank_partition(&mut self, banks: u32, row_bytes: u64) {
-        for client in &mut self.clients {
-            client.set_bank_partition(banks, row_bytes);
-        }
+        self.clients.set_bank_partition(banks, row_bytes);
     }
 
     /// Installs a fault plan: client-side faults (rogue demand, bursts)
@@ -756,7 +693,7 @@ impl<I: ?Sized + Interconnect> System<I> {
     ) -> bool {
         let applied = self.core.account_reconfiguration(client, now, outcome);
         if applied {
-            self.clients[client as usize].set_tasks(tasks, now);
+            self.clients.retask(client as usize, tasks, now);
         }
         applied
     }
@@ -904,12 +841,8 @@ impl<I: ?Sized + Interconnect> System<I> {
         }
         let (interconnect, guard, guards) = (&mut self.interconnect, &mut self.guard, &self.guards);
         let core = &mut self.core;
-        client_phase(
-            &mut self.clients,
-            &core.faults,
-            &mut core.registry,
-            now,
-            |req| {
+        self.clients
+            .phase(&core.faults, &mut core.registry, now, |req| {
                 // Capture what the guard layer needs before the request is
                 // moved into the interconnect; the clone is taken only
                 // while a watchdog is armed.
@@ -922,8 +855,7 @@ impl<I: ?Sized + Interconnect> System<I> {
                     guard.track(id, owner, deadline, keep, now, guards);
                 }
                 Ok(())
-            },
-        );
+            });
         self.interconnect.step(now);
         while let Some(event) = self.interconnect.pop_service_event() {
             self.core.service_log.push(event);
@@ -1179,6 +1111,7 @@ impl<I: ?Sized + Interconnect> System<I> {
 mod tests {
     use super::*;
     use crate::guard::{QuarantinePolicy, WatchdogConfig};
+    use crate::MemoryRequest;
     use bluescale_rt::task::Task;
     use bluescale_sim::fault::FaultWindow;
     use std::collections::VecDeque;

@@ -284,19 +284,31 @@ impl FaultPlan {
     /// Extra burst requests `client` must inject at `now`: the sum of
     /// `RequestBurst` faults whose window *opens* at this cycle.
     pub fn burst_at(&self, client: u32, now: Cycle) -> u64 {
-        let mut total = 0u64;
-        for spec in &self.faults {
-            if let FaultKind::RequestBurst {
-                client: c,
-                requests,
-            } = spec.kind
+        self.bursts_opening(now)
+            .filter(|&(c, _)| c == client)
+            .fold(0, |total, (_, requests)| total.saturating_add(requests))
+    }
+
+    /// The clients [`burst_at`](Self::burst_at) is non-zero for at `now`
+    /// (a client targeted by several opening bursts repeats). A harness
+    /// that visits only due clients wakes these as well.
+    pub fn burst_clients_at(&self, now: Cycle) -> impl Iterator<Item = u32> + '_ {
+        self.bursts_opening(now)
+            .filter(|&(_, requests)| requests > 0)
+            .map(|(client, _)| client)
+    }
+
+    /// `(client, requests)` of every `RequestBurst` whose window opens at
+    /// `now`.
+    fn bursts_opening(&self, now: Cycle) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.faults.iter().filter_map(move |spec| match spec.kind {
+            FaultKind::RequestBurst { client, requests }
+                if spec.window.start == now && spec.window.contains(now) =>
             {
-                if c == client && spec.window.start == now && spec.window.contains(now) {
-                    total = total.saturating_add(requests);
-                }
+                Some((client, requests))
             }
-        }
-        total
+            _ => None,
+        })
     }
 
     /// The stuck-port mask for the SE at `(depth, order)` with `ports`
@@ -498,6 +510,38 @@ mod tests {
         assert_eq!(plan.burst_at(1, 500), 16);
         assert_eq!(plan.burst_at(1, 501), 0);
         assert_eq!(plan.burst_at(0, 500), 0);
+    }
+
+    #[test]
+    fn burst_clients_are_exactly_the_non_zero_bursts() {
+        let mut plan = FaultPlan::new(0);
+        for (client, requests, start) in [
+            (4, 8, 500),
+            (2, 0, 500),
+            (7, 3, 500),
+            (4, 1, 500),
+            (9, 5, 600),
+        ] {
+            plan.push(
+                FaultKind::RequestBurst { client, requests },
+                FaultWindow::new(start, start + 10),
+            );
+        }
+        let clients: Vec<u32> = plan.burst_clients_at(500).collect();
+        assert_eq!(
+            clients,
+            vec![4, 7, 4],
+            "plan order, zero-request bursts skipped"
+        );
+        for client in 0..10 {
+            assert_eq!(clients.contains(&client), plan.burst_at(client, 500) > 0);
+        }
+        assert_eq!(plan.burst_at(4, 500), 9);
+        assert_eq!(
+            plan.burst_clients_at(501).count(),
+            0,
+            "bursts fire at the opening only"
+        );
     }
 
     #[test]
