@@ -50,7 +50,9 @@ fn main() {
 
     let sel_config = interface_selection::SelectionBenchConfig {
         clients: 16,
+        sparse_clients: 16,
         workloads: 2,
+        reps: 1,
         ..Default::default()
     };
     time("experiment/interface_selection_16clients", 5, || {

@@ -8,7 +8,7 @@
 //! row. This module models the table and the computation; the algorithm
 //! itself lives in [`bluescale_rt::interface`].
 
-use bluescale_rt::interface::{select_se_interfaces_parallel, select_se_interfaces_with_divisor};
+use bluescale_rt::interface::select_se_interfaces_with_divisor;
 use bluescale_rt::supply::PeriodicResource;
 use bluescale_rt::task::{Task, TaskSet};
 use bluescale_rt::Error as RtError;
@@ -161,25 +161,6 @@ impl InterfaceSelector {
             .collect::<Result<Vec<_>, _>>()?;
         select_se_interfaces_with_divisor(&sets, self.period_divisor.max(1))
     }
-
-    /// [`compute`](Self::compute) with the per-port selections fanned out
-    /// across up to `max_threads` OS threads. The ports are independent
-    /// selection problems sharing a read-only context, so the result —
-    /// including which error surfaces — is bit-identical to the serial
-    /// [`compute`](Self::compute).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`compute`](Self::compute).
-    pub fn compute_parallel(
-        &self,
-        max_threads: usize,
-    ) -> Result<Vec<Option<PeriodicResource>>, RtError> {
-        let sets = (0..self.ports)
-            .map(|p| self.port_tasks(p as u8))
-            .collect::<Result<Vec<_>, _>>()?;
-        select_se_interfaces_parallel(&sets, self.period_divisor.max(1), max_threads)
-    }
 }
 
 #[cfg(test)]
@@ -275,18 +256,5 @@ mod tests {
         let sel = InterfaceSelector::new(4);
         let ifaces = sel.compute().unwrap();
         assert!(ifaces.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn compute_parallel_matches_serial() {
-        let mut sel = InterfaceSelector::new(4);
-        sel.load(row(0, 1, 100, 5)).unwrap();
-        sel.load(row(0, 2, 200, 10)).unwrap();
-        sel.load(row(2, 1, 80, 4)).unwrap();
-        sel.load(row(3, 1, 90, 3)).unwrap();
-        let serial = sel.compute().unwrap();
-        for threads in [1, 2, 8] {
-            assert_eq!(sel.compute_parallel(threads).unwrap(), serial);
-        }
     }
 }

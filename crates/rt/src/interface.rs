@@ -20,22 +20,29 @@
 //! # The selection fast path
 //!
 //! Interface selection runs per SE, per level, on *every* admission
-//! decision, so [`select_interface`] is tuned (without changing any answer —
-//! the differential tests in `tests/differential.rs` pin this down against
-//! [`select_interface_exhaustive`]):
+//! decision, so [`select_interface`] searches bound-first (without changing
+//! any answer — the differential tests in `tests/differential.rs` pin this
+//! down against [`select_interface_exhaustive`]):
 //!
-//! * **Candidate pruning.** For period `Π` no schedulable budget can beat
-//!   `Θ_lb(Π) = max(1, ⌈U·Π⌉)` (bandwidth must strictly exceed utilization
-//!   and budgets are integers). If `Θ_lb(Π)/Π` does not beat the incumbent's
-//!   bandwidth — compared exactly by cross-multiplication — the period is
-//!   skipped before any schedulability test runs. Only periods that could
-//!   *strictly* improve survive, which also preserves the smaller-period
-//!   tie-break.
+//! * **Bound pass.** [`NecessaryBudgets`] yields, for every candidate
+//!   period, a proven lower bound `Θ_nec(Π)` on any schedulable budget: the
+//!   larger of the bandwidth gate `Θ/Π > U` and the first-deadline bound
+//!   `Θ·(t₁ − Π + Θ) ≥ dbf(t₁)·Π`, clamped to `Π`. Both are non-decreasing
+//!   in `Π`, so the pass carries them forward with one comparison each.
+//! * **Cheapest candidate first.** The period with the smallest
+//!   `Θ_nec(Π)/Π` (the smallest such period on ties) is tested first, its
+//!   budget search starting at `Θ_nec`. On light ports that bound is met, so
+//!   the first test already yields the answer.
+//! * **Pruned scan.** Every other period is tested only if `Θ_nec(Π)/Π`
+//!   could strictly beat the incumbent's bandwidth, or tie it at a smaller
+//!   period — compared exactly by cross-multiplication. The result is the
+//!   same `(bandwidth, Π)` lexicographic minimum as the exhaustive scan.
 //! * **Demand memoization.** All candidates test the *same* task set, so
 //!   one [`DemandCurve`] carries the sorted demand change points and their
 //!   `dbf` values across the entire search (every budget probed by every
 //!   binary search, for every period) instead of recomputing them per test.
 
+use crate::demand::dbf_set;
 use crate::rational::UtilizationSum;
 use crate::schedulability::{is_schedulable, DemandCurve};
 use crate::supply::PeriodicResource;
@@ -105,7 +112,8 @@ impl SelectionContext {
     /// [`MAX_PERIOD_CANDIDATES`]). Widening the cap lets sets with large
     /// deadlines reach their true minimum-bandwidth interface when
     /// [`feasible_period_bound`] reports truncation, at proportionally
-    /// higher selection cost.
+    /// higher selection cost (time, and one budget floor per candidate
+    /// period in memory).
     ///
     /// # Panics
     ///
@@ -192,9 +200,93 @@ fn budget_lower_bound(utilization: f64, period: Time) -> Time {
     ((utilization * period as f64).ceil() as Time).max(1)
 }
 
-/// Exact `a/b < c/d` on bandwidths via cross-multiplication.
-fn bandwidth_strictly_less(num_a: Time, den_a: Time, num_c: Time, den_c: Time) -> bool {
-    (num_a as u128) * (den_c as u128) < (num_c as u128) * (den_a as u128)
+/// The proven per-period budget floors `Θ_nec(Π)` for `Π = 1, 2, …`: no
+/// budget below `Θ_nec(Π)` passes [`is_schedulable`] on period `Π`.
+///
+/// `Θ_nec(Π)` is the larger of two necessary conditions, clamped to `Π`
+/// (the dedicated budget stays a candidate):
+///
+/// * **(a) bandwidth gate** — the smallest `Θ` with `Θ as f64 / Π as f64 >
+///   U`, the exact floating-point gate [`theorem1_bound`] applies before any
+///   demand point is checked;
+/// * **(b) first deadline** — the smallest `Θ` with
+///   `Θ·(t₁ − Π + Θ) ≥ dbf(t₁)·Π` in integer arithmetic, where `t₁` is the
+///   smallest deadline. It follows from `sbf(t) ≤ Θ(t − Π + Θ)/Π`: a budget
+///   failing it has `sbf(t₁) < dbf(t₁)`. The test checks `t₁` whenever it
+///   lies below Theorem 1's horizon β, and for `t₁ ≥ β` the theorem gives
+///   `dbf(t₁) ≤ lsbf(t₁) ≤ sbf(t₁)`, so no budget failing (b) passes. (The
+///   argument is exact; a floating-point β would have to be off by more
+///   than the gap `Θ(Π − Θ)/Π` between `lsbf` and that upper line to break
+///   it.)
+///
+/// Both conditions only tighten as `Π` grows, and for `U < 1` and
+/// `dbf(t₁) ≤ t₁` each floor rises by at most one per period, so the
+/// iterator carries them forward with a single comparison each. When those
+/// premises fail the carried floors may lag the exact ones; they stay lower
+/// bounds, which is all soundness needs.
+///
+/// [`theorem1_bound`]: crate::schedulability::theorem1_bound
+///
+/// # Example
+///
+/// ```
+/// use bluescale_rt::task::{Task, TaskSet};
+/// use bluescale_rt::interface::{min_budget_for_period, NecessaryBudgets};
+///
+/// let set = TaskSet::new(vec![Task::new(0, 20, 4)?])?;
+/// for (period, floor) in (1..=20).zip(NecessaryBudgets::new(&set)) {
+///     if let Some(budget) = min_budget_for_period(&set, period) {
+///         assert!(floor <= budget);
+///     }
+/// }
+/// # Ok::<(), bluescale_rt::Error>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct NecessaryBudgets {
+    utilization: f64,
+    first_deadline: Time,
+    first_demand: Time,
+    period: Time,
+    /// Carried floor (a), as an exact integer-valued `f64`.
+    by_rate: f64,
+    /// Carried floor (b).
+    by_deadline: Time,
+}
+
+impl NecessaryBudgets {
+    /// Floors for `set`, starting at `Π = 1`.
+    pub fn new(set: &TaskSet) -> Self {
+        let first_deadline = set.min_deadline().unwrap_or(0);
+        Self {
+            utilization: set.utilization(),
+            first_deadline,
+            first_demand: dbf_set(set, first_deadline),
+            period: 0,
+            by_rate: 1.0,
+            by_deadline: 1,
+        }
+    }
+}
+
+impl Iterator for NecessaryBudgets {
+    type Item = Time;
+
+    fn next(&mut self) -> Option<Time> {
+        let period = self.period + 1;
+        self.period = period;
+        if self.by_rate / period as f64 <= self.utilization {
+            self.by_rate += 1.0;
+        }
+        // `t₁ − Π + Θ`, zero when the blackout swallows the first deadline.
+        let supplied =
+            (self.first_deadline.saturating_add(self.by_deadline)).saturating_sub(period);
+        if (self.by_deadline as u128) * (supplied as u128)
+            < (self.first_demand as u128) * (period as u128)
+        {
+            self.by_deadline += 1;
+        }
+        Some((self.by_rate as Time).max(self.by_deadline).min(period))
+    }
 }
 
 /// Minimum budget `Θ` that makes `set` schedulable on period `period`, found
@@ -206,29 +298,29 @@ pub fn min_budget_for_period(set: &TaskSet, period: Time) -> Option<Time> {
 
 /// [`min_budget_for_period`] against a caller-supplied [`DemandCurve`], so
 /// the demand change points survive across the binary search (and across
-/// candidate periods when sizing one set repeatedly).
+/// candidate periods when sizing one set repeatedly). The search starts at
+/// the plain utilization bound `max(1, ⌈U·Π⌉)`, independent of
+/// [`NecessaryBudgets`], so it can serve as that bound's check.
 pub fn min_budget_with_curve(curve: &mut DemandCurve<'_>, period: Time) -> Option<Time> {
-    debug_assert!(period > 0);
-    // Probe the analytic lower bound Θ ≥ max(1, ⌈U·Π⌉) first: no
-    // schedulable budget can lie below it, so when it passes it *is* the
-    // minimum and both the Θ=Π feasibility gate and the binary search
-    // collapse into this single test. Low-utilization ports — where the
-    // bound is 1 and almost always schedulable — hit this path at every
-    // candidate period, which is what keeps interface selection linear
-    // instead of `O(log Π)` per candidate on large sparse topologies.
-    let lb = budget_lower_bound(curve.set().utilization(), period);
-    if lb <= period {
-        let floor = PeriodicResource::new(period, lb).expect("1 ≤ lb ≤ Π");
-        if curve.is_schedulable(&floor) {
-            return Some(lb);
-        }
+    let floor = budget_lower_bound(curve.set().utilization(), period).min(period);
+    min_budget_from(curve, period, floor)
+}
+
+/// The budget search on `period` from a proven `floor`: no schedulable
+/// budget lies below it, so when the floor passes it *is* the minimum and
+/// both the `Θ = Π` feasibility gate and the binary search collapse into
+/// this single test.
+fn min_budget_from(curve: &mut DemandCurve<'_>, period: Time, floor: Time) -> Option<Time> {
+    debug_assert!(1 <= floor && floor <= period);
+    let probe = PeriodicResource::new(period, floor).expect("1 ≤ floor ≤ Π");
+    if curve.is_schedulable(&probe) {
+        return Some(floor);
     }
     let full = PeriodicResource::new(period, period).expect("Θ=Π is always valid");
-    if !curve.is_schedulable(&full) {
+    if floor == period || !curve.is_schedulable(&full) {
         return None;
     }
-    // Lower bound: Θ ≥ ⌈U·Π⌉ and Θ ≥ 1.
-    let mut lo = lb;
+    let mut lo = floor + 1;
     let mut hi = period;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -297,35 +389,44 @@ pub fn select_interface_detailed(
         return Err(Error::NoFeasibleInterface);
     }
     let period_bound = feasible_period_bound(set, ctx);
-    let utilization = set.utilization();
-    let mut curve = DemandCurve::new(set);
-    let mut best: Option<PeriodicResource> = None;
-    for period in 1..=period_bound.period {
-        // Prune: even the analytic minimum budget for this period cannot
-        // strictly beat the incumbent's bandwidth, so no schedulability
-        // test can change the outcome. (Ties keep the incumbent — it has
-        // the smaller period — so "not strictly less" is safe to skip.)
-        if let Some(b) = &best {
-            let lb = budget_lower_bound(utilization, period);
-            if !bandwidth_strictly_less(lb, period, b.budget(), b.period()) {
-                continue;
-            }
+    // Bound pass: every candidate period's floor, and the floor interface
+    // promising the lowest bandwidth (the smallest period on ties).
+    let candidates = usize::try_from(period_bound.period).expect("one floor per candidate period");
+    let floors: Vec<Time> = NecessaryBudgets::new(set).take(candidates).collect();
+    let mut cheapest = (1, floors[0]);
+    for (period, &floor) in (1..).zip(&floors) {
+        if precedes((period, floor), cheapest) {
+            cheapest = (period, floor);
         }
-        let Some(budget) = min_budget_with_curve(&mut curve, period) else {
+    }
+    let mut curve = DemandCurve::new(set);
+    let mut best = min_budget_from(&mut curve, cheapest.0, cheapest.1).map(|b| (cheapest.0, b));
+    for (period, &floor) in (1..).zip(&floors) {
+        // A period can only win if its floor already precedes the
+        // incumbent: its selected budget is at least the floor.
+        if period == cheapest.0 || best.is_some_and(|b| !precedes((period, floor), b)) {
+            continue;
+        }
+        let Some(budget) = min_budget_from(&mut curve, period, floor) else {
             continue;
         };
-        let candidate = PeriodicResource::new(period, budget).expect("budget ≤ period");
-        best = match best {
-            None => Some(candidate),
-            Some(b) if candidate.bandwidth_lt(&b) => Some(candidate),
-            Some(b) => Some(b),
-        };
+        if best.is_none_or(|b| precedes((period, budget), b)) {
+            best = Some((period, budget));
+        }
     }
-    best.map(|interface| SelectionResult {
-        interface,
+    best.map(|(period, budget)| SelectionResult {
+        interface: PeriodicResource::new(period, budget).expect("budget ≤ period"),
         period_bound,
     })
     .ok_or(Error::NoFeasibleInterface)
+}
+
+/// The selection order on `(Π, Θ)` pairs: lower bandwidth `Θ/Π` first
+/// (compared exactly by cross-multiplication), then the smaller period.
+fn precedes((period_a, budget_a): (Time, Time), (period_b, budget_b): (Time, Time)) -> bool {
+    let a = budget_a as u128 * period_b as u128;
+    let b = budget_b as u128 * period_a as u128;
+    a < b || (a == b && period_a < period_b)
 }
 
 /// Reference implementation of [`select_interface`]: exhaustive enumeration
@@ -417,22 +518,6 @@ pub fn select_se_interfaces(
     select_se_interfaces_with_divisor(client_sets, 1)
 }
 
-/// Exact combined-utilization admission check for one SE's clients, shared
-/// by the serial and parallel drivers.
-fn check_se_capacity(client_sets: &[TaskSet]) -> Result<SelectionContext, Error> {
-    let mut exact = UtilizationSum::new();
-    for task in client_sets.iter().flat_map(TaskSet::iter) {
-        exact.add(task.wcet(), task.period());
-    }
-    let total: f64 = client_sets.iter().map(TaskSet::utilization).sum();
-    if !exact.at_most_one() {
-        return Err(Error::Overutilized {
-            utilization_millis: (total * 1000.0).round() as u64,
-        });
-    }
-    Ok(SelectionContext::shared(total))
-}
-
 /// Like [`select_se_interfaces`] with a granularity cap: candidate periods
 /// are additionally bounded by `min_deadline / divisor` per client (see
 /// [`SelectionContext::with_period_divisor`]).
@@ -444,7 +529,17 @@ pub fn select_se_interfaces_with_divisor(
     client_sets: &[TaskSet],
     divisor: Time,
 ) -> Result<Vec<Option<PeriodicResource>>, Error> {
-    let ctx = check_se_capacity(client_sets)?.with_period_divisor(divisor);
+    let mut exact = UtilizationSum::new();
+    for task in client_sets.iter().flat_map(TaskSet::iter) {
+        exact.add(task.wcet(), task.period());
+    }
+    let total: f64 = client_sets.iter().map(TaskSet::utilization).sum();
+    if !exact.at_most_one() {
+        return Err(Error::Overutilized {
+            utilization_millis: (total * 1000.0).round() as u64,
+        });
+    }
+    let ctx = SelectionContext::shared(total).with_period_divisor(divisor);
     client_sets
         .iter()
         .map(|set| {
@@ -455,69 +550,6 @@ pub fn select_se_interfaces_with_divisor(
             }
         })
         .collect()
-}
-
-/// [`select_se_interfaces_with_divisor`] with the per-client selections
-/// fanned out across up to `max_threads` OS threads. Clients are
-/// independent selection problems sharing a read-only context, so the
-/// result — including which error is reported — is identical to the serial
-/// driver: outputs are collected by client index and errors resolve to the
-/// first failing client in input order.
-///
-/// # Errors
-///
-/// Same as [`select_se_interfaces`].
-pub fn select_se_interfaces_parallel(
-    client_sets: &[TaskSet],
-    divisor: Time,
-    max_threads: usize,
-) -> Result<Vec<Option<PeriodicResource>>, Error> {
-    let ctx = check_se_capacity(client_sets)?.with_period_divisor(divisor);
-    let threads = max_threads.max(1).min(client_sets.len());
-    if threads <= 1 {
-        return client_sets
-            .iter()
-            .map(|set| {
-                if set.is_empty() {
-                    Ok(None)
-                } else {
-                    select_interface(set, &ctx).map(Some)
-                }
-            })
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Result<Option<PeriodicResource>, Error>> = vec![Ok(None); client_sets.len()];
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let next = &next;
-            let ctx = &ctx;
-            workers.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(set) = client_sets.get(i) else {
-                        return local;
-                    };
-                    let result = if set.is_empty() {
-                        Ok(None)
-                    } else {
-                        select_interface(set, ctx).map(Some)
-                    };
-                    local.push((i, result));
-                }
-            }));
-        }
-        for worker in workers {
-            for (i, result) in worker.join().expect("selection worker panicked") {
-                slots[i] = result;
-            }
-        }
-    });
-    // Resolve errors exactly as the serial driver would: first failing
-    // client in input order wins.
-    slots.into_iter().collect()
 }
 
 /// Root admission check (paper, end of Section 5): the level-0 resource
@@ -630,6 +662,31 @@ mod tests {
                     select_interface_exhaustive(s, &ctx),
                     "pruned/memoized result diverged for {s:?} (divisor {divisor})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn carried_floors_equal_the_direct_floors() {
+        // With U < 1 and dbf(t₁) ≤ t₁ each carried floor is exact: the
+        // smallest Θ passing the gate, and the smallest passing (b).
+        let sets = [
+            set(&[(12, 3)]),
+            set(&[(20, 2), (50, 5)]),
+            set(&[(7, 1), (11, 2), (13, 3)]),
+            set(&[(64, 16), (64, 16), (64, 16)]),
+            TaskSet::new(vec![Task::with_deadline(0, 100, 90, 30).unwrap()]).unwrap(),
+        ];
+        for s in &sets {
+            let u = s.utilization();
+            let t1 = s.min_deadline().unwrap();
+            let d = dbf_set(s, t1);
+            for (period, floor) in (1..=300).zip(NecessaryBudgets::new(s)) {
+                let gate = (1..).find(|&b| b as f64 / period as f64 > u).unwrap();
+                let first = (1..)
+                    .find(|&b| b * (t1 + b).saturating_sub(period) >= d * period)
+                    .unwrap();
+                assert_eq!(floor, gate.max(first).min(period), "{s:?} at Π={period}");
             }
         }
     }
@@ -776,34 +833,6 @@ mod tests {
             select_se_interfaces(&over),
             Err(Error::Overutilized { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_se_selection_matches_serial() {
-        let sets = vec![
-            set(&[(100, 5)]),
-            TaskSet::empty(),
-            set(&[(80, 4), (120, 6)]),
-            set(&[(90, 3)]),
-            set(&[(200, 11)]),
-        ];
-        let serial = select_se_interfaces_with_divisor(&sets, 2);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                select_se_interfaces_parallel(&sets, 2, threads),
-                serial,
-                "parallel ({threads} threads) diverged from serial"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_se_selection_matches_serial_errors() {
-        let sets = vec![set(&[(10, 6)]), set(&[(10, 6)])];
-        assert_eq!(
-            select_se_interfaces_parallel(&sets, 1, 4),
-            select_se_interfaces_with_divisor(&sets, 1)
-        );
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Differential tests pinning the tuned interface-selection fast path to
 //! the naive reference implementation.
 //!
-//! The fast path (bandwidth-based candidate pruning + demand-curve
+//! The fast path (bound-first candidate order and pruning + demand-curve
 //! memoization, see `interface.rs`) must return **bit-identical** `(Π, Θ)`
 //! to exhaustive enumeration on every input — these tests sweep random task
 //! sets with a fixed-seed [`SimRng`] so each case is reproducible.
 
 use bluescale_rt::interface::{
     feasible_period_bound, min_budget_for_period, select_interface, select_interface_detailed,
-    select_interface_exhaustive, select_se_interfaces_parallel, select_se_interfaces_with_divisor,
+    select_interface_exhaustive, select_se_interfaces_with_divisor, NecessaryBudgets,
     SelectionContext,
 };
 use bluescale_rt::schedulability::{is_schedulable, DemandCurve};
@@ -85,33 +85,6 @@ fn memoized_min_budget_matches_fresh_probes() {
     }
 }
 
-/// Parallel per-client selection returns exactly the serial driver's
-/// output for random SE client loads, at every thread count.
-#[test]
-fn parallel_se_selection_is_bit_identical_to_serial() {
-    let mut rng = SimRng::seed_from(0x9A11E1);
-    for case in 0..25 {
-        let clients: Vec<TaskSet> = (0..rng.range_usize(1, 9))
-            .map(|_| {
-                if rng.chance(0.2) {
-                    TaskSet::empty()
-                } else {
-                    random_taskset(&mut rng)
-                }
-            })
-            .collect();
-        let divisor = rng.range_u64(1, 4);
-        let serial = select_se_interfaces_with_divisor(&clients, divisor);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                select_se_interfaces_parallel(&clients, divisor, threads),
-                serial,
-                "case {case}: parallel ({threads} threads) diverged from serial"
-            );
-        }
-    }
-}
-
 /// The truncation flag is consistent: untruncated searches really did cover
 /// the analytic bound, and the detailed result mirrors `select_interface`.
 #[test]
@@ -133,6 +106,194 @@ fn detailed_selection_mirrors_plain_selection() {
             }
             (Err(a), Err(b)) => assert_eq!(a, b, "case {case}"),
             (p, d) => panic!("case {case}: plain {p:?} vs detailed {d:?}"),
+        }
+    }
+}
+
+/// Asserts the tuned selection equals the exhaustive oracle on `set`.
+fn assert_matches_exhaustive(set: &TaskSet, ctx: &SelectionContext, what: &str) {
+    assert_eq!(
+        select_interface(set, ctx),
+        select_interface_exhaustive(set, ctx),
+        "{what}: fast path diverged from reference for {set:?} under {ctx:?}"
+    );
+}
+
+/// One to three tasks with periods in `[lo, hi)` and light-to-moderate
+/// demand, each deadline deflated to `⌊margin·T⌋` (never below the wcet)
+/// the way `BlueScaleConfig::analysis_deadline` deflates leaf tasks.
+fn deflated_taskset(rng: &mut SimRng, lo: u64, hi: u64, margin: f64) -> TaskSet {
+    loop {
+        let n = rng.range_usize(1, 4);
+        let tasks = (0..n)
+            .map(|i| {
+                let period = rng.range_u64(lo, hi);
+                let wcet = rng.range_u64(1, period / 8 + 2).min(period);
+                let deadline = ((margin * period as f64).floor() as u64).clamp(wcet, period);
+                Task::with_deadline(i as u32, period, deadline, wcet).expect("valid parameters")
+            })
+            .collect();
+        if let Ok(set) = TaskSet::new(tasks) {
+            if set.utilization() <= 1.0 {
+                return set;
+            }
+        }
+    }
+}
+
+/// Long periods whose Theorem 2 range runs into the period cap: the search
+/// is truncated at the cap and must still pick the exhaustive answer over
+/// the clamped range, including the cheapest-candidate-at-the-cap case.
+#[test]
+fn long_periods_truncated_at_the_cap_match_exhaustive() {
+    let mut rng = SimRng::seed_from(0xCA9);
+    let mut truncated = 0;
+    for case in 0..40 {
+        let set = deflated_taskset(&mut rng, 600, 4_000, 1.0);
+        let ctx = if rng.chance(0.5) {
+            SelectionContext::isolated(&set)
+        } else {
+            SelectionContext::shared((set.utilization() + rng.f64() * 0.2).min(1.0))
+        }
+        .with_period_cap(rng.range_u64(50, 700));
+        truncated += usize::from(feasible_period_bound(&set, &ctx).truncated);
+        assert_matches_exhaustive(&set, &ctx, &format!("cap case {case}"));
+    }
+    assert!(truncated >= 20, "only {truncated} of 40 cases hit the cap");
+}
+
+/// Deadlines deflated to 0.9 of the period, as the leaves are analysed.
+#[test]
+fn deflated_deadlines_match_exhaustive() {
+    let mut rng = SimRng::seed_from(0xDEF1);
+    for case in 0..60 {
+        let set = deflated_taskset(&mut rng, 4, 300, 0.9);
+        let ctx = match case % 3 {
+            0 => SelectionContext::isolated(&set),
+            1 => SelectionContext::shared((set.utilization() + rng.f64() * 0.4).min(1.0)),
+            _ => SelectionContext::isolated(&set).with_period_divisor(rng.range_u64(1, 4)),
+        };
+        assert_matches_exhaustive(&set, &ctx, &format!("deflated case {case}"));
+    }
+}
+
+/// Heavy sets with deadlines anywhere in `[C, T]`: often only (near-)
+/// dedicated interfaces schedule, so many periods tie on bandwidth and the
+/// smaller-period tie-break decides — also against an incumbent found at a
+/// larger period first.
+#[test]
+fn tight_deadlines_resolve_bandwidth_ties_like_exhaustive() {
+    let mut rng = SimRng::seed_from(0x71E);
+    let mut compared = 0;
+    while compared < 60 {
+        let tasks = (0..rng.range_usize(1, 4))
+            .map(|i| {
+                let period = rng.range_u64(2, 60);
+                let wcet = rng.range_u64(1, period / 2 + 2).min(period);
+                let deadline = rng.range_u64(wcet, period + 1);
+                Task::with_deadline(i as u32, period, deadline, wcet).expect("valid parameters")
+            })
+            .collect();
+        let Ok(set) = TaskSet::new(tasks) else {
+            continue;
+        };
+        if set.utilization() > 1.0 {
+            continue;
+        }
+        let ctx = SelectionContext::isolated(&set);
+        assert_matches_exhaustive(&set, &ctx, &format!("tight case {compared}"));
+        compared += 1;
+    }
+}
+
+/// Identical server tasks whose utilization times some candidate period is
+/// an exact integer: at those periods the budget `U·Π` has bandwidth exactly
+/// `U`, which the bandwidth gate refuses, so the floor must be `U·Π + 1`.
+#[test]
+fn integer_utilization_boundary_matches_exhaustive() {
+    let mut rng = SimRng::seed_from(0xB0B);
+    for case in 0..60 {
+        let copies = rng.range_usize(1, 5);
+        let period = [8, 12, 16, 20, 32, 48, 64, 100][rng.range_usize(0, 8)];
+        let wcet = rng.range_u64(1, period / copies as u64 + 1);
+        let tasks = (0..copies)
+            .map(|i| Task::new(i as u32, period, wcet).expect("valid parameters"))
+            .collect();
+        let set = TaskSet::new(tasks).expect("distinct ids");
+        let ctx = if rng.chance(0.5) {
+            SelectionContext::isolated(&set)
+        } else {
+            SelectionContext::shared((set.utilization() + rng.f64() * 0.3).min(1.0))
+        };
+        assert_matches_exhaustive(&set, &ctx, &format!("boundary case {case}"));
+    }
+}
+
+/// Per-client SE selection under one shared context and every divisor
+/// agrees with the oracle run under that same context.
+#[test]
+fn shared_contexts_and_divisors_match_exhaustive() {
+    let mut rng = SimRng::seed_from(0x5CA1E);
+    let mut compared = 0;
+    while compared < 40 {
+        let clients: Vec<TaskSet> = (0..4)
+            .map(|_| {
+                if rng.chance(0.2) {
+                    TaskSet::empty()
+                } else {
+                    deflated_taskset(&mut rng, 10, 400, 0.9)
+                }
+            })
+            .collect();
+        let total: f64 = clients.iter().map(TaskSet::utilization).sum();
+        if total > 1.0 {
+            continue;
+        }
+        let divisor = rng.range_u64(1, 5);
+        let ctx = SelectionContext::shared(total).with_period_divisor(divisor);
+        let selected =
+            select_se_interfaces_with_divisor(&clients, divisor).expect("an admissible SE selects");
+        for (set, iface) in clients.iter().zip(selected) {
+            let oracle = (!set.is_empty()).then(|| select_interface_exhaustive(set, &ctx).unwrap());
+            assert_eq!(
+                iface, oracle,
+                "SE case {compared}: {set:?} (divisor {divisor})"
+            );
+        }
+        compared += 1;
+    }
+}
+
+/// Soundness of the bound pass: for every candidate period the floor lies
+/// at or below the minimum budget (searched from the plain `⌈U·Π⌉` bound),
+/// and the budget just below the floor never schedules.
+#[test]
+fn necessary_budgets_never_exceed_the_minimum_budget() {
+    let mut rng = SimRng::seed_from(0xF100);
+    for case in 0..80 {
+        let set = match case % 3 {
+            0 => random_taskset(&mut rng),
+            1 => deflated_taskset(&mut rng, 4, 300, 0.9),
+            _ => deflated_taskset(&mut rng, 2, 40, 0.5),
+        };
+        let last = feasible_period_bound(&set, &SelectionContext::isolated(&set))
+            .period
+            .min(300);
+        for (period, floor) in (1..=last).zip(NecessaryBudgets::new(&set)) {
+            if let Some(budget) = min_budget_for_period(&set, period) {
+                assert!(
+                    floor <= budget,
+                    "case {case}: floor {floor} above the minimum budget {budget} at Π={period} for {set:?}"
+                );
+            }
+            if floor > 1 {
+                let below = PeriodicResource::new(period, floor - 1).unwrap();
+                assert!(
+                    !is_schedulable(&set, &below),
+                    "case {case}: Θ={} schedules below the floor at Π={period} for {set:?}",
+                    floor - 1
+                );
+            }
         }
     }
 }

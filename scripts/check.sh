@@ -19,6 +19,11 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> interface-selection bench (tuned kernel bit-identical to the seed selection)"
+sel_out="$(mktemp)"
+cargo run --release -q -p bluescale-bench --bin selection_bench -- --workloads 1 --out "$sel_out"
+rm -f "$sel_out"
+
 echo "==> metrics overhead smoke check"
 cargo run --release -q -p bluescale-bench --bin metrics_overhead
 
