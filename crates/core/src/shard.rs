@@ -14,13 +14,17 @@
 //! generators and metrics delta buffers — advanced by a pool of workers.
 //! The coordinator owns the root SE and the root's memory side — the same
 //! [`MemorySide`] type the serial engines drive — and the same
-//! [`HarnessCore`] as the serial harness, and runs the root's GEDF argmin
-//! over the shards' boundary offers between two barrier-fenced parallel
-//! regions per cycle. The client phase, response accounting, verdict
-//! tallies, fast-forward loop and telemetry chunking are the serial
-//! harness's own code (`bluescale_interconnect::system`), so the only
-//! sharded-specific logic is the cut itself. The §11 lookahead contract
-//! (`next_event_hint`) makes the root-arbitration barrier
+//! [`HarnessCore`] as the serial harness. Root arbitration reads only
+//! state no shard writes mid-cycle (the root's port queues hold last
+//! cycle's offers), so the coordinator runs it *before* the shards and
+//! each cycle needs one parallel region: one release, every shard's whole
+//! cycle, one join. The root demultiplexer's push into a shard waits in
+//! that shard's inbox until the shard's own response sweep has run, which
+//! is where the serial engine observes it. The client phase, response
+//! accounting, verdict tallies, fast-forward loop and telemetry chunking
+//! are the serial harness's own code (`bluescale_interconnect::system`),
+//! so the only sharded-specific logic is the cut itself. The §11
+//! lookahead contract (`next_event_hint`) makes root arbitration
 //! conservative-safe: no shard can produce a boundary event earlier than
 //! its reported hint, so jumping idle stretches in closed form remains
 //! exact.
@@ -56,7 +60,7 @@ use bluescale_telemetry::Pipeline;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A contained shard-worker failure. A panicking worker used to propagate
 /// through the scoped-thread join and abort the whole run; it is now caught
@@ -133,8 +137,18 @@ struct Shard {
     /// exactly the serial engine's global leaf order.
     ready: Vec<MemoryResponse>,
     /// This cycle's boundary offer: the local root's grant, destined for
-    /// root port `q`. Pushed by the coordinator after the region-B barrier.
+    /// root port `q`. Pushed into the root by the coordinator after the
+    /// join.
     offer: Option<MemoryRequest>,
+    /// The root demultiplexer's push into the local root's response
+    /// queue, written by the coordinator before the release and applied
+    /// by [`Self::advance_front`] after the shard's own response sweep —
+    /// the point where the serial engine, which demultiplexes the root
+    /// last, makes it visible. Empty at every cycle boundary.
+    inbox: Option<MemoryRequest>,
+    /// The root port's post-arbitration `can_accept` verdict for this
+    /// cycle, written by the coordinator before the release.
+    root_ready: bool,
     /// Test probe: panic inside the next `advance_front` whose cycle is
     /// `>= panic_at` (fire-once). Exercises the worker-panic containment
     /// path without needing a genuinely buggy kernel.
@@ -142,9 +156,15 @@ struct Shard {
 }
 
 impl Shard {
-    /// Region A: the cycle's client phase plus the subtree's response
-    /// demultiplexers — everything that happens before root arbitration
-    /// and that touches only this shard's state.
+    /// The shard's whole cycle, after the coordinator's root
+    /// arbitration.
+    fn advance(&mut self, now: Cycle) {
+        self.advance_front(now);
+        self.advance_back(now);
+    }
+
+    /// The cycle's client phase plus the subtree's response
+    /// demultiplexers, then the root demultiplexer's push.
     fn advance_front(&mut self, now: Cycle) {
         if self.panic_at.is_some_and(|at| at <= now) {
             self.panic_at = None;
@@ -164,10 +184,10 @@ impl Shard {
                 Ok(())
             });
         // 2. Response path, bottom-up. Global depths `levels..1` are local
-        //    depths `levels-1..0`; the global depth-0 (root) leg runs
-        //    coordinator-side after the barrier, so its push lands here
-        //    next cycle — the serial order, where the root demux is
-        //    processed last.
+        //    depths `levels-1..0`. The global depth-0 (root) leg ran
+        //    coordinator-side before the release; its push lands only
+        //    now, after the sweep, so it moves next cycle — the serial
+        //    order, where the root demux is processed last.
         let ready = &mut self.ready;
         self.core.route_responses(self.client_lo, |request| {
             ready.push(MemoryResponse {
@@ -175,14 +195,21 @@ impl Shard {
                 completed_at: now,
             });
         });
+        self.apply_inbox();
     }
 
-    /// Region B: the subtree's arbitration sweep. `root_ready` is the
-    /// coordinator's post-arbitration `can_accept` verdict for root port
-    /// `q`; the local root's grant becomes this cycle's boundary offer.
-    fn advance_back(&mut self, now: Cycle, root_ready: bool) {
+    /// Delivers the root demultiplexer's push, if any, to the local root.
+    fn apply_inbox(&mut self) {
+        if let Some(request) = self.inbox.take() {
+            self.core.accept_response(0, 0, request);
+        }
+    }
+
+    /// The subtree's arbitration sweep. The local root's grant, gated by
+    /// the root port's verdict, becomes this cycle's boundary offer.
+    fn advance_back(&mut self, now: Cycle) {
         debug_assert!(self.offer.is_none(), "boundary offer was not collected");
-        self.offer = self.step_local(0, 0, now, root_ready);
+        self.offer = self.step_local(0, 0, now, self.root_ready);
         // Deeper levels forward one request per SE toward their parents
         // (global depths `2..levels` — the parents are all shard-local).
         for depth in 1..self.levels {
@@ -223,7 +250,8 @@ impl Shard {
     }
 
     fn pending(&self) -> usize {
-        self.core.buffered() + self.core.responses_queued() + self.ready.len()
+        let inbox = usize::from(self.inbox.is_some());
+        self.core.buffered() + self.core.responses_queued() + self.ready.len() + inbox
     }
 }
 
@@ -254,37 +282,117 @@ struct Coordinator {
     core: HarnessCore,
 }
 
+/// Spin iterations a waiting [`Rendezvous`] participant makes before it
+/// parks, when spinning fits the host.
+const SPIN_LIMIT: u32 = 1 << 12;
+
+/// Hardware threads available to this process, read once.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// A reusable rendezvous of a fixed number of participants: nobody
+/// returns from [`Self::wait`] of round `k` before all of them called it.
+///
+/// The last arriver resets the count and bumps the generation; everyone
+/// else spins on the generation for a bounded number of iterations and
+/// then parks on a condition variable. Spinning only pays when every
+/// participant has a CPU of its own, so participants spin only when they
+/// fit the host and park at once otherwise. The releaser takes the lock
+/// only when someone is parked: a sleeper increments `sleepers` before
+/// its last generation check and the releaser bumps the generation
+/// before reading `sleepers`, all `SeqCst`, so either the sleeper sees
+/// the new generation or the releaser sees the sleeper.
+struct Rendezvous {
+    parties: usize,
+    spin: bool,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Rendezvous {
+    fn new(parties: usize) -> Self {
+        Self::with_spin(parties, parties <= host_cpus())
+    }
+
+    fn with_spin(parties: usize, spin: bool) -> Self {
+        Self {
+            parties,
+            spin,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Arrives and waits for the round's other participants. Everything
+    /// a participant wrote before arriving happens-before everything any
+    /// participant does after returning.
+    fn wait(&self) {
+        // The generation cannot move before this participant arrives.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation + 1, Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+                self.wake.notify_all();
+            }
+            return;
+        }
+        if self.spin {
+            for _ in 0..SPIN_LIMIT {
+                if self.generation.load(Ordering::Acquire) != generation {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == generation {
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Shared coordination state for one threaded run.
 struct Ctrl {
-    barrier: Barrier,
+    /// Two crossings per stepped cycle: the release after the
+    /// coordinator's root arbitration and the join before its post phase.
+    /// Its parties are the workers, coordinator included.
+    rendezvous: Rendezvous,
     now: AtomicU64,
     stop: AtomicBool,
-    /// Root-port `can_accept` verdicts, written by the coordinator after
-    /// root arbitration, read by workers in region B. The barrier between
-    /// write and read provides the happens-before edge; `Relaxed` is
-    /// enough.
-    root_ready: Vec<AtomicBool>,
     /// First failed shard (`NO_FAILURE` = healthy). Written by the first
     /// worker to catch a panic; once set, every worker skips its shard
-    /// work but keeps hitting the barriers, so the coordinator can never
-    /// deadlock on a dead participant.
+    /// work but keeps crossing the rendezvous, so nobody can deadlock on
+    /// a dead participant.
     failed: AtomicUsize,
 }
 
 impl Ctrl {
-    /// Runs `region` on shards `first, first + stride, …`, catching a
-    /// panic at the shard boundary. The first failure is published in
-    /// `failed` and ends the region early (`false`).
-    fn run_region(
-        &self,
-        shards: &[Mutex<Shard>],
-        first: usize,
-        stride: usize,
-        region: impl Fn(&mut Shard),
-    ) -> bool {
-        for q in (first..shards.len()).step_by(stride) {
+    /// Worker `w`'s share of the cycle: the whole cycle of shards
+    /// `q ≡ w (mod workers)`, each caught at the shard boundary. The first
+    /// failure is published in `failed` and ends every worker's share.
+    fn run_shards(&self, shards: &[Mutex<Shard>], w: usize) {
+        let now = self.now.load(Ordering::Relaxed);
+        for q in (w..shards.len()).step_by(self.rendezvous.parties) {
+            if self.failed.load(Ordering::Acquire) != NO_FAILURE {
+                return;
+            }
             let outcome =
-                std::panic::catch_unwind(AssertUnwindSafe(|| region(&mut lock_shard(&shards[q]))));
+                std::panic::catch_unwind(AssertUnwindSafe(|| lock_shard(&shards[q]).advance(now)));
             if outcome.is_err() {
                 let _ = self.failed.compare_exchange(
                     NO_FAILURE,
@@ -292,10 +400,9 @@ impl Ctrl {
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 );
-                return false;
+                return;
             }
         }
-        true
     }
 }
 
@@ -314,20 +421,19 @@ impl Coordinator {
         }
     }
 
-    /// Mid-cycle serial work, between the two parallel regions: the root
-    /// demultiplexer, memory completion, root GEDF arbitration and the
-    /// memory issue — the serial engine's phases 1 (depth 0 leg), 2 and 3.
-    /// Writes the post-arbitration per-port `can_accept` verdicts into
-    /// `root_ready`.
-    fn mid_phase(&mut self, shards: &[Mutex<Shard>], now: Cycle, root_ready: &mut [bool]) {
-        // Root demux: route one response per cycle into the owning
+    /// Root work, before the shards run: the root demultiplexer, memory
+    /// completion, root GEDF arbitration and the memory issue — the
+    /// serial engine's phases 1 (depth 0 leg), 2 and 3. None of it reads
+    /// state a shard writes this cycle. Writes each shard's inbox and
+    /// post-arbitration root-port verdict.
+    fn mid_phase(&mut self, shards: &[Mutex<Shard>], now: Cycle) {
+        // Root demux: route one response per cycle towards the owning
         // subtree's local root demux (global depth-1 SE `q` *is* shard
-        // `q`'s local `(0,0)`). The shard already ran its response sweep
-        // this cycle, so the push is observed next cycle — serial order.
+        // `q`'s local `(0,0)`), through the shard's inbox.
         if self.root.responses_at_level(0) > 0 {
             if let Some(request) = self.root.pop_response(0, 0) {
                 let q = request.client as usize / self.clients_per_shard;
-                lock_shard(&shards[q]).core.accept_response(0, 0, request);
+                lock_shard(&shards[q]).inbox = Some(request);
             }
         }
         if let Some(done) = self.mem.complete(now, &mut self.fabric) {
@@ -350,8 +456,9 @@ impl Coordinator {
         }
         // Each boundary offer targets its own dedicated root port, so the
         // verdicts can be taken for all ports at once.
-        for (q, slot) in root_ready.iter_mut().enumerate() {
-            *slot = self.root.can_accept(0, 0, q);
+        for shard in shards {
+            let mut s = lock_shard(shard);
+            s.root_ready = self.root.can_accept(0, 0, s.q);
         }
     }
 
@@ -362,6 +469,7 @@ impl Coordinator {
     fn post_phase(&mut self, shards: &[Mutex<Shard>]) {
         for shard in shards {
             let mut s = lock_shard(shard);
+            debug_assert!(s.inbox.is_none(), "root-demux push was not applied");
             let q = s.q;
             if let Some(request) = s.offer.take() {
                 self.root
@@ -481,13 +589,13 @@ impl Coordinator {
 }
 
 /// One run of the cycle schedule under the shared run loop: inline
-/// (`ctrl: None`) or with the two shard regions on the parked workers.
-/// Both modes run the same phase implementations in the same order.
+/// (`ctrl: None`) or with the shards spread over the coordinator and its
+/// parked helpers. Both modes run the same phase implementations in the
+/// same order.
 struct Schedule<'a> {
     coord: &'a mut Coordinator,
     shards: &'a [Mutex<Shard>],
     ctrl: Option<&'a Ctrl>,
-    root_ready: Vec<bool>,
     /// Cycle at which a worker failure was observed (threaded mode).
     failed_at: Cycle,
 }
@@ -509,48 +617,35 @@ impl Stepper for Schedule<'_> {
         let (coord, shards) = (&mut *self.coord, self.shards);
         let now = coord.core.now;
         coord.pre_phase(shards, now);
-        match self.ctrl {
+        coord.mid_phase(shards, now);
+        let healthy = match self.ctrl {
             None => {
                 for shard in shards {
-                    lock_shard(shard).advance_front(now);
+                    lock_shard(shard).advance(now);
                 }
+                true
             }
             Some(ctrl) => {
                 ctrl.now.store(now, Ordering::Relaxed);
-                ctrl.barrier.wait(); // region A release
-                ctrl.barrier.wait(); // region A join
+                ctrl.rendezvous.wait(); // release
+                ctrl.run_shards(shards, 0);
+                // The join orders every `failed` write before this load.
+                ctrl.rendezvous.wait();
+                ctrl.failed.load(Ordering::Acquire) == NO_FAILURE
             }
-        }
-        coord.mid_phase(shards, now, &mut self.root_ready);
-        match self.ctrl {
-            None => {
-                for shard in shards {
-                    let mut s = lock_shard(shard);
-                    let ready = self.root_ready[s.q];
-                    s.advance_back(now, ready);
-                }
+        };
+        if !healthy {
+            // The interrupted cycle is half-applied. Deliver the root
+            // pushes that skipped shards never took and finish the post
+            // phase, so root offers and time are consistent before the
+            // serial engine takes over.
+            for shard in shards {
+                lock_shard(shard).apply_inbox();
             }
-            Some(ctrl) => {
-                for (q, &ready) in self.root_ready.iter().enumerate() {
-                    ctrl.root_ready[q].store(ready, Ordering::Relaxed);
-                }
-                ctrl.barrier.wait(); // region B release
-                ctrl.barrier.wait(); // region B join
-            }
+            self.failed_at = now;
         }
         coord.post_phase(shards);
-        // The barrier gives the happens-before edge on `failed`. The
-        // interrupted cycle is half-applied; finishing the post phase
-        // keeps root offers and time consistent before the serial engine
-        // takes over.
-        if self
-            .ctrl
-            .is_some_and(|ctrl| ctrl.failed.load(Ordering::Acquire) != NO_FAILURE)
-        {
-            self.failed_at = now;
-            return false;
-        }
-        true
+        healthy
     }
 }
 
@@ -560,7 +655,7 @@ impl Stepper for Schedule<'_> {
 /// Not supported in sharded mode (use the serial harness): detail
 /// recording, because typed events are inherently sequential — their
 /// order is the serial engine's per-cycle interleaving, which the
-/// parallel regions deliberately give up — and runtime guards, because a
+/// parallel region deliberately gives up — and runtime guards, because a
 /// watchdog re-injection enters a leaf port from the harness and would
 /// cross a shard boundary mid-cycle.
 pub struct ShardedSystem {
@@ -693,6 +788,8 @@ impl ShardedSystem {
                     fabric_delta: MetricsRegistry::new(),
                     ready: Vec::new(),
                     offer: None,
+                    inbox: None,
+                    root_ready: false,
                     panic_at: None,
                 })
             })
@@ -729,7 +826,7 @@ impl ShardedSystem {
         self.error.as_ref()
     }
 
-    /// Test probe: make `shard`'s worker panic at the first region-A
+    /// Test probe: make `shard`'s worker panic at the first shard
     /// advance whose cycle is `>= at` (fire-once). Exercises the
     /// containment path; not part of the public API surface.
     ///
@@ -942,7 +1039,6 @@ impl ShardedSystem {
     fn advance_serial(&mut self, horizon: Cycle) {
         let fast = self.coord.core.config.fast_forward;
         let mut schedule = Schedule {
-            root_ready: vec![false; self.coord.branch],
             failed_at: self.coord.core.now,
             coord: &mut self.coord,
             shards: &self.shards,
@@ -951,56 +1047,43 @@ impl ShardedSystem {
         run_span(&mut schedule, horizon, fast);
     }
 
-    /// Multi-worker path: persistent scoped threads, four barrier
-    /// crossings per stepped cycle (release A, join A, release B, join B).
-    /// Workers own shards `q ≡ w (mod workers)` and lock them only inside
-    /// their regions; the coordinator runs pre/mid/post between barriers
-    /// and fast-forwards while the workers are parked.
+    /// Multi-worker path: the coordinator is worker 0 and spawns
+    /// `workers - 1` scoped helpers for the span. Each stepped cycle
+    /// crosses the rendezvous twice: the coordinator runs pre and root
+    /// work, releases, advances its own shards alongside the helpers,
+    /// joins and runs post. Worker `w` owns shards `q ≡ w (mod workers)`
+    /// and locks them only between release and join; the helpers stay
+    /// parked while the coordinator fast-forwards.
     fn advance_threaded(&mut self, horizon: Cycle) {
         let shards: &[Mutex<Shard>] = &self.shards;
         let start = self.coord.core.now;
         if start >= horizon {
             return;
         }
-        let nworkers = self.workers;
         let ctrl = Ctrl {
-            barrier: Barrier::new(nworkers + 1),
+            rendezvous: Rendezvous::new(self.workers),
             now: AtomicU64::new(start),
             stop: AtomicBool::new(false),
-            root_ready: (0..self.coord.branch)
-                .map(|_| AtomicBool::new(false))
-                .collect(),
             failed: AtomicUsize::new(NO_FAILURE),
         };
         let fast = self.coord.core.config.fast_forward;
         let mut failed_at = start;
         std::thread::scope(|scope| {
-            for w in 0..nworkers {
+            for w in 1..self.workers {
                 let ctrl = &ctrl;
                 scope.spawn(move || loop {
-                    ctrl.barrier.wait(); // region A release
+                    ctrl.rendezvous.wait(); // release
                     if ctrl.stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let now = ctrl.now.load(Ordering::Relaxed);
-                    // Once any worker has failed, every worker skips its
-                    // shard work but keeps hitting all four barriers:
-                    // abandoning a barrier would deadlock the coordinator.
-                    let healthy = ctrl.failed.load(Ordering::Acquire) == NO_FAILURE
-                        && ctrl.run_region(shards, w, nworkers, |s| s.advance_front(now));
-                    ctrl.barrier.wait(); // region A join
-                    ctrl.barrier.wait(); // region B release
-                    if healthy && ctrl.failed.load(Ordering::Acquire) == NO_FAILURE {
-                        ctrl.run_region(shards, w, nworkers, |s| {
-                            let ready = ctrl.root_ready[s.q].load(Ordering::Relaxed);
-                            s.advance_back(now, ready);
-                        });
-                    }
-                    ctrl.barrier.wait(); // region B join
+                    // After a failure every worker skips its shards but
+                    // still crosses the join: abandoning it would
+                    // deadlock the coordinator.
+                    ctrl.run_shards(shards, w);
+                    ctrl.rendezvous.wait(); // join
                 });
             }
             let mut schedule = Schedule {
-                root_ready: vec![false; self.coord.branch],
                 failed_at: start,
                 coord: &mut self.coord,
                 shards,
@@ -1009,7 +1092,7 @@ impl ShardedSystem {
             run_span(&mut schedule, horizon, fast);
             failed_at = schedule.failed_at;
             ctrl.stop.store(true, Ordering::Relaxed);
-            ctrl.barrier.wait(); // wake workers into the stop check
+            ctrl.rendezvous.wait(); // wake the helpers into the stop check
         });
         let failed = ctrl.failed.load(Ordering::Acquire);
         if failed != NO_FAILURE {
@@ -1203,6 +1286,29 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_on_the_coordinator_owned_shard_is_contained() {
+        // Shard 0 belongs to worker 0, the coordinator thread itself: its
+        // panic must be caught and demoted exactly like a helper's.
+        let sets = sets(16, 40, 2);
+        let mut sys = sharded(&sets, 2);
+        sys.inject_worker_panic(0, 100);
+        let m = sys.run(4_000);
+        match sys.shard_error() {
+            Some(&ShardError::WorkerPanicked { shard: 0, at }) => {
+                assert!((100..4_000).contains(&at), "at={at}");
+            }
+            other => panic!("expected a contained panic on shard 0, got {other:?}"),
+        }
+        assert_eq!(
+            sys.registry()
+                .counter(ComponentId::System, Counter::ShardFallbacks),
+            1
+        );
+        assert_eq!(sys.now(), 4_000, "the run reaches the horizon");
+        assert!(m.issued() > 0 && m.completed() > 0);
+    }
+
+    #[test]
     fn churn_after_a_contained_worker_panic_reaches_the_poisoned_shard() {
         // The panic poisons shard 2's mutex; a later admitted churn event
         // for one of its clients must still program the shard's core and
@@ -1237,5 +1343,84 @@ mod tests {
                 .counter(ComponentId::System, Counter::ShardFallbacks),
             0
         );
+    }
+
+    /// `parties` threads cross `rounds` rounds; a shared arrival counter
+    /// shows that nobody leaves round `k` before all parties arrived and
+    /// nobody runs more than one round ahead. A lost wake-up hangs.
+    fn cross_rounds(parties: usize, spin: bool, rounds: usize) {
+        let rendezvous = Rendezvous::with_spin(parties, spin);
+        let arrivals = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..parties {
+                scope.spawn(|| {
+                    for round in 0..rounds {
+                        arrivals.fetch_add(1, Ordering::Relaxed);
+                        rendezvous.wait();
+                        let seen = arrivals.load(Ordering::Relaxed);
+                        let floor = parties * (round + 1);
+                        assert!(
+                            (floor..floor + parties).contains(&seen),
+                            "parties={parties} spin={spin} round={round} seen={seen}"
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(arrivals.into_inner(), parties * rounds);
+    }
+
+    #[test]
+    fn rendezvous_holds_every_round_spinning_or_parked() {
+        // Both modes at every size: on a small host the spin mode also
+        // runs oversubscribed, where spinners exhaust the limit and park.
+        for parties in 1..=8 {
+            for spin in [true, false] {
+                cross_rounds(parties, spin, 2_000);
+            }
+        }
+    }
+
+    #[test]
+    fn rendezvous_spins_only_when_it_fits_the_host() {
+        let cpus = host_cpus();
+        assert!(Rendezvous::new(cpus).spin);
+        assert!(!Rendezvous::new(cpus + 1).spin);
+    }
+
+    #[test]
+    fn the_stop_release_wakes_every_parked_helper() {
+        for spin in [true, false] {
+            let helpers = 3;
+            let rendezvous = Rendezvous::with_spin(helpers + 1, spin);
+            let stop = AtomicBool::new(false);
+            let exited = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..helpers {
+                    scope.spawn(|| {
+                        loop {
+                            rendezvous.wait();
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            rendezvous.wait();
+                        }
+                        exited.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                // A few working rounds, then hold the release until every
+                // helper has given up spinning and parked.
+                for _ in 0..10 {
+                    rendezvous.wait();
+                    rendezvous.wait();
+                }
+                while rendezvous.sleepers.load(Ordering::SeqCst) < helpers {
+                    std::thread::yield_now();
+                }
+                stop.store(true, Ordering::Relaxed);
+                rendezvous.wait();
+            });
+            assert_eq!(exited.into_inner(), helpers, "spin={spin}");
+        }
     }
 }

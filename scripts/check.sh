@@ -39,6 +39,11 @@ cargo run --release -q -p bluescale-bench --bin soa_smoke
 echo "==> sharded-execution smoke check (4 workers, conservation + serial oracle)"
 cargo run --release -q -p bluescale-bench --bin shard_smoke
 
+echo "==> shard sweep at 4,096 clients (1/2/4 workers bit-identical at scale)"
+sweep_out="$(mktemp)"
+cargo run --release -q -p bluescale-bench --bin shard_sweep -- --clients 4096 --workers 1,2,4 --json "$sweep_out"
+rm -f "$sweep_out"
+
 echo "==> control-plane smoke check (faulted clients, conservation + recovery)"
 cargo run --release -q -p bluescale-bench --bin ctl_smoke
 

@@ -17,7 +17,9 @@
 //! * a single-root-port stress where one shard carries all the load and
 //!   the other subtrees idle (the shard-boundary worst case), and
 //! * a worker-count determinism sweep: one seed, 1/2/4/8 workers,
-//!   byte-identical `merged_registry` JSON.
+//!   byte-identical `merged_registry` JSON, and
+//! * span-chunked stepping: 128 short `advance_to` slices, each one
+//!   starting and stopping the worker threads, against one `advance_to`.
 
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect, ShardedSystem};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
@@ -342,4 +344,43 @@ fn merged_registry_is_byte_identical_across_worker_counts() {
         reference.expect("sweep ran").contains("root_bandwidth"),
         "the merged registry must carry the fabric gauge"
     );
+}
+
+#[test]
+fn span_chunked_advances_are_bit_identical() {
+    // The benchmark and the daemon step a sharded system in short
+    // `advance_to` slices; every slice spawns and stops the helper
+    // threads. A dense run steps every cycle of every slice; the sparse
+    // faulted run also jumps idle stretches across slice boundaries.
+    const SLICES: u64 = 128;
+    let dense = task_sets(&SyntheticConfig::fig6(16));
+    let sparse = task_sets(&sparse_config(16));
+    for (label, sets, faulted) in [("dense", &dense, false), ("sparse + faults", &sparse, true)] {
+        let mut oracle = build_serial(sets, true);
+        if faulted {
+            oracle.set_fault_plan(fault_plan());
+        }
+        let expected = serial_fingerprint(&mut oracle, HORIZON);
+        for workers in [2, 4] {
+            let build = || {
+                let mut sys = build_sharded(sets, true, workers);
+                if faulted {
+                    sys.set_fault_plan(fault_plan());
+                }
+                sys
+            };
+            let whole = shard_fingerprint(&mut build(), HORIZON);
+            let mut chunked = build();
+            for slice in 1..=SLICES {
+                chunked.advance_to(HORIZON * slice / SLICES);
+            }
+            assert_eq!(chunked.now(), HORIZON);
+            let sliced = shard_fingerprint(&mut chunked, HORIZON);
+            assert_eq!(whole, expected, "{label}: one advance at {workers} workers");
+            assert_eq!(
+                sliced, expected,
+                "{label}: {SLICES} slices at {workers} workers"
+            );
+        }
+    }
 }
