@@ -88,7 +88,6 @@ fn churn_plan(sets: &[TaskSet]) -> ChurnPlan {
 fn config_for(clients: usize) -> BlueScaleConfig {
     let mut config = BlueScaleConfig::for_clients(clients);
     config.work_conserving = true;
-    config.soa_core = true;
     config
 }
 

@@ -20,7 +20,6 @@
 //! | Analytic admission-rate curve (extension) | [`admission`] | `... --bin admission` |
 //! | Hierarchical EDP laxity sweep (extension) | [`edp_sweep`] | `... --bin edp_sweep` |
 //! | Interface-selection fast path (extension) | [`interface_selection`] | `... --bin selection_bench` |
-//! | SoA hot core vs legacy engine (extension) | [`soa_busy`] | `... --bin soa_busy` |
 //! | Fault-tolerant control plane (extension) | [`control_plane`] | `... --bin control_plane` |
 //! | Memory-policy zoo × faults (extension) | [`mem_policy`] | `... --bin mem_policy` |
 //!
@@ -46,7 +45,6 @@ pub mod mem_policy;
 pub mod reconfig;
 pub mod runner;
 pub mod scalability;
-pub mod soa_busy;
 pub mod table1;
 pub mod wcrt;
 

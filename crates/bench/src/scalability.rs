@@ -9,7 +9,7 @@
 //! distributed BlueScale (one extra tree level per 4× clients)?
 
 use crate::runner::{run_trial, InterconnectKind};
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect, ShardedSystem};
+use bluescale::{BlueScaleConfig, BlueScaleInterconnect, Composition, ShardedSystem};
 use bluescale_interconnect::system::System;
 use bluescale_sim::rng::SimRng;
 use bluescale_sim::stats::OnlineStats;
@@ -476,26 +476,26 @@ impl ShardPoint {
     }
 }
 
-/// One analysis interconnect per sweep point: interface selection
+fn shard_config(clients: usize) -> BlueScaleConfig {
+    let mut config = BlueScaleConfig::for_clients(clients);
+    config.work_conserving = true;
+    config
+}
+
+/// One composition analysis per sweep point: interface selection
 /// dominates construction at 65k+ clients and depends only on the
 /// workload, so the worker-count comparison clones it instead of paying
 /// it once per worker count.
-fn shard_analysis(sets: &[bluescale_rt::task::TaskSet]) -> BlueScaleInterconnect {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = true;
-    config.soa_core = false;
-    BlueScaleInterconnect::new(config, sets).expect("busy uniform workload builds")
+fn shard_analysis(sets: &[bluescale_rt::task::TaskSet]) -> Composition {
+    Composition::new(shard_config(sets.len()), sets).expect("busy uniform workload builds")
 }
 
 fn sharded_system(
     sets: &[bluescale_rt::task::TaskSet],
-    analysis: &BlueScaleInterconnect,
+    analysis: &Composition,
     workers: usize,
 ) -> ShardedSystem {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = true;
-    config.soa_core = true;
-    ShardedSystem::with_analysis(config, analysis.clone(), sets, workers)
+    ShardedSystem::with_analysis(shard_config(sets.len()), analysis.clone(), sets, workers)
 }
 
 /// Runs the sharded-execution scaling sweep.

@@ -1,16 +1,19 @@
-//! The Scale Element: random-access buffers + local scheduler + interface
-//! selector, wired as in Fig 2(b) of the paper.
+//! The Scale Element's arbitration datapath — random-access buffers plus
+//! the local scheduler, wired as in Fig 2(b) of the paper — and
+//! [`PerSeEngine`], the per-SE reference engine built from them.
 //!
 //! An SE makes one arbitration decision per cycle using only local
 //! information: the occupancy of its per-port buffers and the state of its
 //! server-task counters. The decision is combinational in hardware; here it
 //! is [`ScaleElement::step`], which returns at most one request to forward
-//! to the local provider.
+//! to the local provider. The parameter path that programs the counters
+//! (the interface selector) is the [`Composition`](crate::composition::Composition)'s.
 
+use crate::memory_side::stuck_mask;
+use crate::network::{Engine, EngineIo};
 use crate::rab::{QueuePolicy, RandomAccessBuffer};
 use crate::scheduler::LocalScheduler;
-use crate::selector::InterfaceSelector;
-use crate::topology::SeIndex;
+use crate::topology::{BlueScaleConfig, SeIndex};
 use bluescale_interconnect::MemoryRequest;
 use bluescale_rt::supply::PeriodicResource;
 use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry};
@@ -22,7 +25,6 @@ pub struct ScaleElement {
     index: SeIndex,
     buffers: Vec<RandomAccessBuffer>,
     scheduler: LocalScheduler,
-    selector: InterfaceSelector,
     /// The response path's demultiplexer queue (paper, Fig 2(b)): one
     /// response per cycle is routed back toward a local client port.
     responses: std::collections::VecDeque<MemoryRequest>,
@@ -68,7 +70,6 @@ impl ScaleElement {
                 ports,
                 work_conserving,
             ),
-            selector: InterfaceSelector::new(ports),
             responses: std::collections::VecDeque::new(),
         }
     }
@@ -102,16 +103,6 @@ impl ScaleElement {
     /// Number of local client ports.
     pub fn ports(&self) -> usize {
         self.buffers.len()
-    }
-
-    /// Mutable access to the interface selector (the parameter path).
-    pub fn selector_mut(&mut self) -> &mut InterfaceSelector {
-        &mut self.selector
-    }
-
-    /// Read access to the interface selector.
-    pub fn selector(&self) -> &InterfaceSelector {
-        &self.selector
     }
 
     /// Programs the scheduler's server tasks from `interfaces` (one slot
@@ -258,6 +249,155 @@ impl ScaleElement {
     pub fn advance_idle(&mut self, delta: Cycle, metrics: &mut MetricsRegistry) {
         debug_assert!(self.is_quiescent(), "advance_idle on a non-idle SE");
         self.scheduler.advance_idle(delta, metrics);
+    }
+}
+
+/// The per-SE reference engine: one [`ScaleElement`] per SE, stepped one
+/// element at a time. It is the straightforward model of the hardware
+/// that [`SoaCore`](crate::soa::SoaCore), the engine every harness runs,
+/// is pinned against: the differential suites run both behind
+/// `BlueScaleInterconnect<E>` and require bit-identical results.
+#[derive(Debug, Clone)]
+pub struct PerSeEngine {
+    branch: usize,
+    /// `elements[d]` holds the `branch^d` SEs of depth `d` (0 = root).
+    elements: Vec<Vec<ScaleElement>>,
+}
+
+impl Engine for PerSeEngine {
+    fn build(config: &BlueScaleConfig, interfaces: &[Vec<Vec<Option<PeriodicResource>>>]) -> Self {
+        let elements = interfaces
+            .iter()
+            .enumerate()
+            .map(|(d, level)| {
+                level
+                    .iter()
+                    .enumerate()
+                    .map(|(y, ifaces)| {
+                        let mut se = ScaleElement::with_queue_policy(
+                            SeIndex::new(d, y),
+                            config.branch,
+                            config.buffer_capacity,
+                            config.work_conserving,
+                            config.low_level_policy,
+                        );
+                        se.program(ifaces);
+                        se
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            branch: config.branch,
+            elements,
+        }
+    }
+
+    fn program_se(&mut self, depth: usize, order: usize, interfaces: &[Option<PeriodicResource>]) {
+        self.elements[depth][order].program(interfaces);
+    }
+
+    fn program_se_deferred(
+        &mut self,
+        depth: usize,
+        order: usize,
+        interfaces: &[Option<PeriodicResource>],
+    ) -> u64 {
+        self.elements[depth][order].program_deferred(interfaces)
+    }
+
+    fn try_accept(
+        &mut self,
+        depth: usize,
+        order: usize,
+        port: usize,
+        request: MemoryRequest,
+    ) -> Result<(), MemoryRequest> {
+        self.elements[depth][order].try_accept(port, request)
+    }
+
+    fn step(&mut self, io: &mut EngineIo, now: Cycle) {
+        let have_faults = !io.mem.faults().is_empty();
+        let (levels, branch) = (self.elements.len(), self.branch);
+        // 1. Response path: each SE's demultiplexer routes one response per
+        //    cycle toward its client. Leaves deliver first (bottom-up), so
+        //    a response advances exactly one level per cycle.
+        for depth in (0..levels).rev() {
+            if depth == levels - 1 {
+                for se in &mut self.elements[depth] {
+                    if let Some(request) = se.pop_response() {
+                        io.deliver(request, now);
+                    }
+                }
+            } else {
+                let (upper, lower) = self.elements.split_at_mut(depth + 1);
+                let children = &mut lower[0];
+                for (order, parent) in upper[depth].iter_mut().enumerate() {
+                    if let Some(request) = parent.pop_response() {
+                        // Route by client id: which child subtree owns it?
+                        let leaf_order = request.client as usize / branch;
+                        let child_order = leaf_order / branch.pow((levels - 2 - depth) as u32);
+                        debug_assert_eq!(
+                            child_order / branch.max(1),
+                            order,
+                            "response routed through the wrong subtree"
+                        );
+                        children[child_order].accept_response(request);
+                    }
+                }
+            }
+        }
+        // 2. Memory completions enter the root's demultiplexer.
+        if let Some(done) = io.mem.complete(now, &mut io.metrics) {
+            self.elements[0][0].accept_response(done);
+        }
+        // 3. Root arbitration feeds the memory controller.
+        let root_ready = io.mem.can_accept();
+        let root = &mut self.elements[0][0];
+        let mask = io
+            .mem
+            .root_mask(now, root_ready, branch, &mut io.metrics, |port| {
+                root.peek_port(port)
+            });
+        let granted = root.step_masked(now, root_ready, &mut io.metrics, mask.as_deref());
+        if let Some(request) = granted {
+            io.issue(request, now);
+        }
+        // 4. Deeper levels forward one request per SE toward their parents.
+        for depth in 1..levels {
+            let (upper, lower) = self.elements.split_at_mut(depth);
+            let parents = &mut upper[depth - 1];
+            for (order, se) in lower[0].iter_mut().enumerate() {
+                let parent = &mut parents[order / branch];
+                let port = order % branch;
+                let ready = parent.can_accept(port);
+                let mask = if have_faults {
+                    stuck_mask(io.mem.faults(), depth, order, branch, now, &mut io.metrics)
+                } else {
+                    None
+                };
+                let granted = se.step_masked(now, ready, &mut io.metrics, mask.as_deref());
+                if let Some(request) = granted {
+                    parent
+                        .try_accept(port, request)
+                        .expect("parent advertised a free slot");
+                }
+            }
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        self.elements
+            .iter()
+            .flatten()
+            .map(|se| se.occupancy() + se.response_occupancy())
+            .sum()
+    }
+
+    fn advance_idle(&mut self, delta: Cycle, metrics: &mut MetricsRegistry) {
+        for se in self.elements.iter_mut().flatten() {
+            se.advance_idle(delta, metrics);
+        }
     }
 }
 

@@ -19,6 +19,21 @@
 //! interface-selection analysis (in [`bluescale_rt`]) guarantees end-to-end
 //! schedulability when the root admission test passes.
 //!
+//! The crate keeps the two halves of an SE apart, as the paper does:
+//!
+//! * the **parameter path** — every SE's selector table, the selected
+//!   interfaces, root admission and trial reconfiguration — is
+//!   [`composition::Composition`];
+//! * the **arbitration datapath** is an [`network::Engine`]:
+//!   [`soa::SoaCore`], one flat arena for the whole tree, runs every
+//!   harness, and [`element::PerSeEngine`], one [`element::ScaleElement`]
+//!   per SE, is the reference the differential tests pin it against.
+//!
+//! [`BlueScaleInterconnect`] pairs one composition with one engine behind
+//! the memory controller; [`ShardedSystem`] splits the tree's engine into
+//! per-subtree cores stepped in parallel, with one composition for
+//! admission.
+//!
 //! # Quick start
 //!
 //! ```
@@ -38,6 +53,7 @@
 
 #![warn(missing_docs)]
 
+pub mod composition;
 pub mod element;
 mod memory_side;
 pub mod network;
@@ -48,6 +64,7 @@ pub mod shard;
 pub mod soa;
 pub mod topology;
 
-pub use network::{BlueScaleInterconnect, BuildError, CompositionReport, InjectError};
+pub use composition::{BuildError, Composition, CompositionReport};
+pub use network::{BlueScaleInterconnect, InjectError};
 pub use shard::ShardedSystem;
 pub use topology::BlueScaleConfig;

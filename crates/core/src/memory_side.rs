@@ -3,7 +3,7 @@
 //! Arbitration stays local to each SE; only the root hands requests to the
 //! memory controller. [`MemorySide`] owns everything on that seam — the
 //! controller, the memory-scheduling policy and the interconnect-side
-//! fault plan — and every engine (legacy per-SE, serial SoA, shard
+//! fault plan — and every engine (per-SE reference, serial SoA, shard
 //! coordinator) drives it through the same four calls per cycle:
 //! [`complete`](MemorySide::complete), [`root_mask`](MemorySide::root_mask),
 //! the engine's own root grant, then [`issue`](MemorySide::issue). The idle
@@ -60,10 +60,6 @@ impl MemorySide {
 
     pub(crate) fn controller(&self) -> &MemoryController<MemoryRequest> {
         &self.controller
-    }
-
-    pub(crate) fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Whether the channel can take a request this cycle.

@@ -1,98 +1,35 @@
 //! The complete BlueScale interconnect: a tree of Scale Elements between
 //! the clients and the shared memory sub-system.
 //!
-//! Construction performs the paper's full analysis pipeline: the interface
-//! selection problems are resolved level-by-level from the leaves (level
-//! `L`) to the root (level 0), each level's chosen `(Π, Θ)` interfaces
-//! becoming the server tasks of the level above; finally the root admission
-//! test `Σ Θ/Π ≤ 1` decides system schedulability
-//! ([`CompositionReport::schedulable`]).
+//! [`BlueScaleInterconnect`] pairs the tree's [`Composition`] — the
+//! parameter path: interface selection, root admission and trial
+//! reconfiguration — with one runtime [`Engine`] programmed from it. At
+//! run time each SE arbitrates independently per cycle; requests move one
+//! level per cycle toward the memory controller and responses return
+//! through a pipelined response path.
 //!
-//! At run time each SE arbitrates independently per cycle; requests move one
-//! level per cycle toward the memory controller and responses return through
-//! a pipelined response path.
+//! The engine is a type parameter with one default, as a `HashMap`'s
+//! hasher is: [`SoaCore`] runs every harness, and
+//! [`PerSeEngine`](crate::element::PerSeEngine) — one
+//! [`ScaleElement`](crate::element::ScaleElement) per SE — is the
+//! reference the differential suites pin it against. Only
+//! [`with_engine`](BlueScaleInterconnect::with_engine) names another
+//! engine.
 
-use crate::element::ScaleElement;
-use crate::memory_side::{stuck_mask, MemorySide};
-use crate::selector::TableRow;
+use crate::composition::{BuildError, Composition, CompositionReport, PathTrial, TrialAbort};
+use crate::memory_side::MemorySide;
 use crate::soa::SoaCore;
-use crate::topology::{BlueScaleConfig, SeIndex};
+use crate::topology::BlueScaleConfig;
 use bluescale_interconnect::admission::{CancelToken, ReconfigOutcome};
 use bluescale_interconnect::{ClientId, Interconnect, MemoryRequest, MemoryResponse, ServiceEvent};
 use bluescale_mem::ControllerStats;
-use bluescale_rt::interface::root_admissible;
 use bluescale_rt::supply::PeriodicResource;
 use bluescale_rt::task::TaskSet;
-use bluescale_rt::Error as RtError;
 use bluescale_sim::fault::FaultPlan;
 use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry};
 use bluescale_sim::Cycle;
 use std::collections::VecDeque;
 use std::fmt;
-
-/// Errors raised while building (or reconfiguring) a BlueScale instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BuildError {
-    /// The number of task sets does not match the configured client count.
-    WrongClientCount {
-        /// Clients the configuration expects.
-        expected: usize,
-        /// Task sets supplied.
-        got: usize,
-    },
-    /// A client index was out of range.
-    UnknownClient {
-        /// The offending index.
-        client: usize,
-    },
-    /// The analysis rejected the task parameters outright (invalid task,
-    /// duplicate ids).
-    Analysis(RtError),
-    /// Restoring the previous task set after a rejected admission failed;
-    /// the affected request path may be left with fallback interfaces.
-    /// Should be unreachable (the previous set was valid when installed)
-    /// but is reported instead of panicking so a runtime manager can
-    /// re-run admission.
-    RollbackFailed {
-        /// Client whose revert failed.
-        client: usize,
-        /// The underlying failure.
-        source: Box<BuildError>,
-    },
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::WrongClientCount { expected, got } => {
-                write!(f, "expected {expected} client task sets, got {got}")
-            }
-            BuildError::UnknownClient { client } => {
-                write!(f, "client {client} out of range")
-            }
-            BuildError::Analysis(e) => write!(f, "analysis error: {e}"),
-            BuildError::RollbackFailed { client, source } => {
-                write!(f, "rollback for client {client} failed: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BuildError::Analysis(e) => Some(e),
-            BuildError::RollbackFailed { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl From<RtError> for BuildError {
-    fn from(e: RtError) -> Self {
-        BuildError::Analysis(e)
-    }
-}
 
 /// Errors raised when offering a request to the interconnect. Unlike the
 /// [`Interconnect::inject`] trait method — which can only hand the request
@@ -143,82 +80,108 @@ impl fmt::Display for InjectError {
 
 impl std::error::Error for InjectError {}
 
-/// Result of resolving all interface-selection problems over the tree.
+/// What an engine's cycle reads and writes outside its own SE state: the
+/// root's memory side (controller, memory policy and the
+/// interconnect-side fault plan), the fabric registry, and the queues of
+/// delivered responses and memory service events.
 #[derive(Debug, Clone)]
-pub struct CompositionReport {
-    /// Whether the analysis succeeded at every SE **and** the root
-    /// admission test passed — the paper's condition for guaranteed
-    /// schedulability.
-    pub schedulable: bool,
-    /// Whether minimum-bandwidth selection succeeded everywhere (when
-    /// false, over-utilized SEs fell back to utilization-proportional
-    /// best-effort interfaces and `schedulable` is false).
-    pub analysis_ok: bool,
-    /// Total bandwidth demanded from the memory controller by the root's
-    /// server tasks (`Σ Θ/Π` at level 1).
-    pub root_bandwidth: f64,
-    /// Selected interfaces, indexed `[depth][order][port]`.
-    pub interfaces: Vec<Vec<Vec<Option<PeriodicResource>>>>,
-    /// SEs whose parameters were rewritten by the most recent
-    /// (re)configuration — the whole tree on construction, only the
-    /// affected request path afterwards.
-    pub reprogrammed_elements: usize,
+pub struct EngineIo {
+    pub(crate) mem: MemorySide,
+    pub(crate) metrics: MetricsRegistry,
+    ready: VecDeque<MemoryResponse>,
+    service_events: VecDeque<ServiceEvent>,
+}
+
+impl EngineIo {
+    /// A leaf SE hands `request`'s response to its client.
+    pub(crate) fn deliver(&mut self, request: MemoryRequest, now: Cycle) {
+        self.metrics.request_completed(now, request.id);
+        self.ready.push_back(MemoryResponse {
+            request,
+            completed_at: now,
+        });
+    }
+
+    /// The root grants `request` to the memory controller.
+    pub(crate) fn issue(&mut self, request: MemoryRequest, now: Cycle) {
+        let event = self.mem.issue(request, now, &mut self.metrics);
+        self.service_events.push_back(event);
+    }
+}
+
+/// A runtime engine behind [`BlueScaleInterconnect`]: every SE's
+/// arbitration datapath (buffers, server counters, response
+/// demultiplexers), programmed from the [`Composition`]'s interfaces.
+/// SEs are addressed `(depth, order)` and interfaces are indexed
+/// `[depth][order][port]`, as in [`CompositionReport::interfaces`].
+pub trait Engine: Clone + fmt::Debug {
+    /// Builds the engine for `config`'s tree with every SE programmed from
+    /// `interfaces`.
+    fn build(config: &BlueScaleConfig, interfaces: &[Vec<Vec<Option<PeriodicResource>>>]) -> Self;
+
+    /// Programs SE `(depth, order)`'s servers immediately (`None` clears a
+    /// port).
+    fn program_se(&mut self, depth: usize, order: usize, interfaces: &[Option<PeriodicResource>]);
+
+    /// Programs SE `(depth, order)` through the safe mode-change protocol:
+    /// changed servers swap at their own replenishment boundary. Returns
+    /// the summed transition latency.
+    fn program_se_deferred(
+        &mut self,
+        depth: usize,
+        order: usize,
+        interfaces: &[Option<PeriodicResource>],
+    ) -> u64;
+
+    /// Offers a request at `(depth, order, port)`, handing it back when
+    /// the port buffer is full.
+    ///
+    /// # Errors
+    ///
+    /// Returns the request back when the port buffer is full.
+    fn try_accept(
+        &mut self,
+        depth: usize,
+        order: usize,
+        port: usize,
+        request: MemoryRequest,
+    ) -> Result<(), MemoryRequest>;
+
+    /// Advances the whole tree one cycle against the root side `io`.
+    fn step(&mut self, io: &mut EngineIo, now: Cycle);
+
+    /// Requests buffered plus responses queued anywhere in the tree; zero
+    /// means a step could only tick server counters.
+    fn occupancy(&self) -> usize;
+
+    /// Advances a quiescent tree `delta` cycles in closed form.
+    fn advance_idle(&mut self, delta: Cycle, metrics: &mut MetricsRegistry);
+
+    /// Folds any batched counter deltas into `metrics`.
+    fn flush_metrics(&mut self, _metrics: &mut MetricsRegistry) {}
+
+    /// Forwarded-count delta not yet flushed for SE `(depth, order)`.
+    fn pending_forwarded(&self, _depth: usize, _order: usize) -> u64 {
+        0
+    }
 }
 
 /// The BlueScale memory interconnect.
 ///
 /// See the crate-level docs for an end-to-end example.
 #[derive(Debug, Clone)]
-pub struct BlueScaleInterconnect {
-    config: BlueScaleConfig,
-    /// `elements[d]` holds the `branch^d` SEs of depth `d` (0 = root).
-    /// With the SoA engine active these remain the home of the interface
-    /// selectors and analysis tables; their runtime state (buffers, server
-    /// counters) is live only on the legacy path.
-    elements: Vec<Vec<ScaleElement>>,
-    /// The structure-of-arrays runtime engine
-    /// ([`BlueScaleConfig::soa_core`]); `None` runs the legacy per-SE
-    /// engine, kept as the differential oracle.
-    soa: Option<SoaCore>,
-    /// The root's memory side: controller, memory policy and the
-    /// interconnect-side fault plan (stuck grant ports, DRAM jitter,
-    /// dropped responses). An empty plan and a passive policy keep `step`
-    /// on the exact fault-free, policy-free code path.
-    mem: MemorySide,
-    ready: VecDeque<MemoryResponse>,
-    service_events: VecDeque<ServiceEvent>,
-    client_tasks: Vec<TaskSet>,
-    composition: CompositionReport,
-    /// Per-SE analysis outcome (`[depth][order]`): whether minimum-
-    /// bandwidth selection succeeded there (false = fallback interfaces).
-    se_analysis_ok: Vec<Vec<bool>>,
-    metrics: MetricsRegistry,
-}
-
-/// One path SE's trial result: `(depth, order, selected interfaces)`.
-pub(crate) type PathTrial = (usize, usize, Vec<Option<PeriodicResource>>);
-
-/// Why a cancellable admission trial produced no path: a final analytical
-/// rejection versus a caller-side cancellation that decided nothing (the
-/// request may be retried). Both leave the fabric untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TrialAbort {
-    /// The analysis rejected the update (infeasible path SE, off-path
-    /// fallback, or root overshoot).
-    Rejected,
-    /// The caller's [`CancelToken`] fired mid-analysis.
-    Cancelled,
+pub struct BlueScaleInterconnect<E = SoaCore> {
+    composition: Composition,
+    engine: E,
+    /// An empty fault plan and a passive policy keep `step` on the exact
+    /// fault-free, policy-free code path.
+    io: EngineIo,
 }
 
 impl BlueScaleInterconnect {
-    /// Builds a BlueScale instance and resolves all interface-selection
-    /// problems for the given per-client task sets.
-    ///
-    /// If some SE's clients are analytically over-utilized, construction
-    /// still succeeds — the affected SEs get utilization-proportional
-    /// fallback interfaces — but [`CompositionReport::schedulable`] is
-    /// `false`. This mirrors deploying a system that fails admission: the
-    /// hardware still runs, the guarantee is simply absent.
+    /// Builds a BlueScale instance on the default engine and resolves all
+    /// interface-selection problems for the given per-client task sets
+    /// (see [`Composition::new`]).
     ///
     /// # Errors
     ///
@@ -226,89 +189,51 @@ impl BlueScaleInterconnect {
     /// mismatch, or [`BuildError::Analysis`] if task parameters are
     /// malformed (zero periods, duplicate ids).
     pub fn new(config: BlueScaleConfig, task_sets: &[TaskSet]) -> Result<Self, BuildError> {
-        if task_sets.len() != config.num_clients {
-            return Err(BuildError::WrongClientCount {
-                expected: config.num_clients,
-                got: task_sets.len(),
-            });
-        }
-        let levels = config.levels();
-        let mut elements: Vec<Vec<ScaleElement>> = (0..levels)
-            .map(|d| {
-                (0..config.elements_at(d))
-                    .map(|y| {
-                        let mut se = ScaleElement::with_queue_policy(
-                            SeIndex::new(d, y),
-                            config.branch,
-                            config.buffer_capacity,
-                            config.work_conserving,
-                            config.low_level_policy,
-                        );
-                        se.selector_mut()
-                            .set_period_divisor(config.granularity_divisor);
-                        se
-                    })
-                    .collect()
-            })
-            .collect();
+        Self::with_engine(config, task_sets)
+    }
+}
 
-        // Load the leaf parameter tables from the client task sets.
-        for (client, set) in task_sets.iter().enumerate() {
-            let (order, port) = config.attach_point(client);
-            let leaf = &mut elements[levels - 1][order];
-            for task in set {
-                leaf.selector_mut().load(TableRow {
-                    port: port as u8,
-                    task_id: task.id(),
-                    period: task.period(),
-                    deadline: config.analysis_deadline(task.period(), task.wcet()),
-                    wcet: task.wcet(),
-                })?;
-            }
-        }
+impl<E> From<BlueScaleInterconnect<E>> for Composition {
+    fn from(ic: BlueScaleInterconnect<E>) -> Self {
+        ic.composition
+    }
+}
 
+impl<E: Engine> BlueScaleInterconnect<E> {
+    /// [`new`](BlueScaleInterconnect::new) on the engine `E`.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](BlueScaleInterconnect::new).
+    pub fn with_engine(config: BlueScaleConfig, task_sets: &[TaskSet]) -> Result<Self, BuildError> {
+        let composition = Composition::new(config, task_sets)?;
         let mut this = Self {
-            mem: MemorySide::new(&config),
-            ready: VecDeque::new(),
-            service_events: VecDeque::new(),
-            client_tasks: task_sets.to_vec(),
-            se_analysis_ok: (0..levels)
-                .map(|d| vec![true; config.elements_at(d)])
-                .collect(),
-            metrics: MetricsRegistry::new(),
-            composition: CompositionReport {
-                schedulable: false,
-                analysis_ok: false,
-                root_bandwidth: 0.0,
-                interfaces: (0..levels)
-                    .map(|d| vec![vec![None; config.branch]; config.elements_at(d)])
-                    .collect(),
-                reprogrammed_elements: 0,
+            engine: E::build(composition.config(), &composition.report().interfaces),
+            io: EngineIo {
+                mem: MemorySide::new(composition.config()),
+                metrics: MetricsRegistry::new(),
+                ready: VecDeque::new(),
+                service_events: VecDeque::new(),
             },
-            config,
-            elements,
-            soa: None,
+            composition,
         };
-        this.recompute_all()?;
-        if this.config.soa_core {
-            this.soa = Some(SoaCore::new(&this.config, &this.composition.interfaces));
-        }
+        this.mirror_root_bandwidth();
         Ok(this)
     }
 
     /// The static configuration.
     pub fn config(&self) -> &BlueScaleConfig {
-        &self.config
+        self.composition.config()
     }
 
     /// The most recent composition (interface-selection) result.
     pub fn composition(&self) -> &CompositionReport {
-        &self.composition
+        self.composition.report()
     }
 
     /// The task sets currently programmed per client.
     pub fn client_tasks(&self) -> &[TaskSet] {
-        &self.client_tasks
+        self.composition.client_tasks()
     }
 
     /// The typed metrics registry. Counter tallies (per-SE grants,
@@ -332,11 +257,12 @@ impl BlueScaleInterconnect {
     /// # Ok::<(), bluescale::BuildError>(())
     /// ```
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        self.mem.controller().record_metrics(&mut self.metrics);
-        if let Some(soa) = self.soa.as_mut() {
-            soa.flush_metrics(&mut self.metrics);
-        }
-        &mut self.metrics
+        self.io
+            .mem
+            .controller()
+            .record_metrics(&mut self.io.metrics);
+        self.engine.flush_metrics(&mut self.io.metrics);
+        &mut self.io.metrics
     }
 
     /// Read access to the metrics registry. Memory-controller counters may
@@ -348,37 +274,31 @@ impl BlueScaleInterconnect {
     /// statistics without a flush read [`memory_stats`](Self::memory_stats),
     /// which never lags.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.io.metrics
     }
 
     /// The memory controller's live statistics. Unlike the registry mirror
     /// (refreshed only on [`metrics_mut`](Self::metrics_mut)), this reads
     /// the controller directly and can never be stale.
     pub fn memory_stats(&self) -> ControllerStats {
-        self.mem.controller().stats()
-    }
-
-    /// The active memory policy's stable name (bench/export labelling).
-    pub fn memory_policy_name(&self) -> &'static str {
-        self.mem.policy_name()
+        self.io.mem.controller().stats()
     }
 
     /// Per-SE forwarded-request counters, indexed `[depth][order]`
     /// (introspection for experiments; reads the registry's
     /// [`Counter::Forwarded`] tallies).
     pub fn forward_counts(&self) -> Vec<Vec<u64>> {
-        (0..self.config.levels())
+        let config = self.config();
+        (0..config.levels())
             .map(|depth| {
-                (0..self.config.elements_at(depth))
+                (0..config.elements_at(depth))
                     .map(|order| {
-                        // The SoA engine batches its tallies; merge the
+                        // The engine may batch its tallies; merge the
                         // unflushed delta so mid-run reads stay exact.
-                        self.metrics
+                        self.io
+                            .metrics
                             .counter(ComponentId::Se { depth, order }, Counter::Forwarded)
-                            + self
-                                .soa
-                                .as_ref()
-                                .map_or(0, |s| s.pending_forwarded(depth, order))
+                            + self.engine.pending_forwarded(depth, order)
                     })
                     .collect()
             })
@@ -400,27 +320,11 @@ impl BlueScaleInterconnect {
         client: usize,
         tasks: TaskSet,
     ) -> Result<&CompositionReport, BuildError> {
-        if client >= self.config.num_clients {
-            return Err(BuildError::UnknownClient { client });
+        for (depth, order, ifaces) in self.composition.update_client_tasks(client, tasks)? {
+            self.engine.program_se(depth, order, &ifaces);
         }
-        let levels = self.config.levels();
-        let (leaf_order, port) = self.config.attach_point(client);
-        let rows = self.leaf_rows(port, &tasks);
-        self.elements[levels - 1][leaf_order]
-            .selector_mut()
-            .reload_port(port as u8, &rows)?;
-        self.client_tasks[client] = tasks;
-
-        // Walk the request path from the leaf to the root, recomputing and
-        // reprogramming each SE and refreshing the parent's table row.
-        let mut order = leaf_order;
-        for depth in (0..levels).rev() {
-            self.resolve_se(depth, order)?;
-            order /= self.config.branch;
-        }
-        // Every other SE kept its parameters: refresh only the summary.
-        self.refresh_summary(levels);
-        Ok(&self.composition)
+        self.mirror_root_bandwidth();
+        Ok(self.composition.report())
     }
 
     /// Admission control: applies `tasks` to `client` only if the updated
@@ -439,10 +343,10 @@ impl BlueScaleInterconnect {
         client: usize,
         tasks: TaskSet,
     ) -> Result<bool, BuildError> {
-        if client >= self.config.num_clients {
+        if client >= self.config().num_clients {
             return Err(BuildError::UnknownClient { client });
         }
-        let previous = self.client_tasks[client].clone();
+        let previous = self.client_tasks()[client].clone();
         let report = self.update_client_tasks(client, tasks)?;
         if report.schedulable {
             return Ok(true);
@@ -459,167 +363,6 @@ impl BlueScaleInterconnect {
         Ok(false)
     }
 
-    /// The table rows describing `tasks` at a leaf `port` (analysis
-    /// deadlines deflated by the configured margin, as at construction).
-    fn leaf_rows(&self, port: usize, tasks: &TaskSet) -> Vec<TableRow> {
-        tasks
-            .iter()
-            .map(|t| TableRow {
-                port: port as u8,
-                task_id: t.id(),
-                period: t.period(),
-                deadline: self.config.analysis_deadline(t.period(), t.wcet()),
-                wcet: t.wcet(),
-            })
-            .collect()
-    }
-
-    /// Admission-tests `tasks` for `client` without touching the live
-    /// fabric: the interface-selection problems along the client's request
-    /// path (leaf SE up to the root) are re-solved on *cloned* parameter
-    /// tables, every other subtree reusing its cached interfaces from
-    /// [`CompositionReport::interfaces`]. Returns the path's newly selected
-    /// interfaces (leaf first) when the update is admissible:
-    /// selection succeeded at every path SE, every off-path SE already held
-    /// a valid analysis, and the root passes the **exact** admission test
-    /// `Σ Θ/Π ≤ 1` ([`root_admissible`] — no floating-point tolerance, so
-    /// a compositional overshoot of even one part in 2⁵³ is caught).
-    /// The cancellation token (when supplied) is polled once per path SE —
-    /// each `compute()` is the expensive unit of work — and an expired
-    /// token aborts the trial with [`TrialAbort::Cancelled`]. The trial
-    /// mutates nothing, so abandoning it mid-path needs no rollback.
-    fn admission_trial_cancellable(
-        &self,
-        client: usize,
-        tasks: &TaskSet,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<PathTrial>, TrialAbort> {
-        let levels = self.config.levels();
-        let (leaf_order, port) = self.config.attach_point(client);
-        let mut trial: Vec<PathTrial> = Vec::with_capacity(levels);
-        let mut order = leaf_order;
-        let mut reload = port as u8;
-        let mut child_ifaces: Option<Vec<Option<PeriodicResource>>> = None;
-        for depth in (0..levels).rev() {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                return Err(TrialAbort::Cancelled);
-            }
-            let rows = match &child_ifaces {
-                None => self.leaf_rows(port, tasks),
-                Some(ifaces) => Self::interface_rows(&self.config, reload, ifaces),
-            };
-            let mut sel = self.elements[depth][order].selector().clone();
-            if sel.reload_port(reload, &rows).is_err() {
-                return Err(TrialAbort::Rejected);
-            }
-            // Admission has no fallback: an analytically infeasible path
-            // SE rejects the request outright.
-            let Ok(ifaces) = sel.compute() else {
-                return Err(TrialAbort::Rejected);
-            };
-            trial.push((depth, order, ifaces.clone()));
-            reload = (order % self.config.branch) as u8;
-            order /= self.config.branch;
-            child_ifaces = Some(ifaces);
-        }
-        // Off-path SEs keep their parameters; if any of them is already on
-        // fallback interfaces the system has no guarantee to extend.
-        let path: Vec<(usize, usize)> = trial.iter().map(|(d, o, _)| (*d, *o)).collect();
-        for (depth, row) in self.se_analysis_ok.iter().enumerate() {
-            for (order, &ok) in row.iter().enumerate() {
-                if !ok && !path.contains(&(depth, order)) {
-                    return Err(TrialAbort::Rejected);
-                }
-            }
-        }
-        let (_, _, root) = trial.last().expect("levels >= 1");
-        let root_ifaces: Vec<PeriodicResource> = root.iter().flatten().copied().collect();
-        if root_admissible(&root_ifaces) {
-            Ok(trial)
-        } else {
-            Err(TrialAbort::Rejected)
-        }
-    }
-
-    /// Runs admission control for `client`/`tasks` and, when admitted,
-    /// commits everything *except* runtime-engine programming: the leaf
-    /// table rows, the cached interfaces and analysis flags along the
-    /// request path, the parent table rows, and the refreshed composition
-    /// summary. Returns the admitted path (leaf first) so the caller can
-    /// program whichever runtime engine is live — the legacy per-SE
-    /// engine, the whole-tree SoA core, or the sharded engine's per-subtree
-    /// cores — or `None` when admission rejects (in which case nothing was
-    /// written; a rejection is decided entirely on cloned tables).
-    pub(crate) fn commit_reconfiguration(
-        &mut self,
-        client: usize,
-        tasks: &TaskSet,
-    ) -> Option<Vec<PathTrial>> {
-        self.commit_reconfiguration_cancellable(client, tasks, None)
-            .ok()
-    }
-
-    /// [`commit_reconfiguration`](Self::commit_reconfiguration) with the
-    /// cancellation hook threaded through to the admission trial. A
-    /// cancelled request commits nothing — cancellation is only ever
-    /// observed on cloned tables, so no rollback exists to get wrong.
-    pub(crate) fn commit_reconfiguration_cancellable(
-        &mut self,
-        client: usize,
-        tasks: &TaskSet,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<PathTrial>, TrialAbort> {
-        if client >= self.config.num_clients {
-            return Err(TrialAbort::Rejected);
-        }
-        let trial = self.admission_trial_cancellable(client, tasks, cancel)?;
-        // Commit: rewrite the table rows and cached interfaces along the
-        // path, staging every changed server to swap at its replenishment
-        // boundary. Rows re-validate trivially (the trial already loaded
-        // identical rows into the clones).
-        let levels = self.config.levels();
-        let (leaf_order, port) = self.config.attach_point(client);
-        let rows = self.leaf_rows(port, tasks);
-        self.elements[levels - 1][leaf_order]
-            .selector_mut()
-            .reload_port(port as u8, &rows)
-            .expect("rows validated by the admission trial");
-        self.client_tasks[client] = tasks.clone();
-        for (depth, order, ifaces) in &trial {
-            self.se_analysis_ok[*depth][*order] = true;
-            self.composition.interfaces[*depth][*order] = ifaces.clone();
-            if *depth > 0 {
-                let parent_order = order / self.config.branch;
-                let parent_port = (order % self.config.branch) as u8;
-                let parent_rows = Self::interface_rows(&self.config, parent_port, ifaces);
-                self.elements[*depth - 1][parent_order]
-                    .selector_mut()
-                    .reload_port(parent_port, &parent_rows)
-                    .expect("rows validated by the admission trial");
-            }
-        }
-        self.refresh_summary(trial.len());
-        // Deliberately no `Reconfigurations` tally here: churn accounting
-        // (`Reconfigurations`/`Admitted`/`AdmissionRejected`) is owned by
-        // the harness registry alone, so `merged_registry()` never double
-        // counts an admitted transition.
-        Ok(trial)
-    }
-
-    /// Programs whichever runtime engine is live along a committed path and
-    /// returns the total transition latency (shared by both reconfiguration
-    /// entry points).
-    fn program_trial(&mut self, trial: &[PathTrial]) -> u64 {
-        let mut transition_cycles = 0;
-        for (depth, order, ifaces) in trial {
-            transition_cycles += match self.soa.as_mut() {
-                Some(soa) => soa.program_se_deferred(*depth, *order, ifaces),
-                None => self.elements[*depth][*order].program_deferred(ifaces),
-            };
-        }
-        transition_cycles
-    }
-
     /// Offers a request at its client's port, with typed rejection: a
     /// transiently full buffer ([`InjectError::PortFull`]) is
     /// distinguished from a malformed request naming a nonexistent client
@@ -633,240 +376,68 @@ impl BlueScaleInterconnect {
     /// See above; the rejected request is recoverable from either variant
     /// via [`InjectError::into_request`].
     pub fn try_inject(&mut self, request: MemoryRequest, now: Cycle) -> Result<(), InjectError> {
-        if request.client as usize >= self.config.num_clients {
+        let num_clients = self.config().num_clients;
+        if request.client as usize >= num_clients {
             return Err(InjectError::UnknownClient {
                 client: request.client,
-                num_clients: self.config.num_clients,
+                num_clients,
                 request,
             });
         }
-        let levels = self.config.levels();
-        let (order, port) = self.config.attach_point(request.client as usize);
+        let leaf = self.config().levels() - 1;
+        let (order, port) = self.config().attach_point(request.client as usize);
         let (id, client) = (request.id, request.client);
-        match self.soa.as_mut() {
-            Some(soa) => soa
-                .try_accept(levels - 1, order, port, request)
-                .map_err(InjectError::PortFull)?,
-            None => self.elements[levels - 1][order]
-                .try_accept(port, request)
-                .map_err(InjectError::PortFull)?,
-        }
-        self.metrics
-            .inc(ComponentId::Client(client), Counter::Enqueued);
-        self.metrics.request_enqueued(
-            now,
-            id,
-            client,
-            ComponentId::Se {
-                depth: levels - 1,
-                order,
-            },
-        );
+        self.engine
+            .try_accept(leaf, order, port, request)
+            .map_err(InjectError::PortFull)?;
+        let metrics = &mut self.io.metrics;
+        metrics.inc(ComponentId::Client(client), Counter::Enqueued);
+        metrics.request_enqueued(now, id, client, ComponentId::Se { depth: leaf, order });
         Ok(())
     }
 
-    /// Refreshes the composition summary (analysis verdict, root
-    /// bandwidth, schedulability) after `reprogrammed` SEs changed, and
-    /// mirrors the root bandwidth into the registry's gauge.
-    fn refresh_summary(&mut self, reprogrammed: usize) {
-        let c = &mut self.composition;
-        c.analysis_ok = self.se_analysis_ok.iter().flatten().all(|&ok| ok);
-        c.root_bandwidth = Self::bandwidth_sum(&c.interfaces[0][0]);
-        c.schedulable = c.analysis_ok && c.root_bandwidth <= 1.0 + 1e-9;
-        c.reprogrammed_elements = reprogrammed;
-        self.metrics
-            .set_gauge(ComponentId::System, "root_bandwidth", c.root_bandwidth);
+    /// Mirrors the composition's root bandwidth into the registry gauge.
+    fn mirror_root_bandwidth(&mut self) {
+        let bandwidth = self.composition.report().root_bandwidth;
+        self.io
+            .metrics
+            .set_gauge(ComponentId::System, "root_bandwidth", bandwidth);
     }
 
-    fn bandwidth_sum(interfaces: &[Option<PeriodicResource>]) -> f64 {
-        interfaces
-            .iter()
-            .flatten()
-            .map(PeriodicResource::bandwidth)
-            .sum()
-    }
-
-    fn interface_rows(
-        _config: &BlueScaleConfig,
-        port: u8,
-        interfaces: &[Option<PeriodicResource>],
-    ) -> Vec<TableRow> {
-        interfaces
-            .iter()
-            .enumerate()
-            .filter_map(|(q, iface)| {
-                iface.map(|r| TableRow {
-                    port,
-                    task_id: q as u32,
-                    period: r.period(),
-                    // Inner levels keep implicit deadlines: end-to-end
-                    // slack is reserved once, at the leaves.
-                    deadline: r.period(),
-                    wcet: r.budget(),
-                })
-            })
-            .collect()
-    }
-
-    /// Runs the SE's interface selector; on analytical failure falls back
-    /// to utilization-proportional interfaces (best effort, no guarantee).
-    fn compute_or_fallback(element: &ScaleElement) -> (Vec<Option<PeriodicResource>>, bool) {
-        match element.selector().compute() {
-            Ok(ifaces) => (ifaces, true),
-            Err(_) => (Self::fallback_interfaces(element), false),
-        }
-    }
-
-    /// Utilization-proportional fallback: each non-idle port gets
-    /// `Π = max(1, min_T/2)` and a budget proportional to its share of the
-    /// total demand (normalized when demand exceeds capacity).
-    fn fallback_interfaces(element: &ScaleElement) -> Vec<Option<PeriodicResource>> {
-        let rows = element.selector().rows();
-        let ports = element.ports();
-        let mut util = vec![0.0f64; ports];
-        let mut min_period = vec![u64::MAX; ports];
-        for r in rows {
-            let p = r.port as usize;
-            util[p] += r.wcet as f64 / r.period as f64;
-            min_period[p] = min_period[p].min(r.period);
-        }
-        let total: f64 = util.iter().sum();
-        let scale = if total > 1.0 { 1.0 / total } else { 1.0 };
-        (0..ports)
-            .map(|p| {
-                if util[p] == 0.0 {
-                    return None;
-                }
-                let period = (min_period[p] / 2).max(1);
-                let share = util[p] * scale;
-                let budget = ((share * period as f64).round() as u64).clamp(1, period);
-                PeriodicResource::new(period, budget)
-            })
-            .collect()
-    }
-
-    /// Resolves every interface-selection problem from the leaves to the
-    /// root and programs all SEs (used at construction).
-    fn recompute_all(&mut self) -> Result<(), BuildError> {
-        for depth in (0..self.config.levels()).rev() {
-            for order in 0..self.config.elements_at(depth) {
-                self.resolve_se(depth, order)?;
-            }
-        }
-        self.refresh_summary(self.elements.iter().map(Vec::len).sum());
-        Ok(())
-    }
-
-    /// Resolves SE `(depth, order)`'s interface selection (falling back on
-    /// analytical failure), programs the result into every live engine and
-    /// reloads the parent's table row for this SE's port.
-    fn resolve_se(&mut self, depth: usize, order: usize) -> Result<(), BuildError> {
-        let (ifaces, ok) = Self::compute_or_fallback(&self.elements[depth][order]);
-        self.se_analysis_ok[depth][order] = ok;
-        self.elements[depth][order].program(&ifaces);
-        if let Some(soa) = self.soa.as_mut() {
-            soa.program_se(depth, order, &ifaces);
-        }
-        self.composition.interfaces[depth][order] = ifaces.clone();
-        if depth > 0 {
-            let branch = self.config.branch;
-            let parent_port = (order % branch) as u8;
-            let rows = Self::interface_rows(&self.config, parent_port, &ifaces);
-            self.elements[depth - 1][order / branch]
-                .selector_mut()
-                .reload_port(parent_port, &rows)?;
-        }
-        Ok(())
-    }
-
-    /// One cycle on the structure-of-arrays engine — the four phases of
-    /// the legacy [`Interconnect::step`] body, executed over the flat
-    /// arena. Kept line-for-line parallel with the legacy path so the two
-    /// stay bit-identical (the differential suites enforce it).
-    fn step_soa(&mut self, now: Cycle) {
-        let have_faults = !self.mem.faults().is_empty();
-        let levels = self.config.levels();
-        let branch = self.config.branch;
-        // With detail recording off, arbitration runs on the batched fast
-        // path (delta counters, fused tick sweep); detail runs take the
-        // write-through `step_se` so typed events keep the legacy order.
-        let detail = self.metrics.detail();
-        let soa = self.soa.as_mut().expect("step_soa requires the SoA engine");
-        // 1. Response path: leaves deliver first (bottom-up), so a response
-        //    advances exactly one level per cycle.
-        let (metrics, ready) = (&mut self.metrics, &mut self.ready);
-        soa.route_responses(0, |request| {
-            metrics.request_completed(now, request.id);
-            ready.push_back(MemoryResponse {
-                request,
-                completed_at: now,
-            });
-        });
-        // 2. Memory completions enter the root's demultiplexer.
-        if let Some(done) = self.mem.complete(now, &mut self.metrics) {
-            soa.accept_response(0, 0, done);
-        }
-        // 3. Root arbitration feeds the memory controller.
-        let root_ready = self.mem.can_accept();
-        let mask = self
-            .mem
-            .root_mask(now, root_ready, branch, &mut self.metrics, |port| {
-                soa.peek_head(0, 0, port)
-            });
-        let granted = if detail {
-            soa.step_se(0, 0, now, root_ready, mask.as_deref(), &mut self.metrics)
-        } else {
-            soa.step_se_batched(0, 0, now, root_ready, mask.as_deref())
+    /// Both reconfiguration entry points: commits an admitted trial, then
+    /// programs the engine along the committed path. The transition
+    /// latency depends on live server state, so it comes from the engine.
+    /// No fabric-side churn tally (`Reconfigurations`, `TransitionCycles`):
+    /// churn accounting is owned by the harness registry alone (fed
+    /// through the returned total), so `merged_registry()` counts each
+    /// transition exactly once.
+    fn reconfigure(
+        &mut self,
+        client: ClientId,
+        tasks: &TaskSet,
+        cancel: Option<&CancelToken>,
+    ) -> ReconfigOutcome {
+        let trial: Vec<PathTrial> = match self.composition.commit(client as usize, tasks, cancel) {
+            Ok(trial) => trial,
+            Err(TrialAbort::Rejected) => return ReconfigOutcome::Rejected,
+            Err(TrialAbort::Cancelled) => return ReconfigOutcome::Cancelled,
         };
-        if let Some(request) = granted {
-            let event = self.mem.issue(request, now, &mut self.metrics);
-            self.service_events.push_back(event);
-        }
-        // 4. Deeper levels forward one request per SE toward their parents.
-        for depth in 1..levels {
-            for order in 0..self.config.elements_at(depth) {
-                let parent_order = order / branch;
-                let port = order % branch;
-                let ready = soa.can_accept(depth - 1, parent_order, port);
-                let mask = if have_faults {
-                    stuck_mask(
-                        self.mem.faults(),
-                        depth,
-                        order,
-                        branch,
-                        now,
-                        &mut self.metrics,
-                    )
-                } else {
-                    None
-                };
-                let granted = if detail {
-                    soa.step_se(depth, order, now, ready, mask.as_deref(), &mut self.metrics)
-                } else {
-                    soa.step_se_batched(depth, order, now, ready, mask.as_deref())
-                };
-                if let Some(request) = granted {
-                    soa.try_accept(depth - 1, parent_order, port, request)
-                        .expect("parent advertised a free slot");
-                }
-            }
-        }
-        // 5. Server countdowns for every SE, fused into one arena sweep.
-        //    (Detail runs already ticked inside `step_se`, interleaved with
-        //    their grant events in the legacy order.)
-        if !detail {
-            soa.tick_all();
-        }
+        self.mirror_root_bandwidth();
+        let transition_cycles = trial
+            .iter()
+            .map(|(depth, order, ifaces)| self.engine.program_se_deferred(*depth, *order, ifaces))
+            .sum();
+        ReconfigOutcome::Admitted { transition_cycles }
     }
 }
 
-impl Interconnect for BlueScaleInterconnect {
+impl<E: Engine> Interconnect for BlueScaleInterconnect<E> {
     fn name(&self) -> &'static str {
         "BlueScale"
     }
 
     fn num_clients(&self) -> usize {
-        self.config.num_clients
+        self.config().num_clients
     }
 
     fn inject(&mut self, request: MemoryRequest, now: Cycle) -> Result<(), MemoryRequest> {
@@ -875,7 +446,7 @@ impl Interconnect for BlueScaleInterconnect {
     }
 
     fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        self.mem.install_faults(plan);
+        self.io.mem.install_faults(plan);
     }
 
     fn demote_client(&mut self, client: u32) -> bool {
@@ -893,18 +464,7 @@ impl Interconnect for BlueScaleInterconnect {
         tasks: &TaskSet,
         _now: Cycle,
     ) -> ReconfigOutcome {
-        let Some(trial) = self.commit_reconfiguration(client as usize, tasks) else {
-            return ReconfigOutcome::Rejected;
-        };
-        // Program the runtime engine along the committed path. The
-        // transition latency depends on live server state, so it must come
-        // from whichever engine is actually running. No fabric-side
-        // `TransitionCycles` tally: like the rest of churn accounting, the
-        // counter is owned by the harness registry alone (fed through the
-        // returned total), so `merged_registry()` counts each transition
-        // exactly once.
-        let transition_cycles = self.program_trial(&trial);
-        ReconfigOutcome::Admitted { transition_cycles }
+        self.reconfigure(client, tasks, None)
     }
 
     fn reconfigure_client_cancellable(
@@ -919,119 +479,25 @@ impl Interconnect for BlueScaleInterconnect {
         // mid-analysis aborts within one solve's worth of work instead of
         // after the whole leaf→root pass. Cancellation is decided entirely
         // on cloned tables: an aborted request leaves the fabric
-        // bit-identical. Once the trial commits, the engines are programmed
+        // bit-identical. Once the trial commits, the engine is programmed
         // unconditionally — admission already succeeded, and answering
         // `Cancelled` after mutating state would desynchronize the caller.
-        match self.commit_reconfiguration_cancellable(client as usize, tasks, Some(cancel)) {
-            Ok(trial) => {
-                let transition_cycles = self.program_trial(&trial);
-                ReconfigOutcome::Admitted { transition_cycles }
-            }
-            Err(TrialAbort::Rejected) => ReconfigOutcome::Rejected,
-            Err(TrialAbort::Cancelled) => ReconfigOutcome::Cancelled,
-        }
+        self.reconfigure(client, tasks, Some(cancel))
     }
 
     fn step(&mut self, now: Cycle) {
-        let have_faults = !self.mem.faults().is_empty();
-        if have_faults {
-            self.mem.announce(now, &mut self.metrics);
+        if !self.io.mem.faults().is_empty() {
+            self.io.mem.announce(now, &mut self.io.metrics);
         }
-        if self.soa.is_some() {
-            self.step_soa(now);
-            return;
-        }
-        // 1. Response path: each SE's demultiplexer routes one response per
-        //    cycle toward its client. Leaves deliver first (bottom-up), so
-        //    a response advances exactly one level per cycle.
-        let levels = self.config.levels();
-        for depth in (0..levels).rev() {
-            if depth == levels - 1 {
-                for se in &mut self.elements[depth] {
-                    if let Some(request) = se.pop_response() {
-                        self.metrics.request_completed(now, request.id);
-                        self.ready.push_back(MemoryResponse {
-                            request,
-                            completed_at: now,
-                        });
-                    }
-                }
-            } else {
-                let (upper, lower) = self.elements.split_at_mut(depth + 1);
-                let parents = &mut upper[depth];
-                let children = &mut lower[0];
-                for (order, parent) in parents.iter_mut().enumerate() {
-                    if let Some(request) = parent.pop_response() {
-                        // Route by client id: which child subtree owns it?
-                        let leaf_order = request.client as usize / self.config.branch;
-                        let child_order =
-                            leaf_order / self.config.branch.pow((levels - 2 - depth) as u32);
-                        debug_assert_eq!(
-                            child_order / self.config.branch.max(1),
-                            order,
-                            "response routed through the wrong subtree"
-                        );
-                        children[child_order].accept_response(request);
-                    }
-                }
-            }
-        }
-        // 2. Memory completions enter the root's demultiplexer.
-        if let Some(done) = self.mem.complete(now, &mut self.metrics) {
-            self.elements[0][0].accept_response(done);
-        }
-        // 3. Root arbitration feeds the memory controller.
-        let root_ready = self.mem.can_accept();
-        let mask = self.mem.root_mask(
-            now,
-            root_ready,
-            self.config.branch,
-            &mut self.metrics,
-            |port| self.elements[0][0].peek_port(port),
-        );
-        let granted =
-            self.elements[0][0].step_masked(now, root_ready, &mut self.metrics, mask.as_deref());
-        if let Some(request) = granted {
-            let event = self.mem.issue(request, now, &mut self.metrics);
-            self.service_events.push_back(event);
-        }
-        // 4. Deeper levels forward one request per SE toward their parents.
-        for depth in 1..self.config.levels() {
-            let (upper, lower) = self.elements.split_at_mut(depth);
-            let parents = &mut upper[depth - 1];
-            for (order, se) in lower[0].iter_mut().enumerate() {
-                let parent = &mut parents[order / self.config.branch];
-                let port = order % self.config.branch;
-                let ready = parent.can_accept(port);
-                let mask = if have_faults {
-                    let branch = self.config.branch;
-                    stuck_mask(
-                        self.mem.faults(),
-                        depth,
-                        order,
-                        branch,
-                        now,
-                        &mut self.metrics,
-                    )
-                } else {
-                    None
-                };
-                let granted = se.step_masked(now, ready, &mut self.metrics, mask.as_deref());
-                if let Some(request) = granted {
-                    parent
-                        .try_accept(port, request)
-                        .expect("parent advertised a free slot");
-                }
-            }
-        }
+        self.engine.step(&mut self.io, now);
     }
 
     fn pop_response(&mut self) -> Option<MemoryResponse> {
-        self.ready.pop_front()
+        self.io.ready.pop_front()
     }
 
     fn pop_service_event(&mut self) -> Option<ServiceEvent> {
-        self.service_events.pop_front()
+        self.io.service_events.pop_front()
     }
 
     fn metrics(&self) -> Option<&MetricsRegistry> {
@@ -1043,17 +509,8 @@ impl Interconnect for BlueScaleInterconnect {
     }
 
     fn pending(&self) -> usize {
-        let buffered: usize = match &self.soa {
-            Some(soa) => soa.buffered() + soa.responses_queued(),
-            None => self
-                .elements
-                .iter()
-                .flatten()
-                .map(|se| se.occupancy() + se.response_occupancy())
-                .sum(),
-        };
-        let in_service = usize::from(!self.mem.can_accept());
-        buffered + in_service + self.ready.len()
+        let in_service = usize::from(!self.io.mem.can_accept());
+        self.engine.occupancy() + in_service + self.io.ready.len()
     }
 
     fn next_event_hint(&self, now: Cycle) -> Option<Cycle> {
@@ -1063,38 +520,26 @@ impl Interconnect for BlueScaleInterconnect {
         // cause a grant, because selection — work-conserving included —
         // requires a pending request; `advance_idle` replays the counter
         // arithmetic in closed form.)
-        if !self.ready.is_empty() || !self.service_events.is_empty() {
+        let io = &self.io;
+        if !io.ready.is_empty() || !io.service_events.is_empty() || self.engine.occupancy() > 0 {
             return Some(now);
         }
-        let fabric_busy = match &self.soa {
-            Some(soa) => !soa.is_quiescent(),
-            None => self.elements.iter().flatten().any(|se| !se.is_quiescent()),
-        };
-        if fabric_busy {
-            return Some(now);
-        }
-        Some(self.mem.idle_bound(now))
+        Some(io.mem.idle_bound(now))
     }
 
     fn advance_idle(&mut self, _now: Cycle, delta: u64) {
         debug_assert!(
-            !self.metrics.detail(),
+            !self.io.metrics.detail(),
             "fast-forward must be gated off while detail recording is on"
         );
-        match self.soa.as_mut() {
-            Some(soa) => soa.advance_idle(delta),
-            None => {
-                for se in self.elements.iter_mut().flatten() {
-                    se.advance_idle(delta, &mut self.metrics);
-                }
-            }
-        }
+        self.engine.advance_idle(delta, &mut self.io.metrics);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::PerSeEngine;
     use bluescale_interconnect::AccessKind;
     use bluescale_rt::task::Task;
     use bluescale_sim::fault::FaultKind;
@@ -1646,13 +1091,12 @@ mod tests {
     #[test]
     fn registry_lag_reconverges_exactly() {
         use bluescale_mem::DramConfig;
-        for soa_core in [false, true] {
+        fn check<E: Engine>() {
             let cfg = BlueScaleConfig {
                 dram: Some(DramConfig::default()),
-                soa_core,
                 ..BlueScaleConfig::for_clients(16)
             };
-            let mut ic = BlueScaleInterconnect::new(cfg, &sets(16, 400, 4)).unwrap();
+            let mut ic = BlueScaleInterconnect::<E>::with_engine(cfg, &sets(16, 400, 4)).unwrap();
             for c in 0..16u32 {
                 ic.inject(request(c, c as u64, 0, 400), 0).unwrap();
             }
@@ -1676,22 +1120,24 @@ mod tests {
             assert_eq!(flushed.counter(m, Counter::RowMisses), live.row_misses);
             assert_eq!(flushed.counter(m, Counter::BusyCycles), live.busy_cycles);
         }
+        check::<PerSeEngine>();
+        check::<SoaCore>();
     }
 
     #[test]
     fn per_bank_regulation_defers_and_conserves_on_both_engines() {
         use bluescale_mem::{DramConfig, MemPolicyConfig};
-        for soa_core in [false, true] {
+        fn check<E: Engine>() {
+            let engine = std::any::type_name::<E>();
             let cfg = BlueScaleConfig {
                 dram: Some(DramConfig::default()),
                 mem_policy: MemPolicyConfig::PerBankRegulation {
                     window: 200,
                     budget: 1,
                 },
-                soa_core,
                 ..BlueScaleConfig::for_clients(16)
             };
-            let mut ic = BlueScaleInterconnect::new(cfg, &sets(16, 4000, 4)).unwrap();
+            let mut ic = BlueScaleInterconnect::<E>::with_engine(cfg, &sets(16, 4000, 4)).unwrap();
             // All default test addresses share bank 0, so a 1-per-200
             // budget must defer heavily yet lose nothing.
             let mut id = 0;
@@ -1713,12 +1159,14 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(done, id, "soa_core={soa_core}: deferred requests drain");
+            assert_eq!(done, id, "{engine}: deferred requests drain");
             let deferred = ic
                 .metrics_mut()
                 .counter(ComponentId::Memory, Counter::PolicyDeferred);
-            assert!(deferred > 0, "soa_core={soa_core}: budget must bite");
+            assert!(deferred > 0, "{engine}: budget must bite");
         }
+        check::<PerSeEngine>();
+        check::<SoaCore>();
     }
 
     #[test]

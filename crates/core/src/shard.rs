@@ -1,10 +1,10 @@
 //! Sharded deterministic parallel simulation over the SoA core.
 //!
 //! The serial harness ([`System`](bluescale_interconnect::system::System)
-//! over [`BlueScaleInterconnect`]) advances the whole tree one cycle at a
-//! time. At 65k–1M clients the leaf sweeps and the due clients' releases
-//! dominate wall-clock, and they are embarrassingly parallel across the
-//! root's subtrees: a request born under level-1 SE `q` never touches the
+//! over [`BlueScaleInterconnect`](crate::BlueScaleInterconnect)) advances
+//! the whole tree one cycle at a time. At 65k–1M clients the leaf sweeps
+//! and the due clients' releases dominate wall-clock, and they are
+//! embarrassingly parallel across the root's subtrees: a request born under level-1 SE `q` never touches the
 //! state of any other subtree until it reaches the root's port `q`, and a
 //! response re-enters subtree `q` only through the root's demultiplexer.
 //!
@@ -42,8 +42,9 @@
 //! state (`ShardFallbacks` counts the demotion). A degraded run completes
 //! but is *not* bit-identical — the interrupted cycle was half-applied.
 
+use crate::composition::{BuildError, Composition, CompositionReport};
 use crate::memory_side::{stuck_mask, MemorySide};
-use crate::network::{BlueScaleInterconnect, BuildError, CompositionReport};
+use crate::network::Engine;
 use crate::soa::SoaCore;
 use crate::topology::BlueScaleConfig;
 use bluescale_interconnect::admission::{ChurnPlan, ReconfigOutcome};
@@ -251,7 +252,7 @@ impl Shard {
 
     fn pending(&self) -> usize {
         let inbox = usize::from(self.inbox.is_some());
-        self.core.buffered() + self.core.responses_queued() + self.ready.len() + inbox
+        self.core.occupancy() + self.ready.len() + inbox
     }
 }
 
@@ -260,9 +261,9 @@ impl Shard {
 /// so the coordinator can hold `&mut` state while workers hold the shard
 /// locks.
 struct Coordinator {
-    /// Admission control and composition analysis only — its legacy
-    /// elements are never stepped (`soa_core` forced off).
-    analysis: BlueScaleInterconnect,
+    /// Admission control: the composition analysis the root and shard
+    /// cores are programmed from.
+    analysis: Composition,
     config: BlueScaleConfig,
     branch: usize,
     num_clients: usize,
@@ -486,7 +487,7 @@ impl Coordinator {
 
     /// The serial harness's reconfiguration path, with the engine
     /// programming routed to the root/shard cores. Admission is decided by
-    /// the analysis interconnect on cloned tables; a rejection writes
+    /// the composition on cloned tables; a rejection writes
     /// nothing anywhere.
     fn apply_reconfiguration(
         &mut self,
@@ -499,8 +500,8 @@ impl Coordinator {
             self.core.reject_unknown_client(client, now);
             return;
         }
-        let outcome = match self.analysis.commit_reconfiguration(client as usize, tasks) {
-            Some(trial) => {
+        let outcome = match self.analysis.commit(client as usize, tasks, None) {
+            Ok(trial) => {
                 let mut transition_cycles = 0;
                 for (depth, order, ifaces) in &trial {
                     transition_cycles += if *depth == 0 {
@@ -514,16 +515,15 @@ impl Coordinator {
                         )
                     };
                 }
-                // Mirror the serial fabric's gauge (the analysis registry
-                // itself is never merged).
+                // Mirror the serial fabric's gauge.
                 self.fabric.set_gauge(
                     ComponentId::System,
                     "root_bandwidth",
-                    self.analysis.composition().root_bandwidth,
+                    self.analysis.report().root_bandwidth,
                 );
                 ReconfigOutcome::Admitted { transition_cycles }
             }
-            None => ReconfigOutcome::Rejected,
+            Err(_) => ReconfigOutcome::Rejected,
         };
         if self.core.account_reconfiguration(client, now, &outcome) {
             let mut s = lock_shard(&shards[client as usize / self.clients_per_shard]);
@@ -536,12 +536,12 @@ impl Coordinator {
     /// busy anywhere → step now; otherwise the memory side bounds the
     /// jump.
     fn next_event_hint(&self, shards: &[Mutex<Shard>], now: Cycle) -> Cycle {
-        if !self.root.is_quiescent() {
+        if self.root.occupancy() > 0 {
             return now;
         }
         for shard in shards {
             let s = lock_shard(shard);
-            if !s.core.is_quiescent() || !s.ready.is_empty() {
+            if s.core.occupancy() > 0 || !s.ready.is_empty() {
                 return now;
             }
         }
@@ -688,8 +688,8 @@ impl Driver for Spans<'_> {
 
 impl ShardedSystem {
     /// Builds the sharded system: one shard per level-1 subtree, a
-    /// one-level root core, and an analysis-only interconnect for
-    /// admission control. `workers` is clamped to the shard count (the
+    /// one-level root core, and the [`Composition`] for admission
+    /// control. `workers` is clamped to the shard count (the
     /// root's branching factor); it never affects results.
     ///
     /// # Errors
@@ -706,21 +706,18 @@ impl ShardedSystem {
         task_sets: &[TaskSet],
         workers: usize,
     ) -> Result<Self, BuildError> {
-        let mut acfg = config.clone();
-        acfg.soa_core = false;
-        let analysis = BlueScaleInterconnect::new(acfg, task_sets)?;
+        let analysis = Composition::new(config.clone(), task_sets)?;
         Ok(Self::with_analysis(config, analysis, task_sets, workers))
     }
 
-    /// Builds the sharded system around a prebuilt analysis interconnect,
-    /// skipping interface selection. Construction at large client counts
-    /// is dominated by the per-SE selection math, which depends only on
-    /// the workload — a sweep comparing worker counts on one workload
-    /// pays it once and clones the analysis per call.
-    ///
-    /// `analysis` should be built with [`BlueScaleConfig::soa_core`]
-    /// disabled (it serves admission control only; [`Self::new`] does
-    /// exactly that).
+    /// Builds the sharded system around a prebuilt composition, skipping
+    /// interface selection. Construction at large client counts is
+    /// dominated by the per-SE selection math, which depends only on the
+    /// workload — a sweep comparing worker counts on one workload pays it
+    /// once and clones the analysis per call. `analysis` is a
+    /// [`Composition`] or anything that yields one, such as a built
+    /// [`BlueScaleInterconnect`](crate::BlueScaleInterconnect), whose
+    /// engine is then dropped.
     ///
     /// # Panics
     ///
@@ -730,15 +727,16 @@ impl ShardedSystem {
     /// serial harness).
     pub fn with_analysis(
         config: BlueScaleConfig,
-        analysis: BlueScaleInterconnect,
+        analysis: impl Into<Composition>,
         task_sets: &[TaskSet],
         workers: usize,
     ) -> Self {
+        let analysis = analysis.into();
         assert!(workers >= 1, "at least one worker is required");
         assert_eq!(
             analysis.config().num_clients,
             task_sets.len(),
-            "analysis interconnect was sized for a different client count"
+            "analysis was sized for a different client count"
         );
         let levels = config.levels();
         assert!(
@@ -747,7 +745,7 @@ impl ShardedSystem {
              use the serial harness for single-SE topologies"
         );
         let branch = config.branch;
-        let interfaces = &analysis.composition().interfaces;
+        let interfaces = &analysis.report().interfaces;
 
         let mut rcfg = config.clone();
         rcfg.num_clients = branch;
@@ -798,7 +796,7 @@ impl ShardedSystem {
         fabric.set_gauge(
             ComponentId::System,
             "root_bandwidth",
-            analysis.composition().root_bandwidth,
+            analysis.report().root_bandwidth,
         );
         Self {
             coord: Coordinator {
@@ -893,7 +891,7 @@ impl ShardedSystem {
 
     /// The admission-control composition report.
     pub fn composition(&self) -> &CompositionReport {
-        self.coord.analysis.composition()
+        self.coord.analysis.report()
     }
 
     /// The harness-level registry (System and Client aggregates). Exact
@@ -950,7 +948,7 @@ impl ShardedSystem {
     /// Requests currently inside the fabric or the memory controller.
     pub fn pending(&self) -> usize {
         let in_service = usize::from(!self.coord.mem.can_accept());
-        let root = self.coord.root.buffered() + self.coord.root.responses_queued();
+        let root = self.coord.root.occupancy();
         root + in_service
             + self
                 .shards
@@ -1115,6 +1113,7 @@ impl ShardedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlueScaleInterconnect;
     use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
     use bluescale_interconnect::system::System;
     use bluescale_rt::task::Task;
@@ -1139,28 +1138,26 @@ mod tests {
     #[test]
     fn with_analysis_matches_the_owning_constructor() {
         // The amortized constructor (one analysis build shared across
-        // worker counts) must be indistinguishable from `new`.
+        // worker counts) must be indistinguishable from `new`, whether it
+        // is handed a bare composition or a built default interconnect.
         let sets = sets(16, 40, 2);
         let config = BlueScaleConfig::for_clients(16);
         let mut owned = ShardedSystem::new(config.clone(), &sets, 4).expect("valid task sets");
-
-        let mut acfg = config.clone();
-        acfg.soa_core = false;
-        let analysis = BlueScaleInterconnect::new(acfg, &sets).expect("valid task sets");
-        let mut shared = ShardedSystem::with_analysis(config, analysis.clone(), &sets, 4);
-
         owned.run(4_000);
+        let expected = owned.merged_registry().to_json();
+
+        let analysis = Composition::new(config.clone(), &sets).expect("valid task sets");
+        let mut shared = ShardedSystem::with_analysis(config.clone(), analysis.clone(), &sets, 4);
         shared.run(4_000);
-        assert_eq!(
-            owned.merged_registry().to_json(),
-            shared.merged_registry().to_json()
-        );
+        assert_eq!(shared.merged_registry().to_json(), expected);
         // The analysis handed over was cloned — still usable for the
         // next worker count.
-        assert_eq!(
-            analysis.composition().interfaces.len(),
-            shared.config().levels()
-        );
+        assert_eq!(analysis.report().interfaces.len(), shared.config().levels());
+
+        let ic = BlueScaleInterconnect::new(config.clone(), &sets).expect("valid task sets");
+        let mut built = ShardedSystem::with_analysis(config, ic, &sets, 4);
+        built.run(4_000);
+        assert_eq!(built.merged_registry().to_json(), expected);
     }
 
     #[test]

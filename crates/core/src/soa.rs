@@ -1,11 +1,15 @@
 //! Structure-of-arrays hot core: arena-indexed server and RAB state.
 //!
-//! The per-cycle path of [`crate::network::BlueScaleInterconnect::step`]
+//! [`SoaCore`] is the runtime [`Engine`] every harness runs: the default
+//! engine of [`BlueScaleInterconnect`](crate::BlueScaleInterconnect), and
+//! the root and per-shard cores of the sharded system. The per-cycle path
 //! dominates wall-clock once the fast-forward path has removed idle
-//! stretches, and the legacy layout makes every busy cycle chase pointers:
-//! each SE owns a `Vec<Option<ServerTask>>`, each port a `Vec` of buffered
-//! requests, and every grant/replenish tally is a `BTreeMap` insertion.
-//! This module flattens the whole quadtree into one arena:
+//! stretches, and the per-SE layout of the reference engine
+//! ([`PerSeEngine`](crate::element::PerSeEngine)) makes every busy cycle
+//! chase pointers: each SE owns a `Vec<Option<ServerTask>>`, each port a
+//! `Vec` of buffered requests, and every grant/replenish tally is a
+//! `BTreeMap` insertion. This module flattens the whole quadtree into one
+//! arena:
 //!
 //! * **Server state** lives in [`ServerArena`] — parallel slices of
 //!   P-counters, B-counters, periods, budgets and staged (Π,Θ) swaps,
@@ -19,11 +23,11 @@
 //!   fallback above [`BUCKET_SPAN`] — for deep buffers.
 //! * **Counters** (grants, forwards, throttles, replenishments, overruns)
 //!   accumulate in plain delta arrays and are folded into the
-//!   [`MetricsRegistry`] on [`SoaCore::flush_metrics`] — the same
+//!   [`MetricsRegistry`] on [`Engine::flush_metrics`] — the same
 //!   "refreshed on `metrics_mut`" contract the memory controller already
 //!   uses. With detail recording on, counters and typed events are written
-//!   through directly in the legacy order, so event streams stay
-//!   bit-identical.
+//!   through directly in the reference engine's order, so event streams
+//!   stay bit-identical.
 //!
 //! **Slot stability rules.** A [`TaskSlot`] is a function of topology only
 //! (`slot = (level_base[depth] + order)·branch + port`): it never moves
@@ -33,11 +37,15 @@
 //! (or a bare [`ServerArena`]) is a slice memcpy, which is what makes
 //! trial-admission snapshots cheap.
 //!
-//! Semantics are pinned to the legacy path bit-for-bit: all staging and
-//! advance arithmetic round-trips through [`ServerTask`]
+//! Semantics are pinned to the reference engine bit-for-bit: all staging
+//! and advance arithmetic round-trips through [`ServerTask`]
 //! (`from_parts`/`into_parts`), and the differential suites compare full
-//! fingerprints of both engines.
+//! fingerprints of both engines. Interfaces come from the
+//! [`Composition`](crate::composition::Composition); the core holds no
+//! analysis state.
 
+use crate::memory_side::stuck_mask;
+use crate::network::{Engine, EngineIo};
 use crate::rab::QueuePolicy;
 use crate::topology::BlueScaleConfig;
 use bluescale_interconnect::{AccessKind, MemoryRequest};
@@ -720,9 +728,9 @@ impl PortQueues {
 
 /// The flattened runtime engine: all SEs' arbitration state in one arena.
 ///
-/// Replaces the per-SE runtime of [`ScaleElement`](crate::element::ScaleElement)
-/// (the elements remain the home of the interface *selectors* and analysis
-/// tables); [`step_se`](Self::step_se) reproduces
+/// The flat counterpart of the per-SE reference engine
+/// ([`PerSeEngine`](crate::element::PerSeEngine)): [`step_se`](Self::step_se)
+/// reproduces
 /// [`ScaleElement::step_masked`](crate::element::ScaleElement::step_masked)
 /// bit-for-bit on the slice layout.
 #[derive(Debug, Clone)]
@@ -761,7 +769,7 @@ pub struct SoaCore {
 impl SoaCore {
     /// Builds the arena for `config`'s topology and programs every SE from
     /// `interfaces` (indexed `[depth][order][port]`, as in
-    /// [`CompositionReport::interfaces`](crate::network::CompositionReport)).
+    /// [`CompositionReport::interfaces`](crate::CompositionReport)).
     pub fn new(
         config: &BlueScaleConfig,
         interfaces: &[Vec<Vec<Option<PeriodicResource>>>],
@@ -824,46 +832,6 @@ impl SoaCore {
         &self.arena
     }
 
-    /// Programs SE `(depth, order)`'s server slots immediately from
-    /// `interfaces` (one per port, `None` clears).
-    pub fn program_se(
-        &mut self,
-        depth: usize,
-        order: usize,
-        interfaces: &[Option<PeriodicResource>],
-    ) {
-        assert_eq!(interfaces.len(), self.branch, "one interface per port");
-        let b0 = self.se_lin(depth, order) * self.branch;
-        for (port, iface) in interfaces.iter().enumerate() {
-            match iface {
-                Some(r) => self.arena.program(TaskSlot::new(b0 + port), *r),
-                None => self.arena.clear(TaskSlot::new(b0 + port)),
-            }
-        }
-    }
-
-    /// Programs SE `(depth, order)` through the safe mode-change protocol
-    /// (staged boundary swaps); returns the summed transition latency —
-    /// the SoA counterpart of
-    /// [`ScaleElement::program_deferred`](crate::element::ScaleElement::program_deferred).
-    pub fn program_se_deferred(
-        &mut self,
-        depth: usize,
-        order: usize,
-        interfaces: &[Option<PeriodicResource>],
-    ) -> u64 {
-        assert_eq!(interfaces.len(), self.branch, "one interface per port");
-        let b0 = self.se_lin(depth, order) * self.branch;
-        interfaces
-            .iter()
-            .enumerate()
-            .map(|(port, iface)| {
-                self.arena
-                    .program_deferred(TaskSlot::new(b0 + port), *iface)
-            })
-            .sum()
-    }
-
     /// Whether `(depth, order, port)`'s buffer can accept a request.
     pub fn can_accept(&self, depth: usize, order: usize, port: usize) -> bool {
         !self.queues.is_full(self.slot(depth, order, port).index())
@@ -875,26 +843,6 @@ impl SoaCore {
     /// exactly.
     pub fn peek_head(&self, depth: usize, order: usize, port: usize) -> Option<&MemoryRequest> {
         self.queues.peek(self.slot(depth, order, port).index())
-    }
-
-    /// Offers a request at `(depth, order, port)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request back when the port buffer is full.
-    pub fn try_accept(
-        &mut self,
-        depth: usize,
-        order: usize,
-        port: usize,
-        request: MemoryRequest,
-    ) -> Result<(), MemoryRequest> {
-        let slot = self.slot(depth, order, port).index();
-        self.queues.try_push(slot, request)?;
-        self.buffered += 1;
-        let se = self.se_lin(depth, order);
-        self.buffered_se[se] += 1;
-        Ok(())
     }
 
     /// Accepts a response into SE `(depth, order)`'s demultiplexer.
@@ -955,30 +903,13 @@ impl SoaCore {
         }
     }
 
-    /// Requests buffered across all ports of the tree.
-    pub fn buffered(&self) -> usize {
-        self.buffered
-    }
-
-    /// Responses queued across all demultiplexers.
-    pub fn responses_queued(&self) -> usize {
-        self.responses_queued
-    }
-
-    /// Whether the whole fabric is quiescent (nothing buffered, no
-    /// responses queued) — the per-tree analogue of
-    /// [`ScaleElement::is_quiescent`](crate::element::ScaleElement::is_quiescent).
-    pub fn is_quiescent(&self) -> bool {
-        self.buffered == 0 && self.responses_queued == 0
-    }
-
     /// One arbitration cycle of SE `(depth, order)`: the SoA rewrite of
     /// [`ScaleElement::step_masked`](crate::element::ScaleElement::step_masked).
     /// GEDF argmin is a linear scan over the SE's contiguous P-counter
     /// slice; server ticks run in-place on the slices. With detail
     /// recording off, counters land in the delta arrays (flushed on
-    /// [`flush_metrics`](Self::flush_metrics)); with it on, counters and
-    /// typed events write through in the legacy order.
+    /// [`Engine::flush_metrics`]); with it on, counters and typed events
+    /// write through in the reference engine's order.
     pub fn step_se(
         &mut self,
         depth: usize,
@@ -1212,7 +1143,7 @@ impl SoaCore {
     /// form: a single batched sweep over the arena slices, tallying
     /// replenishment crossings into the delta arrays.
     pub fn advance_idle(&mut self, delta: Cycle) {
-        debug_assert!(self.is_quiescent(), "advance_idle on a non-idle fabric");
+        debug_assert_eq!(self.occupancy(), 0, "advance_idle on a non-idle fabric");
         if delta == 0 {
             return;
         }
@@ -1228,21 +1159,7 @@ impl SoaCore {
         }
     }
 
-    /// Forwarded-count delta not yet flushed for SE `(depth, order)` —
-    /// lets read-side accessors merge on the fly without `&mut`.
-    pub fn pending_forwarded(&self, depth: usize, order: usize) -> u64 {
-        self.d_forwarded_se[self.se_lin(depth, order)]
-    }
-
-    /// Folds all batched counter deltas into `metrics` and zeroes them.
-    /// Called from the interconnect's `metrics_mut` (the same refresh
-    /// contract as the memory-controller counters), so any mutable metrics
-    /// access observes exact tallies.
-    pub fn flush_metrics(&mut self, metrics: &mut MetricsRegistry) {
-        self.flush_metrics_mapped(metrics, |depth, order| (depth, order));
-    }
-
-    /// [`flush_metrics`](Self::flush_metrics) with a coordinate translation:
+    /// [`Engine::flush_metrics`] with a coordinate translation:
     /// each local SE `(depth, order)` is tallied under the component id
     /// `map(depth, order)` returns. A shard core covering one subtree of a
     /// larger tree flushes under the subtree's *global* coordinates, so a
@@ -1305,6 +1222,139 @@ impl SoaCore {
                 }
             }
         }
+    }
+}
+
+impl Engine for SoaCore {
+    fn build(config: &BlueScaleConfig, interfaces: &[Vec<Vec<Option<PeriodicResource>>>]) -> Self {
+        Self::new(config, interfaces)
+    }
+
+    fn program_se(&mut self, depth: usize, order: usize, interfaces: &[Option<PeriodicResource>]) {
+        assert_eq!(interfaces.len(), self.branch, "one interface per port");
+        let b0 = self.se_lin(depth, order) * self.branch;
+        for (port, iface) in interfaces.iter().enumerate() {
+            match iface {
+                Some(r) => self.arena.program(TaskSlot::new(b0 + port), *r),
+                None => self.arena.clear(TaskSlot::new(b0 + port)),
+            }
+        }
+    }
+
+    fn program_se_deferred(
+        &mut self,
+        depth: usize,
+        order: usize,
+        interfaces: &[Option<PeriodicResource>],
+    ) -> u64 {
+        assert_eq!(interfaces.len(), self.branch, "one interface per port");
+        let b0 = self.se_lin(depth, order) * self.branch;
+        interfaces
+            .iter()
+            .enumerate()
+            .map(|(port, iface)| {
+                self.arena
+                    .program_deferred(TaskSlot::new(b0 + port), *iface)
+            })
+            .sum()
+    }
+
+    fn try_accept(
+        &mut self,
+        depth: usize,
+        order: usize,
+        port: usize,
+        request: MemoryRequest,
+    ) -> Result<(), MemoryRequest> {
+        let slot = self.slot(depth, order, port).index();
+        self.queues.try_push(slot, request)?;
+        self.buffered += 1;
+        let se = self.se_lin(depth, order);
+        self.buffered_se[se] += 1;
+        Ok(())
+    }
+
+    /// One cycle on the flat arena — the four phases of the per-SE
+    /// reference's step ([`PerSeEngine`](crate::element::PerSeEngine)),
+    /// kept line-for-line parallel with it so the two stay bit-identical
+    /// (the differential suites enforce it).
+    fn step(&mut self, io: &mut EngineIo, now: Cycle) {
+        let have_faults = !io.mem.faults().is_empty();
+        let branch = self.branch;
+        // With detail recording off, arbitration runs on the batched fast
+        // path (delta counters, fused tick sweep); detail runs take the
+        // write-through `step_se` so typed events keep the reference order.
+        let detail = io.metrics.detail();
+        // 1. Response path: leaves deliver first (bottom-up), so a response
+        //    advances exactly one level per cycle.
+        self.route_responses(0, |request| io.deliver(request, now));
+        // 2. Memory completions enter the root's demultiplexer.
+        if let Some(done) = io.mem.complete(now, &mut io.metrics) {
+            self.accept_response(0, 0, done);
+        }
+        // 3. Root arbitration feeds the memory controller.
+        let root_ready = io.mem.can_accept();
+        let mask = io
+            .mem
+            .root_mask(now, root_ready, branch, &mut io.metrics, |port| {
+                self.peek_head(0, 0, port)
+            });
+        let granted = if detail {
+            self.step_se(0, 0, now, root_ready, mask.as_deref(), &mut io.metrics)
+        } else {
+            self.step_se_batched(0, 0, now, root_ready, mask.as_deref())
+        };
+        if let Some(request) = granted {
+            io.issue(request, now);
+        }
+        // 4. Deeper levels forward one request per SE toward their parents.
+        for depth in 1..self.levels {
+            for order in 0..self.level_base[depth + 1] - self.level_base[depth] {
+                let parent_order = order / branch;
+                let port = order % branch;
+                let ready = self.can_accept(depth - 1, parent_order, port);
+                let mask = if have_faults {
+                    stuck_mask(io.mem.faults(), depth, order, branch, now, &mut io.metrics)
+                } else {
+                    None
+                };
+                let granted = if detail {
+                    self.step_se(depth, order, now, ready, mask.as_deref(), &mut io.metrics)
+                } else {
+                    self.step_se_batched(depth, order, now, ready, mask.as_deref())
+                };
+                if let Some(request) = granted {
+                    self.try_accept(depth - 1, parent_order, port, request)
+                        .expect("parent advertised a free slot");
+                }
+            }
+        }
+        // 5. Server countdowns for every SE, fused into one arena sweep.
+        //    (Detail runs already ticked inside `step_se`, interleaved with
+        //    their grant events in the reference order.)
+        if !detail {
+            self.tick_all();
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        self.buffered + self.responses_queued
+    }
+
+    fn advance_idle(&mut self, delta: Cycle, _metrics: &mut MetricsRegistry) {
+        SoaCore::advance_idle(self, delta);
+    }
+
+    /// Folds all batched counter deltas into `metrics` and zeroes them.
+    /// Called from the interconnect's `metrics_mut` (the same refresh
+    /// contract as the memory-controller counters), so any mutable metrics
+    /// access observes exact tallies.
+    fn flush_metrics(&mut self, metrics: &mut MetricsRegistry) {
+        self.flush_metrics_mapped(metrics, |depth, order| (depth, order));
+    }
+
+    fn pending_forwarded(&self, depth: usize, order: usize) -> u64 {
+        self.d_forwarded_se[self.se_lin(depth, order)]
     }
 }
 
@@ -1586,7 +1636,7 @@ mod tests {
         // port, SEs (1,2) and (1,3) are entirely empty index ranges.
         let mut core = test_core(5);
         let mut metrics = MetricsRegistry::new();
-        assert!(core.is_quiescent());
+        assert_eq!(core.occupancy(), 0);
         for now in 0..50 {
             for order in 2..4 {
                 assert_eq!(
@@ -1605,7 +1655,7 @@ mod tests {
         }
         // The empty ranges also contribute nothing to occupancy, and the
         // populated slot is addressable right next to them.
-        assert_eq!(core.buffered(), 0);
+        assert_eq!(core.occupancy(), 0);
         assert!(core.arena().get(core.slot(1, 1, 0)).is_some());
         assert!(core.arena().get(core.slot(1, 1, 1)).is_none());
         assert!(core.arena().get(core.slot(1, 3, 3)).is_none());

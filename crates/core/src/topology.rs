@@ -64,6 +64,13 @@ impl fmt::Display for SeIndex {
 
 /// Static configuration of a BlueScale instance.
 ///
+/// The topology fields (`num_clients`, `branch`) shape both halves of the
+/// tree. `analysis_margin` and `granularity_divisor` are read only by the
+/// [`Composition`](crate::composition::Composition); the buffer, queue,
+/// gating, memory and policy fields only by the runtime engine and the
+/// root's memory side. No field selects the engine: that is the
+/// interconnect's type parameter.
+///
 /// # Example
 ///
 /// ```
@@ -79,7 +86,8 @@ pub struct BlueScaleConfig {
     pub num_clients: usize,
     /// Fan-in of every SE (4 in the paper).
     pub branch: usize,
-    /// Capacity of each random-access buffer (pending requests per port).
+    /// Capacity of each random-access buffer (pending requests per port;
+    /// engine).
     pub buffer_capacity: usize,
     /// Reserved: the response path is modelled structurally (one
     /// demultiplexer stage per SE, one response per stage per cycle), so
@@ -94,28 +102,25 @@ pub struct BlueScaleConfig {
     pub dram: Option<DramConfig>,
     /// If `true`, an SE whose eligible servers are all out of budget may
     /// still forward the earliest-deadline pending request (ablation knob;
-    /// the paper's hardware is strictly budget-gated, i.e. `false`).
+    /// the paper's hardware is strictly budget-gated, i.e. `false`). The
+    /// analysis does not depend on it.
     pub work_conserving: bool,
     /// Deadline-deflation factor in `(0, 1]` applied to the *leaf* task
     /// parameters: a task with period `T` is analysed against the deadline
     /// `max(C, ⌊margin·T⌋)`. Values below 1 reserve end-to-end slack for
     /// the remaining pipeline stages (request transit, memory service and
-    /// the response path); 1.0 reproduces the paper's bare analysis.
+    /// the response path); 1.0 reproduces the paper's bare analysis. Read
+    /// by the composition when it loads leaf table rows.
     pub analysis_margin: f64,
     /// Granularity divisor for interface selection: candidate server
     /// periods are capped at `min_deadline / divisor`. Finer granularity
     /// shortens worst-case blackouts (less bandwidth inflation, smaller
-    /// per-stage delay) at the cost of more frequent replenishments.
+    /// per-stage delay) at the cost of more frequent replenishments. Every
+    /// SE's selector in the composition uses it.
     pub granularity_divisor: u64,
     /// Ordering discipline of the low-level (per-port) queues — EDF in the
-    /// paper; FIFO as an ablation.
+    /// paper; FIFO as an ablation (engine).
     pub low_level_policy: QueuePolicy,
-    /// Run the busy-cycle path on the structure-of-arrays core
-    /// ([`crate::soa::SoaCore`]) — arena-indexed server state, linear-scan
-    /// GEDF argmin, batched counters. Semantically identical to the legacy
-    /// per-SE engine (pinned by the differential suites); `false` selects
-    /// the legacy engine, kept as the differential oracle.
-    pub soa_core: bool,
     /// Memory-scheduling policy applied at the root-arbitration seam
     /// (before the controller). `Unregulated` is bit-identical to having
     /// no policy at all; active policies may defer per-port grants (the
@@ -143,7 +148,6 @@ impl BlueScaleConfig {
             analysis_margin: 0.9,
             granularity_divisor: 1,
             low_level_policy: QueuePolicy::EarliestDeadline,
-            soa_core: true,
             mem_policy: MemPolicyConfig::Unregulated,
         }
     }

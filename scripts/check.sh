@@ -33,9 +33,6 @@ cargo run --release -q -p bluescale-bench --bin fault_smoke
 echo "==> admission control smoke check (join/update/leave/reject + quarantine)"
 cargo run --release -q -p bluescale-bench --bin admission_smoke
 
-echo "==> SoA hot-core smoke check (bit-identical under churn and faults)"
-cargo run --release -q -p bluescale-bench --bin soa_smoke
-
 echo "==> sharded-execution smoke check (4 workers, conservation + serial oracle)"
 cargo run --release -q -p bluescale-bench --bin shard_smoke
 
@@ -59,7 +56,7 @@ cargo test -q --release --test churn_differential
 echo "==> fast-forward differential (bit-identical to per-cycle stepping)"
 cargo test -q --release --test fastforward_differential
 
-echo "==> SoA differential (arena engine bit-identical to legacy)"
+echo "==> SoA differential (arena engine bit-identical to the per-SE reference)"
 cargo test -q --release --test soa_differential
 
 echo "==> scalability smoke (both stepping modes, small sweep points)"

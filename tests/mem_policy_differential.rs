@@ -4,8 +4,8 @@
 //!
 //! * **`Unregulated` is bit-identical to having no policy at all.** The
 //!   default policy must leave every engine on its exact pre-policy code
-//!   path. These tests run the identical seeded workload on the legacy
-//!   per-SE engine (the differential oracle), the serial SoA engine and
+//!   path. These tests run the identical seeded workload on the per-SE
+//!   reference engine (the differential oracle), the serial SoA engine and
 //!   the sharded engine at 1/2/4 workers, over dense, sparse+faulted and
 //!   churned scenarios, and require bit-identical fingerprints — counts,
 //!   per-client counts, per-SE forwards, per-port grants and
@@ -14,10 +14,14 @@
 //!   a pure function of `(now, candidates)`, and all three engines feed it
 //!   the same candidates in the same order — so per-bank regulation,
 //!   blacklisting and deterministic memory must also fingerprint
-//!   identically on legacy, SoA and sharded runs, with the deferral
+//!   identically on reference, SoA and sharded runs, with the deferral
 //!   actually biting (the check would be vacuous otherwise).
 
+use bluescale::element::PerSeEngine;
+use bluescale::network::Engine;
+use bluescale::soa::SoaCore;
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect, ShardedSystem};
+use bluescale_interconnect::admission::ChurnPlan;
 use bluescale_interconnect::system::System;
 use bluescale_mem::MemPolicyConfig;
 use bluescale_rt::task::{Task, TaskSet};
@@ -49,32 +53,54 @@ fn sparse_config(clients: usize) -> SyntheticConfig {
     }
 }
 
-fn config_for(sets: &[TaskSet], soa_core: bool, policy: &MemPolicyConfig) -> BlueScaleConfig {
+fn config_for(sets: &[TaskSet], policy: &MemPolicyConfig) -> BlueScaleConfig {
     let mut config = BlueScaleConfig::for_clients(sets.len());
     config.work_conserving = true;
-    config.soa_core = soa_core;
     config.mem_policy = policy.clone();
     config
 }
 
-fn build_serial(
+fn build_serial<E: Engine>(
     sets: &[TaskSet],
-    soa_core: bool,
     policy: &MemPolicyConfig,
-) -> System<BlueScaleInterconnect> {
-    let ic =
-        BlueScaleInterconnect::new(config_for(sets, soa_core, policy), sets).expect("valid sets");
+) -> System<BlueScaleInterconnect<E>> {
+    let ic = BlueScaleInterconnect::<E>::with_engine(config_for(sets, policy), sets)
+        .expect("valid sets");
     System::new(Box::new(ic), sets)
 }
 
 fn build_sharded(sets: &[TaskSet], policy: &MemPolicyConfig, workers: usize) -> ShardedSystem {
-    ShardedSystem::new(config_for(sets, true, policy), sets, workers).expect("valid sets")
+    ShardedSystem::new(config_for(sets, policy), sets, workers).expect("valid sets")
+}
+
+/// The plan set-up every engine under test accepts.
+trait Harness {
+    fn set_fault_plan(&mut self, plan: FaultPlan);
+    fn set_churn_plan(&mut self, plan: ChurnPlan);
+}
+
+impl<E: Engine> Harness for System<BlueScaleInterconnect<E>> {
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        System::set_fault_plan(self, plan);
+    }
+    fn set_churn_plan(&mut self, plan: ChurnPlan) {
+        System::set_churn_plan(self, plan);
+    }
+}
+
+impl Harness for ShardedSystem {
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        ShardedSystem::set_fault_plan(self, plan);
+    }
+    fn set_churn_plan(&mut self, plan: ChurnPlan) {
+        ShardedSystem::set_churn_plan(self, plan);
+    }
 }
 
 /// Everything two runs must agree on to count as bit-identical (the
 /// fingerprint of `soa_differential.rs`/`shard_differential.rs`).
-fn serial_fingerprint(
-    sys: &mut System<BlueScaleInterconnect>,
+fn serial_fingerprint<E: Engine>(
+    sys: &mut System<BlueScaleInterconnect<E>>,
     horizon: u64,
 ) -> (Vec<u64>, Vec<f64>) {
     let mut m = sys.run(horizon);
@@ -129,24 +155,24 @@ fn shard_fingerprint(sys: &mut ShardedSystem, horizon: u64) -> (Vec<u64>, Vec<f6
     (counts, samples)
 }
 
-/// Runs the legacy oracle, the serial SoA twin and the sharded twin at
-/// every sweep worker count under `policy`; all fingerprints must be
-/// bit-identical. Returns the oracle fingerprint for extra assertions.
+/// Runs the reference oracle, the serial SoA twin and the sharded twin at
+/// every sweep worker count under `policy`, each set up by `prepare`; all
+/// fingerprints must be bit-identical. Returns the oracle fingerprint for
+/// extra assertions.
 fn assert_engines_agree(
     sets: &[TaskSet],
     policy: &MemPolicyConfig,
-    prepare: &dyn Fn(&mut System<BlueScaleInterconnect>),
-    prepare_sharded: &dyn Fn(&mut ShardedSystem),
+    prepare: &dyn Fn(&mut dyn Harness),
     label: &str,
 ) -> (Vec<u64>, Vec<f64>) {
-    let mut oracle = build_serial(sets, false, policy);
+    let mut oracle = build_serial::<PerSeEngine>(sets, policy);
     prepare(&mut oracle);
     let expected = serial_fingerprint(&mut oracle, HORIZON);
     assert!(
         expected.0[0] > 0,
         "{label}: the workload must issue requests"
     );
-    let mut soa = build_serial(sets, true, policy);
+    let mut soa = build_serial::<SoaCore>(sets, policy);
     prepare(&mut soa);
     let got = serial_fingerprint(&mut soa, HORIZON);
     assert_eq!(
@@ -155,7 +181,7 @@ fn assert_engines_agree(
     );
     for &workers in &WORKER_SWEEP {
         let mut sharded = build_sharded(sets, policy, workers);
-        prepare_sharded(&mut sharded);
+        prepare(&mut sharded);
         let got = shard_fingerprint(&mut sharded, HORIZON);
         assert_eq!(
             got, expected,
@@ -171,7 +197,6 @@ fn unregulated_dense_is_bit_identical_across_engines() {
     assert_engines_agree(
         &sets,
         &MemPolicyConfig::Unregulated,
-        &|_| {},
         &|_| {},
         "unregulated/dense",
     );
@@ -228,14 +253,13 @@ fn unregulated_sparse_faulted_is_bit_identical_across_engines() {
         &sets,
         &MemPolicyConfig::Unregulated,
         &|sys| sys.set_fault_plan(fault_plan()),
-        &|sys| sys.set_fault_plan(fault_plan()),
         "unregulated/sparse+faults",
     );
 }
 
 #[test]
 fn unregulated_churn_is_bit_identical_across_engines() {
-    use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
+    use bluescale_interconnect::admission::ChurnKind;
     let sets = task_sets(&sparse_config(16));
     let plan = {
         let sets = sets.clone();
@@ -263,7 +287,6 @@ fn unregulated_churn_is_bit_identical_across_engines() {
         &sets,
         &MemPolicyConfig::Unregulated,
         &|sys| sys.set_churn_plan(plan()),
-        &|sys| sys.set_churn_plan(plan()),
         "unregulated/churn",
     );
 }
@@ -271,7 +294,7 @@ fn unregulated_churn_is_bit_identical_across_engines() {
 #[test]
 fn active_policies_agree_across_engines() {
     // The tentpole guarantee beyond bit-identity of the default: each
-    // *active* policy also fingerprints identically on legacy, SoA and
+    // *active* policy also fingerprints identically on reference, SoA and
     // sharded runs — the defer verdict is a pure function of
     // (now, candidates), and every engine presents the same candidates.
     let sets = task_sets(&SyntheticConfig::fig6(16));
@@ -289,7 +312,7 @@ fn active_policies_agree_across_engines() {
         },
     ] {
         let label = format!("active/{}", policy.name());
-        assert_engines_agree(&sets, &policy, &|_| {}, &|_| {}, &label);
+        assert_engines_agree(&sets, &policy, &|_| {}, &label);
     }
     // The root seam under load from both sides: the defer mask composes
     // with a *root* stuck-grant mask, while DRAM jitter stretches service
@@ -302,10 +325,9 @@ fn active_policies_agree_across_engines() {
         &sets,
         &policy,
         &|sys| sys.set_fault_plan(root_fault_plan()),
-        &|sys| sys.set_fault_plan(root_fault_plan()),
         "active/per-bank+root-faults",
     );
-    let mut sys = build_serial(&sets, true, &policy);
+    let mut sys = build_serial::<SoaCore>(&sets, &policy);
     sys.set_fault_plan(root_fault_plan());
     sys.run(HORIZON);
     let merged = sys.merged_registry();
@@ -364,15 +386,12 @@ fn active_regulation_actually_defers_in_the_differential_workload() {
         window: 400,
         budget: 8,
     };
-    let mut deferred = Vec::new();
-    for soa_core in [false, true] {
-        let mut sys = build_serial(&sets, soa_core, &policy);
-        sys.run(HORIZON);
-        deferred.push(
-            sys.merged_registry()
-                .counter(ComponentId::Memory, Counter::PolicyDeferred),
-        );
-    }
+    let mut oracle = build_serial::<PerSeEngine>(&sets, &policy);
+    oracle.run(HORIZON);
+    let mut soa = build_serial::<SoaCore>(&sets, &policy);
+    soa.run(HORIZON);
+    let deferred = [oracle.merged_registry(), soa.merged_registry()]
+        .map(|m| m.counter(ComponentId::Memory, Counter::PolicyDeferred));
     assert!(deferred[0] > 0, "the budget must bite in this workload");
     assert_eq!(deferred[0], deferred[1], "engines defer identically");
 }

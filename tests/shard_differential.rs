@@ -56,7 +56,6 @@ fn sparse_config(clients: usize) -> SyntheticConfig {
 fn config_for(sets: &[TaskSet], work_conserving: bool) -> BlueScaleConfig {
     let mut config = BlueScaleConfig::for_clients(sets.len());
     config.work_conserving = work_conserving;
-    config.soa_core = true;
     config
 }
 

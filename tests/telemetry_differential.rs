@@ -5,8 +5,8 @@
 //! * **Streaming never changes the simulation.** A run with a telemetry
 //!   pipeline attached (JSONL file + in-process ring subscriber) must
 //!   produce a byte-identical `merged_registry` JSON to the same seeded
-//!   run with streaming off — on the serial harness (legacy and SoA
-//!   engines) and on the sharded coordinator at 1/2/4 workers, across
+//!   run with streaming off — on the serial harness (per-SE reference
+//!   and SoA engines) and on the sharded coordinator at 1/2/4 workers, across
 //!   dense, sparse+fault and churn scenarios.
 //! * **The stream is lossless.** Folding the JSONL epochs
 //!   ([`fold_jsonl`]) must reconstruct the final harness and fabric
@@ -14,6 +14,9 @@
 //!   sequences by window concatenation, gauges and accumulator
 //!   summaries by last-value-wins.
 
+use bluescale::element::PerSeEngine;
+use bluescale::network::Engine;
+use bluescale::soa::SoaCore;
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect, ShardedSystem};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
 use bluescale_interconnect::system::System;
@@ -47,15 +50,14 @@ fn sparse_config(clients: usize) -> SyntheticConfig {
     }
 }
 
-fn config_for(sets: &[TaskSet], soa: bool) -> BlueScaleConfig {
+fn config_for(sets: &[TaskSet]) -> BlueScaleConfig {
     let mut config = BlueScaleConfig::for_clients(sets.len());
     config.work_conserving = true;
-    config.soa_core = soa;
     config
 }
 
-fn build_serial(sets: &[TaskSet], soa: bool) -> System<BlueScaleInterconnect> {
-    let ic = BlueScaleInterconnect::new(config_for(sets, soa), sets).expect("valid sets");
+fn build_serial<E: Engine>(sets: &[TaskSet]) -> System<BlueScaleInterconnect<E>> {
+    let ic = BlueScaleInterconnect::<E>::with_engine(config_for(sets), sets).expect("valid sets");
     System::new(Box::new(ic), sets)
 }
 
@@ -132,18 +134,17 @@ fn churn_plan(sets: &[TaskSet]) -> ChurnPlan {
 
 /// Streaming on vs off on the serial harness: byte-identical registries,
 /// and the JSONL fold must reconstruct both final registries exactly.
-fn assert_serial_scenario(
+fn assert_serial_scenario<E: Engine>(
     sets: &[TaskSet],
-    soa: bool,
-    prepare: impl Fn(&mut System<BlueScaleInterconnect>),
+    prepare: impl Fn(&mut System<BlueScaleInterconnect<E>>),
     label: &str,
 ) {
-    let mut baseline = build_serial(sets, soa);
+    let mut baseline = build_serial::<E>(sets);
     prepare(&mut baseline);
     baseline.run(HORIZON);
     let expected = baseline.merged_registry().to_json();
 
-    let mut streaming = build_serial(sets, soa);
+    let mut streaming = build_serial::<E>(sets);
     prepare(&mut streaming);
     let path = jsonl_path(label);
     streaming.attach_telemetry(pipeline(&path));
@@ -173,13 +174,13 @@ fn assert_serial_scenario(
 #[test]
 fn dense_serial_soa_streaming_is_invisible_and_lossless() {
     let sets = task_sets(&SyntheticConfig::fig6(16));
-    assert_serial_scenario(&sets, true, |_| {}, "dense-soa");
+    assert_serial_scenario::<SoaCore>(&sets, |_| {}, "dense-soa");
 }
 
 #[test]
 fn dense_serial_legacy_streaming_is_invisible_and_lossless() {
     let sets = task_sets(&SyntheticConfig::fig6(16));
-    assert_serial_scenario(&sets, false, |_| {}, "dense-legacy");
+    assert_serial_scenario::<PerSeEngine>(&sets, |_| {}, "dense-legacy");
 }
 
 #[test]
@@ -188,9 +189,8 @@ fn sparse_faulted_streaming_is_invisible_and_lossless() {
     // chunked advance clamps jumps at each boundary, which must change
     // wall-clock only, never state.
     let sets = task_sets(&sparse_config(16));
-    assert_serial_scenario(
+    assert_serial_scenario::<SoaCore>(
         &sets,
-        true,
         |sys| sys.set_fault_plan(fault_plan()),
         "sparse-faults",
     );
@@ -199,12 +199,7 @@ fn sparse_faulted_streaming_is_invisible_and_lossless() {
 #[test]
 fn churn_streaming_is_invisible_and_lossless() {
     let sets = task_sets(&sparse_config(16));
-    assert_serial_scenario(
-        &sets,
-        true,
-        |sys| sys.set_churn_plan(churn_plan(&sets)),
-        "churn",
-    );
+    assert_serial_scenario::<SoaCore>(&sets, |sys| sys.set_churn_plan(churn_plan(&sets)), "churn");
 }
 
 #[test]
@@ -216,7 +211,7 @@ fn sharded_streaming_is_invisible_and_lossless_across_worker_counts() {
     let mut expected: Option<String> = None;
     for &workers in &[1usize, 2, 4] {
         let mut baseline =
-            ShardedSystem::new(config_for(&sets, true), &sets, workers).expect("valid sets");
+            ShardedSystem::new(config_for(&sets), &sets, workers).expect("valid sets");
         baseline.set_fault_plan(fault_plan());
         baseline.run(HORIZON);
         let off = baseline.merged_registry().to_json();
@@ -229,7 +224,7 @@ fn sharded_streaming_is_invisible_and_lossless_across_worker_counts() {
         }
 
         let mut streaming =
-            ShardedSystem::new(config_for(&sets, true), &sets, workers).expect("valid sets");
+            ShardedSystem::new(config_for(&sets), &sets, workers).expect("valid sets");
         streaming.set_fault_plan(fault_plan());
         let path = jsonl_path(&format!("shard-{workers}w"));
         streaming.attach_telemetry(pipeline(&path));
@@ -264,12 +259,12 @@ fn windowed_samples_stream_losslessly_under_eviction() {
     // (folded + dropped == pushed) and the retained suffix must hold —
     // and streaming must still be invisible to the simulation.
     let sets = task_sets(&SyntheticConfig::fig6(16));
-    let mut baseline = build_serial(&sets, true);
+    let mut baseline = build_serial::<SoaCore>(&sets);
     baseline.registry_mut().set_sample_window(Some(32));
     baseline.run(HORIZON);
     let expected = baseline.merged_registry().to_json();
 
-    let mut streaming = build_serial(&sets, true);
+    let mut streaming = build_serial::<SoaCore>(&sets);
     streaming.registry_mut().set_sample_window(Some(32));
     let path = jsonl_path("windowed");
     streaming.attach_telemetry(pipeline(&path));
