@@ -4,8 +4,8 @@
 //! Usage: `cargo run --release -p bluescale-bench --bin report -- [--out DIR]`
 
 use bluescale_bench::{
-    ablation, admission, arg_value, dram, export, fig5, fig6, fig7, isolation, reconfig,
-    scalability, table1, wcrt,
+    ablation, admission, arg_value, churn, dram, export, fig5, fig6, fig7, isolation, scalability,
+    table1, wcrt,
 };
 use bluescale_sim::metrics::MetricsRegistry;
 use std::fs;
@@ -94,11 +94,15 @@ fn main() {
     write(dir, "isolation.md", isolation::render(&config, &rows));
     write_json(dir, "isolation_metrics.json", &mut registry);
 
-    let config = reconfig::ReconfigConfig::default();
+    let config = churn::ChurnConfig::default();
     write(
         dir,
         "reconfig.md",
-        reconfig::render(&config, &reconfig::run(&config)),
+        churn::render(
+            &config,
+            &churn::run(&config),
+            &churn::run_disturbance(&config),
+        ),
     );
 
     let config = admission::AdmissionConfig::default();

@@ -1,15 +1,23 @@
-//! Extension experiment: online tenant churn — incremental vs full
-//! interface re-selection, and the disturbance a live transition causes.
+//! Extension experiment: online tenant churn — the cost of one
+//! path-local reconfiguration, and the disturbance a live transition
+//! causes.
 //!
-//! Two measurements, both exported to `results/BENCH_admission.json`:
+//! The paper's Section 3.2 claims the property that makes BlueScale's
+//! *scheduling* scale: when a task joins or leaves a client, only the
+//! server tasks on that client's request path are updated — O(tree depth)
+//! Scale Elements, where a centralized design recomputes every client's
+//! bandwidth (Section 2.2). Two measurements, both exported to
+//! `results/BENCH_admission.json` and rendered into `results/reconfig.md`:
 //!
-//! 1. **Admission cost.** A seeded stream of join/leave/update requests is
-//!    admission-tested twice per event: with the path-local
-//!    [`IncrementalSelection`] cache and with a from-scratch
-//!    [`full_selection`] over the whole tree. The two must make
-//!    bit-identical admission decisions (asserted, not assumed); the sweep
-//!    reports the wall-clock gap and the SEs analyzed per event, per tree
-//!    depth.
+//! 1. **Reconfiguration cost.** A seeded stream of join/leave/update
+//!    requests drives a live [`BlueScaleInterconnect`] through
+//!    [`Interconnect::reconfigure_client`] — the trial-then-commit path the
+//!    harnesses and the control plane use. Each event is also decided by a
+//!    from-scratch [`Composition::new`] on the updated task sets. The two
+//!    must make the same decision (admitted iff the fresh build is
+//!    schedulable) and, on admission, hold identical interfaces — asserted
+//!    per event before any timing is reported. The sweep reports the
+//!    wall-clock gap and the SEs each re-analyzes, per tree depth.
 //! 2. **Transition disturbance.** A live [`System`] over the real
 //!    BlueScale fabric runs a [`ChurnPlan`]; the mode-change protocol's
 //!    promise is that already-admitted tenants never miss a deadline
@@ -17,11 +25,11 @@
 //!    every *non-churned* client (expected: zero) next to the staged
 //!    transition latencies.
 
+use bluescale::composition::Composition;
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
 use bluescale_interconnect::system::System;
-use bluescale_rt::incremental::{full_selection, IncrementalSelection, InterfaceTree};
-use bluescale_rt::interface::root_admissible;
+use bluescale_interconnect::Interconnect;
 use bluescale_rt::task::{Task, TaskSet};
 use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry};
 use bluescale_sim::rng::SimRng;
@@ -33,7 +41,7 @@ use std::time::Instant;
 pub struct ChurnConfig {
     /// Client counts to sweep (each maps to a tree depth).
     pub client_counts: Vec<usize>,
-    /// Churn events admission-tested per point.
+    /// Churn events applied per point.
     pub events: usize,
     /// Master seed.
     pub seed: u64,
@@ -44,7 +52,7 @@ pub struct ChurnConfig {
 impl Default for ChurnConfig {
     fn default() -> Self {
         Self {
-            client_counts: vec![16, 64, 256],
+            client_counts: vec![16, 64, 256, 1024],
             events: 40,
             seed: 0xC4A2,
             horizon: 30_000,
@@ -52,34 +60,31 @@ impl Default for ChurnConfig {
     }
 }
 
-/// One admission-cost sweep point.
+/// One reconfiguration-cost sweep point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnPoint {
     /// Number of clients.
     pub clients: usize,
-    /// Tree depth (SE levels).
+    /// Tree depth (SE levels): the SEs one reconfiguration re-solves.
     pub levels: usize,
-    /// Churn events tested.
+    /// Churn events applied.
     pub events: usize,
-    /// Events admitted (identical under both re-selection strategies).
+    /// Events admitted (identical under both strategies).
     pub admitted: usize,
     /// Events rejected (infeasible selection or inadmissible root).
     pub rejected: usize,
-    /// Mean wall-clock microseconds per incremental admission test.
-    pub incremental_us: f64,
-    /// Mean wall-clock microseconds per full re-selection.
-    pub full_us: f64,
-    /// Mean SEs analyzed per incremental event (≤ tree depth: a probe
-    /// rejected at the leaf never climbs further).
-    pub ses_incremental: f64,
-    /// SEs analyzed per full re-selection (the whole tree).
-    pub ses_full: u64,
+    /// Mean wall-clock microseconds per `reconfigure_client`.
+    pub reconfigure_us: f64,
+    /// Mean wall-clock microseconds per `Composition::new`.
+    pub rebuild_us: f64,
+    /// SEs a from-scratch composition solves (the whole tree).
+    pub ses_full: usize,
 }
 
 impl ChurnPoint {
-    /// Wall-clock speed-up of the incremental path.
+    /// Wall-clock speed-up of the path-local reconfiguration.
     pub fn speedup(&self) -> f64 {
-        self.full_us / self.incremental_us.max(1e-9)
+        self.rebuild_us / self.reconfigure_us.max(1e-9)
     }
 }
 
@@ -141,39 +146,15 @@ fn draw_event(clients: usize, rng: &mut SimRng) -> (usize, TaskSet) {
     (client, tasks)
 }
 
-/// Admission decision of a from-scratch re-selection over `sets` with
-/// `client` retasked: feasible selection everywhere *and* an exactly
-/// admissible root.
-fn full_decision(
-    sets: &[TaskSet],
-    client: usize,
-    tasks: &TaskSet,
-    branch: usize,
-) -> (bool, Option<InterfaceTree>) {
-    let mut trial = sets.to_vec();
-    trial[client] = tasks.clone();
-    match full_selection(&trial, branch, 1) {
-        Ok(tree) => {
-            let root: Vec<_> = tree[0][0].iter().flatten().copied().collect();
-            if root_admissible(&root) {
-                (true, Some(tree))
-            } else {
-                (false, None)
-            }
-        }
-        Err(_) => (false, None),
-    }
-}
-
-/// Runs the admission-cost sweep.
+/// Runs the reconfiguration-cost sweep.
 ///
 /// # Panics
 ///
-/// Panics if the incremental and full strategies ever disagree on an
-/// admission decision, or on the selected interfaces after a commit —
-/// the sweep's timings are only meaningful while the two are equivalent.
+/// Panics if `reconfigure_client` and a fresh [`Composition::new`] ever
+/// disagree on an admission decision, or on the interfaces after an
+/// admitted event — the timings are only meaningful while the two are
+/// equivalent.
 pub fn run(config: &ChurnConfig) -> Vec<ChurnPoint> {
-    let branch = 4;
     let mut master = SimRng::seed_from(config.seed);
     config
         .client_counts
@@ -181,52 +162,50 @@ pub fn run(config: &ChurnConfig) -> Vec<ChurnPoint> {
         .map(|&clients| {
             let mut rng = master.fork();
             let mut sets = light_sets(clients, &mut rng);
-            let mut inc = IncrementalSelection::new(sets.clone(), branch, 1)
-                .expect("light workload is feasible");
+            let bs = BlueScaleConfig::for_clients(clients);
+            let mut ic =
+                BlueScaleInterconnect::new(bs.clone(), &sets).expect("light workload builds");
             let (mut admitted, mut rejected) = (0usize, 0usize);
-            let (mut inc_total, mut full_total) = (0.0f64, 0.0f64);
+            let (mut reconfigure_total, mut rebuild_total) = (0.0f64, 0.0f64);
             for _ in 0..config.events {
                 let (client, tasks) = draw_event(clients, &mut rng);
+                let mut updated = sets.clone();
+                updated[client] = tasks;
 
                 let start = Instant::now();
-                let inc_admitted = inc.admit_update(client, tasks.clone()).unwrap_or(false);
-                inc_total += start.elapsed().as_secs_f64() * 1e6;
+                let outcome = ic.reconfigure_client(client as u32, &updated[client], 0);
+                reconfigure_total += start.elapsed().as_secs_f64() * 1e6;
 
                 let start = Instant::now();
-                let (full_admitted, full_tree) = full_decision(&sets, client, &tasks, branch);
-                full_total += start.elapsed().as_secs_f64() * 1e6;
+                let fresh = Composition::new(bs.clone(), &updated).expect("valid task sets");
+                rebuild_total += start.elapsed().as_secs_f64() * 1e6;
 
                 assert_eq!(
-                    inc_admitted, full_admitted,
-                    "strategies disagree on client {client}"
+                    outcome.applied(),
+                    fresh.report().schedulable,
+                    "decisions disagree on client {client}: {outcome:?}"
                 );
-                if inc_admitted {
+                if outcome.applied() {
                     admitted += 1;
-                    sets[client] = tasks;
+                    sets = updated;
                     assert_eq!(
-                        inc.interfaces(),
-                        &full_tree.expect("admitted events carry a tree"),
+                        ic.composition().interfaces,
+                        fresh.report().interfaces,
                         "committed interfaces diverged on client {client}"
                     );
                 } else {
                     rejected += 1;
                 }
             }
-            let ses_full = inc
-                .interfaces()
-                .iter()
-                .map(|level| level.len() as u64)
-                .sum::<u64>();
             ChurnPoint {
                 clients,
-                levels: inc.levels(),
+                levels: bs.levels(),
                 events: config.events,
                 admitted,
                 rejected,
-                incremental_us: inc_total / config.events as f64,
-                full_us: full_total / config.events as f64,
-                ses_incremental: inc.ses_analyzed() as f64 / config.events as f64,
-                ses_full,
+                reconfigure_us: reconfigure_total / config.events as f64,
+                rebuild_us: rebuild_total / config.events as f64,
+                ses_full: bs.total_elements(),
             }
         })
         .collect()
@@ -308,10 +287,9 @@ pub fn record_into(
         let series = ComponentId::Series(i as u16);
         registry.set_gauge(series, "clients", p.clients as f64);
         registry.set_gauge(series, "levels", p.levels as f64);
-        registry.set_gauge(series, "incremental_us", p.incremental_us);
-        registry.set_gauge(series, "full_us", p.full_us);
+        registry.set_gauge(series, "reconfigure_us", p.reconfigure_us);
+        registry.set_gauge(series, "rebuild_us", p.rebuild_us);
         registry.set_gauge(series, "speedup", p.speedup());
-        registry.set_gauge(series, "ses_incremental", p.ses_incremental);
         registry.set_gauge(series, "ses_full", p.ses_full as f64);
         registry.add(series, Counter::Admitted, p.admitted as u64);
         registry.add(series, Counter::AdmissionRejected, p.rejected as u64);
@@ -337,26 +315,26 @@ pub fn render(
     disturbance: &DisturbanceReport,
 ) -> String {
     let mut s = format!(
-        "# Extension: online churn — incremental admission vs full \
-         re-selection ({} events/point)\n\n",
+        "# Extension: online churn — path-local reconfiguration vs a fresh \
+         composition ({} events/point)\n\n",
         config.events
     );
     s.push_str(
-        "| Clients | Depth | Admitted | Rejected | SEs/event (inc) | \
-         SEs/event (full) | Incremental (µs) | Full (µs) | Speed-up |\n",
+        "| Clients | Depth | Admitted | Rejected | SEs (path) | SEs (full) | \
+         reconfigure_client (µs) | Composition::new (µs) | Speed-up |\n",
     );
     s.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
     for p in points {
         s.push_str(&format!(
-            "| {} | {} | {} | {} | {:.1} | {} | {:.1} | {:.1} | {:.1}× |\n",
+            "| {} | {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.1}× |\n",
             p.clients,
             p.levels,
             p.admitted,
             p.rejected,
-            p.ses_incremental,
+            p.levels,
             p.ses_full,
-            p.incremental_us,
-            p.full_us,
+            p.reconfigure_us,
+            p.rebuild_us,
             p.speedup(),
         ));
     }
@@ -391,21 +369,18 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_and_incremental_analyzes_fewer_ses() {
+    fn reconfiguration_agrees_with_a_fresh_build_and_touches_only_the_path() {
         // `run` itself asserts decision and interface equality per event.
         let pts = run(&tiny());
         for p in &pts {
             assert_eq!(p.admitted + p.rejected, p.events);
             assert!(p.admitted > 0, "some churn must be admitted");
             assert!(p.rejected > 0, "hogs must be rejected");
-            assert!(
-                p.ses_incremental < p.ses_full as f64,
-                "path re-analysis must beat the whole tree"
-            );
         }
-        // 4× the clients adds one level to the path but 4× the tree.
-        assert_eq!(pts[1].levels, pts[0].levels + 1);
-        assert!(pts[1].ses_full > 4 * pts[0].ses_full);
+        // 16 clients: depth 2 of 1 + 4 SEs; 64 clients: depth 3 of 21.
+        // 4× the clients adds one SE to the path but 4× the tree.
+        assert_eq!((pts[0].levels, pts[0].ses_full), (2, 5));
+        assert_eq!((pts[1].levels, pts[1].ses_full), (3, 21));
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! | Worst-case vs average latency (extension) | [`wcrt`] | `... --bin wcrt` |
 //! | Temporal isolation vs a rogue client (extension) | [`isolation`] | `... --bin isolation` |
 //! | Isolation under fault injection (extension) | [`isolation_fault`] | `... --bin isolation_fault` |
-//! | Reconfiguration cost per task change (extension) | [`reconfig`] | `... --bin reconfig` |
-//! | Online churn: incremental admission (extension) | [`churn`] | `... --bin churn` |
+//! | Online churn: reconfiguration cost and disturbance (extension) | [`churn`] | `... --bin churn` |
 //! | Analytic admission-rate curve (extension) | [`admission`] | `... --bin admission` |
 //! | Hierarchical EDP laxity sweep (extension) | [`edp_sweep`] | `... --bin edp_sweep` |
 //! | Interface-selection fast path (extension) | [`interface_selection`] | `... --bin selection_bench` |
@@ -42,7 +41,6 @@ pub mod interface_selection;
 pub mod isolation;
 pub mod isolation_fault;
 pub mod mem_policy;
-pub mod reconfig;
 pub mod runner;
 pub mod scalability;
 pub mod table1;

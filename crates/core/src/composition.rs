@@ -27,7 +27,7 @@ use bluescale_rt::task::TaskSet;
 use bluescale_rt::Error as RtError;
 use std::fmt;
 
-/// Errors raised while building (or reconfiguring) a BlueScale instance.
+/// Errors raised while building a BlueScale instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// The number of task sets does not match the configured client count.
@@ -37,25 +37,9 @@ pub enum BuildError {
         /// Task sets supplied.
         got: usize,
     },
-    /// A client index was out of range.
-    UnknownClient {
-        /// The offending index.
-        client: usize,
-    },
     /// The analysis rejected the task parameters outright (invalid task,
     /// duplicate ids).
     Analysis(RtError),
-    /// Restoring the previous task set after a rejected admission failed;
-    /// the affected request path may be left with fallback interfaces.
-    /// Should be unreachable (the previous set was valid when installed)
-    /// but is reported instead of panicking so a runtime manager can
-    /// re-run admission.
-    RollbackFailed {
-        /// Client whose revert failed.
-        client: usize,
-        /// The underlying failure.
-        source: Box<BuildError>,
-    },
 }
 
 impl fmt::Display for BuildError {
@@ -64,13 +48,7 @@ impl fmt::Display for BuildError {
             BuildError::WrongClientCount { expected, got } => {
                 write!(f, "expected {expected} client task sets, got {got}")
             }
-            BuildError::UnknownClient { client } => {
-                write!(f, "client {client} out of range")
-            }
             BuildError::Analysis(e) => write!(f, "analysis error: {e}"),
-            BuildError::RollbackFailed { client, source } => {
-                write!(f, "rollback for client {client} failed: {source}")
-            }
         }
     }
 }
@@ -79,8 +57,7 @@ impl std::error::Error for BuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildError::Analysis(e) => Some(e),
-            BuildError::RollbackFailed { source, .. } => Some(source),
-            _ => None,
+            BuildError::WrongClientCount { .. } => None,
         }
     }
 }
@@ -230,39 +207,6 @@ impl Composition {
         &self.client_tasks
     }
 
-    /// Replaces one client's task set and re-solves **only that client's
-    /// request path** (leaf SE up to the root), falling back on analytical
-    /// failure as construction does — the scheduling-scalability property
-    /// of Section 3.2. Returns the path (leaf first) with its new
-    /// interfaces, for the caller to program into its engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::UnknownClient`] for an out-of-range client or
-    /// [`BuildError::Analysis`] for malformed task parameters; in both
-    /// cases the previous configuration is left untouched.
-    pub(crate) fn update_client_tasks(
-        &mut self,
-        client: usize,
-        tasks: TaskSet,
-    ) -> Result<Vec<PathTrial>, BuildError> {
-        if client >= self.config.num_clients {
-            return Err(BuildError::UnknownClient { client });
-        }
-        self.load_client(client, tasks)?;
-        let levels = self.config.levels();
-        let mut path = Vec::with_capacity(levels);
-        let mut order = self.config.attach_point(client).0;
-        for depth in (0..levels).rev() {
-            self.resolve_se(depth, order)?;
-            path.push((depth, order, self.report.interfaces[depth][order].clone()));
-            order /= self.config.branch;
-        }
-        // Every other SE kept its parameters: refresh only the summary.
-        self.refresh_summary(levels);
-        Ok(path)
-    }
-
     /// Loads `tasks` into `client`'s leaf table rows, leaving the table
     /// untouched when a row is invalid.
     fn load_client(&mut self, client: usize, tasks: TaskSet) -> Result<(), RtError> {
@@ -369,12 +313,20 @@ impl Composition {
         }
     }
 
-    /// Runs the admission trial for `client`/`tasks` and, when admitted,
-    /// commits it: the leaf table rows, the cached interfaces and analysis
-    /// flags along the request path, the parent table rows, and the
-    /// refreshed summary. Returns the admitted path (leaf first) so the
-    /// caller can program its runtime engine. A rejected or cancelled
-    /// trial writes nothing — it is decided entirely on cloned tables.
+    /// The one way a live composition changes: runs the admission trial
+    /// for `client`/`tasks` and, when admitted, commits it — the leaf
+    /// table rows, the cached interfaces and analysis flags along the
+    /// request path, the parent table rows, and the refreshed summary.
+    /// Returns the admitted path (leaf first) so the caller can program
+    /// its runtime engine. A rejected or cancelled trial writes nothing —
+    /// it is decided entirely on cloned tables.
+    ///
+    /// One case skips the trial: an empty set (the client leaves or is
+    /// quarantined) on a composition that is already not schedulable.
+    /// There is no guarantee left to protect, and a trial would reject
+    /// the shed whenever a fallback SE sits off the client's path, so the
+    /// path is re-solved with fallback as construction does. Such a shed
+    /// cannot be rejected and does not poll `cancel`.
     pub(crate) fn commit(
         &mut self,
         client: usize,
@@ -383,6 +335,9 @@ impl Composition {
     ) -> Result<Vec<PathTrial>, TrialAbort> {
         if client >= self.config.num_clients {
             return Err(TrialAbort::Rejected);
+        }
+        if tasks.is_empty() && !self.report.schedulable {
+            return Ok(self.shed(client));
         }
         let trial = self.trial(client, tasks, cancel)?;
         // Rows re-validate trivially: the trial already loaded identical
@@ -402,6 +357,25 @@ impl Composition {
         }
         self.refresh_summary(trial.len());
         Ok(trial)
+    }
+
+    /// Empties `client`'s task set and re-solves its request path (leaf
+    /// SE up to the root), falling back on analytical failure as
+    /// construction does. Returns the path (leaf first).
+    fn shed(&mut self, client: usize) -> Vec<PathTrial> {
+        self.load_client(client, TaskSet::empty())
+            .expect("an empty set loads no rows");
+        let levels = self.config.levels();
+        let mut path = Vec::with_capacity(levels);
+        let mut order = self.config.attach_point(client).0;
+        for depth in (0..levels).rev() {
+            self.resolve_se(depth, order)
+                .expect("interface rows have one id per child port");
+            path.push((depth, order, self.report.interfaces[depth][order].clone()));
+            order /= self.config.branch;
+        }
+        self.refresh_summary(levels);
+        path
     }
 
     /// Refreshes the summary (analysis verdict, root bandwidth,
@@ -474,6 +448,16 @@ mod tests {
         vec![TaskSet::new(vec![Task::new(0, period, wcet).unwrap()]).unwrap(); n]
     }
 
+    fn set(specs: &[(u64, u64)]) -> TaskSet {
+        let tasks = specs.iter().enumerate();
+        TaskSet::new(
+            tasks
+                .map(|(i, &(t, c))| Task::new(i as u32, t, c).unwrap())
+                .collect(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn summary_uses_the_exact_root_test() {
         // 1 + 1/(3·10⁹): within a 1e-9 float tolerance, exactly over 1.
@@ -490,19 +474,72 @@ mod tests {
             "inside the tolerance"
         );
         assert!(!c.report().schedulable, "exactly over 1: not schedulable");
+
+        // A trial decided only by the exact root test: two (4, 2) clients
+        // sum to utilization exactly 1, so every SE's selection succeeds,
+        // but no interface for (4, 2) reaches bandwidth 1/2 and the root
+        // interfaces sum above 1.
+        let config = BlueScaleConfig {
+            analysis_margin: 1.0,
+            ..BlueScaleConfig::for_clients(4)
+        };
+        let mut sets = vec![TaskSet::empty(); 4];
+        sets[0] = set(&[(4, 2)]);
+        let mut c = Composition::new(config.clone(), &sets).unwrap();
+        assert!(c.report().schedulable);
+        let before = c.report().interfaces.clone();
+        sets[1] = set(&[(4, 2)]);
+        let fresh = Composition::new(config, &sets).unwrap();
+        assert!(fresh.report().analysis_ok, "every SE selects");
+        assert!(!fresh.report().schedulable, "the root test alone rejects");
+        assert_eq!(
+            c.commit(1, &sets[1], None).unwrap_err(),
+            TrialAbort::Rejected
+        );
+        assert_eq!(c.report().interfaces, before);
+        // A light tenant in the same slot is admitted.
+        assert!(c.commit(1, &set(&[(100, 1)]), None).is_ok());
     }
 
     #[test]
-    fn update_returns_the_resolved_path_leaf_first() {
-        let mut c = Composition::new(BlueScaleConfig::for_clients(64), &sets(64, 800, 2)).unwrap();
-        let tasks = TaskSet::new(vec![Task::new(0, 200, 10).unwrap()]).unwrap();
-        let path = c.update_client_tasks(37, tasks).unwrap();
-        let coords: Vec<(usize, usize)> = path.iter().map(|(d, o, _)| (*d, *o)).collect();
-        assert_eq!(coords, vec![(2, 9), (1, 2), (0, 0)]);
-        for (depth, order, ifaces) in &path {
-            assert_eq!(&c.report().interfaces[*depth][*order], ifaces);
+    fn commits_match_a_fresh_composition_of_the_updated_sets() {
+        // A churn sequence over a depth-3 tree with a coarsened period
+        // search, ending with every churned client back on its original
+        // set. Each commit returns its path leaf first and leaves the live
+        // composition equal to one built from scratch on the updated sets.
+        let config = BlueScaleConfig {
+            granularity_divisor: 2,
+            ..BlueScaleConfig::for_clients(64)
+        };
+        let original: Vec<TaskSet> = (0..64u64)
+            .map(|i| set(&[(1600 + 10 * (i % 7), 2 + i % 3)]))
+            .collect();
+        let mut sets = original.clone();
+        let mut c = Composition::new(config.clone(), &sets).unwrap();
+        let initial = c.report().interfaces.clone();
+        let mut churn: Vec<(usize, TaskSet)> = vec![
+            (37, set(&[(500, 5), (2000, 10)])),
+            (0, set(&[(400, 4)])),
+            (63, TaskSet::empty()),
+            (17, set(&[(900, 9)])),
+            (37, set(&[(600, 3)])),
+        ];
+        churn.extend([0, 17, 37, 63].map(|client| (client, original[client].clone())));
+        for (client, tasks) in churn {
+            sets[client] = tasks;
+            let path = c.commit(client, &sets[client], None).unwrap();
+            let leaf = config.attach_point(client).0;
+            let coords: Vec<(usize, usize)> = path.iter().map(|(d, o, _)| (*d, *o)).collect();
+            assert_eq!(coords, vec![(2, leaf), (1, leaf / 4), (0, 0)]);
+            for (depth, order, ifaces) in &path {
+                assert_eq!(&c.report().interfaces[*depth][*order], ifaces);
+            }
+            assert_eq!(c.report().reprogrammed_elements, 3);
+            let fresh = Composition::new(config.clone(), &sets).unwrap();
+            assert_eq!(c.report().interfaces, fresh.report().interfaces, "{client}");
+            assert!(c.report().schedulable && fresh.report().schedulable);
         }
-        assert_eq!(c.report().reprogrammed_elements, 3);
+        assert_eq!(c.report().interfaces, initial, "original sets restored");
     }
 
     #[test]
@@ -513,5 +550,37 @@ mod tests {
         assert_eq!(c.commit(5, &hog, None).unwrap_err(), TrialAbort::Rejected);
         assert_eq!(c.report().interfaces, before);
         assert_eq!(c.client_tasks()[5], sets(1, 400, 4)[0]);
+    }
+
+    #[test]
+    fn shedding_load_from_an_unschedulable_composition_commits() {
+        // Clients 0–3 load leaf SE 0 to utilization 1.2, so it falls back
+        // and the composition is not schedulable. A trial would reject
+        // every shed (a fallback SE is off client 5's path); the shed is
+        // committed with fallback instead.
+        let mut sets = sets(16, 400, 4);
+        for set in &mut sets[..4] {
+            *set = TaskSet::new(vec![Task::new(0, 100, 30).unwrap()]).unwrap();
+        }
+        let mut c = Composition::new(BlueScaleConfig::for_clients(16), &sets).unwrap();
+        assert!(!c.report().schedulable);
+        let (order, port) = c.config().attach_point(5);
+        let path = c.commit(5, &TaskSet::empty(), None).unwrap();
+        assert_eq!(path.len(), 2);
+        assert!(c.client_tasks()[5].is_empty());
+        assert!(c.report().interfaces[1][order][port].is_none());
+        assert!(!c.report().schedulable, "leaf SE 0 is still over 1");
+        // Shedding the overloading clients one by one: with two gone the
+        // leaf selects again but the root still sums above 1; with three
+        // gone the guarantee returns.
+        for client in [0, 1] {
+            assert!(c.commit(client, &TaskSet::empty(), None).is_ok());
+        }
+        assert!(c.report().analysis_ok && !c.report().schedulable);
+        assert!(c.commit(2, &TaskSet::empty(), None).is_ok());
+        assert!(c.report().schedulable);
+        // A schedulable composition trials every set, empty or not.
+        let hog = TaskSet::new(vec![Task::new(0, 100, 95).unwrap()]).unwrap();
+        assert_eq!(c.commit(0, &hog, None).unwrap_err(), TrialAbort::Rejected);
     }
 }

@@ -293,10 +293,6 @@ impl Engine for PerSeEngine {
         }
     }
 
-    fn program_se(&mut self, depth: usize, order: usize, interfaces: &[Option<PeriodicResource>]) {
-        self.elements[depth][order].program(interfaces);
-    }
-
     fn program_se_deferred(
         &mut self,
         depth: usize,

@@ -119,10 +119,6 @@ pub trait Engine: Clone + fmt::Debug {
     /// `interfaces`.
     fn build(config: &BlueScaleConfig, interfaces: &[Vec<Vec<Option<PeriodicResource>>>]) -> Self;
 
-    /// Programs SE `(depth, order)`'s servers immediately (`None` clears a
-    /// port).
-    fn program_se(&mut self, depth: usize, order: usize, interfaces: &[Option<PeriodicResource>]);
-
     /// Programs SE `(depth, order)` through the safe mode-change protocol:
     /// changed servers swap at their own replenishment boundary. Returns
     /// the summed transition latency.
@@ -305,64 +301,6 @@ impl<E: Engine> BlueScaleInterconnect<E> {
             .collect()
     }
 
-    /// Replaces one client's task set and refreshes server parameters
-    /// **only along that client's request path** (leaf SE up to the root) —
-    /// the scheduling-scalability property of Section 3.2. Returns the
-    /// updated composition report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::UnknownClient`] for an out-of-range client or
-    /// [`BuildError::Analysis`] for malformed task parameters; in both
-    /// cases the previous configuration is left untouched.
-    pub fn update_client_tasks(
-        &mut self,
-        client: usize,
-        tasks: TaskSet,
-    ) -> Result<&CompositionReport, BuildError> {
-        for (depth, order, ifaces) in self.composition.update_client_tasks(client, tasks)? {
-            self.engine.program_se(depth, order, &ifaces);
-        }
-        self.mirror_root_bandwidth();
-        Ok(self.composition.report())
-    }
-
-    /// Admission control: applies `tasks` to `client` only if the updated
-    /// composition stays schedulable; otherwise the previous configuration
-    /// is restored and `Ok(false)` is returned. This is what a runtime
-    /// manager calls before letting new software start on a client.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::UnknownClient`] or [`BuildError::Analysis`]
-    /// for malformed inputs (the configuration is untouched in both
-    /// cases), or [`BuildError::RollbackFailed`] if restoring the
-    /// previous set after a rejection failed.
-    pub fn admit_client_tasks(
-        &mut self,
-        client: usize,
-        tasks: TaskSet,
-    ) -> Result<bool, BuildError> {
-        if client >= self.config().num_clients {
-            return Err(BuildError::UnknownClient { client });
-        }
-        let previous = self.client_tasks()[client].clone();
-        let report = self.update_client_tasks(client, tasks)?;
-        if report.schedulable {
-            return Ok(true);
-        }
-        // Roll back: the previous set was valid when installed, so the
-        // revert is expected to succeed — but surface a failure as an
-        // error rather than a panic.
-        if let Err(e) = self.update_client_tasks(client, previous) {
-            return Err(BuildError::RollbackFailed {
-                client,
-                source: Box::new(e),
-            });
-        }
-        Ok(false)
-    }
-
     /// Offers a request at its client's port, with typed rejection: a
     /// transiently full buffer ([`InjectError::PortFull`]) is
     /// distinguished from a malformed request naming a nonexistent client
@@ -404,8 +342,9 @@ impl<E: Engine> BlueScaleInterconnect<E> {
             .set_gauge(ComponentId::System, "root_bandwidth", bandwidth);
     }
 
-    /// Both reconfiguration entry points: commits an admitted trial, then
-    /// programs the engine along the committed path. The transition
+    /// Both reconfiguration entry points — the only way a live
+    /// composition changes: [`Composition::commit`], then the engine is
+    /// programmed along the committed path. The transition
     /// latency depends on live server state, so it comes from the engine.
     /// No fabric-side churn tally (`Reconfigurations`, `TransitionCycles`):
     /// churn accounting is owned by the harness registry alone (fed
@@ -417,13 +356,13 @@ impl<E: Engine> BlueScaleInterconnect<E> {
         tasks: &TaskSet,
         cancel: Option<&CancelToken>,
     ) -> ReconfigOutcome {
-        let trial: Vec<PathTrial> = match self.composition.commit(client as usize, tasks, cancel) {
-            Ok(trial) => trial,
+        let path: Vec<PathTrial> = match self.composition.commit(client as usize, tasks, cancel) {
+            Ok(path) => path,
             Err(TrialAbort::Rejected) => return ReconfigOutcome::Rejected,
             Err(TrialAbort::Cancelled) => return ReconfigOutcome::Cancelled,
         };
         self.mirror_root_bandwidth();
-        let transition_cycles = trial
+        let transition_cycles = path
             .iter()
             .map(|(depth, order, ifaces)| self.engine.program_se_deferred(*depth, *order, ifaces))
             .sum();
@@ -447,15 +386,6 @@ impl<E: Engine> Interconnect for BlueScaleInterconnect<E> {
 
     fn install_fault_plan(&mut self, plan: &FaultPlan) {
         self.io.mem.install_faults(plan);
-    }
-
-    fn demote_client(&mut self, client: u32) -> bool {
-        // Best-effort demotion: clear the client's declared tasks, which
-        // re-runs interface selection along its request path and leaves
-        // its leaf port without a reserved interface. In work-conserving
-        // mode the client still drains on slack cycles.
-        self.update_client_tasks(client as usize, TaskSet::empty())
-            .is_ok()
     }
 
     fn reconfigure_client(
@@ -649,9 +579,9 @@ mod tests {
                 .unwrap();
         let before = ic.composition().interfaces.clone();
         let new_tasks = TaskSet::new(vec![Task::new(0, 200, 10).unwrap()]).unwrap();
-        let report = ic.update_client_tasks(37, new_tasks).unwrap();
+        assert!(ic.reconfigure_client(37, &new_tasks, 0).applied());
         // Path length = number of levels = 3.
-        assert_eq!(report.reprogrammed_elements, 3);
+        assert_eq!(ic.composition().reprogrammed_elements, 3);
         let after = &ic.composition().interfaces;
         // Client 37 → leaf SE (2, 9) → SE(1, 2) → root. Everything else
         // must be bit-identical.
@@ -670,14 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn update_unknown_client_errors() {
-        let mut ic =
-            BlueScaleInterconnect::new(BlueScaleConfig::for_clients(4), &sets(4, 100, 1)).unwrap();
-        let e = ic.update_client_tasks(9, TaskSet::empty()).unwrap_err();
-        assert_eq!(e, BuildError::UnknownClient { client: 9 });
-    }
-
-    #[test]
     fn root_bandwidth_bounded_when_schedulable() {
         let ic = BlueScaleInterconnect::new(BlueScaleConfig::for_clients(16), &sets(16, 400, 4))
             .unwrap();
@@ -692,30 +614,6 @@ mod tests {
             .unwrap();
         assert_eq!(ic.composition().interfaces[2].len(), 16);
         assert!(ic.composition().schedulable);
-    }
-
-    #[test]
-    fn admission_accepts_feasible_and_rejects_overload() {
-        let mut ic =
-            BlueScaleInterconnect::new(BlueScaleConfig::for_clients(16), &sets(16, 400, 4))
-                .unwrap();
-        assert!(ic.composition().schedulable);
-        // A modest increase is admitted and takes effect.
-        let ok = ic
-            .admit_client_tasks(
-                5,
-                TaskSet::new(vec![Task::new(0, 400, 8).unwrap()]).unwrap(),
-            )
-            .unwrap();
-        assert!(ok);
-        assert_eq!(ic.client_tasks()[5].tasks()[0].wcet(), 8);
-        // A hog that would blow the root budget is rejected and rolled
-        // back.
-        let hog = TaskSet::new(vec![Task::new(0, 100, 95).unwrap()]).unwrap();
-        let admitted = ic.admit_client_tasks(5, hog).unwrap();
-        assert!(!admitted);
-        assert_eq!(ic.client_tasks()[5].tasks()[0].wcet(), 8, "rolled back");
-        assert!(ic.composition().schedulable, "composition restored");
     }
 
     #[test]
@@ -1062,16 +960,16 @@ mod tests {
     }
 
     #[test]
-    fn demote_client_clears_its_reservation() {
+    fn leave_clears_its_reservation() {
         let mut ic =
             BlueScaleInterconnect::new(BlueScaleConfig::for_clients(16), &sets(16, 400, 4))
                 .unwrap();
         let (order, port) = ic.config().attach_point(5);
         assert!(ic.composition().interfaces[1][order][port].is_some());
-        assert!(ic.demote_client(5));
+        assert!(ic.reconfigure_client(5, &TaskSet::empty(), 0).applied());
         assert!(
             ic.composition().interfaces[1][order][port].is_none(),
-            "demoted client's leaf port has no reserved interface"
+            "the leaving client's leaf port has no reserved interface"
         );
         assert!(ic.client_tasks()[5].is_empty());
     }
@@ -1083,9 +981,8 @@ mod tests {
             got: 2,
         };
         assert!(e.to_string().contains("expected 4"));
-        assert!(BuildError::UnknownClient { client: 3 }
-            .to_string()
-            .contains('3'));
+        let e = BuildError::from(bluescale_rt::Error::DuplicateTaskId { id: 3 });
+        assert!(e.to_string().starts_with("analysis error"));
     }
 
     #[test]

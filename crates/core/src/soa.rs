@@ -814,6 +814,19 @@ impl SoaCore {
         core
     }
 
+    /// Programs SE `(depth, order)`'s servers immediately (`None` clears a
+    /// port).
+    fn program_se(&mut self, depth: usize, order: usize, interfaces: &[Option<PeriodicResource>]) {
+        assert_eq!(interfaces.len(), self.branch, "one interface per port");
+        let b0 = self.se_lin(depth, order) * self.branch;
+        for (port, iface) in interfaces.iter().enumerate() {
+            match iface {
+                Some(r) => self.arena.program(TaskSlot::new(b0 + port), *r),
+                None => self.arena.clear(TaskSlot::new(b0 + port)),
+            }
+        }
+    }
+
     /// Linear index of SE `(depth, order)`.
     fn se_lin(&self, depth: usize, order: usize) -> usize {
         debug_assert!(depth < self.levels);
@@ -1228,17 +1241,6 @@ impl SoaCore {
 impl Engine for SoaCore {
     fn build(config: &BlueScaleConfig, interfaces: &[Vec<Vec<Option<PeriodicResource>>>]) -> Self {
         Self::new(config, interfaces)
-    }
-
-    fn program_se(&mut self, depth: usize, order: usize, interfaces: &[Option<PeriodicResource>]) {
-        assert_eq!(interfaces.len(), self.branch, "one interface per port");
-        let b0 = self.se_lin(depth, order) * self.branch;
-        for (port, iface) in interfaces.iter().enumerate() {
-            match iface {
-                Some(r) => self.arena.program(TaskSlot::new(b0 + port), *r),
-                None => self.arena.clear(TaskSlot::new(b0 + port)),
-            }
-        }
     }
 
     fn program_se_deferred(

@@ -3,6 +3,7 @@
 //! access for `proptest`; every case is reproducible by seed).
 
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
+use bluescale_interconnect::Interconnect;
 use bluescale_rt::task::{Task, TaskSet};
 use bluescale_sim::rng::SimRng;
 
@@ -54,8 +55,10 @@ fn identity_update_is_idempotent() {
             .expect("construction succeeds");
         let before = ic.composition().interfaces.clone();
         let schedulable_before = ic.composition().schedulable;
-        ic.update_client_tasks(client, sets[client].clone())
-            .expect("identity update succeeds");
+        // Admitted on a schedulable composition (the trial re-selects the
+        // same interfaces); rejected without a trace otherwise.
+        let outcome = ic.reconfigure_client(client as u32, &sets[client], 0);
+        assert_eq!(outcome.applied(), schedulable_before, "case {case}");
         assert_eq!(&ic.composition().interfaces, &before, "case {case}");
         assert_eq!(
             ic.composition().schedulable,
@@ -104,9 +107,7 @@ fn admission_preserves_schedulability() {
         }
         let candidate =
             TaskSet::new(vec![Task::new(0, period, wcet).expect("valid")]).expect("valid");
-        let _ = ic
-            .admit_client_tasks(client, candidate)
-            .expect("no build error");
+        let _ = ic.reconfigure_client(client as u32, &candidate, 0);
         assert!(
             ic.composition().schedulable,
             "case {case}: admission left the system unschedulable"

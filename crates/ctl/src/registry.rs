@@ -223,8 +223,10 @@ impl ControlRegistry {
         }
     }
 
-    /// Releases the tenant's reservation. Shedding demand cannot fail the
-    /// root test, so this rejects only for unknown tenants.
+    /// Releases the tenant's reservation. The leave runs the same
+    /// admission trial as a join: the daemon installs only trialled sets,
+    /// so its composition stays schedulable and a shed is expected to
+    /// pass, but a rejected trial is reported as `Inadmissible`.
     pub fn try_leave(&mut self, tenant: u64) -> ApplyOutcome {
         let Some(entry) = self.tenants.get(&tenant) else {
             return ApplyOutcome::Rejected(RejectReason::UnknownTenant);

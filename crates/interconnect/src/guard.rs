@@ -15,9 +15,10 @@
 //!   times). Duplicate deliveries — the retry racing the original — are
 //!   suppressed and tallied, so completion counts stay exact.
 //! * **Quarantine** — a client accumulating `miss_threshold` detected
-//!   misses is demoted to best-effort through
-//!   [`Interconnect::demote_client`](crate::Interconnect::demote_client),
-//!   which re-runs admission along its request path.
+//!   misses is demoted to best-effort by reconfiguring it to the empty
+//!   task set through
+//!   [`Interconnect::reconfigure_client`](crate::Interconnect::reconfigure_client),
+//!   which re-solves its request path.
 //!
 //! All guards are **off by default** and, when on, feed only on the guard's
 //! own bookkeeping — a fully guarded fault-free run is bit-identical to an

@@ -190,14 +190,6 @@ pub trait Interconnect {
     /// without fault hooks simply cannot misbehave.
     fn install_fault_plan(&mut self, _plan: &FaultPlan) {}
 
-    /// Demotes `client` to best-effort service (the quarantine guard's
-    /// containment action). Returns whether the demotion took effect; the
-    /// default reports `false` for architectures without reconfigurable
-    /// per-client service guarantees.
-    fn demote_client(&mut self, _client: ClientId) -> bool {
-        false
-    }
-
     /// Runs admission control for a live reconfiguration of `client`'s
     /// declared task set (the empty set = the client leaves) and, on
     /// acceptance, installs the new parameters through a safe mode-change

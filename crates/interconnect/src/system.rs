@@ -970,11 +970,11 @@ impl<I: ?Sized + Interconnect> System<I> {
 
     /// Sheds a quarantined client's reservation. A demotion is a mode
     /// change like any other: route it through the reconfiguration path
-    /// (empty task set = leave) so it is admission-tested, applied at
-    /// replenishment boundaries and observable as a first-class
-    /// transition. Architectures without the hook fall back to the legacy
-    /// immediate demotion. The rogue generator itself is *not* retasked —
-    /// it keeps issuing its undeclared traffic, now without a reservation.
+    /// (empty task set = leave) so it is applied at replenishment
+    /// boundaries and observable as a first-class transition.
+    /// Architectures without runtime reconfiguration cannot demote. The
+    /// rogue generator itself is *not* retasked — it keeps issuing its
+    /// undeclared traffic, now without a reservation.
     fn demote_quarantined(&mut self, c: u32, now: Cycle) -> bool {
         let demoted = match self
             .interconnect
@@ -991,12 +991,13 @@ impl<I: ?Sized + Interconnect> System<I> {
                 r.record(now, Event::Reconfigured { client: c });
                 true
             }
-            // Shedding load cannot fail admission; reported only for an
-            // out-of-range client, which cannot be tracked. Cancelled
-            // cannot occur on the non-cancellable entry point; treated as
-            // not-demoted for exhaustiveness.
-            ReconfigOutcome::Rejected | ReconfigOutcome::Cancelled => false,
-            ReconfigOutcome::Unsupported => self.interconnect.demote_client(c),
+            // A fabric may reject a shed: BlueScale rejects one only when
+            // its composition is schedulable and the trial fails, or for
+            // an out-of-range client. Cancelled cannot occur on the
+            // non-cancellable entry point. Neither demotes.
+            ReconfigOutcome::Rejected
+            | ReconfigOutcome::Cancelled
+            | ReconfigOutcome::Unsupported => false,
         };
         if demoted {
             let r = &mut self.core.registry;
@@ -1487,9 +1488,19 @@ mod tests {
         fn pending(&self) -> usize {
             self.queue.len() + self.ready.len()
         }
-        fn demote_client(&mut self, client: u32) -> bool {
+        fn reconfigure_client(
+            &mut self,
+            client: ClientId,
+            tasks: &TaskSet,
+            _now: Cycle,
+        ) -> ReconfigOutcome {
+            if !tasks.is_empty() {
+                return ReconfigOutcome::Unsupported;
+            }
             self.demoted.push(client);
-            true
+            ReconfigOutcome::Admitted {
+                transition_cycles: 0,
+            }
         }
     }
 

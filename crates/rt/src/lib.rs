@@ -17,8 +17,6 @@
 //!   the root over-utilization check `Σ Θ/Π ≤ 1`.
 //! * [`rational`] — exact rational utilization accumulation, so admission
 //!   boundaries (`Σ C/T ≤ 1`) carry no floating-point tolerance.
-//! * [`incremental`] — cached leaves→root selection that re-analyzes only
-//!   the SE path a client update touches, for online admission control.
 //! * [`edf`] — an EDF ready queue (the low-level nested priority queue).
 //! * [`fixed_priority`] — deadline-monotonic response-time analysis on a
 //!   periodic resource, for clients that schedule with fixed priorities.
@@ -52,7 +50,6 @@ pub mod demand;
 pub mod edf;
 pub mod edp;
 pub mod fixed_priority;
-pub mod incremental;
 pub mod interface;
 pub mod rational;
 pub mod schedulability;

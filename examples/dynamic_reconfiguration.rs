@@ -8,6 +8,7 @@
 //! ```
 
 use bluescale_repro::core::{BlueScaleConfig, BlueScaleInterconnect};
+use bluescale_repro::interconnect::Interconnect;
 use bluescale_repro::rt::task::{Task, TaskSet};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,11 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let before = ic.composition().interfaces.clone();
 
-    // Client 37 suddenly hosts a heavy task.
+    // Client 37 suddenly hosts a heavy task: admission-test it and, once
+    // admitted, reprogram the path at each server's replenishment boundary.
     let heavy = TaskSet::new(vec![Task::new(0, 3200, 4)?, Task::new(1, 400, 40)?])?;
-    let report = ic.update_client_tasks(37, heavy)?;
+    let outcome = ic.reconfigure_client(37, &heavy, 0);
+    let report = ic.composition();
     println!(
-        "\nclient 37 updated: {} SEs reprogrammed (tree depth = 3), \
+        "\nclient 37 updated ({outcome:?}): {} SEs reprogrammed (tree depth = 3), \
          root bandwidth now {:.3}, schedulable = {}",
         report.reprogrammed_elements, report.root_bandwidth, report.schedulable
     );

@@ -30,9 +30,6 @@ cargo run --release -q -p bluescale-bench --bin metrics_overhead
 echo "==> fault injection smoke check (request conservation)"
 cargo run --release -q -p bluescale-bench --bin fault_smoke
 
-echo "==> admission control smoke check (join/update/leave/reject + quarantine)"
-cargo run --release -q -p bluescale-bench --bin admission_smoke
-
 echo "==> sharded-execution smoke check (4 workers, conservation + serial oracle)"
 cargo run --release -q -p bluescale-bench --bin shard_smoke
 
@@ -50,7 +47,12 @@ cargo run --release -q -p bluescale-bench --bin mem_policy_smoke
 echo "==> streaming-telemetry smoke check (live subscribers, shed-not-backpressure)"
 cargo run --release -q -p bluescale-bench --bin telemetry_smoke
 
-echo "==> churn differential (empty-plan inertness, zero disturbance)"
+echo "==> churn sweep (reconfigure_client decides and selects as a fresh composition)"
+churn_out="$(mktemp)"
+cargo run --release -q -p bluescale-bench --bin churn -- --clients 16,64 --events 10 --out "$churn_out"
+rm -f "$churn_out"
+
+echo "==> churn differential (empty-plan inertness, zero disturbance, quarantine)"
 cargo test -q --release --test churn_differential
 
 echo "==> fast-forward differential (bit-identical to per-cycle stepping)"

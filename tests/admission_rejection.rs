@@ -1,9 +1,10 @@
 //! Rejection-path tests for runtime reconfiguration: a rejected admission
 //! must leave the interconnect exactly as it was — every interface at
 //! every SE bit-identical — and malformed requests must surface as typed
-//! errors, never panics.
+//! rejections or errors, never panics.
 
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect, BuildError, InjectError};
+use bluescale::{BlueScaleConfig, BlueScaleInterconnect, InjectError};
+use bluescale_interconnect::admission::ReconfigOutcome;
 use bluescale_interconnect::{AccessKind, Interconnect, MemoryRequest};
 use bluescale_rt::task::{Task, TaskSet};
 
@@ -37,10 +38,10 @@ fn rejected_admission_restores_every_interface_bit_identically() {
 
     // A hog that would blow the root budget: rejected, not an error.
     let hog = TaskSet::new(vec![Task::new(0, 100, 95).unwrap()]).unwrap();
-    let admitted = ic.admit_client_tasks(7, hog).unwrap();
-    assert!(!admitted);
+    assert_eq!(ic.reconfigure_client(7, &hog, 0), ReconfigOutcome::Rejected);
 
-    // Rollback left no trace anywhere — not just on client 7's path.
+    // The rejected trial left no trace anywhere — not just on client 7's
+    // path.
     assert_eq!(ic.composition().interfaces, before_interfaces);
     assert_eq!(ic.client_tasks(), &before_tasks[..]);
     assert_eq!(ic.composition().root_bandwidth, before_bandwidth);
@@ -53,10 +54,18 @@ fn admission_for_unknown_client_is_a_typed_error() {
         BlueScaleInterconnect::new(BlueScaleConfig::for_clients(4), &sets(4, 100, 1)).unwrap();
     let before = ic.composition().interfaces.clone();
     let tasks = TaskSet::new(vec![Task::new(0, 100, 1).unwrap()]).unwrap();
-    let err = ic.admit_client_tasks(11, tasks.clone()).unwrap_err();
-    assert_eq!(err, BuildError::UnknownClient { client: 11 });
-    let err = ic.update_client_tasks(99, tasks).unwrap_err();
-    assert_eq!(err, BuildError::UnknownClient { client: 99 });
+    for client in [11, 99] {
+        let outcome = ic.reconfigure_client(client, &tasks, 0);
+        assert_eq!(outcome, ReconfigOutcome::Rejected, "client {client}");
+    }
+    // An out-of-range shed is rejected too, even on an unschedulable
+    // fabric where an in-range shed skips the trial.
+    let hogs = sets(4, 10, 4);
+    let mut overloaded =
+        BlueScaleInterconnect::new(BlueScaleConfig::for_clients(4), &hogs).unwrap();
+    assert!(!overloaded.composition().schedulable);
+    let outcome = overloaded.reconfigure_client(4, &TaskSet::empty(), 0);
+    assert_eq!(outcome, ReconfigOutcome::Rejected);
     assert_eq!(ic.composition().interfaces, before, "untouched on error");
 }
 
@@ -73,8 +82,7 @@ fn malformed_task_parameters_leave_configuration_untouched() {
     // The task-set constructor may reject duplicates outright; either
     // layer catching it is fine, as long as nothing was mutated.
     if let Ok(set) = bad {
-        let err = ic.update_client_tasks(1, set).unwrap_err();
-        assert!(matches!(err, BuildError::Analysis(_)));
+        assert_eq!(ic.reconfigure_client(1, &set, 0), ReconfigOutcome::Rejected);
     }
     assert_eq!(ic.composition().interfaces, before);
 }

@@ -6,7 +6,7 @@
 use bluescale_repro::core::{BlueScaleConfig, BlueScaleInterconnect};
 use bluescale_repro::interconnect::system::System;
 use bluescale_repro::interconnect::Interconnect;
-use bluescale_repro::rt::task::TaskSet;
+use bluescale_repro::rt::task::{Task, TaskSet};
 use bluescale_repro::sim::rng::SimRng;
 use bluescale_repro::workload::casestudy::{generate, CaseStudyConfig};
 use bluescale_repro::workload::synthetic::{generate as synth, SyntheticConfig};
@@ -137,12 +137,14 @@ fn reconfiguration_preserves_running_traffic() {
     for now in 0..10 {
         ic.step(now);
     }
-    let new_tasks = {
-        let mut rng = SimRng::seed_from(12);
-        synth(&SyntheticConfig::fig6(1), &mut rng).remove(0)
-    };
-    ic.update_client_tasks(3, new_tasks)
-        .expect("update succeeds");
+    // A lighter set than client 3's current one, so admission passes on
+    // this already well-loaded fabric.
+    let new_tasks = TaskSet::new(vec![Task::new(0, 400, 20).unwrap()]).unwrap();
+    assert!(
+        ic.reconfigure_client(3, &new_tasks, 10).applied(),
+        "update admitted"
+    );
+    assert_eq!(ic.client_tasks()[3], new_tasks);
     let mut done = 0;
     for now in 10..5_000 {
         ic.step(now);

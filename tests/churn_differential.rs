@@ -14,11 +14,18 @@
 //! * **Zero disturbance.** Across every admitted transition of a live
 //!   churn plan, clients the plan never touched meet all their deadlines
 //!   — the safe mode-change protocol's whole point.
+//!
+//! Two end-to-end pins close the file: join/update/leave/reject plus a
+//! guard quarantine all run through the one reconfiguration path of the
+//! real fabric, and quarantine still sheds load from a fabric that has
+//! already lost its guarantee.
 
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
+use bluescale_interconnect::guard::{GuardConfig, QuarantinePolicy};
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::{Task, TaskSet};
+use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 use bluescale_sim::metrics::{ComponentId, Counter};
 use bluescale_sim::rng::SimRng;
 use bluescale_workload::casestudy::{generate as casestudy, CaseStudyConfig};
@@ -294,4 +301,115 @@ fn rejected_reconfigurations_roll_back_bit_identically_mid_run() {
         "the hog must be rejected"
     );
     assert_eq!(a, b, "a rejected request must leave no trace");
+}
+
+fn set(period: u64, wcet: u64) -> TaskSet {
+    TaskSet::new(vec![Task::new(0, period, wcet).unwrap()]).unwrap()
+}
+
+#[test]
+fn churn_and_quarantine_share_one_reconfiguration_path() {
+    const SEED: u64 = 0x00AD_0051;
+    const HORIZON: u64 = 8_000;
+    // 15 light tenants plus one empty slot for the join; ~10% combined
+    // utilization so every churn event below but the hog is feasible.
+    let mut sets: Vec<TaskSet> = (0..16).map(|i| set(400 + 10 * (i % 7), 2)).collect();
+    sets[15] = TaskSet::empty();
+    let mut config = BlueScaleConfig::for_clients(sets.len());
+    config.work_conserving = false; // strict gating: a rogue must miss
+    let ic = BlueScaleInterconnect::new(config, &sets).unwrap();
+    let mut sys = System::new(Box::new(ic), &sets);
+
+    let mut churn = ChurnPlan::new(SEED);
+    churn
+        .push(1_000, 15, ChurnKind::Join { tasks: set(500, 2) })
+        .push(2_000, 2, ChurnKind::UpdateTasks { tasks: set(300, 3) })
+        .push(2_500, 4, ChurnKind::UpdateTasks { tasks: set(10, 9) })
+        .push(3_000, 14, ChurnKind::Leave);
+    sys.set_churn_plan(churn);
+
+    // A rogue tenant overdrives its declared demand 6x; with strict
+    // budgets it starts missing deadlines and the guard layer demotes it
+    // through the reconfiguration path.
+    let mut faults = FaultPlan::new(SEED);
+    faults.push(
+        FaultKind::RogueDemand {
+            client: 0,
+            factor: 6,
+        },
+        FaultWindow::new(500, HORIZON),
+    );
+    sys.set_fault_plan(faults);
+    sys.set_guards(GuardConfig {
+        deadline_miss_detection: true,
+        watchdog: None,
+        quarantine: Some(QuarantinePolicy { miss_threshold: 8 }),
+    })
+    .unwrap();
+
+    let total = sys.run(HORIZON);
+    let outstanding = sys.guard_outstanding() as u64;
+    let reg = sys.registry();
+    let count = |counter| reg.counter(ComponentId::System, counter);
+    assert_eq!(
+        count(Counter::Admitted),
+        3,
+        "join + update + leave must pass admission"
+    );
+    assert_eq!(
+        count(Counter::AdmissionRejected),
+        1,
+        "the hog must be rejected"
+    );
+    assert_eq!(
+        count(Counter::Quarantines),
+        1,
+        "the rogue tenant must be quarantined"
+    );
+    assert_eq!(
+        count(Counter::Reconfigurations),
+        4,
+        "3 admitted churn events + 1 quarantine demotion"
+    );
+    assert!(
+        count(Counter::TransitionCycles) > 0,
+        "staged swaps must wait for replenishment boundaries"
+    );
+    assert_eq!(
+        total.issued(),
+        total.completed() + total.backlog() + outstanding,
+        "request conservation: issued = completed + backlog + outstanding"
+    );
+}
+
+#[test]
+fn quarantine_sheds_load_from_an_unschedulable_fabric() {
+    // Clients 0–3 load leaf SE 0 to utilization 1.2: it falls back and
+    // the fabric is not schedulable. Quarantining client 5 must still shed
+    // its reservation and count, not silently mark it quarantined.
+    let mut sets: Vec<TaskSet> = (0..16).map(|_| set(400, 4)).collect();
+    for tasks in &mut sets[..4] {
+        *tasks = set(100, 30);
+    }
+    let ic = BlueScaleInterconnect::new(BlueScaleConfig::for_clients(16), &sets).unwrap();
+    assert!(!ic.composition().schedulable);
+    let mut sys = System::new(Box::new(ic), &sets);
+    assert!(sys.quarantine_client(5), "the shed takes effect");
+    assert_eq!(sys.quarantined_clients(), vec![5]);
+    assert_eq!(
+        sys.registry()
+            .counter(ComponentId::System, Counter::Quarantines),
+        1
+    );
+    let (order, port) = sys.interconnect().config().attach_point(5);
+    let leaf = sys.interconnect().config().levels() - 1;
+    assert!(sys.interconnect().client_tasks()[5].is_empty());
+    assert!(sys.interconnect().composition().interfaces[leaf][order][port].is_none());
+    // An overloading client sheds too, through the same path.
+    assert!(sys.quarantine_client(0));
+    assert_eq!(
+        sys.registry()
+            .counter(ComponentId::System, Counter::Quarantines),
+        2
+    );
 }

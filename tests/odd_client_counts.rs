@@ -87,10 +87,8 @@ fn update_tasks_on_ragged_tree() {
     let mut ic = BlueScaleInterconnect::new(BlueScaleConfig::for_clients(5), &task_sets)
         .expect("valid build");
     let heavier = TaskSet::new(vec![Task::new(0, 200, 20).unwrap()]).unwrap();
-    let reprogrammed = ic
-        .update_client_tasks(4, heavier)
-        .expect("update succeeds")
-        .reprogrammed_elements;
+    assert!(ic.reconfigure_client(4, &heavier, 0).applied(), "admitted");
+    let reprogrammed = ic.composition().reprogrammed_elements;
     assert_eq!(reprogrammed, ic.config().levels());
     // Ports 1..3 of leaf SE 1 host no clients: they must stay idle.
     let leaf = &ic.composition().interfaces[ic.config().levels() - 1][1];
