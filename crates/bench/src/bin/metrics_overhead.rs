@@ -21,10 +21,14 @@
 //! spans, never inside the per-cycle hot loop. Run via
 //! `scripts/check.sh`; exits non-zero on failure.
 //!
-//! Usage: `cargo run --release -p bluescale-bench --bin metrics_overhead -- [--horizon N] [--reps N]`
+//! The counts are checked before any time is reported. The best-of-`reps`
+//! time per configuration, its ratio to the baseline and `host_cpus` go to
+//! `--out` (default `results/BENCH_metrics_overhead.json`).
+//!
+//! Usage: `cargo run --release -p bluescale-bench --bin metrics_overhead -- [--horizon N] [--reps N] [--out path]`
 
 use bluescale_bench::runner::{build, InterconnectKind};
-use bluescale_bench::{arg_u64, arg_usize};
+use bluescale_bench::{arg_u64, arg_usize, arg_value};
 use bluescale_interconnect::client::TrafficGenerator;
 use bluescale_interconnect::system::System;
 use bluescale_sim::rng::SimRng;
@@ -45,15 +49,18 @@ const MAX_DISABLED_SLOWDOWN: f64 = 3.0;
 /// per cycle — so it must stay within noise of the detail-off harness.
 const MAX_STREAMING_SLOWDOWN: f64 = 4.0;
 
-fn task_sets(clients: usize) -> Vec<bluescale_rt::task::TaskSet> {
+/// Clients in every configuration's workload.
+const CLIENTS: usize = 16;
+
+fn task_sets() -> Vec<bluescale_rt::task::TaskSet> {
     let mut rng = SimRng::seed_from(0x00BE_5EAD);
-    generate(&SyntheticConfig::fig6(clients), &mut rng)
+    generate(&SyntheticConfig::fig6(CLIENTS), &mut rng)
 }
 
 /// The cost floor: clients + interconnect with no registry, no service
 /// log, no response accounting beyond a completion count.
 fn run_baseline(horizon: Cycle) -> u64 {
-    let sets = task_sets(16);
+    let sets = task_sets();
     let mut ic = build(InterconnectKind::BlueScale, &sets);
     let mut clients: Vec<TrafficGenerator> = sets
         .iter()
@@ -80,7 +87,7 @@ fn run_baseline(horizon: Cycle) -> u64 {
 }
 
 fn run_harness(horizon: Cycle, detail: bool) -> u64 {
-    let sets = task_sets(16);
+    let sets = task_sets();
     let ic = build(InterconnectKind::BlueScale, &sets);
     let mut system = System::new(ic, &sets);
     if detail {
@@ -93,7 +100,7 @@ fn run_harness(horizon: Cycle, detail: bool) -> u64 {
 /// The harness with a live telemetry pipeline: 1024-cycle flush period,
 /// SLO derivation and a JSONL sink writing to a temp file.
 fn run_streaming(horizon: Cycle, path: &std::path::Path) -> u64 {
-    let sets = task_sets(16);
+    let sets = task_sets();
     let ic = build(InterconnectKind::BlueScale, &sets);
     let mut system = System::new(ic, &sets);
     let mut pipe = Pipeline::new(1_024, SloConfig::default());
@@ -119,7 +126,9 @@ fn min_time<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, u64) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let horizon = arg_u64(&args, "--horizon", 40_000);
-    let reps = arg_usize(&args, "--reps", 5);
+    let reps = arg_usize(&args, "--reps", 5).max(1);
+    let out = arg_value(&args, "--out")
+        .unwrap_or_else(|| "results/BENCH_metrics_overhead.json".to_string());
 
     let (t_base, c_base) = min_time(reps, || run_baseline(horizon));
     let (t_off, c_off) = min_time(reps, || run_harness(horizon, false));
@@ -131,34 +140,56 @@ fn main() {
     let (t_stream, c_stream) = min_time(reps, || run_streaming(horizon, &jsonl));
     let _ = std::fs::remove_file(&jsonl);
 
+    // Correctness before any time is reported: every configuration must
+    // complete exactly the same requests.
+    if c_base != c_off || c_off != c_on || c_on != c_stream {
+        eprintln!("FAIL: completion counts diverge: {c_base} / {c_off} / {c_on} / {c_stream}");
+        std::process::exit(1);
+    }
+
+    let runs = [
+        ("hand-rolled baseline", "baseline", t_base),
+        ("harness, detail off", "detail_off", t_off),
+        ("harness, detail on", "detail_on", t_on),
+        ("harness, streaming telemetry", "streaming", t_stream),
+    ];
     println!("# Metrics overhead smoke check ({horizon} cycles, min of {reps} runs)\n");
     println!("| Configuration | Completed | Time (ms) | vs baseline |");
     println!("|---|---:|---:|---:|");
-    println!(
-        "| hand-rolled baseline | {c_base} | {:.2} | 1.00x |",
-        t_base * 1e3
+    for (label, _, t) in runs {
+        println!(
+            "| {label} | {c_base} | {:.2} | {:.2}x |",
+            t * 1e3,
+            t / t_base
+        );
+    }
+
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut json = format!(
+        "{{\n  \"benchmark\": \"metrics_overhead\",\n  \"unit\": \"ms\",\n  \
+         \"timing\": \"best of reps, one {CLIENTS}-client fig6 run per rep\",\n  \
+         \"host_cpus\": {host_cpus},\n  \"horizon\": {horizon},\n  \"reps\": {reps},\n  \
+         \"completed\": {c_base},\n  \"max_detail_off_ratio\": {MAX_DISABLED_SLOWDOWN:.1},\n  \
+         \"max_streaming_ratio\": {MAX_STREAMING_SLOWDOWN:.1},\n  \"runs\": ["
     );
-    println!(
-        "| harness, detail off | {c_off} | {:.2} | {:.2}x |",
-        t_off * 1e3,
-        t_off / t_base
-    );
-    println!(
-        "| harness, detail on | {c_on} | {:.2} | {:.2}x |",
-        t_on * 1e3,
-        t_on / t_base
-    );
-    println!(
-        "| harness, streaming telemetry | {c_stream} | {:.2} | {:.2}x |",
-        t_stream * 1e3,
-        t_stream / t_base
-    );
+    for (i, (_, name, t)) in runs.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        json.push_str(&format!(
+            "{sep}\n    {{\"configuration\": \"{name}\", \"best_ms\": {:.3}, \"vs_baseline\": {:.3}}}",
+            t * 1e3,
+            t / t_base
+        ));
+    }
+    json.push_str("\n  ]\n}\n");
+    match std::fs::write(&out, &json) {
+        Ok(()) => println!("\nwrote {out}"),
+        Err(e) => {
+            eprintln!("could not write {out}: {e}");
+            println!("{json}");
+        }
+    }
 
     let mut failed = false;
-    if c_base != c_off || c_off != c_on || c_on != c_stream {
-        eprintln!("FAIL: completion counts diverge: {c_base} / {c_off} / {c_on} / {c_stream}");
-        failed = true;
-    }
     if t_off > t_base * MAX_DISABLED_SLOWDOWN {
         eprintln!(
             "FAIL: disabled-metrics harness {:.2}x over baseline (bound {MAX_DISABLED_SLOWDOWN}x)",

@@ -137,10 +137,9 @@ impl HarnessCore {
 
     /// Blocking latency of a request that waited during `[issued, done)`:
     /// total channel time granted to *later-deadline* requests in that
-    /// window. The log is chronological, so a binary search finds the
-    /// window start.
+    /// window.
     fn blocking_in_window(&self, issued: Cycle, done: Cycle, deadline: Cycle) -> u64 {
-        let start = self.service_log.partition_point(|e| e.at < issued);
+        let start = window_start(&self.service_log, issued);
         self.service_log[start..]
             .iter()
             .take_while(|e| e.at < done)
@@ -1108,6 +1107,24 @@ impl<I: ?Sized + Interconnect> System<I> {
     }
 }
 
+/// The index of the first event at or after `issued` in a chronological
+/// log: `log.partition_point(|e| e.at < issued)`. A request's window starts
+/// recently, so this gallops back from the tail in doubling steps and then
+/// binary-searches only the bracket it found, instead of the whole log.
+fn window_start(log: &[ServiceEvent], issued: Cycle) -> usize {
+    // Invariant: every event in `log[hi..]` is at or after `issued`.
+    let mut hi = log.len();
+    let mut step = 1;
+    loop {
+        let lo = hi.saturating_sub(step);
+        if lo == 0 || log[lo].at < issued {
+            return lo + log[lo..hi].partition_point(|e| e.at < issued);
+        }
+        hi = lo;
+        step *= 2;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1157,6 +1174,35 @@ mod tests {
         (0..n)
             .map(|_| TaskSet::new(vec![Task::new(0, period, wcet).unwrap()]).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn window_start_matches_the_partition_point() {
+        let event = |at| ServiceEvent {
+            at,
+            deadline: 0,
+            duration: 1,
+        };
+        let reference = |log: &[ServiceEvent], issued| log.partition_point(|e| e.at < issued);
+        assert_eq!(window_start(&[], 5), 0, "empty log");
+        // Duplicate `at` values, runs of them at both ends and in the middle.
+        let ats = [2, 2, 3, 7, 7, 7, 7, 8, 12, 12, 13, 20, 20, 20, 21, 30, 30];
+        for len in 0..=ats.len() {
+            let log: Vec<ServiceEvent> = ats[..len].iter().map(|&at| event(at)).collect();
+            // From before the first event to after the last one.
+            for issued in 0..=32 {
+                assert_eq!(
+                    window_start(&log, issued),
+                    reference(&log, issued),
+                    "len {len}, issued {issued}"
+                );
+            }
+        }
+        // A long log whose window sits deep in the past.
+        let log: Vec<ServiceEvent> = (0..5_000).map(|i| event(i / 3)).collect();
+        for issued in [0, 1, 17, 900, 1_665, 1_666, 1_667, 5_000] {
+            assert_eq!(window_start(&log, issued), reference(&log, issued));
+        }
     }
 
     #[test]

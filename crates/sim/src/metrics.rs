@@ -7,7 +7,9 @@
 //! * **Tallies** — named [`Counter`]s, gauges, [`OnlineStats`] and
 //!   [`Samples`] keyed by [`ComponentId`]. These are the experiment
 //!   *results* (grant counts, latency distributions) and are always
-//!   recorded; each update is a b-tree lookup over a small, fixed key set.
+//!   recorded. `System` and `Client` keys index dense rows (the harness
+//!   touches them on every request); every other key is a b-tree lookup
+//!   over a small, fixed key set.
 //! * **Detail** — typed [`Event`]s in a bounded ring buffer plus
 //!   per-request lifecycle tracking that yields end-to-end
 //!   [`LatencyBreakdown`]s (queueing vs. NoC vs. memory service vs.
@@ -543,6 +545,118 @@ struct Lifecycle {
     mem_complete: Option<Cycle>,
 }
 
+/// Client ids `0..DENSE_CLIENTS` are stored in dense rows (this covers
+/// the 1,048,576-client shard sweep); larger ids go to the ordered map, so
+/// a stray `Client(u32::MAX)` allocates no rows.
+const DENSE_CLIENTS: u32 = 1 << 20;
+
+/// One tally layer of the registry, keyed by `(ComponentId, K)`.
+///
+/// `System` is row 0 and `Client(n)` (for `n < DENSE_CLIENTS`) is row
+/// `n + 1` of a dense table, so the per-request harness updates index a
+/// short vector instead of walking a b-tree. Each row is a short vector
+/// kept sorted by `K`. Every other key lives in an ordered map. The derived
+/// [`ComponentId`] order puts `System` and `Client(_)` before every other
+/// variant, and the map's clients sort after every dense one, so "rows,
+/// then map" is exactly the key order of a single `BTreeMap`. A key exists
+/// only once it is touched.
+#[derive(Debug, Clone)]
+struct Table<K, V> {
+    rows: Vec<Vec<(K, V)>>,
+    map: BTreeMap<(ComponentId, K), V>,
+}
+
+impl<K, V> Default for Table<K, V> {
+    fn default() -> Self {
+        Self {
+            rows: Vec::new(),
+            map: BTreeMap::new(),
+        }
+    }
+}
+
+/// The dense row of `component`, if it has one.
+fn row_of(component: ComponentId) -> Option<usize> {
+    match component {
+        ComponentId::System => Some(0),
+        ComponentId::Client(c) if c < DENSE_CLIENTS => Some(c as usize + 1),
+        _ => None,
+    }
+}
+
+/// Inverse of [`row_of`].
+fn row_component(row: usize) -> ComponentId {
+    match row {
+        0 => ComponentId::System,
+        r => ComponentId::Client((r - 1) as u32),
+    }
+}
+
+impl<K: Ord + Copy, V> Table<K, V> {
+    fn get(&self, component: ComponentId, key: K) -> Option<&V> {
+        let Some(r) = row_of(component) else {
+            return self.map.get(&(component, key));
+        };
+        let row = self.rows.get(r)?;
+        let i = row.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
+        Some(&row[i].1)
+    }
+
+    fn get_mut(&mut self, component: ComponentId, key: K) -> Option<&mut V> {
+        let Some(r) = row_of(component) else {
+            return self.map.get_mut(&(component, key));
+        };
+        let row = self.rows.get_mut(r)?;
+        let i = row.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
+        Some(&mut row[i].1)
+    }
+
+    fn get_or_insert_with(
+        &mut self,
+        component: ComponentId,
+        key: K,
+        make: impl FnOnce() -> V,
+    ) -> &mut V {
+        let Some(r) = row_of(component) else {
+            return self.map.entry((component, key)).or_insert_with(make);
+        };
+        if r >= self.rows.len() {
+            self.rows.resize_with(r + 1, Vec::new);
+        }
+        let row = &mut self.rows[r];
+        let i = match row.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => i,
+            Err(i) => {
+                row.insert(i, (key, make()));
+                i
+            }
+        };
+        &mut row[i].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = ((ComponentId, K), &V)> {
+        let rows = self.rows.iter().enumerate().flat_map(|(r, row)| {
+            let component = row_component(r);
+            row.iter().map(move |(k, v)| ((component, *k), v))
+        });
+        rows.chain(self.map.iter().map(|(&key, v)| (key, v)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = ((ComponentId, K), &mut V)> {
+        let rows = self.rows.iter_mut().enumerate().flat_map(|(r, row)| {
+            let component = row_component(r);
+            row.iter_mut().map(move |(k, v)| ((component, *k), v))
+        });
+        rows.chain(self.map.iter_mut().map(|(&key, v)| (key, v)))
+    }
+}
+
+impl<K: Ord + Copy, V: Copy> Table<K, V> {
+    fn set(&mut self, component: ComponentId, key: K, value: V) {
+        *self.get_or_insert_with(component, key, || value) = value;
+    }
+}
+
 /// The typed observability registry. See the module docs for the layering.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -551,10 +665,10 @@ pub struct MetricsRegistry {
     /// Default retention window applied to raw-sample collectors created
     /// after it is set ([`Samples::set_window`]); `None` retains everything.
     sample_window: Option<usize>,
-    counters: BTreeMap<(ComponentId, Counter), u64>,
-    gauges: BTreeMap<(ComponentId, &'static str), f64>,
-    stats: BTreeMap<(ComponentId, SampleKind), OnlineStats>,
-    samples: BTreeMap<(ComponentId, SampleKind), Samples>,
+    counters: Table<Counter, u64>,
+    gauges: Table<&'static str, f64>,
+    stats: Table<SampleKind, OnlineStats>,
+    samples: Table<SampleKind, Samples>,
     events: VecDeque<TimedEvent>,
     inflight: BTreeMap<u64, Lifecycle>,
 }
@@ -603,7 +717,7 @@ impl MetricsRegistry {
     /// sequences (and their exact percentiles) are preserved.
     pub fn set_sample_window(&mut self, window: Option<usize>) {
         self.sample_window = window;
-        for samples in self.samples.values_mut() {
+        for (_, samples) in self.samples.iter_mut() {
             samples.set_window(window);
         }
     }
@@ -622,13 +736,13 @@ impl MetricsRegistry {
 
     /// Adds `n` to a counter.
     pub fn add(&mut self, component: ComponentId, counter: Counter, n: u64) {
-        *self.counters.entry((component, counter)).or_insert(0) += n;
+        *self.counters.get_or_insert_with(component, counter, || 0) += n;
     }
 
     /// Subtracts `n` from a counter, saturating at zero (used when an
     /// optimistic count must be retracted, e.g. a rejected injection).
     pub fn sub(&mut self, component: ComponentId, counter: Counter, n: u64) {
-        if let Some(v) = self.counters.get_mut(&(component, counter)) {
+        if let Some(v) = self.counters.get_mut(component, counter) {
             *v = v.saturating_sub(n);
         }
     }
@@ -637,15 +751,12 @@ impl MetricsRegistry {
     /// (used to mirror a component's internal tallies, e.g. the memory
     /// controller's).
     pub fn set_counter(&mut self, component: ComponentId, counter: Counter, value: u64) {
-        self.counters.insert((component, counter), value);
+        self.counters.set(component, counter, value);
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, component: ComponentId, counter: Counter) -> u64 {
-        self.counters
-            .get(&(component, counter))
-            .copied()
-            .unwrap_or(0)
+        self.counters.get(component, counter).copied().unwrap_or(0)
     }
 
     /// The values of `counter` across the `ports` ports of the SE at
@@ -667,12 +778,12 @@ impl MetricsRegistry {
 
     /// Sets a named gauge (last write wins).
     pub fn set_gauge(&mut self, component: ComponentId, name: &'static str, value: f64) {
-        self.gauges.insert((component, name), value);
+        self.gauges.set(component, name, value);
     }
 
     /// Reads a gauge.
     pub fn gauge(&self, component: ComponentId, name: &'static str) -> Option<f64> {
-        self.gauges.get(&(component, name)).copied()
+        self.gauges.get(component, name).copied()
     }
 
     // ----- distributions ---------------------------------------------
@@ -680,15 +791,14 @@ impl MetricsRegistry {
     /// Pushes an observation into a constant-memory [`OnlineStats`]
     /// accumulator.
     pub fn observe(&mut self, component: ComponentId, kind: SampleKind, value: f64) {
-        self.stats.entry((component, kind)).or_default().push(value);
+        self.stats
+            .get_or_insert_with(component, kind, OnlineStats::default)
+            .push(value);
     }
 
     /// A copy of an accumulator (empty if never touched).
     pub fn stat(&self, component: ComponentId, kind: SampleKind) -> OnlineStats {
-        self.stats
-            .get(&(component, kind))
-            .copied()
-            .unwrap_or_default()
+        self.stats.get(component, kind).copied().unwrap_or_default()
     }
 
     /// Pushes a raw observation into a [`Samples`] collector (retained for
@@ -697,14 +807,13 @@ impl MetricsRegistry {
     pub fn sample(&mut self, component: ComponentId, kind: SampleKind, value: f64) {
         let window = self.sample_window;
         self.samples
-            .entry((component, kind))
-            .or_insert_with(|| Samples::with_window(window))
+            .get_or_insert_with(component, kind, || Samples::with_window(window))
             .push(value);
     }
 
     /// Borrowed view of a raw-sample collector.
     pub fn samples(&self, component: ComponentId, kind: SampleKind) -> Option<&Samples> {
-        self.samples.get(&(component, kind))
+        self.samples.get(component, kind)
     }
 
     /// Mutable view of a raw-sample collector (percentile queries sort in
@@ -712,30 +821,29 @@ impl MetricsRegistry {
     pub fn samples_mut(&mut self, component: ComponentId, kind: SampleKind) -> &mut Samples {
         let window = self.sample_window;
         self.samples
-            .entry((component, kind))
-            .or_insert_with(|| Samples::with_window(window))
+            .get_or_insert_with(component, kind, || Samples::with_window(window))
     }
 
     // ----- iteration (delta extraction, exports) ----------------------
 
     /// Iterates every counter in deterministic key order.
     pub fn counters_iter(&self) -> impl Iterator<Item = ((ComponentId, Counter), u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        self.counters.iter().map(|(k, &v)| (k, v))
     }
 
     /// Iterates every gauge in deterministic key order.
     pub fn gauges_iter(&self) -> impl Iterator<Item = ((ComponentId, &'static str), f64)> + '_ {
-        self.gauges.iter().map(|(&k, &v)| (k, v))
+        self.gauges.iter().map(|(k, &v)| (k, v))
     }
 
     /// Iterates every accumulator in deterministic key order.
     pub fn stats_iter(&self) -> impl Iterator<Item = ((ComponentId, SampleKind), &OnlineStats)> {
-        self.stats.iter().map(|(&k, v)| (k, v))
+        self.stats.iter()
     }
 
     /// Iterates every raw-sample collector in deterministic key order.
     pub fn samples_iter(&self) -> impl Iterator<Item = ((ComponentId, SampleKind), &Samples)> {
-        self.samples.iter().map(|(&k, v)| (k, v))
+        self.samples.iter()
     }
 
     // ----- events ----------------------------------------------------
@@ -896,20 +1004,21 @@ impl MetricsRegistry {
     /// `other`'s events append (subject to this ring's capacity).
     /// In-flight lifecycles are not merged — they are transient state.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&key, &v) in &other.counters {
-            *self.counters.entry(key).or_insert(0) += v;
+        for ((c, k), &v) in other.counters.iter() {
+            *self.counters.get_or_insert_with(c, k, || 0) += v;
         }
-        for (&key, &v) in &other.gauges {
-            self.gauges.insert(key, v);
+        for ((c, k), &v) in other.gauges.iter() {
+            self.gauges.set(c, k, v);
         }
-        for (&key, stats) in &other.stats {
-            self.stats.entry(key).or_default().merge(stats);
+        for ((c, k), stats) in other.stats.iter() {
+            self.stats
+                .get_or_insert_with(c, k, OnlineStats::default)
+                .merge(stats);
         }
         let window = self.sample_window;
-        for (&key, samples) in &other.samples {
+        for ((c, k), samples) in other.samples.iter() {
             self.samples
-                .entry(key)
-                .or_insert_with(|| Samples::with_window(window))
+                .get_or_insert_with(c, k, || Samples::with_window(window))
                 .extend(samples.as_slice().iter().copied());
         }
         for ev in &other.events {

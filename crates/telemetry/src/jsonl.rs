@@ -14,7 +14,7 @@
 use crate::delta::EpochDelta;
 use bluescale_sim::metrics::MetricsRegistry;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Schema version stamped on every line.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -61,7 +61,7 @@ pub fn to_jsonl(delta: &EpochDelta) -> String {
             g.source,
             g.component,
             g.name,
-            json_f64(g.value)
+            Num(Some(g.value))
         );
     }
     for s in &delta.stats {
@@ -75,9 +75,9 @@ pub fn to_jsonl(delta: &EpochDelta) -> String {
             s.kind,
             s.kind.unit(),
             s.count,
-            json_f64(s.mean),
-            json_opt(s.min),
-            json_opt(s.max)
+            Num(Some(s.mean)),
+            Num(s.min),
+            Num(s.max)
         );
     }
     for w in &delta.windows {
@@ -96,7 +96,7 @@ pub fn to_jsonl(delta: &EpochDelta) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_f64(*v));
+            let _ = write!(out, "{}", Num(Some(*v)));
         }
         out.push_str("]}");
     }
@@ -108,24 +108,24 @@ pub fn to_jsonl(delta: &EpochDelta) -> String {
              \"sem\":\"instant\",\"value\":{}}}",
             s.tenant,
             s.metric,
-            json_f64(s.value)
+            Num(Some(s.value))
         );
     }
     out.push_str("]}\n");
     out
 }
 
-/// Shortest-roundtrip rendering of a finite f64 (`null` otherwise).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
+/// A JSON number formatted straight into the line buffer: the
+/// shortest-roundtrip rendering of a finite f64, `null` otherwise.
+struct Num(Option<f64>);
 
-fn json_opt(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".to_owned())
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(v) if v.is_finite() => write!(f, "{v}"),
+            _ => f.write_str("null"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -572,6 +572,123 @@ mod tests {
     use super::*;
     use crate::delta::DeltaEngine;
     use bluescale_sim::metrics::{ComponentId, Counter, SampleKind};
+
+    /// One epoch exercising every record type, with non-finite values in
+    /// a window, a gauge, a stat and an SLO record.
+    fn golden_epoch() -> EpochDelta {
+        use crate::delta::{CounterDelta, GaugeRecord, SampleRecord, SloRecord, StatRecord};
+        let se = ComponentId::Se { depth: 1, order: 3 };
+        EpochDelta {
+            epoch: 7,
+            cycle: 7_168,
+            counters: vec![
+                CounterDelta {
+                    source: "harness",
+                    component: ComponentId::Client(2),
+                    counter: Counter::Issued,
+                    delta: 5,
+                    total: 12,
+                },
+                CounterDelta {
+                    source: "fabric",
+                    component: se.port(1),
+                    counter: Counter::BudgetOverruns,
+                    delta: -1,
+                    total: 0,
+                },
+            ],
+            gauges: vec![
+                GaugeRecord {
+                    source: "fabric",
+                    component: ComponentId::System,
+                    name: "root_bandwidth",
+                    value: 0.1 + 0.2,
+                },
+                GaugeRecord {
+                    source: "fabric",
+                    component: ComponentId::Memory,
+                    name: "util",
+                    value: f64::NAN,
+                },
+            ],
+            stats: vec![
+                StatRecord {
+                    source: "harness",
+                    component: se,
+                    kind: SampleKind::Queueing,
+                    count: 3,
+                    mean: 2.5,
+                    min: Some(-0.0),
+                    max: Some(1e21),
+                },
+                StatRecord {
+                    source: "harness",
+                    component: ComponentId::Series(4),
+                    kind: SampleKind::Custom("hops"),
+                    count: 0,
+                    mean: f64::INFINITY,
+                    min: None,
+                    max: None,
+                },
+            ],
+            windows: vec![
+                SampleRecord {
+                    source: "harness",
+                    component: ComponentId::Client(2),
+                    kind: SampleKind::NormalizedResponse,
+                    values: vec![
+                        0.5,
+                        1.0 / 3.0,
+                        f64::NAN,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                        12.0,
+                        1e-7,
+                        -3.25,
+                    ],
+                    dropped: 9,
+                },
+                SampleRecord {
+                    source: "harness",
+                    component: ComponentId::System,
+                    kind: SampleKind::Latency,
+                    values: Vec::new(),
+                    dropped: 0,
+                },
+            ],
+            slo: vec![
+                SloRecord {
+                    tenant: 2,
+                    metric: "slo_miss_rate",
+                    value: 0.25,
+                },
+                SloRecord {
+                    tenant: 2,
+                    metric: "slo_p99_normalized",
+                    value: f64::INFINITY,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn jsonl_line_is_byte_stable() {
+        let expected = concat!(
+            "{\"v\":1,\"epoch\":7,\"cycle\":7168,\"records\":[",
+            "{\"src\":\"harness\",\"comp\":\"client.2\",\"metric\":\"issued\",\"unit\":\"requests\",\"sem\":\"delta\",\"delta\":5,\"total\":12}",
+            ",{\"src\":\"fabric\",\"comp\":\"se.1.3.p1\",\"metric\":\"budget_overruns\",\"unit\":\"events\",\"sem\":\"delta\",\"delta\":-1,\"total\":0}",
+            ",{\"src\":\"fabric\",\"comp\":\"system\",\"metric\":\"root_bandwidth\",\"unit\":\"value\",\"sem\":\"instant\",\"value\":0.30000000000000004}",
+            ",{\"src\":\"fabric\",\"comp\":\"mem\",\"metric\":\"util\",\"unit\":\"value\",\"sem\":\"instant\",\"value\":null}",
+            ",{\"src\":\"harness\",\"comp\":\"se.1.3\",\"metric\":\"queueing\",\"unit\":\"cycles\",\"sem\":\"stat\",\"count\":3,\"mean\":2.5,\"min\":-0,\"max\":1000000000000000000000}",
+            ",{\"src\":\"harness\",\"comp\":\"series.4\",\"metric\":\"hops\",\"unit\":\"value\",\"sem\":\"stat\",\"count\":0,\"mean\":null,\"min\":null,\"max\":null}",
+            ",{\"src\":\"harness\",\"comp\":\"client.2\",\"metric\":\"normalized_response\",\"unit\":\"ratio\",\"sem\":\"window\",\"dropped\":9,\"values\":[0.5,0.3333333333333333,null,null,null,12,0.0000001,-3.25]}",
+            ",{\"src\":\"harness\",\"comp\":\"system\",\"metric\":\"latency\",\"unit\":\"cycles\",\"sem\":\"window\",\"dropped\":0,\"values\":[]}",
+            ",{\"src\":\"slo\",\"comp\":\"client.2\",\"metric\":\"slo_miss_rate\",\"unit\":\"ratio\",\"sem\":\"instant\",\"value\":0.25}",
+            ",{\"src\":\"slo\",\"comp\":\"client.2\",\"metric\":\"slo_p99_normalized\",\"unit\":\"ratio\",\"sem\":\"instant\",\"value\":null}]}",
+            "\n",
+        );
+        assert_eq!(to_jsonl(&golden_epoch()), expected);
+    }
 
     #[test]
     fn parser_roundtrips_basics() {

@@ -180,7 +180,8 @@ fn ratio(num: i64, den: i64) -> f64 {
 }
 
 /// Nearest-rank p99 over the ring's normalized-response observations
-/// (the same `⌈p/100·n⌉` rule as [`bluescale_sim::stats::Samples`]).
+/// (the same `⌈p/100·n⌉` rule as [`bluescale_sim::stats::Samples`]),
+/// found by selection rather than a full sort.
 fn p99(ring: &VecDeque<EpochPoint>) -> f64 {
     let mut all: Vec<f64> = ring
         .iter()
@@ -189,10 +190,12 @@ fn p99(ring: &VecDeque<EpochPoint>) -> f64 {
     if all.is_empty() {
         return 0.0;
     }
-    all.sort_by(|a, b| a.partial_cmp(b).expect("NaN in normalized response"));
     let n = all.len();
     let rank = (99.0 * n as f64 / 100.0).ceil() as usize;
-    all[rank.clamp(1, n) - 1]
+    let (_, nth, _) = all.select_nth_unstable_by(rank.clamp(1, n) - 1, |a, b| {
+        a.partial_cmp(b).expect("NaN in normalized response")
+    });
+    *nth
 }
 
 #[cfg(test)]
@@ -289,6 +292,42 @@ mod tests {
         let p99 = r.iter().find(|r| r.metric == "slo_p99_normalized").unwrap();
         assert_eq!(p99.tenant, 1);
         assert_eq!(p99.value, 0.99);
+    }
+
+    #[test]
+    fn p99_selection_matches_the_sorting_reference() {
+        use bluescale_sim::rng::SimRng;
+        fn sorted_p99(ring: &VecDeque<EpochPoint>) -> f64 {
+            let mut all: Vec<f64> = ring
+                .iter()
+                .flat_map(|p| p.normalized.iter().copied())
+                .collect();
+            all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let n = all.len();
+            let rank = (99.0 * n as f64 / 100.0).ceil() as usize;
+            all[rank.clamp(1, n) - 1]
+        }
+        let mut rng = SimRng::seed_from(0x5E1EC7);
+        let mut sizes = vec![1, 100, 101];
+        sizes.extend((0..64).map(|_| rng.range_usize(1, 600)));
+        for n in sizes {
+            // Few distinct values, so most rings carry ties at the rank.
+            let distinct = rng.range_u64(1, 12);
+            let mut ring = VecDeque::new();
+            let mut left = n;
+            while left > 0 {
+                let take = rng.range_usize(1, left + 1);
+                let normalized = (0..take)
+                    .map(|_| rng.range_u64(0, distinct) as f64 / 4.0)
+                    .collect();
+                ring.push_back(EpochPoint {
+                    normalized,
+                    ..EpochPoint::default()
+                });
+                left -= take;
+            }
+            assert_eq!(p99(&ring).to_bits(), sorted_p99(&ring).to_bits(), "n = {n}");
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@ cargo run --release -q -p bluescale-bench --bin selection_bench -- --workloads 1
 rm -f "$sel_out"
 
 echo "==> metrics overhead smoke check"
-cargo run --release -q -p bluescale-bench --bin metrics_overhead
+overhead_out="$(mktemp)"
+cargo run --release -q -p bluescale-bench --bin metrics_overhead -- --out "$overhead_out"
+rm -f "$overhead_out"
 
 echo "==> fault injection smoke check (request conservation)"
 cargo run --release -q -p bluescale-bench --bin fault_smoke
