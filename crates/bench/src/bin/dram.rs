@@ -13,5 +13,7 @@ fn main() {
     config.trials = arg_u64(&args, "--trials", config.trials);
     config.horizon = arg_u64(&args, "--horizon", config.horizon);
     let rows = run(&config);
-    println!("{}", render(&config, &rows));
+    // `render` ends its table with a newline: stdout is `results/dram.md`
+    // byte for byte, as `--bin report` writes it.
+    print!("{}", render(&config, &rows));
 }

@@ -5,12 +5,15 @@
 //! Usage:
 //! `cargo run --release -p bluescale-bench --bin scalability -- \
 //!    [--trials N] [--horizon N] [--max-clients N] [--clients a,b,c] \
-//!    [--json path] [--ff-only]`
+//!    [--json path] [--reps N] [--ff-only]`
 //!
 //! `--max-clients` caps both sweeps' client counts (the 4096-client
 //! per-cycle oracle run dominates wall-clock); `--clients` replaces the
 //! fast-forward sweep's point list outright; `--ff-only` skips the
 //! architecture-comparison sweep when only the JSON artefact is wanted.
+//! Every fast-forward point is checked against the eager per-SE
+//! reference engine before it is timed; `--reps` (default 3) sets the
+//! timed runs per mode, of which the best is reported.
 
 use bluescale_bench::scalability::{
     render, render_fastforward_json, render_fastforward_table, run, run_fastforward,
@@ -37,6 +40,7 @@ fn main() {
     let mut ff = FastForwardConfig::default();
     ff.client_counts = arg_usize_list(&args, "--clients", &ff.client_counts);
     ff.client_counts.retain(|&c| c <= max_clients);
+    ff.reps = arg_u64(&args, "--reps", ff.reps.into()).clamp(1, u32::MAX.into()) as u32;
     if ff.client_counts.is_empty() {
         return;
     }

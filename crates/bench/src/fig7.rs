@@ -24,13 +24,13 @@ pub struct Fig7Config {
 }
 
 impl Fig7Config {
-    /// Defaults: targets 0.30–0.90 at 0.05 steps, 25 trials of 20 000
+    /// Defaults: targets 0.30–0.90 at 0.05 steps, 50 trials of 20 000
     /// cycles per point (a few minutes in release mode; the paper uses
     /// 200 trials — pass `--trials 200` for full statistics).
     pub fn new(processors: usize) -> Self {
         Self {
             processors,
-            trials: 25,
+            trials: 50,
             horizon: 20_000,
             targets: (0..=12).map(|i| 0.30 + 0.05 * i as f64).collect(),
             seed: 0xF177,

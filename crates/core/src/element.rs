@@ -179,14 +179,15 @@ impl ScaleElement {
         provider_ready: bool,
         metrics: &mut MetricsRegistry,
     ) -> Option<MemoryRequest> {
-        self.step_masked(now, provider_ready, metrics, None)
+        self.step_masked(now, provider_ready, metrics, 0)
     }
 
-    /// Like [`step`](Self::step), but ports flagged in `stuck` are hidden
-    /// from the scheduler this cycle — their buffered requests are not
-    /// eligible for a grant, as if the grant port's handshake were held
-    /// low. This is the fault layer's stuck-grant hook; `None` is the
-    /// healthy path and behaves exactly like [`step`](Self::step).
+    /// Like [`step`](Self::step), but the ports whose bits are set in
+    /// `stuck` are hidden from the scheduler this cycle — their buffered
+    /// requests are not eligible for a grant, as if the grant port's
+    /// handshake were held low. This is the fault layer's stuck-grant
+    /// hook; 0 is the healthy path and behaves exactly like
+    /// [`step`](Self::step).
     /// Masked-out ports still accrue blocking charges and their servers
     /// still tick, so time advances uniformly.
     pub fn step_masked(
@@ -194,15 +195,13 @@ impl ScaleElement {
         now: Cycle,
         provider_ready: bool,
         metrics: &mut MetricsRegistry,
-        stuck: Option<&[bool]>,
+        stuck: u64,
     ) -> Option<MemoryRequest> {
         let pending: Vec<bool> = self
             .buffers
             .iter()
             .enumerate()
-            .map(|(p, b)| {
-                !b.is_empty() && stuck.is_none_or(|m| !m.get(p).copied().unwrap_or(false))
-            })
+            .map(|(p, b)| !b.is_empty() && (p >= 64 || stuck & (1 << p) == 0))
             .collect();
         let any_pending = pending.iter().any(|&p| p);
         let mut granted = None;
@@ -313,7 +312,6 @@ impl Engine for PerSeEngine {
     }
 
     fn step(&mut self, io: &mut EngineIo, now: Cycle) {
-        let have_faults = !io.mem.faults().is_empty();
         let (levels, branch) = (self.elements.len(), self.branch);
         // 1. Response path: each SE's demultiplexer routes one response per
         //    cycle toward its client. Leaves deliver first (bottom-up), so
@@ -355,7 +353,7 @@ impl Engine for PerSeEngine {
             .root_mask(now, root_ready, branch, &mut io.metrics, |port| {
                 root.peek_port(port)
             });
-        let granted = root.step_masked(now, root_ready, &mut io.metrics, mask.as_deref());
+        let granted = root.step_masked(now, root_ready, &mut io.metrics, mask);
         if let Some(request) = granted {
             io.issue(request, now);
         }
@@ -367,12 +365,8 @@ impl Engine for PerSeEngine {
                 let parent = &mut parents[order / branch];
                 let port = order % branch;
                 let ready = parent.can_accept(port);
-                let mask = if have_faults {
-                    stuck_mask(io.mem.faults(), depth, order, branch, now, &mut io.metrics)
-                } else {
-                    None
-                };
-                let granted = se.step_masked(now, ready, &mut io.metrics, mask.as_deref());
+                let mask = stuck_mask(io.mem.faults(), depth, order, branch, now, &mut io.metrics);
+                let granted = se.step_masked(now, ready, &mut io.metrics, mask);
                 if let Some(request) = granted {
                     parent
                         .try_accept(port, request)

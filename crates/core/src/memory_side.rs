@@ -119,11 +119,11 @@ impl MemorySide {
         Some(done)
     }
 
-    /// The root SE's grant mask for this cycle: a stuck-grant fault hides
-    /// its port from the scheduler, and an active policy widens the same
-    /// mask with its defer verdict over the port heads `peek` shows.
-    /// Deferred candidates stay queued in their buffers, so request
-    /// conservation is untouched. `None` (no allocation) on the default
+    /// The root SE's grant mask for this cycle (bit `p` hides port `p`):
+    /// a stuck-grant fault hides its port from the scheduler, and an
+    /// active policy widens the same mask with its defer verdict over the
+    /// port heads `peek` shows. Deferred candidates stay queued in their
+    /// buffers, so request conservation is untouched. 0 on the default
     /// fault-free, passive path.
     pub(crate) fn root_mask<'a>(
         &mut self,
@@ -132,18 +132,14 @@ impl MemorySide {
         branch: usize,
         metrics: &mut MetricsRegistry,
         peek: impl Fn(usize) -> Option<&'a MemoryRequest>,
-    ) -> Option<Vec<bool>> {
-        let mut mask = if self.faults.is_empty() {
-            None
-        } else {
-            stuck_mask(&self.faults, 0, 0, branch, now, metrics)
-        };
+    ) -> u64 {
+        let mut mask = stuck_mask(&self.faults, 0, 0, branch, now, metrics);
         if self.policy.is_passive() || !ready {
             return mask;
         }
         let mut candidates: Vec<GrantCandidate> = Vec::with_capacity(branch);
         for port in 0..branch {
-            if mask.as_ref().is_some_and(|m| m[port]) {
+            if mask & (1 << port) != 0 {
                 continue;
             }
             if let Some(head) = peek(port) {
@@ -160,13 +156,10 @@ impl MemorySide {
             return mask;
         }
         let defer = self.policy.defer_mask(now, &candidates);
-        if defer != 0 {
-            let m = mask.get_or_insert_with(|| vec![false; branch]);
-            for (i, c) in candidates.iter().enumerate() {
-                if defer & (1 << i) != 0 {
-                    m[c.port] = true;
-                    metrics.inc(ComponentId::Memory, Counter::PolicyDeferred);
-                }
+        for (i, c) in candidates.iter().enumerate() {
+            if defer & (1 << i) != 0 {
+                mask |= 1 << c.port;
+                metrics.inc(ComponentId::Memory, Counter::PolicyDeferred);
             }
         }
         mask
@@ -242,11 +235,33 @@ pub(crate) fn stuck_mask(
     branch: usize,
     now: Cycle,
     metrics: &mut MetricsRegistry,
-) -> Option<Vec<bool>> {
+) -> u64 {
     let mask = plan.stuck_mask(depth, order, branch, now);
-    if mask.is_some() {
-        metrics.inc(ComponentId::System, Counter::FaultsInjected);
-        metrics.inc(ComponentId::Se { depth, order }, Counter::FaultsInjected);
+    if mask != 0 {
+        tally_stuck(depth, order, metrics);
     }
     mask
+}
+
+/// The tally of [`stuck_mask`] for every SE `owns` accepts, whether or
+/// not it arbitrates this cycle: an engine that visits only the SEs
+/// holding requests reads the masks untallied and counts held grant lines
+/// here, once per SE per cycle, exactly as a full sweep would.
+pub(crate) fn tally_stuck_ses(
+    plan: &FaultPlan,
+    branch: usize,
+    now: Cycle,
+    metrics: &mut MetricsRegistry,
+    owns: impl Fn(usize, usize) -> bool,
+) {
+    for (depth, order) in plan.stuck_ses(branch, now) {
+        if owns(depth, order) {
+            tally_stuck(depth, order, metrics);
+        }
+    }
+}
+
+fn tally_stuck(depth: usize, order: usize, metrics: &mut MetricsRegistry) {
+    metrics.inc(ComponentId::System, Counter::FaultsInjected);
+    metrics.inc(ComponentId::Se { depth, order }, Counter::FaultsInjected);
 }

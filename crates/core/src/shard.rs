@@ -43,7 +43,7 @@
 //! but is *not* bit-identical — the interrupted cycle was half-applied.
 
 use crate::composition::{BuildError, Composition, CompositionReport};
-use crate::memory_side::{stuck_mask, MemorySide};
+use crate::memory_side::{tally_stuck_ses, MemorySide};
 use crate::network::Engine;
 use crate::soa::SoaCore;
 use crate::topology::BlueScaleConfig;
@@ -207,47 +207,29 @@ impl Shard {
     }
 
     /// The subtree's arbitration sweep. The local root's grant, gated by
-    /// the root port's verdict, becomes this cycle's boundary offer.
+    /// the root port's verdict, becomes this cycle's boundary offer; the
+    /// deeper levels (global depths `2..`, parents all shard-local) run
+    /// the serial engine's [`SoaCore::forward_levels`]. Fault-plan
+    /// queries use global coordinates and tally into the shard's fabric
+    /// delta.
     fn advance_back(&mut self, now: Cycle) {
         debug_assert!(self.offer.is_none(), "boundary offer was not collected");
-        self.offer = self.step_local(0, 0, now, self.root_ready);
-        // Deeper levels forward one request per SE toward their parents
-        // (global depths `2..levels` — the parents are all shard-local).
-        for depth in 1..self.levels {
-            for order in 0..self.branch.pow(depth as u32) {
-                let parent_order = order / self.branch;
-                let port = order % self.branch;
-                let ready = self.core.can_accept(depth - 1, parent_order, port);
-                if let Some(request) = self.step_local(depth, order, now, ready) {
-                    self.core
-                        .try_accept(depth - 1, parent_order, port, request)
-                        .expect("parent advertised a free slot");
-                }
-            }
-        }
-        // Server countdowns for the whole subtree, fused into one sweep.
-        self.core.tick_all();
-    }
-
-    /// One batched arbitration of local SE `(depth, order)`, with the
-    /// fault mask looked up under *global* coordinates and tallied into
-    /// the shard's fabric delta.
-    fn step_local(
-        &mut self,
-        depth: usize,
-        order: usize,
-        now: Cycle,
-        ready: bool,
-    ) -> Option<MemoryRequest> {
-        let mask = if self.faults.is_empty() {
-            None
-        } else {
-            let global_order = self.q * self.branch.pow(depth as u32) + order;
-            let (plan, delta) = (&self.faults, &mut self.fabric_delta);
-            stuck_mask(plan, depth + 1, global_order, self.branch, now, delta)
+        let (q, branch, levels) = (self.q, self.branch, self.levels);
+        // Global SE `(d, o)` lies in this subtree iff `1 <= d <= levels`
+        // and `o` falls in subtree `q`'s `branch^(d-1)` SEs at that depth.
+        tally_stuck_ses(&self.faults, branch, now, &mut self.fabric_delta, |d, o| {
+            (1..=levels).contains(&d) && o / branch.pow(d as u32 - 1) == q
+        });
+        let faults = &self.faults;
+        let stuck = |depth: usize, order: usize| {
+            let global_order = q * branch.pow(depth as u32) + order;
+            faults.stuck_mask(depth + 1, global_order, branch, now)
         };
-        self.core
-            .step_se_batched(depth, order, now, ready, mask.as_deref())
+        self.offer = self
+            .core
+            .step_se_batched(0, 0, now, self.root_ready, stuck(0, 0));
+        self.core.forward_levels(now, stuck, None);
+        self.core.end_cycle();
     }
 
     fn pending(&self) -> usize {
@@ -451,7 +433,7 @@ impl Coordinator {
             .root_mask(now, ready, self.branch, &mut self.fabric, |port| {
                 root.peek_head(0, 0, port)
             });
-        if let Some(request) = self.root.step_se_batched(0, 0, now, ready, mask.as_deref()) {
+        if let Some(request) = self.root.step_se_batched(0, 0, now, ready, mask) {
             let event = self.mem.issue(request, now, &mut self.fabric);
             self.core.service_log.push(event);
         }
@@ -465,8 +447,8 @@ impl Coordinator {
 
     /// Post-cycle serial work: collect boundary offers into the root's
     /// ports (shard order = port order), account delivered responses
-    /// (shard order = the serial engine's global leaf order), tick the
-    /// root's servers, advance time.
+    /// (shard order = the serial engine's global leaf order), close the
+    /// root core's cycle, advance time.
     fn post_phase(&mut self, shards: &[Mutex<Shard>]) {
         for shard in shards {
             let mut s = lock_shard(shard);
@@ -481,7 +463,7 @@ impl Coordinator {
                 self.core.record_response(resp);
             }
         }
-        self.root.tick_all();
+        self.root.end_cycle();
         self.core.now += 1;
     }
 
@@ -557,8 +539,9 @@ impl Coordinator {
         self.core.jump_target(horizon, hint, clients)
     }
 
-    /// Replays `delta` provably-idle cycles in closed form on the root
-    /// and every shard core.
+    /// Replays `delta` provably-idle cycles on the root and every shard
+    /// core (O(1) each: the countdowns are owed on each core's tick
+    /// clock).
     fn advance_idle(&mut self, shards: &[Mutex<Shard>], delta: Cycle) {
         self.root.advance_idle(delta);
         for shard in shards {

@@ -15,8 +15,20 @@
 //!   P-counters, B-counters, periods, budgets and staged (Π,Θ) swaps,
 //!   indexed by a stable [`TaskSlot`]. An SE does not own servers; it owns
 //!   the index range `[se·branch, (se+1)·branch)`. The GEDF argmin is a
-//!   linear scan over the contiguous P-counter slice, and the batched
-//!   `advance` of the fast-forward path is a single sweep over the slices.
+//!   linear scan over the contiguous P-counter slice.
+//! * **Server countdowns are lazy.** The core keeps a tick clock (+1 per
+//!   [`SoaCore::end_cycle`], +`delta` per idle advance) and a sync stamp
+//!   per slot; a slot is brought up to the clock in closed form
+//!   ([`ServerTask::advance`]) only when it is read — the eligible ports
+//!   before arbitration, every port of an SE being stepped with
+//!   [`SoaCore::step_se`] or reprogrammed, every slot on a flush — so a
+//!   cycle or an idle jump costs O(1) in the tree size. Nothing but ticks
+//!   happens to an unread slot: budget is consumed only by a grant, which
+//!   reads its slot first.
+//! * **Only SEs with work are visited.** Bitsets mark the SEs holding
+//!   buffered requests and the SEs holding queued responses; the batched
+//!   step and the response path iterate them in ascending order, which is
+//!   the reference engine's full sweep minus SEs that could not act.
 //! * **Request queues** live in a flat per-slot slab scanned linearly
 //!   (mirroring the hardware's comparator banks) for small capacities, or
 //!   in a [`BucketedDeadlineQueue`] — deadline buckets with a binary-heap
@@ -25,9 +37,17 @@
 //!   accumulate in plain delta arrays and are folded into the
 //!   [`MetricsRegistry`] on [`Engine::flush_metrics`] — the same
 //!   "refreshed on `metrics_mut`" contract the memory controller already
-//!   uses. With detail recording on, counters and typed events are written
-//!   through directly in the reference engine's order, so event streams
+//!   uses. With detail recording on, every SE steps through `step_se`,
+//!   which ticks its servers in place and writes counters and typed
+//!   events through in the reference engine's order, so event streams
 //!   stay bit-identical.
+//!
+//! **The cycle contract.** A caller steps the SEs of one cycle with
+//! [`step_se`](SoaCore::step_se) or
+//! [`step_se_batched`](SoaCore::step_se_batched) (at most once each),
+//! then calls [`end_cycle`](SoaCore::end_cycle) once. `step_se` leaves
+//! its servers already ticked for the cycle; `end_cycle` owes every other
+//! server its countdown.
 //!
 //! **Slot stability rules.** A [`TaskSlot`] is a function of topology only
 //! (`slot = (level_base[depth] + order)·branch + port`): it never moves
@@ -44,7 +64,7 @@
 //! [`Composition`](crate::composition::Composition); the core holds no
 //! analysis state.
 
-use crate::memory_side::stuck_mask;
+use crate::memory_side::tally_stuck_ses;
 use crate::network::{Engine, EngineIo};
 use crate::rab::QueuePolicy;
 use crate::topology::BlueScaleConfig;
@@ -726,6 +746,43 @@ impl PortQueues {
     }
 }
 
+/// A set of SEs (linear indices) as a bitset, iterated in ascending
+/// order: the order every engine visits SEs in, so grant order, blocking
+/// charges and response order do not depend on which SEs are skipped.
+#[derive(Debug, Clone)]
+struct SeSet(Vec<u64>);
+
+impl SeSet {
+    fn with_len(ses: usize) -> Self {
+        Self(vec![0; ses.div_ceil(64)])
+    }
+
+    fn insert(&mut self, se: usize) {
+        self.0[se / 64] |= 1 << (se % 64);
+    }
+
+    fn remove(&mut self, se: usize) {
+        self.0[se / 64] &= !(1 << (se % 64));
+    }
+
+    /// The smallest member in `from..end`.
+    fn next(&self, from: usize, end: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.0.get(word)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                let se = word * 64 + bits.trailing_zeros() as usize;
+                return (se < end).then_some(se);
+            }
+            word += 1;
+            if word * 64 >= end {
+                return None;
+            }
+            bits = self.0[word];
+        }
+    }
+}
+
 /// The flattened runtime engine: all SEs' arbitration state in one arena.
 ///
 /// The flat counterpart of the per-SE reference engine
@@ -748,12 +805,23 @@ pub struct SoaCore {
     /// Running totals for O(1) `pending`/quiescence checks.
     buffered: usize,
     responses_queued: usize,
-    /// Requests buffered per SE (linear index): lets the batched step
-    /// skip an SE's whole arbitration pass when nothing is pending.
+    /// Requests buffered per SE (linear index).
     buffered_se: Vec<u32>,
+    /// The SEs holding buffered requests (`buffered_se > 0`): the only
+    /// ones a batched step arbitrates.
+    busy: SeSet,
+    /// The SEs whose demultiplexer holds a response: the only ones the
+    /// response phase visits.
+    routing: SeSet,
     /// Responses queued per tree level: lets the response phase skip
     /// levels with nothing in flight.
     responses_per_level: Vec<u32>,
+    /// Server countdowns owed since construction: +1 per
+    /// [`end_cycle`](Self::end_cycle), +`delta` per idle advance.
+    clock: u64,
+    /// Per slot, the `clock` value its arena state is current at. A slot
+    /// is brought forward ([`sync`](Self::sync)) only when it is read.
+    synced: Vec<u64>,
     // Batched counter deltas, folded into the registry on flush. Indexed
     // by linear SE / slot respectively.
     d_grants_se: Vec<u64>,
@@ -796,7 +864,11 @@ impl SoaCore {
             buffered: 0,
             responses_queued: 0,
             buffered_se: vec![0; total],
+            busy: SeSet::with_len(total),
+            routing: SeSet::with_len(total),
             responses_per_level: vec![0; levels],
+            clock: 0,
+            synced: vec![0; slots],
             d_grants_se: vec![0; total],
             d_forwarded_se: vec![0; total],
             d_throttled_se: vec![0; total],
@@ -840,9 +912,61 @@ impl SoaCore {
         TaskSlot::new(self.se_lin(depth, order) * self.branch + port)
     }
 
-    /// Read access to the server arena.
-    pub fn arena(&self) -> &ServerArena {
-        &self.arena
+    /// A snapshot of the server arena with every slot brought up to the
+    /// tick clock: the state an eager per-cycle countdown would hold. The
+    /// core itself is untouched (its own slots stay lazy). A slot
+    /// [`step_se`](Self::step_se) already ticked this cycle is taken as
+    /// it stands.
+    pub fn arena(&self) -> ServerArena {
+        let mut arena = self.arena.clone();
+        for (slot, &synced) in self.synced.iter().enumerate() {
+            arena.advance(TaskSlot::new(slot), self.clock.saturating_sub(synced));
+        }
+        arena
+    }
+
+    /// Brings `slot`'s server up to the tick clock in closed form
+    /// ([`ServerTask::advance`]: no consumption happens while a slot is
+    /// not read), tallying the crossed boundaries as replenishments.
+    #[inline(always)]
+    fn sync(&mut self, slot: usize) {
+        debug_assert!(
+            self.synced[slot] <= self.clock,
+            "slot {slot} was stepped this cycle; call end_cycle first"
+        );
+        let lag = self.clock - self.synced[slot];
+        if lag == 0 {
+            return;
+        }
+        self.synced[slot] = self.clock;
+        if !self.arena.programmed[slot] {
+            return;
+        }
+        if lag < self.arena.p[slot] {
+            self.arena.p[slot] -= lag;
+            return;
+        }
+        let crossings = self.arena.advance(TaskSlot::new(slot), lag);
+        self.d_replenish_port[slot] += crossings;
+        self.dirty = true;
+    }
+
+    /// [`sync`](Self::sync) for the ports of the SE at slot base `b0`
+    /// whose bits are set in `ports`.
+    #[inline(always)]
+    fn sync_ports(&mut self, b0: usize, mut ports: u64) {
+        while ports != 0 {
+            self.sync(b0 + ports.trailing_zeros() as usize);
+            ports &= ports - 1;
+        }
+    }
+
+    /// Closes the cycle: every server owes one more countdown. O(1); the
+    /// countdowns run when their slots are next read. Call it once per
+    /// cycle, after the cycle's [`step_se`](Self::step_se) and
+    /// [`step_se_batched`](Self::step_se_batched) calls.
+    pub fn end_cycle(&mut self) {
+        self.clock += 1;
     }
 
     /// Whether `(depth, order, port)`'s buffer can accept a request.
@@ -862,6 +986,7 @@ impl SoaCore {
     pub fn accept_response(&mut self, depth: usize, order: usize, response: MemoryRequest) {
         let se = self.se_lin(depth, order);
         self.responses[se].push_back(response);
+        self.routing.insert(se);
         self.responses_queued += 1;
         self.responses_per_level[depth] += 1;
     }
@@ -874,6 +999,9 @@ impl SoaCore {
         if response.is_some() {
             self.responses_queued -= 1;
             self.responses_per_level[depth] -= 1;
+            if self.responses[se].is_empty() {
+                self.routing.remove(se);
+            }
         }
         response
     }
@@ -884,21 +1012,35 @@ impl SoaCore {
         self.responses_per_level[depth]
     }
 
+    /// The first SE of level `depth` at order `from` or later that `set`
+    /// holds, or every SE in turn when `set` is `None`.
+    fn next_se(&self, set: Option<&SeSet>, depth: usize, from: usize) -> Option<usize> {
+        let (lo, hi) = (self.level_base[depth], self.level_base[depth + 1]);
+        let se = match set {
+            Some(set) => set.next(lo + from, hi)?,
+            None => lo + from,
+        };
+        (se < hi).then(|| se - lo)
+    }
+
     /// One cycle of the response path, bottom-up: every SE's demultiplexer
     /// routes at most one response toward its client, so a response
     /// advances exactly one level per cycle; leaf deliveries go to
-    /// `deliver` in leaf order. `client_lo` is the first client id this
-    /// core serves (non-zero for a shard's subtree core).
+    /// `deliver` in leaf order. Only SEs holding a response are visited,
+    /// in ascending order. `client_lo` is the first client id this core
+    /// serves (non-zero for a shard's subtree core).
     pub fn route_responses(&mut self, client_lo: usize, mut deliver: impl FnMut(MemoryRequest)) {
         let (levels, branch) = (self.levels, self.branch);
         for depth in (0..levels).rev() {
             if self.responses_at_level(depth) == 0 {
                 continue;
             }
-            for order in 0..self.level_base[depth + 1] - self.level_base[depth] {
-                let Some(request) = self.pop_response(depth, order) else {
-                    continue;
-                };
+            let mut from = 0;
+            while let Some(order) = self.next_se(Some(&self.routing), depth, from) {
+                from = order + 1;
+                let request = self
+                    .pop_response(depth, order)
+                    .expect("a routing SE holds a response");
                 if depth == levels - 1 {
                     deliver(request);
                     continue;
@@ -916,26 +1058,65 @@ impl SoaCore {
         }
     }
 
+    /// Arbitration of every level below the root, parents before
+    /// children and in ascending order within a level: each SE forwards
+    /// at most one request into its parent's port. `stuck(depth, order)`
+    /// is the SE's grant mask (untallied). With `detail` every SE runs the
+    /// write-through [`step_se`](Self::step_se); otherwise only the SEs
+    /// holding requests run [`step_se_batched`](Self::step_se_batched) —
+    /// an idle SE could neither grant nor throttle.
+    pub fn forward_levels(
+        &mut self,
+        now: Cycle,
+        stuck: impl Fn(usize, usize) -> u64,
+        mut detail: Option<&mut MetricsRegistry>,
+    ) {
+        let branch = self.branch;
+        for depth in 1..self.levels {
+            let mut from = 0;
+            while let Some(order) =
+                self.next_se(detail.is_none().then_some(&self.busy), depth, from)
+            {
+                from = order + 1;
+                let (parent, port) = (order / branch, order % branch);
+                let ready = self.can_accept(depth - 1, parent, port);
+                let mask = stuck(depth, order);
+                let granted = match detail.as_deref_mut() {
+                    Some(metrics) => self.step_se(depth, order, now, ready, mask, metrics),
+                    None => self.step_se_batched(depth, order, now, ready, mask),
+                };
+                if let Some(request) = granted {
+                    self.try_accept(depth - 1, parent, port, request)
+                        .expect("parent advertised a free slot");
+                }
+            }
+        }
+    }
+
     /// One arbitration cycle of SE `(depth, order)`: the SoA rewrite of
     /// [`ScaleElement::step_masked`](crate::element::ScaleElement::step_masked).
     /// GEDF argmin is a linear scan over the SE's contiguous P-counter
-    /// slice; server ticks run in-place on the slices. With detail
-    /// recording off, counters land in the delta arrays (flushed on
-    /// [`Engine::flush_metrics`]); with it on, counters and typed events
-    /// write through in the reference engine's order.
+    /// slice. With detail recording off, counters land in the delta arrays
+    /// (flushed on [`Engine::flush_metrics`]); with it on, counters and
+    /// typed events write through in the reference engine's order. The
+    /// SE's servers are synced first and then ticked for this cycle in
+    /// place, so each replenishment is recorded at its own cycle; they
+    /// count as current through the cycle's [`end_cycle`](Self::end_cycle),
+    /// which must follow before they are read again.
     pub fn step_se(
         &mut self,
         depth: usize,
         order: usize,
         now: Cycle,
         provider_ready: bool,
-        stuck: Option<&[bool]>,
+        stuck: u64,
         metrics: &mut MetricsRegistry,
     ) -> Option<MemoryRequest> {
         let se = self.se_lin(depth, order);
         let b0 = se * self.branch;
         let detail = metrics.detail();
         let component = ComponentId::Se { depth, order };
+        self.sync_ports(b0, u64::MAX >> (64 - self.branch));
         let pending_mask = self.eligible_ports(b0, stuck);
 
         let mut granted = None;
@@ -969,6 +1150,7 @@ impl SoaCore {
         }
         for port in 0..self.branch {
             let slot = b0 + port;
+            self.synced[slot] = self.clock + 1;
             if !self.arena.programmed[slot] || !self.tick_slot(slot) {
                 continue;
             }
@@ -983,22 +1165,22 @@ impl SoaCore {
         granted
     }
 
-    /// The batched-mode fast path of [`step_se`](Self::step_se): same
+    /// The batched-mode path of [`step_se`](Self::step_se): same
     /// arbitration, but counters go straight to the delta arrays (no
     /// registry access, so no detail events — the caller must route
-    /// detail-recording runs through `step_se`) and the per-server
-    /// countdowns are *not* run here. The caller runs them for the whole
-    /// arena in one flat [`tick_all`](Self::tick_all) sweep per cycle,
-    /// which preserves each SE's arbitrate-before-tick order because no
-    /// SE reads another SE's server slots mid-cycle. An SE with nothing
-    /// buffered returns immediately: no grant, no throttle, nothing to do.
+    /// detail-recording runs through `step_se`) and only the eligible
+    /// ports' servers are synced, because only they are read. Their
+    /// countdown for this cycle is owed to [`end_cycle`](Self::end_cycle),
+    /// which preserves each SE's arbitrate-before-tick order. An SE with
+    /// nothing buffered returns immediately: no grant, no throttle,
+    /// nothing to do.
     pub fn step_se_batched(
         &mut self,
         depth: usize,
         order: usize,
         now: Cycle,
         provider_ready: bool,
-        stuck: Option<&[bool]>,
+        stuck: u64,
     ) -> Option<MemoryRequest> {
         let se = self.se_lin(depth, order);
         if self.buffered_se[se] == 0 {
@@ -1006,6 +1188,9 @@ impl SoaCore {
         }
         let b0 = se * self.branch;
         let pending_mask = self.eligible_ports(b0, stuck);
+        if provider_ready {
+            self.sync_ports(b0, pending_mask);
+        }
         let granted = self
             .gedf_winner(b0, pending_mask, now, provider_ready)
             .map(|port| self.grant_batched(se, b0, port));
@@ -1019,16 +1204,8 @@ impl SoaCore {
     /// The ports of the SE at slot base `b0` eligible this cycle: buffer
     /// non-empty and grant line not held stuck by the fault layer.
     #[inline(always)]
-    fn eligible_ports(&self, b0: usize, stuck: Option<&[bool]>) -> u64 {
-        let mut pending_mask = self.queues.occupancy_mask(b0, self.branch);
-        if let Some(m) = stuck {
-            for (port, &held) in m.iter().take(self.branch).enumerate() {
-                if held {
-                    pending_mask &= !(1 << port);
-                }
-            }
-        }
-        pending_mask
+    fn eligible_ports(&self, b0: usize, stuck: u64) -> u64 {
+        self.queues.occupancy_mask(b0, self.branch) & !stuck
     }
 
     /// The port the SE grants this cycle, if the provider can take a
@@ -1092,6 +1269,9 @@ impl SoaCore {
             .expect("selected port must have a pending request");
         self.buffered -= 1;
         self.buffered_se[se] -= 1;
+        if self.buffered_se[se] == 0 {
+            self.busy.remove(se);
+        }
         let overrun = !(self.arena.programmed[slot] && self.arena.b[slot] > 0);
         if !overrun {
             self.arena.b[slot] -= 1;
@@ -1138,38 +1318,12 @@ impl SoaCore {
         true
     }
 
-    /// One cycle of server countdowns for the whole arena: the tick loop
-    /// of every SE's [`step_se`](Self::step_se), fused into a single
-    /// contiguous sweep over the slices (batched mode only — detail runs
-    /// tick inside `step_se` so replenish events interleave with grants
-    /// in the legacy order).
-    pub fn tick_all(&mut self) {
-        for slot in 0..self.arena.len() {
-            if self.arena.programmed[slot] && self.tick_slot(slot) {
-                self.d_replenish_port[slot] += 1;
-                self.dirty = true;
-            }
-        }
-    }
-
-    /// Advances the whole (quiescent) fabric `delta` cycles in closed
-    /// form: a single batched sweep over the arena slices, tallying
-    /// replenishment crossings into the delta arrays.
+    /// Advances the whole (quiescent) fabric `delta` cycles: O(1), the
+    /// countdowns are owed on the tick clock like any other cycle's and
+    /// run in closed form when each slot is next read.
     pub fn advance_idle(&mut self, delta: Cycle) {
         debug_assert_eq!(self.occupancy(), 0, "advance_idle on a non-idle fabric");
-        if delta == 0 {
-            return;
-        }
-        for slot in 0..self.arena.len() {
-            if !self.arena.programmed[slot] {
-                continue;
-            }
-            let crossings = self.arena.advance(TaskSlot::new(slot), delta);
-            if crossings > 0 {
-                self.d_replenish_port[slot] += crossings;
-                self.dirty = true;
-            }
-        }
+        self.clock += delta;
     }
 
     /// [`Engine::flush_metrics`] with a coordinate translation:
@@ -1183,6 +1337,10 @@ impl SoaCore {
         metrics: &mut MetricsRegistry,
         map: impl Fn(usize, usize) -> (usize, usize),
     ) {
+        // Owed countdowns are replenishments not yet tallied.
+        for slot in 0..self.synced.len() {
+            self.sync(slot);
+        }
         if !self.dirty {
             return;
         }
@@ -1251,6 +1409,8 @@ impl Engine for SoaCore {
     ) -> u64 {
         assert_eq!(interfaces.len(), self.branch, "one interface per port");
         let b0 = self.se_lin(depth, order) * self.branch;
+        // The transition latency reads each server's countdown.
+        self.sync_ports(b0, u64::MAX >> (64 - self.branch));
         interfaces
             .iter()
             .enumerate()
@@ -1273,19 +1433,22 @@ impl Engine for SoaCore {
         self.buffered += 1;
         let se = self.se_lin(depth, order);
         self.buffered_se[se] += 1;
+        self.busy.insert(se);
         Ok(())
     }
 
     /// One cycle on the flat arena — the four phases of the per-SE
     /// reference's step ([`PerSeEngine`](crate::element::PerSeEngine)),
-    /// kept line-for-line parallel with it so the two stay bit-identical
-    /// (the differential suites enforce it).
+    /// kept parallel with it so the two stay bit-identical (the
+    /// differential suites enforce it). The reference visits every SE;
+    /// this engine visits only the SEs with work, in the same ascending
+    /// order, and settles the server countdowns lazily.
     fn step(&mut self, io: &mut EngineIo, now: Cycle) {
-        let have_faults = !io.mem.faults().is_empty();
-        let branch = self.branch;
-        // With detail recording off, arbitration runs on the batched fast
-        // path (delta counters, fused tick sweep); detail runs take the
-        // write-through `step_se` so typed events keep the reference order.
+        let (levels, branch) = (self.levels, self.branch);
+        // With detail recording off, arbitration runs on the batched path
+        // (delta counters, SEs with work only); detail runs take the
+        // write-through `step_se` on every SE so typed events keep the
+        // reference order.
         let detail = io.metrics.detail();
         // 1. Response path: leaves deliver first (bottom-up), so a response
         //    advances exactly one level per cycle.
@@ -1302,41 +1465,24 @@ impl Engine for SoaCore {
                 self.peek_head(0, 0, port)
             });
         let granted = if detail {
-            self.step_se(0, 0, now, root_ready, mask.as_deref(), &mut io.metrics)
+            self.step_se(0, 0, now, root_ready, mask, &mut io.metrics)
         } else {
-            self.step_se_batched(0, 0, now, root_ready, mask.as_deref())
+            self.step_se_batched(0, 0, now, root_ready, mask)
         };
         if let Some(request) = granted {
             io.issue(request, now);
         }
         // 4. Deeper levels forward one request per SE toward their parents.
-        for depth in 1..self.levels {
-            for order in 0..self.level_base[depth + 1] - self.level_base[depth] {
-                let parent_order = order / branch;
-                let port = order % branch;
-                let ready = self.can_accept(depth - 1, parent_order, port);
-                let mask = if have_faults {
-                    stuck_mask(io.mem.faults(), depth, order, branch, now, &mut io.metrics)
-                } else {
-                    None
-                };
-                let granted = if detail {
-                    self.step_se(depth, order, now, ready, mask.as_deref(), &mut io.metrics)
-                } else {
-                    self.step_se_batched(depth, order, now, ready, mask.as_deref())
-                };
-                if let Some(request) = granted {
-                    self.try_accept(depth - 1, parent_order, port, request)
-                        .expect("parent advertised a free slot");
-                }
-            }
-        }
-        // 5. Server countdowns for every SE, fused into one arena sweep.
-        //    (Detail runs already ticked inside `step_se`, interleaved with
-        //    their grant events in the reference order.)
-        if !detail {
-            self.tick_all();
-        }
+        //    Every held grant line is tallied, idle SE or not; the masks
+        //    are read only where an SE arbitrates.
+        let (plan, metrics) = (io.mem.faults(), &mut io.metrics);
+        let level_base = &self.level_base;
+        tally_stuck_ses(plan, branch, now, metrics, |depth, order| {
+            (1..levels).contains(&depth) && order < level_base[depth + 1] - level_base[depth]
+        });
+        let stuck = |depth, order| plan.stuck_mask(depth, order, branch, now);
+        self.forward_levels(now, stuck, detail.then_some(metrics));
+        self.end_cycle();
     }
 
     fn occupancy(&self) -> usize {
@@ -1642,11 +1788,12 @@ mod tests {
         for now in 0..50 {
             for order in 2..4 {
                 assert_eq!(
-                    core.step_se(1, order, now, true, None, &mut metrics),
+                    core.step_se(1, order, now, true, 0, &mut metrics),
                     None,
                     "an empty SE must never grant"
                 );
             }
+            core.end_cycle();
         }
         core.flush_metrics(&mut metrics);
         for order in 2..4 {
@@ -1699,7 +1846,8 @@ mod tests {
                 }
                 let ready = rng.range_u64(0, 3) > 0;
                 let legacy = se.step(now, ready, &mut reg_legacy);
-                let soa = core.step_se(0, 0, now, ready, None, &mut reg_soa);
+                let soa = core.step_se(0, 0, now, ready, 0, &mut reg_soa);
+                core.end_cycle();
                 assert_eq!(legacy, soa, "grant at cycle {now} (wc={work_conserving})");
             }
             core.flush_metrics(&mut reg_soa);
@@ -1733,10 +1881,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_step_and_fused_tick_match_step_se_bit_for_bit() {
-        // The fast path (`step_se_batched` + one `tick_all` sweep per
-        // cycle) must reproduce the write-through `step_se` sequence
-        // exactly: same grants, same server state, same counters.
+    fn batched_step_and_lazy_countdowns_match_step_se_bit_for_bit() {
+        // The fast path (`step_se_batched`, whose countdowns are owed to
+        // `end_cycle` and run lazily) must reproduce the write-through
+        // `step_se` sequence exactly: same grants, same server state,
+        // same counters.
         for work_conserving in [false, true] {
             let mut config = BlueScaleConfig::for_clients(4);
             config.work_conserving = work_conserving;
@@ -1764,9 +1913,10 @@ mod tests {
                     assert_eq!(a, b, "acceptance at {now}");
                 }
                 let ready = rng.range_u64(0, 3) > 0;
-                let a = slow.step_se(0, 0, now, ready, None, &mut reg_slow);
-                let b = fast.step_se_batched(0, 0, now, ready, None);
-                fast.tick_all();
+                let a = slow.step_se(0, 0, now, ready, 0, &mut reg_slow);
+                slow.end_cycle();
+                let b = fast.step_se_batched(0, 0, now, ready, 0);
+                fast.end_cycle();
                 assert_eq!(a, b, "grant at cycle {now} (wc={work_conserving})");
             }
             slow.flush_metrics(&mut reg_slow);
@@ -1815,11 +1965,12 @@ mod tests {
             for depth in 0..2 {
                 for order in 0..stepped.level_base[depth + 1] - stepped.level_base[depth] {
                     assert_eq!(
-                        stepped.step_se(depth, order, now, true, None, &mut reg_s),
+                        stepped.step_se(depth, order, now, true, 0, &mut reg_s),
                         None
                     );
                 }
             }
+            stepped.end_cycle();
         }
         jumped.advance_idle(137);
         stepped.flush_metrics(&mut reg_s);
@@ -1845,11 +1996,109 @@ mod tests {
     }
 
     #[test]
+    fn sync_after_a_long_lag_equals_a_tick_loop() {
+        // A slot left unread for any lag — across many boundaries, with or
+        // without a staged swap — must land exactly where per-cycle ticks
+        // would, with every crossing tallied as a replenishment.
+        let mut rng = SimRng::seed_from(0x5C4C);
+        for case in 0..300 {
+            let mut core = test_core(4);
+            let slot = rng.range_u64(0, 4) as usize;
+            let mut reference = ServerTask::new(iface(7 + rng.range_u64(0, 20), 3));
+            for _ in 0..rng.range_u64(0, 30) {
+                reference.tick();
+            }
+            if reference.budget_remaining() > 0 && rng.range_u64(0, 2) == 0 {
+                reference.consume();
+            }
+            if rng.range_u64(0, 2) == 0 {
+                reference.reprogram_at_boundary(iface(1 + rng.range_u64(0, 40), 1));
+            }
+            core.arena.set(TaskSlot::new(slot), Some(reference));
+            let mut replenished = 0;
+            for _ in 0..4 {
+                let lag = rng.range_u64(0, 200);
+                core.advance_idle(lag);
+                for _ in 0..lag {
+                    replenished += u64::from(reference.tick());
+                }
+                core.sync(slot);
+                assert_eq!(
+                    core.arena.get(TaskSlot::new(slot)),
+                    Some(reference),
+                    "case {case}: state after a lag of {lag}"
+                );
+                assert_eq!(core.d_replenish_port[slot], replenished, "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn flush_at_arbitrary_cycles_reconverges_replenishments() {
+        // The eager twin steps every SE every cycle; the lazy core only
+        // closes cycles and jumps idle stretches. Flushed at arbitrary
+        // cycles — mid-stretch, right after a staged swap — both
+        // registries must agree on every port's replenishments.
+        let mut eager = test_core(16);
+        let mut lazy = eager.clone();
+        let (mut reg_e, mut reg_l) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let mut rng = SimRng::seed_from(0xF1A5);
+        let mut now = 0;
+        for round in 0..40 {
+            let stretch = rng.range_u64(1, 90);
+            for _ in 0..stretch {
+                for depth in 0..2 {
+                    for order in 0..eager.level_base[depth + 1] - eager.level_base[depth] {
+                        eager.step_se(depth, order, now, true, 0, &mut reg_e);
+                    }
+                }
+                eager.end_cycle();
+                now += 1;
+            }
+            if rng.range_u64(0, 2) == 0 {
+                lazy.advance_idle(stretch);
+            } else {
+                for _ in 0..stretch {
+                    lazy.end_cycle();
+                }
+            }
+            if round % 7 == 3 {
+                let ifaces = vec![Some(iface(9 + round, 3)); 4];
+                let order = rng.range_u64(0, 4) as usize;
+                let a = eager.program_se_deferred(1, order, &ifaces);
+                let b = lazy.program_se_deferred(1, order, &ifaces);
+                assert_eq!(a, b, "round {round}: transition latency");
+            }
+            eager.flush_metrics(&mut reg_e);
+            lazy.flush_metrics(&mut reg_l);
+            for depth in 0..2 {
+                for order in 0..eager.level_base[depth + 1] - eager.level_base[depth] {
+                    let com = ComponentId::Se { depth, order };
+                    for port in 0..4 {
+                        assert_eq!(
+                            reg_l.counter(com.port(port), Counter::Replenishments),
+                            reg_e.counter(com.port(port), Counter::Replenishments),
+                            "round {round}: ({depth},{order},{port})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            reg_e.counter(
+                ComponentId::Se { depth: 0, order: 0 }.port(0),
+                Counter::Replenishments
+            ) > 0
+        );
+    }
+
+    #[test]
     fn flush_is_idempotent_and_exact() {
         let mut core = test_core(4);
         let mut metrics = MetricsRegistry::new();
         core.try_accept(0, 0, 1, req(1, 100)).unwrap();
-        assert!(core.step_se(0, 0, 0, true, None, &mut metrics).is_some());
+        assert!(core.step_se(0, 0, 0, true, 0, &mut metrics).is_some());
+        core.end_cycle();
         let com = ComponentId::Se { depth: 0, order: 0 };
         // Nothing visible before the flush...
         assert_eq!(metrics.counter(com, Counter::Grants), 0);

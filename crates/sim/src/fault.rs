@@ -312,29 +312,39 @@ impl FaultPlan {
     }
 
     /// The stuck-port mask for the SE at `(depth, order)` with `ports`
-    /// ports, or `None` when no stuck fault is active there at `now`.
-    /// `mask[p] == true` means port `p` must not be granted this cycle.
-    pub fn stuck_mask(
-        &self,
-        depth: usize,
-        order: usize,
-        ports: usize,
-        now: Cycle,
-    ) -> Option<Vec<bool>> {
-        let mut mask: Option<Vec<bool>> = None;
-        for spec in &self.faults {
-            if let FaultKind::StuckGrant {
-                depth: d,
-                order: o,
-                port,
-            } = spec.kind
-            {
-                if d == depth && o == order && port < ports && spec.window.contains(now) {
-                    mask.get_or_insert_with(|| vec![false; ports])[port] = true;
-                }
-            }
-        }
-        mask
+    /// ports at `now`: bit `p` set means port `p` must not be granted this
+    /// cycle; 0 when no stuck fault is active there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` exceeds 64, the width of the mask.
+    pub fn stuck_mask(&self, depth: usize, order: usize, ports: usize, now: Cycle) -> u64 {
+        assert!(ports <= 64, "a stuck mask covers at most 64 ports");
+        self.faults
+            .iter()
+            .filter_map(|spec| stuck_port(spec, ports, now))
+            .filter(|&(d, o, _)| d == depth && o == order)
+            .fold(0, |mask, (_, _, port)| mask | 1 << port)
+    }
+
+    /// The SEs `(depth, order)` whose [`stuck_mask`](Self::stuck_mask) is
+    /// non-zero at `now`, each once, in plan order. A harness that
+    /// arbitrates only the SEs holding requests still tallies every held
+    /// grant line through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` exceeds 64, the width of the mask.
+    pub fn stuck_ses(&self, ports: usize, now: Cycle) -> impl Iterator<Item = (usize, usize)> + '_ {
+        assert!(ports <= 64, "a stuck mask covers at most 64 ports");
+        let active = move |spec| stuck_port(spec, ports, now).map(|(d, o, _)| (d, o));
+        self.faults.iter().enumerate().filter_map(move |(i, spec)| {
+            let se = active(spec)?;
+            self.faults[..i]
+                .iter()
+                .all(|earlier| active(earlier) != Some(se))
+                .then_some(se)
+        })
     }
 
     /// Deterministic extra service cycles for a request to `bank` accepted
@@ -406,6 +416,19 @@ impl NextEvent for FaultPlan {
     }
 }
 
+/// `(depth, order, port)` of `spec` if it is a stuck-grant window active
+/// at `now` on a port below `ports`.
+fn stuck_port(spec: &FaultSpec, ports: usize, now: Cycle) -> Option<(usize, usize, usize)> {
+    match spec.kind {
+        FaultKind::StuckGrant { depth, order, port }
+            if port < ports && spec.window.contains(now) =>
+        {
+            Some((depth, order, port))
+        }
+        _ => None,
+    }
+}
+
 /// The SplitMix64 output finalizer — a bijective avalanche mix, the same
 /// permutation [`crate::rng::SimRng`] uses per step.
 fn splitmix(mut z: u64) -> u64 {
@@ -425,7 +448,8 @@ mod tests {
         assert!(plan.is_empty());
         assert_eq!(plan.demand_multiplier(0, 0), 1);
         assert_eq!(plan.burst_at(0, 0), 0);
-        assert_eq!(plan.stuck_mask(0, 0, 4, 0), None);
+        assert_eq!(plan.stuck_mask(0, 0, 4, 0), 0);
+        assert_eq!(plan.stuck_ses(4, 0).count(), 0);
         assert_eq!(plan.dram_jitter(0, 0), 0);
         assert!(!plan.should_drop_response(0, 0));
     }
@@ -598,15 +622,43 @@ mod tests {
             },
             FaultWindow::new(10, 20),
         );
-        assert_eq!(plan.stuck_mask(1, 2, 4, 5), None, "before the window");
-        assert_eq!(
-            plan.stuck_mask(1, 2, 4, 15),
-            Some(vec![false, false, false, true])
-        );
-        assert_eq!(plan.stuck_mask(1, 1, 4, 15), None, "different SE");
-        assert_eq!(plan.stuck_mask(0, 2, 4, 15), None, "different depth");
+        assert_eq!(plan.stuck_mask(1, 2, 4, 5), 0, "before the window");
+        assert_eq!(plan.stuck_mask(1, 2, 4, 15), 0b1000);
+        assert_eq!(plan.stuck_mask(1, 1, 4, 15), 0, "different SE");
+        assert_eq!(plan.stuck_mask(0, 2, 4, 15), 0, "different depth");
         // A port beyond the SE's arity is ignored rather than panicking.
-        assert_eq!(plan.stuck_mask(1, 2, 2, 15), None);
+        assert_eq!(plan.stuck_mask(1, 2, 2, 15), 0);
+    }
+
+    #[test]
+    fn stuck_ses_names_each_held_se_once() {
+        let mut plan = FaultPlan::new(0);
+        let stuck = |depth, order, port| FaultKind::StuckGrant { depth, order, port };
+        plan.push(stuck(2, 5, 1), FaultWindow::new(10, 20))
+            .push(stuck(1, 0, 3), FaultWindow::new(0, 100))
+            .push(stuck(2, 5, 2), FaultWindow::new(15, 30))
+            .push(stuck(2, 5, 1), FaultWindow::new(12, 18))
+            .push(stuck(0, 0, 7), FaultWindow::new(0, 100));
+        let at = |now| plan.stuck_ses(4, now).collect::<Vec<_>>();
+        assert_eq!(at(5), vec![(1, 0)], "port 7 is beyond the arity");
+        assert_eq!(
+            at(16),
+            vec![(2, 5), (1, 0)],
+            "overlapping windows count once"
+        );
+        assert_eq!(
+            at(25),
+            vec![(1, 0), (2, 5)],
+            "plan order of the first active spec"
+        );
+        assert_eq!(plan.stuck_mask(2, 5, 4, 16), 0b110);
+        // Exactly the SEs with a non-zero mask.
+        for now in 0..110 {
+            for (depth, order) in plan.stuck_ses(4, now) {
+                assert_ne!(plan.stuck_mask(depth, order, 4, now), 0);
+            }
+        }
+        assert!(plan.stuck_ses(4, 100).next().is_none());
     }
 
     #[test]

@@ -66,6 +66,11 @@ cargo test -q --release --test soa_differential
 echo "==> scalability smoke (both stepping modes, small sweep points)"
 cargo test -q --release --test scalability_smoke
 
+echo "==> fast-forward sweep at 1,024 clients (both stepping modes match the eager per-SE engine)"
+ff_out="$(mktemp)"
+cargo run --release -q -p bluescale-bench --bin scalability -- --ff-only --clients 1024 --json "$ff_out"
+rm -f "$ff_out"
+
 echo "==> shard differential (1/2/4/8 workers bit-identical to serial)"
 RUST_BACKTRACE=1 cargo test -q --release --test shard_differential -- --test-threads=1
 

@@ -19,7 +19,13 @@
 //! * a worker-count determinism sweep: one seed, 1/2/4/8 workers,
 //!   byte-identical `merged_registry` JSON, and
 //! * span-chunked stepping: 128 short `advance_to` slices, each one
-//!   starting and stopping the worker threads, against one `advance_to`.
+//!   starting and stopping the worker threads, against one `advance_to`,
+//!   and
+//! * deep trees at 1/2/4 workers (256 and 1,024 clients): plain sparse
+//!   runs, where most of each shard's SEs idle and their server
+//!   countdowns settle lazily, plus a 256-client run that retasks, leaves
+//!   and rejoins clients on long-idle leaf SEs and holds a grant line of
+//!   an idle depth-2 SE stuck.
 
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect, ShardedSystem};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
@@ -134,23 +140,43 @@ fn assert_sharded_agrees(
     prepare: impl Fn(&mut System<BlueScaleInterconnect>, &mut ShardedSystem),
     label: &str,
 ) -> Vec<ShardedSystem> {
+    assert_sharded_agrees_at(
+        sets,
+        work_conserving,
+        prepare,
+        label,
+        HORIZON,
+        &WORKER_SWEEP,
+    )
+}
+
+/// [`assert_sharded_agrees`] over `horizon` cycles at the given worker
+/// counts.
+fn assert_sharded_agrees_at(
+    sets: &[TaskSet],
+    work_conserving: bool,
+    prepare: impl Fn(&mut System<BlueScaleInterconnect>, &mut ShardedSystem),
+    label: &str,
+    horizon: u64,
+    worker_counts: &[usize],
+) -> Vec<ShardedSystem> {
     let mut oracle = build_serial(sets, work_conserving);
     let mut probe = build_sharded(sets, work_conserving, 1);
     prepare(&mut oracle, &mut probe);
     drop(probe);
-    let expected = serial_fingerprint(&mut oracle, HORIZON);
+    let expected = serial_fingerprint(&mut oracle, horizon);
     assert!(
         expected.0[0] > 0,
         "{label}: the workload must issue requests"
     );
-    WORKER_SWEEP
+    worker_counts
         .iter()
         .map(|&workers| {
             let mut sharded = build_sharded(sets, work_conserving, workers);
             let mut scratch = build_serial(sets, work_conserving);
             prepare(&mut scratch, &mut sharded);
             drop(scratch);
-            let got = shard_fingerprint(&mut sharded, HORIZON);
+            let got = shard_fingerprint(&mut sharded, horizon);
             assert_eq!(
                 got, expected,
                 "{label}: sharded run must be bit-identical at {workers} workers"
@@ -381,5 +407,104 @@ fn span_chunked_advances_are_bit_identical() {
                 "{label}: {SLICES} slices at {workers} workers"
             );
         }
+    }
+}
+
+const DEEP_WORKERS: [usize; 3] = [1, 2, 4];
+
+#[test]
+fn deep_sparse_trees_are_bit_identical() {
+    for (clients, horizon) in [(256, HORIZON), (1_024, 8_000)] {
+        let sets = task_sets(&sparse_config(clients));
+        let label = format!("sparse {clients}");
+        let runs = assert_sharded_agrees_at(&sets, true, |_, _| {}, &label, horizon, &DEEP_WORKERS);
+        for sys in &runs {
+            assert!(sys.fast_forward_jumps() > 0, "{label}: the run must jump");
+        }
+    }
+}
+
+/// A sparse 256-client tree with three quiet corners: leaf SE 5 serves
+/// only client 20 and leaf SE 9 only client 36, each with one request per
+/// 4,000 cycles (more than two of their server periods), and depth-2 SE 3
+/// (clients 48–63) serves nobody.
+fn deep_quiet_sets() -> Vec<TaskSet> {
+    let mut sets = task_sets(&sparse_config(256));
+    let quiet = || TaskSet::new(vec![Task::new(0, 4_000, 2).unwrap()]).unwrap();
+    for client in (21..24).chain(37..40).chain(48..64) {
+        sets[client] = TaskSet::empty();
+    }
+    sets[20] = quiet();
+    sets[36] = quiet();
+    sets
+}
+
+/// Client 20 is retasked long after its last request, so the staged swap
+/// commits inside a multi-crossing catch-up; client 36 leaves and
+/// rejoins on an idle SE; grant lines of the idle depth-2 SE 3 (shard 0),
+/// a busy depth-2 SE and the quiet leaf SE 5 are held stuck.
+fn deep_quiet_plans() -> (ChurnPlan, FaultPlan) {
+    let mut churn = ChurnPlan::new(SEED ^ 0xDEE9);
+    churn
+        .push(
+            7_900,
+            20,
+            ChurnKind::UpdateTasks {
+                tasks: TaskSet::new(vec![Task::new(0, 9_000, 2).unwrap()]).unwrap(),
+            },
+        )
+        .push(5_000, 36, ChurnKind::Leave)
+        .push(
+            11_000,
+            36,
+            ChurnKind::Join {
+                tasks: TaskSet::new(vec![Task::new(0, 4_000, 2).unwrap()]).unwrap(),
+            },
+        );
+    let mut faults = FaultPlan::new(SEED ^ 0xDEE9);
+    let stuck = |depth, order, port| FaultKind::StuckGrant { depth, order, port };
+    faults
+        .push(stuck(2, 3, 1), FaultWindow::new(2_000, 2_600))
+        .push(stuck(2, 9, 0), FaultWindow::new(3_000, 3_400))
+        .push(stuck(3, 5, 0), FaultWindow::new(9_000, 9_100));
+    (churn, faults)
+}
+
+#[test]
+fn deep_tree_churn_and_stuck_grants_on_idle_ses_are_bit_identical() {
+    let sets = deep_quiet_sets();
+    let mut oracle = build_serial(&sets, false);
+    let install = |oracle: &mut System<BlueScaleInterconnect>, sharded: &mut ShardedSystem| {
+        let (churn, faults) = deep_quiet_plans();
+        oracle.set_churn_plan(churn.clone());
+        oracle.set_fault_plan(faults.clone());
+        sharded.set_churn_plan(churn);
+        sharded.set_fault_plan(faults);
+    };
+    install(&mut oracle, &mut build_sharded(&sets, false, 1));
+    oracle.run(HORIZON);
+    let expected = oracle.merged_registry().to_json();
+    let runs = assert_sharded_agrees_at(
+        &sets,
+        false,
+        install,
+        "deep quiet corners",
+        HORIZON,
+        &DEEP_WORKERS,
+    );
+    for mut sys in runs {
+        let workers = sys.workers();
+        let mut reg = sys.merged_registry();
+        assert_eq!(
+            reg.to_json(),
+            expected,
+            "merged registry at {workers} workers"
+        );
+        let se = bluescale_sim::metrics::ComponentId::Se { depth: 2, order: 3 };
+        assert_eq!(
+            reg.counter(se, Counter::FaultsInjected),
+            600,
+            "{workers} workers"
+        );
     }
 }

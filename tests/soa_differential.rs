@@ -18,7 +18,13 @@
 //! * a deep-buffer configuration that exercises the bucketed deadline
 //!   queue inside the full system, and
 //! * a detail-recording run, where the typed event streams of the two
-//!   engines must match event for event.
+//!   engines must match event for event, and
+//! * deep trees (256 and 1,024 clients, 4 and 5 levels), where the SoA
+//!   engine visits only the SEs with work and settles idle servers'
+//!   countdowns lazily: plain sparse runs, plus a 256-client run that
+//!   retasks, leaves and rejoins clients on long-idle leaf SEs, holds a
+//!   grant line of an idle depth-2 SE stuck, and turns detail recording
+//!   on mid-run.
 //!
 //! The fig6-strict, churn and faults-plus-guards scenarios run on two
 //! seeds each.
@@ -32,7 +38,7 @@ use bluescale_interconnect::guard::{GuardConfig, WatchdogConfig};
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::{Task, TaskSet};
 use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
-use bluescale_sim::metrics::Counter;
+use bluescale_sim::metrics::{ComponentId, Counter};
 use bluescale_sim::rng::SimRng;
 use bluescale_workload::synthetic::{generate, SyntheticConfig};
 
@@ -268,5 +274,139 @@ fn detail_recording_matches_event_for_event() {
     let ea = soa.interconnect().metrics().events();
     let eb = reference.interconnect().metrics().events();
     assert!(!eb.is_empty(), "the detail run must record events");
+    assert_eq!(ea, eb, "typed event streams must match event for event");
+}
+
+/// A sparse deep tree with three quiet corners: leaf SE 5 serves only
+/// client 20 and leaf SE 9 only client 36, each with one request per
+/// 4,000 cycles (more than two of their ~1,800-cycle server periods), and
+/// depth-2 SE 3 (clients 48–63) serves nobody.
+fn deep_quiet_sets() -> Vec<TaskSet> {
+    let mut sets = seeded_task_sets(&sparse_config(256), SEED);
+    let quiet = || TaskSet::new(vec![Task::new(0, 4_000, 2).unwrap()]).unwrap();
+    for client in (21..24).chain(37..40).chain(48..64) {
+        sets[client] = TaskSet::empty();
+    }
+    sets[20] = quiet();
+    sets[36] = quiet();
+    sets
+}
+
+/// Churn and faults aimed at [`deep_quiet_sets`]' quiet corners: client
+/// 20 is retasked ~7,850 cycles after its last request, so the staged
+/// swap commits inside a multi-crossing catch-up when the slot is next
+/// read; client 36 leaves and rejoins on an idle SE; grant lines of the
+/// idle depth-2 SE 3, a busy depth-2 SE and the quiet leaf SE 5 are held
+/// stuck for a while.
+fn deep_quiet_plans() -> (ChurnPlan, FaultPlan) {
+    let mut churn = ChurnPlan::new(SEED ^ 0xDEE9);
+    churn
+        .push(
+            7_900,
+            20,
+            ChurnKind::UpdateTasks {
+                tasks: TaskSet::new(vec![Task::new(0, 9_000, 2).unwrap()]).unwrap(),
+            },
+        )
+        .push(5_000, 36, ChurnKind::Leave)
+        .push(
+            11_000,
+            36,
+            ChurnKind::Join {
+                tasks: TaskSet::new(vec![Task::new(0, 4_000, 2).unwrap()]).unwrap(),
+            },
+        );
+    let mut faults = FaultPlan::new(SEED ^ 0xDEE9);
+    let stuck = |depth, order, port| FaultKind::StuckGrant { depth, order, port };
+    faults
+        .push(stuck(2, 3, 1), FaultWindow::new(2_000, 2_600))
+        .push(stuck(2, 0, 0), FaultWindow::new(3_000, 3_400))
+        .push(stuck(3, 5, 0), FaultWindow::new(9_000, 9_100));
+    (churn, faults)
+}
+
+fn deep_quiet_system<E: Engine>(sets: &[TaskSet]) -> System<BlueScaleInterconnect<E>> {
+    let mut sys = build_system::<E>(sets, false);
+    let (churn, faults) = deep_quiet_plans();
+    sys.set_churn_plan(churn);
+    sys.set_fault_plan(faults);
+    sys
+}
+
+/// [`assert_engines_agree`] plus the whole merged registry, byte for
+/// byte: every counter of every SE, port and client, churn and fault
+/// tallies included.
+fn assert_registries_agree<E: Engine, F: Engine>(
+    a: &mut System<BlueScaleInterconnect<E>>,
+    b: &mut System<BlueScaleInterconnect<F>>,
+    horizon: u64,
+    label: &str,
+) {
+    let fa = fingerprint(a, horizon);
+    let fb = fingerprint(b, horizon);
+    assert!(fb.0[0] > 0, "{label}: the workload must issue requests");
+    assert_eq!(fa, fb, "{label}: fingerprints must match");
+    assert_eq!(
+        a.merged_registry().to_json(),
+        b.merged_registry().to_json(),
+        "{label}: merged registries must match"
+    );
+}
+
+#[test]
+fn deep_sparse_trees_are_bit_identical() {
+    for (clients, horizon) in [(256, HORIZON), (1_024, 8_000)] {
+        let sets = seeded_task_sets(&sparse_config(clients), SEED);
+        let mut soa = build_system::<SoaCore>(&sets, true);
+        let mut reference = build_system::<PerSeEngine>(&sets, true);
+        assert_registries_agree(
+            &mut soa,
+            &mut reference,
+            horizon,
+            &format!("sparse {clients}"),
+        );
+        assert!(soa.fast_forward_jumps() > 0, "{clients}: the run must jump");
+    }
+}
+
+#[test]
+fn deep_tree_churn_and_stuck_grants_on_idle_ses_are_bit_identical() {
+    let sets = deep_quiet_sets();
+    let mut soa = deep_quiet_system::<SoaCore>(&sets);
+    let mut reference = deep_quiet_system::<PerSeEngine>(&sets);
+    assert_registries_agree(&mut soa, &mut reference, HORIZON, "deep quiet corners");
+    let reg = soa.merged_registry();
+    assert_eq!(reg.counter(ComponentId::System, Counter::Admitted), 3);
+    assert!(
+        reg.counter(ComponentId::Client(20), Counter::TransitionCycles) > 0,
+        "the retask must stage a swap on a running server"
+    );
+    assert_eq!(
+        reg.counter(
+            ComponentId::Se { depth: 2, order: 3 },
+            Counter::FaultsInjected
+        ),
+        600,
+        "an idle SE's held grant line is tallied every cycle of its window"
+    );
+}
+
+#[test]
+fn detail_turned_on_mid_run_matches_event_for_event() {
+    // The lazy countdowns of the batched half are settled by the flush
+    // that turning detail on performs; from then on every SE steps
+    // through the write-through path, and both engines must record the
+    // same typed events.
+    let sets = deep_quiet_sets();
+    let mut soa = deep_quiet_system::<SoaCore>(&sets);
+    let mut reference = deep_quiet_system::<PerSeEngine>(&sets);
+    soa.advance_to(6_000);
+    reference.advance_to(6_000);
+    soa.enable_detail();
+    reference.enable_detail();
+    assert_registries_agree(&mut soa, &mut reference, 14_000, "detail from cycle 6,000");
+    let ea = soa.interconnect().metrics().events();
+    let eb = reference.interconnect().metrics().events();
+    assert!(!eb.is_empty(), "the detail half must record events");
     assert_eq!(ea, eb, "typed event streams must match event for event");
 }
