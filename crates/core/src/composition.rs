@@ -19,6 +19,7 @@
 //! selector tables, and only an admitted trial is committed.
 
 use crate::selector::{InterfaceSelector, TableRow};
+use crate::soa::MAX_BRANCH;
 use crate::topology::BlueScaleConfig;
 use bluescale_interconnect::admission::CancelToken;
 use bluescale_rt::interface::root_admissible;
@@ -40,6 +41,16 @@ pub enum BuildError {
     /// The analysis rejected the task parameters outright (invalid task,
     /// duplicate ids).
     Analysis(RtError),
+    /// A topology or buffer setting no engine can run: `branch` outside
+    /// `2..=64` (a fan-in below 2 never reaches a second client, and an
+    /// SE's ports are the bits of one `u64`) or a zero `buffer_capacity`
+    /// (no request could ever enter a port).
+    InvalidConfig {
+        /// The offending [`BlueScaleConfig`] field.
+        field: &'static str,
+        /// The rejected value.
+        value: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -49,6 +60,10 @@ impl fmt::Display for BuildError {
                 write!(f, "expected {expected} client task sets, got {got}")
             }
             BuildError::Analysis(e) => write!(f, "analysis error: {e}"),
+            BuildError::InvalidConfig { field, value } => write!(
+                f,
+                "invalid {field} {value}: branch must be in 2..={MAX_BRANCH} and buffer_capacity at least 1"
+            ),
         }
     }
 }
@@ -57,7 +72,7 @@ impl std::error::Error for BuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildError::Analysis(e) => Some(e),
-            BuildError::WrongClientCount { .. } => None,
+            BuildError::WrongClientCount { .. } | BuildError::InvalidConfig { .. } => None,
         }
     }
 }
@@ -145,10 +160,24 @@ impl Composition {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::WrongClientCount`] on a task-set count
-    /// mismatch, or [`BuildError::Analysis`] if task parameters are
-    /// malformed (zero periods, duplicate ids).
+    /// Returns [`BuildError::InvalidConfig`] for a `branch` outside
+    /// `2..=64` or a zero `buffer_capacity`,
+    /// [`BuildError::WrongClientCount`] on a task-set count mismatch, or
+    /// [`BuildError::Analysis`] if task parameters are malformed (zero
+    /// periods, duplicate ids).
     pub fn new(config: BlueScaleConfig, task_sets: &[TaskSet]) -> Result<Self, BuildError> {
+        if !(2..=MAX_BRANCH).contains(&config.branch) {
+            return Err(BuildError::InvalidConfig {
+                field: "branch",
+                value: config.branch,
+            });
+        }
+        if config.buffer_capacity == 0 {
+            return Err(BuildError::InvalidConfig {
+                field: "buffer_capacity",
+                value: 0,
+            });
+        }
         if task_sets.len() != config.num_clients {
             return Err(BuildError::WrongClientCount {
                 expected: config.num_clients,

@@ -181,9 +181,11 @@ impl BlueScaleInterconnect {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::WrongClientCount`] on a task-set count
-    /// mismatch, or [`BuildError::Analysis`] if task parameters are
-    /// malformed (zero periods, duplicate ids).
+    /// Returns [`BuildError::InvalidConfig`] for a `branch` outside
+    /// `2..=64` or a zero `buffer_capacity`,
+    /// [`BuildError::WrongClientCount`] on a task-set count mismatch, or
+    /// [`BuildError::Analysis`] if task parameters are malformed (zero
+    /// periods, duplicate ids).
     pub fn new(config: BlueScaleConfig, task_sets: &[TaskSet]) -> Result<Self, BuildError> {
         Self::with_engine(config, task_sets)
     }

@@ -13,7 +13,7 @@
 //! [`SoaCore`] covering global depths `1..levels` plus the subtree's traffic
 //! generators and metrics delta buffers — advanced by a pool of workers.
 //! The coordinator owns the root SE and the root's memory side — the same
-//! [`MemorySide`] type the serial engines drive — and the same
+//! `MemorySide` type the serial engines drive — and the same
 //! [`HarnessCore`] as the serial harness. Root arbitration reads only
 //! state no shard writes mid-cycle (the root's port queues hold last
 //! cycle's offers), so the coordinator runs it *before* the shards and

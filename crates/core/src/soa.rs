@@ -11,9 +11,9 @@
 //! `BTreeMap` insertion. This module flattens the whole quadtree into one
 //! arena:
 //!
-//! * **Server state** lives in [`ServerArena`] — parallel slices of
+//! * **Server state** lives in a `ServerArena` — parallel slices of
 //!   P-counters, B-counters, periods, budgets and staged (Π,Θ) swaps,
-//!   indexed by a stable [`TaskSlot`]. An SE does not own servers; it owns
+//!   indexed by a stable `TaskSlot`. An SE does not own servers; it owns
 //!   the index range `[se·branch, (se+1)·branch)`. The GEDF argmin is a
 //!   linear scan over the contiguous P-counter slice.
 //! * **Server countdowns are lazy.** The core keeps a tick clock (+1 per
@@ -29,10 +29,11 @@
 //!   buffered requests and the SEs holding queued responses; the batched
 //!   step and the response path iterate them in ascending order, which is
 //!   the reference engine's full sweep minus SEs that could not act.
-//! * **Request queues** live in a flat per-slot slab scanned linearly
-//!   (mirroring the hardware's comparator banks) for small capacities, or
-//!   in a [`BucketedDeadlineQueue`] — deadline buckets with a binary-heap
-//!   fallback above [`BUCKET_SPAN`] — for deep buffers.
+//! * **Request queues** live in one flat slab of fixed-capacity per-slot
+//!   segments, whatever the buffer capacity or [`QueuePolicy`]. A pop or a
+//!   policy peek scans the slot's segment linearly for its head, as the
+//!   hardware's comparator bank does, and removes it the way the reference
+//!   [`RandomAccessBuffer`](crate::rab::RandomAccessBuffer) does.
 //! * **Counters** (grants, forwards, throttles, replenishments, overruns)
 //!   accumulate in plain delta arrays and are folded into the
 //!   [`MetricsRegistry`] on [`Engine::flush_metrics`] — the same
@@ -49,13 +50,12 @@
 //! its servers already ticked for the cycle; `end_cycle` owes every other
 //! server its countdown.
 //!
-//! **Slot stability rules.** A [`TaskSlot`] is a function of topology only
+//! **Slot stability rules.** A `TaskSlot` is a function of topology only
 //! (`slot = (level_base[depth] + order)·branch + port`): it never moves
 //! while the system runs, across reconfigurations, or across clones. A
 //! leaving tenant zeroes its slot (including any staged swap); a joining
 //! tenant reuses the same slot with fresh state. Cloning an [`SoaCore`]
-//! (or a bare [`ServerArena`]) is a slice memcpy, which is what makes
-//! trial-admission snapshots cheap.
+//! is a slice memcpy, which is what makes trial-admission snapshots cheap.
 //!
 //! Semantics are pinned to the reference engine bit-for-bit: all staging
 //! and advance arithmetic round-trips through [`ServerTask`]
@@ -73,23 +73,11 @@ use bluescale_rt::server::ServerTask;
 use bluescale_rt::supply::PeriodicResource;
 use bluescale_sim::metrics::{ComponentId, Counter, Event, MetricsRegistry};
 use bluescale_sim::Cycle;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Width of one deadline bucket in cycles.
-pub const BUCKET_WIDTH: u64 = 4;
-/// Number of buckets in a [`BucketedDeadlineQueue`] before it falls back
-/// to a heap.
-pub const NUM_BUCKETS: usize = 1024;
-/// The bucketed queue's deadline span: a queue whose resident deadlines
-/// ever spread further than this (relative to the earliest buffered
-/// deadline) permanently falls back to a binary heap. `4 × 1024 = 4096`
-/// cycles covers the paper's whole period range (200–4000), so the
-/// fallback only triggers on deliberately adversarial workloads.
-pub const BUCKET_SPAN: u64 = BUCKET_WIDTH * NUM_BUCKETS as u64;
-/// Largest per-port buffer capacity served by the linear-scan slab; deeper
-/// buffers use the [`BucketedDeadlineQueue`].
-pub const LINEAR_SCAN_MAX: usize = 16;
+/// The widest fan-in an SE can have: an SE's ports are tracked as the
+/// bits of one `u64` (pending, eligible and stuck masks).
+pub(crate) const MAX_BRANCH: usize = u64::BITS as usize;
 
 /// Stable index of one server-task slot in the [`ServerArena`].
 ///
@@ -97,7 +85,7 @@ pub const LINEAR_SCAN_MAX: usize = 16;
 /// port`) and never move: reconfigurations, leaves and rejoins all reuse
 /// the same slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskSlot(u32);
+pub(crate) struct TaskSlot(u32);
 
 impl TaskSlot {
     /// Creates a slot handle for `index`.
@@ -118,7 +106,7 @@ impl TaskSlot {
 /// Cloning is a straight memcpy of the slices — the cheap trial-admission
 /// snapshot the SoA layout exists for.
 #[derive(Debug, Clone, Default)]
-pub struct ServerArena {
+pub(crate) struct ServerArena {
     programmed: Vec<bool>,
     period: Vec<u64>,
     budget: Vec<u64>,
@@ -140,16 +128,6 @@ impl ServerArena {
             pend_period: vec![0; slots],
             pend_budget: vec![0; slots],
         }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.programmed.len()
-    }
-
-    /// Whether the arena has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.programmed.is_empty()
     }
 
     /// Materializes the server at `slot`, or `None` if unprogrammed.
@@ -216,11 +194,6 @@ impl ServerArena {
         self.set(slot, None);
     }
 
-    /// The interface currently programmed at `slot`.
-    pub fn interface(&self, slot: TaskSlot) -> Option<PeriodicResource> {
-        self.get(slot).map(|s| s.interface())
-    }
-
     /// Programs `slot` through the safe mode-change protocol, mirroring
     /// [`LocalScheduler::program_deferred`](crate::scheduler::LocalScheduler::program_deferred):
     /// a changed interface on a running server is staged to swap at the
@@ -264,283 +237,23 @@ impl ServerArena {
     }
 }
 
-/// A bounded earliest-deadline queue over deadline buckets, with FIFO
-/// arrival-order tie-breaking as a **documented invariant**: among equal
-/// deadlines, requests pop in arrival (sequence) order, exactly like the
-/// legacy [`RandomAccessBuffer`](crate::rab::RandomAccessBuffer)'s
-/// comparator scan. The randomized regression tests in this module pin
-/// that equivalence in both modes.
-///
-/// Entries land in `⌈span/4⌉`-cycle buckets relative to the earliest
-/// resident deadline (the base rebases whenever the queue drains empty);
-/// `pop` finds the first occupied bucket through a bitset and scans it for
-/// the `(deadline, seq)` minimum. Deadlines below the current base clamp
-/// into bucket 0, which preserves exact ordering because bucket 0 is
-/// always scanned in full. If a push would land beyond [`BUCKET_SPAN`],
-/// the queue permanently falls back to a binary heap keyed on
-/// `(deadline, seq)` — same order, heap cost.
+/// The per-port request queues of the whole tree: one flat fixed-stride
+/// slab in which slot `s` owns `reqs[s·cap .. s·cap + len[s]]` — the
+/// random-access buffer's register chain, contiguous across the tree.
+/// The head is found by a linear scan (the comparator bank) and removed
+/// by a swap with the chain's last entry, exactly as
+/// [`RandomAccessBuffer`](crate::rab::RandomAccessBuffer) does, so the
+/// two agree entry for entry. `seqs` holds each entry's arrival number:
+/// the FIFO tie-break among equal deadlines, and the whole order under
+/// [`QueuePolicy::Fifo`].
 #[derive(Debug, Clone)]
-pub struct BucketedDeadlineQueue {
+struct PortQueues {
     capacity: usize,
-    len: usize,
-    next_seq: u64,
-    inner: Inner,
-}
-
-#[derive(Debug, Clone)]
-enum Inner {
-    Buckets {
-        base: u64,
-        buckets: Vec<Vec<(u64, MemoryRequest)>>,
-        /// Occupancy bitset over buckets, one bit per bucket.
-        occupied: Vec<u64>,
-    },
-    Heap {
-        heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-        slab: Vec<Option<MemoryRequest>>,
-        free: Vec<usize>,
-    },
-}
-
-impl BucketedDeadlineQueue {
-    /// Creates a queue holding at most `capacity` requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        Self {
-            capacity,
-            len: 0,
-            next_seq: 0,
-            inner: Inner::Buckets {
-                base: 0,
-                buckets: vec![Vec::new(); NUM_BUCKETS],
-                occupied: vec![0u64; NUM_BUCKETS.div_ceil(64)],
-            },
-        }
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.len == self.capacity
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Whether the queue has fallen back to the binary heap (a resident
-    /// deadline span once exceeded [`BUCKET_SPAN`]).
-    pub fn uses_heap_fallback(&self) -> bool {
-        matches!(self.inner, Inner::Heap { .. })
-    }
-
-    /// Loads a request, or hands it back at capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request as the error value if the queue is full.
-    pub fn try_push(&mut self, request: MemoryRequest) -> Result<(), MemoryRequest> {
-        if self.len == self.capacity {
-            return Err(request);
-        }
-        if let Inner::Buckets { base, .. } = &mut self.inner {
-            if self.len == 0 {
-                *base = request.deadline;
-            }
-            let idx = request.deadline.saturating_sub(*base) / BUCKET_WIDTH;
-            if (idx as usize) < NUM_BUCKETS {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let Inner::Buckets {
-                    buckets, occupied, ..
-                } = &mut self.inner
-                else {
-                    unreachable!()
-                };
-                buckets[idx as usize].push((seq, request));
-                occupied[idx as usize / 64] |= 1u64 << (idx as usize % 64);
-                self.len += 1;
-                return Ok(());
-            }
-            self.fall_back_to_heap();
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let Inner::Heap { heap, slab, free } = &mut self.inner else {
-            unreachable!()
-        };
-        let i = free.pop().unwrap_or_else(|| {
-            slab.push(None);
-            slab.len() - 1
-        });
-        heap.push(Reverse((request.deadline, seq, i)));
-        slab[i] = Some(request);
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Fetches the earliest-deadline request (FIFO among equal deadlines).
-    pub fn pop(&mut self) -> Option<MemoryRequest> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        match &mut self.inner {
-            Inner::Buckets {
-                buckets, occupied, ..
-            } => {
-                let word = occupied
-                    .iter()
-                    .position(|&w| w != 0)
-                    .expect("non-empty queue has an occupied bucket");
-                let bit = occupied[word].trailing_zeros() as usize;
-                let idx = word * 64 + bit;
-                let bucket = &mut buckets[idx];
-                let mut best = 0;
-                for i in 1..bucket.len() {
-                    if (bucket[i].1.deadline, bucket[i].0)
-                        < (bucket[best].1.deadline, bucket[best].0)
-                    {
-                        best = i;
-                    }
-                }
-                let (_, request) = bucket.swap_remove(best);
-                if bucket.is_empty() {
-                    occupied[word] &= !(1u64 << bit);
-                }
-                Some(request)
-            }
-            Inner::Heap { heap, slab, free } => {
-                let Reverse((_, _, i)) = heap.pop().expect("non-empty queue has a heap entry");
-                free.push(i);
-                Some(slab[i].take().expect("heap entry is backed by the slab"))
-            }
-        }
-    }
-
-    /// The request [`pop`](Self::pop) would return, without removing it —
-    /// same occupied-word scan, same `(deadline, seq)` tie-break, so
-    /// pre-arbitration policy peeks see exactly the grant candidate.
-    pub fn peek(&self) -> Option<&MemoryRequest> {
-        if self.len == 0 {
-            return None;
-        }
-        match &self.inner {
-            Inner::Buckets {
-                buckets, occupied, ..
-            } => {
-                let word = occupied
-                    .iter()
-                    .position(|&w| w != 0)
-                    .expect("non-empty queue has an occupied bucket");
-                let bit = occupied[word].trailing_zeros() as usize;
-                let bucket = &buckets[word * 64 + bit];
-                let mut best = 0;
-                for i in 1..bucket.len() {
-                    if (bucket[i].1.deadline, bucket[i].0)
-                        < (bucket[best].1.deadline, bucket[best].0)
-                    {
-                        best = i;
-                    }
-                }
-                Some(&bucket[best].1)
-            }
-            Inner::Heap { heap, slab, .. } => {
-                let Reverse((_, _, i)) = heap.peek().expect("non-empty queue has a heap entry");
-                Some(slab[*i].as_ref().expect("heap entry is backed by the slab"))
-            }
-        }
-    }
-
-    /// Charges one blocked cycle to every resident request with a deadline
-    /// strictly earlier than `served_deadline`. Returns how many were
-    /// charged. Only `blocked_cycles` mutates, so heap/bucket keys stay
-    /// valid.
-    pub fn charge_blocking(&mut self, served_deadline: u64) -> usize {
-        let mut charged = 0;
-        match &mut self.inner {
-            Inner::Buckets {
-                buckets, occupied, ..
-            } => {
-                for (word, &bits) in occupied.iter().enumerate() {
-                    let mut bits = bits;
-                    while bits != 0 {
-                        let bit = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        for (_, r) in &mut buckets[word * 64 + bit] {
-                            if r.deadline < served_deadline {
-                                r.blocked_cycles += 1;
-                                charged += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            Inner::Heap { slab, .. } => {
-                for r in slab.iter_mut().flatten() {
-                    if r.deadline < served_deadline {
-                        r.blocked_cycles += 1;
-                        charged += 1;
-                    }
-                }
-            }
-        }
-        charged
-    }
-
-    /// Migrates every bucketed entry into a fresh heap. One-way: once a
-    /// queue has proven its deadlines can outrun the bucket span, it stays
-    /// on the heap.
-    fn fall_back_to_heap(&mut self) {
-        let Inner::Buckets { buckets, .. } = &mut self.inner else {
-            return;
-        };
-        let mut heap = BinaryHeap::with_capacity(self.capacity);
-        let mut slab: Vec<Option<MemoryRequest>> = Vec::with_capacity(self.capacity);
-        for bucket in buckets {
-            for (seq, request) in bucket.drain(..) {
-                heap.push(Reverse((request.deadline, seq, slab.len())));
-                slab.push(Some(request));
-            }
-        }
-        self.inner = Inner::Heap {
-            heap,
-            slab,
-            free: Vec::new(),
-        };
-    }
-}
-
-/// The per-port request queues of the whole tree.
-#[derive(Debug, Clone)]
-enum PortQueues {
-    /// Flat fixed-stride slab: slot `s` owns `reqs[s·cap .. s·cap+len[s]]`,
-    /// scanned linearly on pop — the comparator-bank model, now contiguous
-    /// across the whole tree.
-    Slab {
-        capacity: usize,
-        policy: QueuePolicy,
-        reqs: Vec<MemoryRequest>,
-        seqs: Vec<u64>,
-        len: Vec<u32>,
-        next_seq: Vec<u64>,
-    },
-    /// One bucketed deadline queue per slot (deep EDF buffers).
-    Bucketed(Vec<BucketedDeadlineQueue>),
+    policy: QueuePolicy,
+    reqs: Vec<MemoryRequest>,
+    seqs: Vec<u64>,
+    len: Vec<u32>,
+    next_seq: Vec<u64>,
 }
 
 fn placeholder_request() -> MemoryRequest {
@@ -558,191 +271,102 @@ fn placeholder_request() -> MemoryRequest {
 
 impl PortQueues {
     fn new(slots: usize, capacity: usize, policy: QueuePolicy) -> Self {
-        if policy == QueuePolicy::EarliestDeadline && capacity > LINEAR_SCAN_MAX {
-            PortQueues::Bucketed(
-                (0..slots)
-                    .map(|_| BucketedDeadlineQueue::with_capacity(capacity))
-                    .collect(),
-            )
-        } else {
-            PortQueues::Slab {
-                capacity,
-                policy,
-                reqs: vec![placeholder_request(); slots * capacity],
-                seqs: vec![0; slots * capacity],
-                len: vec![0; slots],
-                next_seq: vec![0; slots],
-            }
+        Self {
+            capacity,
+            policy,
+            reqs: vec![placeholder_request(); slots * capacity],
+            seqs: vec![0; slots * capacity],
+            len: vec![0; slots],
+            next_seq: vec![0; slots],
         }
     }
 
     /// Bitmask of the ports in `b0..b0 + branch` holding at least one
-    /// buffered request — one enum dispatch for the whole SE instead of
-    /// one per port (the arbitration hot path).
+    /// buffered request.
     fn occupancy_mask(&self, b0: usize, branch: usize) -> u64 {
         let mut mask = 0;
-        match self {
-            PortQueues::Slab { len, .. } => {
-                for (port, &n) in len[b0..b0 + branch].iter().enumerate() {
-                    if n > 0 {
-                        mask |= 1 << port;
-                    }
-                }
-            }
-            PortQueues::Bucketed(queues) => {
-                for (port, q) in queues[b0..b0 + branch].iter().enumerate() {
-                    if !q.is_empty() {
-                        mask |= 1 << port;
-                    }
-                }
+        for (port, &n) in self.len[b0..b0 + branch].iter().enumerate() {
+            if n > 0 {
+                mask |= 1 << port;
             }
         }
         mask
     }
 
-    /// [`charge_blocking`](Self::charge_blocking) over the SE's whole
-    /// port range in one dispatch.
+    /// Charges one blocked cycle to every request buffered at the ports
+    /// `b0..b0 + branch` whose deadline is strictly earlier than
+    /// `served_deadline`.
     fn charge_blocking_se(&mut self, b0: usize, branch: usize, served_deadline: u64) {
-        match self {
-            PortQueues::Slab {
-                capacity,
-                reqs,
-                len,
-                ..
-            } => {
-                for slot in b0..b0 + branch {
-                    let base = slot * *capacity;
-                    for r in &mut reqs[base..base + len[slot] as usize] {
-                        if r.deadline < served_deadline {
-                            r.blocked_cycles += 1;
-                        }
-                    }
-                }
-            }
-            PortQueues::Bucketed(queues) => {
-                for q in &mut queues[b0..b0 + branch] {
-                    q.charge_blocking(served_deadline);
+        for slot in b0..b0 + branch {
+            let base = slot * self.capacity;
+            for r in &mut self.reqs[base..base + self.len[slot] as usize] {
+                if r.deadline < served_deadline {
+                    r.blocked_cycles += 1;
                 }
             }
         }
     }
 
     fn is_full(&self, slot: usize) -> bool {
-        match self {
-            PortQueues::Slab { capacity, len, .. } => len[slot] as usize == *capacity,
-            PortQueues::Bucketed(queues) => queues[slot].is_full(),
-        }
+        self.len[slot] as usize == self.capacity
     }
 
     fn try_push(&mut self, slot: usize, request: MemoryRequest) -> Result<(), MemoryRequest> {
-        match self {
-            PortQueues::Slab {
-                capacity,
-                reqs,
-                seqs,
-                len,
-                next_seq,
-                ..
-            } => {
-                let n = len[slot] as usize;
-                if n == *capacity {
-                    return Err(request);
-                }
-                let at = slot * *capacity + n;
-                seqs[at] = next_seq[slot];
-                next_seq[slot] += 1;
-                reqs[at] = request;
-                len[slot] += 1;
-                Ok(())
-            }
-            PortQueues::Bucketed(queues) => queues[slot].try_push(request),
+        if self.is_full(slot) {
+            return Err(request);
         }
+        let at = slot * self.capacity + self.len[slot] as usize;
+        self.seqs[at] = self.next_seq[slot];
+        self.next_seq[slot] += 1;
+        self.reqs[at] = request;
+        self.len[slot] += 1;
+        Ok(())
+    }
+
+    /// The slab index of `slot`'s head: the `(deadline, arrival)` minimum
+    /// under EDF, the earliest arrival under FIFO. The one selection scan
+    /// behind both [`pop`](Self::pop) and [`peek`](Self::peek).
+    #[inline(always)]
+    fn head(&self, slot: usize) -> Option<usize> {
+        let n = self.len[slot] as usize;
+        if n == 0 {
+            return None;
+        }
+        let base = slot * self.capacity;
+        let (reqs, seqs) = (&self.reqs[base..base + n], &self.seqs[base..base + n]);
+        let mut best = 0;
+        match self.policy {
+            QueuePolicy::EarliestDeadline => {
+                for i in 1..n {
+                    if (reqs[i].deadline, seqs[i]) < (reqs[best].deadline, seqs[best]) {
+                        best = i;
+                    }
+                }
+            }
+            QueuePolicy::Fifo => {
+                for i in 1..n {
+                    if seqs[i] < seqs[best] {
+                        best = i;
+                    }
+                }
+            }
+        }
+        Some(base + best)
     }
 
     fn pop(&mut self, slot: usize) -> Option<MemoryRequest> {
-        match self {
-            PortQueues::Slab {
-                capacity,
-                policy,
-                reqs,
-                seqs,
-                len,
-                ..
-            } => {
-                let n = len[slot] as usize;
-                if n == 0 {
-                    return None;
-                }
-                let base = slot * *capacity;
-                let mut best = 0;
-                match policy {
-                    QueuePolicy::EarliestDeadline => {
-                        for i in 1..n {
-                            if (reqs[base + i].deadline, seqs[base + i])
-                                < (reqs[base + best].deadline, seqs[base + best])
-                            {
-                                best = i;
-                            }
-                        }
-                    }
-                    QueuePolicy::Fifo => {
-                        for i in 1..n {
-                            if seqs[base + i] < seqs[base + best] {
-                                best = i;
-                            }
-                        }
-                    }
-                }
-                let request = reqs[base + best].clone();
-                reqs.swap(base + best, base + n - 1);
-                seqs.swap(base + best, base + n - 1);
-                len[slot] -= 1;
-                Some(request)
-            }
-            PortQueues::Bucketed(queues) => queues[slot].pop(),
-        }
+        let at = self.head(slot)?;
+        let last = slot * self.capacity + self.len[slot] as usize - 1;
+        self.reqs.swap(at, last);
+        self.seqs.swap(at, last);
+        self.len[slot] -= 1;
+        Some(self.reqs[last].clone())
     }
 
     /// The request [`pop`](Self::pop) would return for `slot`, without
-    /// removing it (identical selection scan).
+    /// removing it.
     fn peek(&self, slot: usize) -> Option<&MemoryRequest> {
-        match self {
-            PortQueues::Slab {
-                capacity,
-                policy,
-                reqs,
-                seqs,
-                len,
-                ..
-            } => {
-                let n = len[slot] as usize;
-                if n == 0 {
-                    return None;
-                }
-                let base = slot * *capacity;
-                let mut best = 0;
-                match policy {
-                    QueuePolicy::EarliestDeadline => {
-                        for i in 1..n {
-                            if (reqs[base + i].deadline, seqs[base + i])
-                                < (reqs[base + best].deadline, seqs[base + best])
-                            {
-                                best = i;
-                            }
-                        }
-                    }
-                    QueuePolicy::Fifo => {
-                        for i in 1..n {
-                            if seqs[base + i] < seqs[base + best] {
-                                best = i;
-                            }
-                        }
-                    }
-                }
-                Some(&reqs[base + best])
-            }
-            PortQueues::Bucketed(queues) => queues[slot].peek(),
-        }
+        self.head(slot).map(|i| &self.reqs[i])
     }
 }
 
@@ -844,7 +468,10 @@ impl SoaCore {
     ) -> Self {
         let levels = config.levels();
         let branch = config.branch;
-        assert!(branch <= 64, "the SoA pending mask is a u64 bitmask");
+        assert!(
+            branch <= MAX_BRANCH,
+            "the SoA pending mask is a u64 bitmask"
+        );
         let mut level_base = Vec::with_capacity(levels + 1);
         let mut total = 0;
         for depth in 0..levels {
@@ -907,7 +534,7 @@ impl SoaCore {
     }
 
     /// The arena slot of `(depth, order, port)`.
-    pub fn slot(&self, depth: usize, order: usize, port: usize) -> TaskSlot {
+    fn slot(&self, depth: usize, order: usize, port: usize) -> TaskSlot {
         debug_assert!(port < self.branch);
         TaskSlot::new(self.se_lin(depth, order) * self.branch + port)
     }
@@ -917,7 +544,8 @@ impl SoaCore {
     /// core itself is untouched (its own slots stay lazy). A slot
     /// [`step_se`](Self::step_se) already ticked this cycle is taken as
     /// it stands.
-    pub fn arena(&self) -> ServerArena {
+    #[cfg(test)]
+    fn arena(&self) -> ServerArena {
         let mut arena = self.arena.clone();
         for (slot, &synced) in self.synced.iter().enumerate() {
             arena.advance(TaskSlot::new(slot), self.clock.saturating_sub(synced));
@@ -1529,129 +1157,87 @@ mod tests {
         PeriodicResource::new(p, b).unwrap()
     }
 
-    // ----- bucketed queue: FIFO-tiebreak invariant (satellite: RAB pop
-    // order under equal deadlines) --------------------------------------
+    // ----- request slab vs the reference random-access buffer ---------
 
-    /// Randomized push/pop interleavings with heavy deadline ties: the
-    /// bucketed queue must pop the exact id sequence of the legacy
-    /// comparator-bank buffer — (deadline, arrival) order, FIFO among
-    /// equal deadlines.
+    const POLICIES: [QueuePolicy; 2] = [QueuePolicy::EarliestDeadline, QueuePolicy::Fifo];
+
+    /// Randomized push/peek/pop interleavings with heavy deadline ties on
+    /// three neighbouring slots: each slot must accept, peek and pop the
+    /// exact id sequence of its own reference comparator-bank buffer —
+    /// (deadline, arrival) order under EDF, arrival order under FIFO —
+    /// and push back at capacity exactly when the reference does.
     #[test]
-    fn bucketed_matches_legacy_rab_under_equal_deadlines() {
-        for seed in 0..24u64 {
-            let mut rng = SimRng::seed_from(0xB0C4 ^ seed);
-            let mut bucketed = BucketedDeadlineQueue::with_capacity(32);
-            let mut legacy = RandomAccessBuffer::with_capacity(32);
-            let mut next_id = 0u64;
-            for _ in 0..400 {
-                if rng.range_u64(0, 3) < 2 {
-                    // Few distinct deadlines → constant ties.
-                    let deadline = 1_000 + 4 * rng.range_u64(0, 6);
-                    next_id += 1;
-                    let a = bucketed.try_push(req(next_id, deadline)).is_ok();
-                    let b = legacy.try_push(req(next_id, deadline)).is_ok();
-                    assert_eq!(a, b, "capacity behaviour must match");
-                } else {
-                    let a = bucketed.pop().map(|r| r.id);
-                    let b = legacy.pop().map(|r| r.id);
-                    assert_eq!(a, b, "seed {seed}: pop order diverged");
+    fn slab_matches_legacy_rab_under_equal_deadlines() {
+        for policy in POLICIES {
+            for capacity in [8, 32] {
+                let mut rejected = 0;
+                for seed in 0..24u64 {
+                    let mut rng = SimRng::seed_from(0xB0C4 ^ seed);
+                    let mut slab = PortQueues::new(3, capacity, policy);
+                    let mut legacy: Vec<RandomAccessBuffer> = (0..3)
+                        .map(|_| RandomAccessBuffer::with_policy(capacity, policy))
+                        .collect();
+                    let mut next_id = 0u64;
+                    for _ in 0..400 {
+                        let slot = rng.range_u64(0, 3) as usize;
+                        if rng.range_u64(0, 3) < 2 {
+                            // Few distinct deadlines → constant ties.
+                            let deadline = 1_000 + 4 * rng.range_u64(0, 6);
+                            next_id += 1;
+                            let a = slab.try_push(slot, req(next_id, deadline));
+                            let b = legacy[slot].try_push(req(next_id, deadline));
+                            rejected += usize::from(b.is_err());
+                            assert_eq!(
+                                a.map_err(|r| r.id),
+                                b.map_err(|r| r.id),
+                                "{policy:?}/{capacity} seed {seed}: capacity behaviour must match"
+                            );
+                            assert_eq!(slab.is_full(slot), legacy[slot].is_full());
+                        } else {
+                            assert_eq!(
+                                slab.peek(slot).map(|r| r.id),
+                                legacy[slot].peek().map(|r| r.id),
+                                "{policy:?}/{capacity} seed {seed}: peek diverged"
+                            );
+                            let a = slab.pop(slot).map(|r| r.id);
+                            let b = legacy[slot].pop().map(|r| r.id);
+                            assert_eq!(a, b, "{policy:?}/{capacity} seed {seed}: pop diverged");
+                        }
+                    }
+                    for (slot, legacy) in legacy.iter_mut().enumerate() {
+                        while let Some(b) = legacy.pop() {
+                            assert_eq!(slab.pop(slot).map(|r| r.id), Some(b.id));
+                        }
+                        assert_eq!(slab.pop(slot), None);
+                    }
+                }
+                assert!(rejected > 0, "{policy:?}/{capacity}: no slot ever filled");
+            }
+        }
+    }
+
+    #[test]
+    fn slab_charge_blocking_matches_legacy() {
+        for policy in POLICIES {
+            let mut slab = PortQueues::new(3, 8, policy);
+            let mut legacy: Vec<RandomAccessBuffer> = (0..3)
+                .map(|_| RandomAccessBuffer::with_policy(8, policy))
+                .collect();
+            for (slot, id, dl) in [(0, 1, 10), (1, 2, 50), (0, 3, 30), (1, 4, 30), (2, 5, 10)] {
+                slab.try_push(slot, req(id, dl)).unwrap();
+                legacy[slot].try_push(req(id, dl)).unwrap();
+            }
+            // A grant with deadline 40 at an SE owning slots 0 and 1 only.
+            slab.charge_blocking_se(0, 2, 40);
+            legacy[0].charge_blocking(40);
+            legacy[1].charge_blocking(40);
+            for (slot, legacy) in legacy.iter_mut().enumerate() {
+                while let Some(b) = legacy.pop() {
+                    let a = slab.pop(slot).unwrap();
+                    assert_eq!((a.id, a.blocked_cycles), (b.id, b.blocked_cycles));
                 }
             }
-            assert!(!bucketed.uses_heap_fallback(), "ties stay within span");
-            while let Some(b) = legacy.pop() {
-                assert_eq!(bucketed.pop().map(|r| r.id), Some(b.id));
-            }
-            assert!(bucketed.is_empty());
         }
-    }
-
-    /// The same randomized regression with deadlines spread far beyond
-    /// [`BUCKET_SPAN`], forcing (and then exercising) the heap fallback.
-    #[test]
-    fn heap_fallback_matches_legacy_rab_under_equal_deadlines() {
-        for seed in 0..24u64 {
-            let mut rng = SimRng::seed_from(0x4EA9 ^ seed);
-            let mut bucketed = BucketedDeadlineQueue::with_capacity(32);
-            let mut legacy = RandomAccessBuffer::with_capacity(32);
-            let mut next_id = 0u64;
-            // A pair spread wider than the span forces the fallback before
-            // the interleaving starts (pops would otherwise drain the
-            // queue and let the bucket window rebase past the spread).
-            for deadline in [1_000, 1_000 + BUCKET_SPAN * 2] {
-                next_id += 1;
-                bucketed.try_push(req(next_id, deadline)).unwrap();
-                legacy.try_push(req(next_id, deadline)).unwrap();
-            }
-            assert!(
-                bucketed.uses_heap_fallback(),
-                "seed {seed}: the wide spread must trigger the fallback"
-            );
-            for round in 0..400 {
-                if rng.range_u64(0, 3) < 2 {
-                    // A huge spread plus tie-heavy clusters.
-                    let cluster = rng.range_u64(0, 3) * (BUCKET_SPAN * 2);
-                    let deadline = 1_000 + cluster + 4 * rng.range_u64(0, 4);
-                    next_id += 1;
-                    let a = bucketed.try_push(req(next_id, deadline)).is_ok();
-                    let b = legacy.try_push(req(next_id, deadline)).is_ok();
-                    assert_eq!(a, b);
-                } else {
-                    let a = bucketed.pop().map(|r| r.id);
-                    let b = legacy.pop().map(|r| r.id);
-                    assert_eq!(a, b, "seed {seed} round {round}: pop diverged");
-                }
-            }
-            while let Some(b) = legacy.pop() {
-                assert_eq!(bucketed.pop().map(|r| r.id), Some(b.id));
-            }
-        }
-    }
-
-    #[test]
-    fn bucketed_charge_blocking_matches_legacy() {
-        let mut bucketed = BucketedDeadlineQueue::with_capacity(8);
-        let mut legacy = RandomAccessBuffer::with_capacity(8);
-        for (id, dl) in [(1, 10), (2, 50), (3, 30), (4, 30)] {
-            bucketed.try_push(req(id, dl)).unwrap();
-            legacy.try_push(req(id, dl)).unwrap();
-        }
-        assert_eq!(bucketed.charge_blocking(40), legacy.charge_blocking(40));
-        for _ in 0..4 {
-            let a = bucketed.pop().unwrap();
-            let b = legacy.pop().unwrap();
-            assert_eq!((a.id, a.blocked_cycles), (b.id, b.blocked_cycles));
-        }
-    }
-
-    #[test]
-    fn bucketed_clamps_below_base_without_reordering() {
-        // After a rebase to a later deadline, an earlier-deadline arrival
-        // clamps into bucket 0 and still pops first.
-        let mut q = BucketedDeadlineQueue::with_capacity(4);
-        q.try_push(req(1, 5_000)).unwrap();
-        q.try_push(req(2, 4_990)).unwrap(); // below base → bucket 0
-        q.try_push(req(3, 5_001)).unwrap();
-        assert_eq!(q.pop().unwrap().id, 2);
-        assert_eq!(q.pop().unwrap().id, 1);
-        assert_eq!(q.pop().unwrap().id, 3);
-    }
-
-    #[test]
-    fn bucketed_backpressure_at_capacity() {
-        let mut q = BucketedDeadlineQueue::with_capacity(2);
-        q.try_push(req(1, 10)).unwrap();
-        q.try_push(req(2, 20)).unwrap();
-        assert!(q.is_full());
-        assert_eq!(q.try_push(req(3, 5)).unwrap_err().id, 3);
-        assert_eq!(q.pop().unwrap().id, 1);
-        q.try_push(req(3, 5)).unwrap();
-        assert_eq!(q.pop().unwrap().id, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn bucketed_zero_capacity_panics() {
-        let _ = BucketedDeadlineQueue::with_capacity(0);
     }
 
     // ----- arena edge cases (satellite: slot reuse, clone isolation,

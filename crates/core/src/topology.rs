@@ -89,11 +89,6 @@ pub struct BlueScaleConfig {
     /// Capacity of each random-access buffer (pending requests per port;
     /// engine).
     pub buffer_capacity: usize,
-    /// Reserved: the response path is modelled structurally (one
-    /// demultiplexer stage per SE, one response per stage per cycle), so
-    /// each level inherently costs one cycle. Kept for configurations that
-    /// want to model slower response registers in the future.
-    pub response_latency_per_level: u64,
     /// Memory service cycles per request (flat model; 1 = the paper's
     /// "transaction time unit"). Ignored when [`Self::dram`] is set.
     pub memory_service_cycles: u64,
@@ -141,7 +136,6 @@ impl BlueScaleConfig {
             num_clients,
             branch: 4,
             buffer_capacity: 8,
-            response_latency_per_level: 1,
             memory_service_cycles: 1,
             dram: None,
             work_conserving: false,

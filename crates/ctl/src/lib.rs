@@ -10,8 +10,8 @@
 //! * **Overload shedding** ([`server`]) — a bounded admission queue with
 //!   tiered watermarks: best-effort renegotiations shed first, guaranteed
 //!   joins last, leaves never. Shed requests get explicit
-//!   [`Response::Shed`](proto::Response::Shed) verdicts; the daemon
-//!   degrades by refusing work, never by stalling.
+//!   [`Response::Shed`] verdicts; the daemon degrades by refusing work,
+//!   never by stalling.
 //! * **Deadline-aware retry** ([`client`]) — every request carries a
 //!   total deadline; transport failures retry with exponential backoff
 //!   and seeded deterministic jitter, and the registry's idempotent

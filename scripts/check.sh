@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repository check: formatting, lints, and the tier-1 build + test gate.
+# Repository check: formatting, lints, rustdoc, and the tier-1 build + test gate.
 # Run from the repository root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +9,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings denied: dangling intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --release

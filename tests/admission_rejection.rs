@@ -1,9 +1,11 @@
 //! Rejection-path tests for runtime reconfiguration: a rejected admission
 //! must leave the interconnect exactly as it was — every interface at
 //! every SE bit-identical — and malformed requests must surface as typed
-//! rejections or errors, never panics.
+//! rejections or errors, never panics — as must topology and buffer
+//! settings no tree can be built from.
 
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect, InjectError};
+use bluescale::element::PerSeEngine;
+use bluescale::{BlueScaleConfig, BlueScaleInterconnect, BuildError, InjectError, ShardedSystem};
 use bluescale_interconnect::admission::ReconfigOutcome;
 use bluescale_interconnect::{AccessKind, Interconnect, MemoryRequest};
 use bluescale_rt::task::{Task, TaskSet};
@@ -123,4 +125,80 @@ fn port_full_is_distinguishable_from_malformed() {
         InjectError::PortFull(req) => assert_eq!(req.id, 999),
         other => panic!("expected PortFull, got {other:?}"),
     }
+}
+
+/// Builds `config` on both engines and the sharded harness, and returns
+/// the one typed error all three must agree on.
+fn build_error(config: BlueScaleConfig) -> BuildError {
+    let sets = sets(config.num_clients, 100, 1);
+    let soa = BlueScaleInterconnect::new(config.clone(), &sets).unwrap_err();
+    let reference =
+        BlueScaleInterconnect::<PerSeEngine>::with_engine(config.clone(), &sets).unwrap_err();
+    let Err(sharded) = ShardedSystem::new(config, &sets, 2) else {
+        panic!("the sharded harness built an invalid configuration");
+    };
+    assert_eq!(soa, reference, "both engines reject alike");
+    assert_eq!(soa, sharded, "the sharded harness inherits the check");
+    soa
+}
+
+fn with_branch(branch: usize) -> BlueScaleConfig {
+    BlueScaleConfig {
+        branch,
+        ..BlueScaleConfig::for_clients(16)
+    }
+}
+
+#[test]
+fn branch_zero_is_a_typed_build_error() {
+    assert_eq!(
+        build_error(with_branch(0)),
+        BuildError::InvalidConfig {
+            field: "branch",
+            value: 0
+        }
+    );
+}
+
+#[test]
+fn branch_one_is_a_typed_build_error_not_a_hang() {
+    // A fan-in of 1 never covers two clients: the level count would loop
+    // forever if the check did not come first.
+    assert_eq!(
+        build_error(with_branch(1)),
+        BuildError::InvalidConfig {
+            field: "branch",
+            value: 1
+        }
+    );
+}
+
+#[test]
+fn branch_above_sixty_four_is_a_typed_build_error() {
+    assert_eq!(
+        build_error(with_branch(65)),
+        BuildError::InvalidConfig {
+            field: "branch",
+            value: 65
+        }
+    );
+    // The widest legal fan-in still builds.
+    BlueScaleInterconnect::new(with_branch(64), &sets(16, 100, 1)).expect("branch 64 builds");
+}
+
+#[test]
+fn zero_buffer_capacity_is_a_typed_build_error() {
+    let config = BlueScaleConfig {
+        buffer_capacity: 0,
+        ..BlueScaleConfig::for_clients(16)
+    };
+    let err = build_error(config);
+    assert_eq!(
+        err,
+        BuildError::InvalidConfig {
+            field: "buffer_capacity",
+            value: 0
+        }
+    );
+    assert!(err.to_string().contains("buffer_capacity"), "{err}");
 }

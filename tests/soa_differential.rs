@@ -4,7 +4,7 @@
 //! `BlueScaleInterconnect<E>` runs one of two implementations of the same
 //! arbitration semantics: the default `core::soa::SoaCore` arena
 //! (contiguous server slices, linear-scan GEDF argmin, batched counters,
-//! bucketed deadline queues for deep buffers) and the reference
+//! one request slab for every buffer capacity) and the reference
 //! `PerSeEngine` (one `ScaleElement` per SE, with per-SE
 //! `Vec<ServerTask>` + per-port buffers). These tests run the identical
 //! seeded workload on both engines and require bit-identical fingerprints
@@ -15,8 +15,8 @@
 //! * a sparse faulted run with guards armed (stuck grants, DRAM jitter,
 //!   dropped responses, request bursts),
 //! * a live churn plan (retask, leave, rejoin) with fast-forward on,
-//! * a deep-buffer configuration that exercises the bucketed deadline
-//!   queue inside the full system, and
+//! * the FIFO low-level queue policy at the default 8-entry buffers, and
+//!   32-entry buffers under both EDF and FIFO,
 //! * a detail-recording run, where the typed event streams of the two
 //!   engines must match event for event, and
 //! * deep trees (256 and 1,024 clients, 4 and 5 levels), where the SoA
@@ -31,6 +31,7 @@
 
 use bluescale::element::PerSeEngine;
 use bluescale::network::Engine;
+use bluescale::rab::QueuePolicy;
 use bluescale::soa::SoaCore;
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
@@ -243,19 +244,43 @@ fn churn_plan_is_bit_identical() {
     }
 }
 
+/// A fig6 system whose port queues hold `capacity` requests in `policy`
+/// order.
+fn queue_system<E: Engine>(
+    sets: &[TaskSet],
+    capacity: usize,
+    policy: QueuePolicy,
+) -> System<BlueScaleInterconnect<E>> {
+    let mut config = BlueScaleConfig::for_clients(sets.len());
+    config.buffer_capacity = capacity;
+    config.low_level_policy = policy;
+    let ic = BlueScaleInterconnect::<E>::with_engine(config, sets).expect("valid task sets");
+    System::new(Box::new(ic), sets)
+}
+
 #[test]
-fn deep_buffers_route_through_the_bucketed_queue_bit_identically() {
-    // Capacity 32 exceeds the SoA slab's linear-scan bound, so the leaf
-    // and inner port queues run on the bucketed deadline queue inside the
-    // full system — against the reference comparator-scan oracle.
+fn queue_policies_and_deep_buffers_are_bit_identical() {
+    // The FIFO ablation at the paper's 8-entry buffers, and 32-entry
+    // buffers under both policies: the one request slab serves every
+    // capacity, checked inside the full system against the reference
+    // comparator-scan buffers.
     let sets = task_sets(&SyntheticConfig::fig6(16));
-    fn mk<E: Engine>(sets: &[TaskSet]) -> System<BlueScaleInterconnect<E>> {
-        let mut config = BlueScaleConfig::for_clients(sets.len());
-        config.buffer_capacity = 32;
-        let ic = BlueScaleInterconnect::<E>::with_engine(config, sets).expect("valid task sets");
-        System::new(Box::new(ic), sets)
+    for (capacity, policy) in [
+        (8, QueuePolicy::Fifo),
+        (32, QueuePolicy::EarliestDeadline),
+        (32, QueuePolicy::Fifo),
+    ] {
+        let soa = queue_system::<SoaCore>(&sets, capacity, policy);
+        let reference = queue_system::<PerSeEngine>(&sets, capacity, policy);
+        assert_engines_agree(soa, reference, &format!("{capacity} entries/{policy:?}"));
     }
-    assert_engines_agree(mk(&sets), mk(&sets), "deep buffers");
+    let mut fifo = queue_system::<SoaCore>(&sets, 8, QueuePolicy::Fifo);
+    let mut edf = queue_system::<SoaCore>(&sets, 8, QueuePolicy::EarliestDeadline);
+    assert_ne!(
+        fingerprint(&mut fifo, HORIZON),
+        fingerprint(&mut edf, HORIZON),
+        "the policy must change the run, or the FIFO check is vacuous"
+    );
 }
 
 #[test]
