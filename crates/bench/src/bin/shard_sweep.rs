@@ -9,8 +9,8 @@
 //! `--horizon` fixes the horizon for every point instead of the default
 //! constant-work scaling; `--clients` / `--workers` replace the sweep
 //! lists outright. Every point asserts that all worker counts produce
-//! identical run metrics and latency samples, so the sweep doubles as
-//! the at-scale worker-count determinism check. Wall-clock speedup is a
+//! identical run fingerprints (`bluescale_bench::invariants`), so the
+//! sweep doubles as the at-scale worker-count determinism check. Wall-clock speedup is a
 //! hardware property — the artefact records `host_cpus` so a single-core
 //! container's flat curve is not mistaken for a sharding regression.
 

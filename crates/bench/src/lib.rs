@@ -24,6 +24,8 @@
 //!
 //! [`runner`] builds any of the six interconnects behind the common
 //! [`bluescale_interconnect::Interconnect`] trait and runs seeded trials.
+//! [`invariants`] defines the run fingerprint and conservation identities
+//! every differential suite and sweep checks, plus their shared scenarios.
 
 #![warn(missing_docs)]
 
@@ -38,6 +40,7 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod interface_selection;
+pub mod invariants;
 pub mod isolation;
 pub mod isolation_fault;
 pub mod mem_policy;

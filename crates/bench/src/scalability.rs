@@ -8,11 +8,12 @@
 //! serializes and whose arbitration pipeline deepens) versus the
 //! distributed BlueScale (one extra tree level per 4× clients)?
 
+use crate::invariants::{build_serial, config_for, run_checked, Fingerprint};
 use crate::runner::{run_trial, InterconnectKind};
 use bluescale::element::PerSeEngine;
 use bluescale::network::Engine;
 use bluescale::soa::SoaCore;
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect, Composition, ShardedSystem};
+use bluescale::{BlueScaleInterconnect, Composition, ShardedSystem};
 use bluescale_interconnect::system::System;
 use bluescale_sim::rng::SimRng;
 use bluescale_sim::stats::OnlineStats;
@@ -270,41 +271,9 @@ fn bluescale_system<E: Engine>(
     sets: &[bluescale_rt::task::TaskSet],
     fast_forward: bool,
 ) -> System<BlueScaleInterconnect<E>> {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = true;
-    let ic = BlueScaleInterconnect::<E>::with_engine(config, sets)
-        .expect("sparse workload is admissible");
-    let mut sys = System::new(Box::new(ic), sets);
+    let mut sys = build_serial(config_for(sets, true), sets);
     sys.set_fast_forward(fast_forward);
     sys
-}
-
-/// What two runs must agree on to count as the same simulation: run
-/// metrics with their full latency and blocking sample sequences, and
-/// the fabric's per-SE forwards and per-port grants and replenishments.
-fn fingerprint<E: Engine>(
-    sys: &mut System<BlueScaleInterconnect<E>>,
-    horizon: Cycle,
-) -> (Vec<u64>, Vec<f64>) {
-    use bluescale_sim::metrics::Counter;
-    let mut m = sys.run(horizon);
-    let mut counts = vec![m.issued(), m.completed(), m.missed(), m.backlog()];
-    let ic = sys.interconnect();
-    counts.extend(ic.forward_counts().into_iter().flatten());
-    let config = ic.config();
-    for counter in [Counter::Grants, Counter::Replenishments] {
-        for depth in 0..config.levels() {
-            for order in 0..config.elements_at(depth) {
-                counts.extend(
-                    ic.metrics()
-                        .port_counters(depth, order, config.branch, counter),
-                );
-            }
-        }
-    }
-    let mut samples = m.latency().as_slice().to_vec();
-    samples.extend_from_slice(m.blocking().as_slice());
-    (counts, samples)
 }
 
 /// Runs the fast-forward speedup sweep.
@@ -329,11 +298,16 @@ pub fn run_fastforward(config: &FastForwardConfig) -> Vec<FastForwardPoint> {
                 .horizon_override
                 .unwrap_or_else(|| fastforward_horizon(clients));
 
-            let oracle = fingerprint(&mut bluescale_system::<PerSeEngine>(&sets, true), horizon);
+            let label = format!("{clients} clients");
+            let oracle = run_checked(
+                &mut bluescale_system::<PerSeEngine>(&sets, true),
+                horizon,
+                &label,
+            );
             let check = |fast_forward| {
                 let mut sys = bluescale_system::<SoaCore>(&sets, fast_forward);
                 assert!(
-                    fingerprint(&mut sys, horizon) == oracle,
+                    run_checked(&mut sys, horizon, &label) == oracle,
                     "{clients} clients, fast-forward {fast_forward}: \
                      diverged from the eager reference engine"
                 );
@@ -365,8 +339,7 @@ pub fn run_fastforward(config: &FastForwardConfig) -> Vec<FastForwardPoint> {
                 fastforward_ns,
                 jumps: fast.fast_forward_jumps(),
                 skipped: fast.fast_forwarded_cycles(),
-                // The fingerprint's counts open with issued, completed.
-                completed: oracle.0[1],
+                completed: oracle.completed(),
                 verified: true,
             }
         })
@@ -516,8 +489,8 @@ pub struct ShardPoint {
     pub issued: u64,
     /// Requests completed (identical across worker counts).
     pub completed: u64,
-    /// Whether every worker count produced identical run metrics and
-    /// latency samples.
+    /// Whether every worker count produced an identical run
+    /// [`Fingerprint`].
     pub verified: bool,
 }
 
@@ -534,18 +507,12 @@ impl ShardPoint {
     }
 }
 
-fn shard_config(clients: usize) -> BlueScaleConfig {
-    let mut config = BlueScaleConfig::for_clients(clients);
-    config.work_conserving = true;
-    config
-}
-
 /// One composition analysis per sweep point: interface selection
 /// dominates construction at 65k+ clients and depends only on the
 /// workload, so the worker-count comparison clones it instead of paying
 /// it once per worker count.
 fn shard_analysis(sets: &[bluescale_rt::task::TaskSet]) -> Composition {
-    Composition::new(shard_config(sets.len()), sets).expect("busy uniform workload builds")
+    Composition::new(config_for(sets, true), sets).expect("busy uniform workload builds")
 }
 
 fn sharded_system(
@@ -553,14 +520,14 @@ fn sharded_system(
     analysis: &Composition,
     workers: usize,
 ) -> ShardedSystem {
-    ShardedSystem::with_analysis(shard_config(sets.len()), analysis.clone(), sets, workers)
+    ShardedSystem::with_analysis(config_for(sets, true), analysis.clone(), sets, workers)
 }
 
 /// Runs the sharded-execution scaling sweep.
 ///
 /// Every worker count replays the same seeded workload and **panics** if
-/// issued/completed/missed/backlog or the latency-sample sequence
-/// differs: the sweep doubles as the worker-count determinism check at
+/// the run's [`Fingerprint`], taken after the timed run, differs: the
+/// sweep doubles as the worker-count determinism check at
 /// sizes the differential tests cannot afford, pinning that the worker
 /// count is a pure wall-clock knob all the way to the 2^20-client point.
 pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
@@ -578,20 +545,14 @@ pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
             let analysis = shard_analysis(&sets);
 
             let mut runs = Vec::new();
-            let mut reference: Option<(u64, u64, u64, u64, Vec<f64>)> = None;
+            let mut reference: Option<Fingerprint> = None;
             let mut verified = true;
             for &workers in &config.worker_counts {
                 let mut sys = sharded_system(&sets, &analysis, workers);
                 let t = Instant::now();
                 let mut m = sys.run(horizon);
                 let wall_ns = t.elapsed().as_nanos();
-                let fingerprint = (
-                    m.issued(),
-                    m.completed(),
-                    m.missed(),
-                    m.backlog(),
-                    m.latency().as_slice().to_vec(),
-                );
+                let fingerprint = Fingerprint::of(&mut sys, &mut m);
                 match &reference {
                     None => reference = Some(fingerprint),
                     Some(expected) => {
@@ -608,13 +569,13 @@ pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
                     wall_ns,
                 });
             }
-            let (issued, completed, ..) = reference.expect("at least one worker count ran");
+            let reference = reference.expect("at least one worker count ran");
             ShardPoint {
                 clients,
                 horizon,
                 runs,
-                issued,
-                completed,
+                issued: reference.issued(),
+                completed: reference.completed(),
                 verified,
             }
         })

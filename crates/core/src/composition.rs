@@ -41,10 +41,12 @@ pub enum BuildError {
     /// The analysis rejected the task parameters outright (invalid task,
     /// duplicate ids).
     Analysis(RtError),
-    /// A topology or buffer setting no engine can run: `branch` outside
-    /// `2..=64` (a fan-in below 2 never reaches a second client, and an
-    /// SE's ports are the bits of one `u64`) or a zero `buffer_capacity`
-    /// (no request could ever enter a port).
+    /// A setting no engine can run: `branch` outside `2..=64` (a fan-in
+    /// below 2 never reaches a second client, and an SE's ports are the
+    /// bits of one `u64`), a zero `buffer_capacity` (no request could ever
+    /// enter a port), a zero `granularity_divisor` (no server period to
+    /// divide), or, for a sharded build only, a `num_clients` that fits
+    /// one SE (a single-SE tree has no level-1 subtrees to shard).
     InvalidConfig {
         /// The offending [`BlueScaleConfig`] field.
         field: &'static str,
@@ -60,10 +62,14 @@ impl fmt::Display for BuildError {
                 write!(f, "expected {expected} client task sets, got {got}")
             }
             BuildError::Analysis(e) => write!(f, "analysis error: {e}"),
-            BuildError::InvalidConfig { field, value } => write!(
-                f,
-                "invalid {field} {value}: branch must be in 2..={MAX_BRANCH} and buffer_capacity at least 1"
-            ),
+            BuildError::InvalidConfig { field, value } => {
+                write!(f, "invalid {field} {value}: {field} ")?;
+                match *field {
+                    "branch" => write!(f, "must be in 2..={MAX_BRANCH}"),
+                    "num_clients" => f.write_str("must exceed branch in a sharded build"),
+                    _ => f.write_str("must be at least 1"),
+                }
+            }
         }
     }
 }
@@ -161,7 +167,7 @@ impl Composition {
     /// # Errors
     ///
     /// Returns [`BuildError::InvalidConfig`] for a `branch` outside
-    /// `2..=64` or a zero `buffer_capacity`,
+    /// `2..=64`, a zero `buffer_capacity` or a zero `granularity_divisor`,
     /// [`BuildError::WrongClientCount`] on a task-set count mismatch, or
     /// [`BuildError::Analysis`] if task parameters are malformed (zero
     /// periods, duplicate ids).
@@ -175,6 +181,12 @@ impl Composition {
         if config.buffer_capacity == 0 {
             return Err(BuildError::InvalidConfig {
                 field: "buffer_capacity",
+                value: 0,
+            });
+        }
+        if config.granularity_divisor == 0 {
+            return Err(BuildError::InvalidConfig {
+                field: "granularity_divisor",
                 value: 0,
             });
         }

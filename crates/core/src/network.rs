@@ -182,7 +182,7 @@ impl BlueScaleInterconnect {
     /// # Errors
     ///
     /// Returns [`BuildError::InvalidConfig`] for a `branch` outside
-    /// `2..=64` or a zero `buffer_capacity`,
+    /// `2..=64`, a zero `buffer_capacity` or a zero `granularity_divisor`,
     /// [`BuildError::WrongClientCount`] on a task-set count mismatch, or
     /// [`BuildError::Analysis`] if task parameters are malformed (zero
     /// periods, duplicate ids).

@@ -678,18 +678,25 @@ impl ShardedSystem {
     /// # Errors
     ///
     /// Propagates [`BuildError`] from interface selection, exactly as the
-    /// serial constructor does.
+    /// serial constructor does, and returns [`BuildError::InvalidConfig`]
+    /// for `num_clients` when the clients fit one SE: a single-SE tree has
+    /// no level-1 subtrees to shard; use the serial harness.
     ///
     /// # Panics
     ///
-    /// Panics when the topology has fewer than two levels — a single-SE
-    /// tree has no level-1 subtrees to shard; use the serial harness.
+    /// Panics if `workers` is zero.
     pub fn new(
         config: BlueScaleConfig,
         task_sets: &[TaskSet],
         workers: usize,
     ) -> Result<Self, BuildError> {
         let analysis = Composition::new(config.clone(), task_sets)?;
+        if config.levels() < 2 {
+            return Err(BuildError::InvalidConfig {
+                field: "num_clients",
+                value: config.num_clients,
+            });
+        }
         Ok(Self::with_analysis(config, analysis, task_sets, workers))
     }
 
@@ -1219,11 +1226,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "2 tree levels")]
     fn single_level_topologies_are_rejected() {
         let sets = sets(4, 40, 2);
         let config = BlueScaleConfig::for_clients(4);
-        let _ = ShardedSystem::new(config, &sets, 2);
+        assert_eq!(
+            ShardedSystem::new(config, &sets, 2).err(),
+            Some(BuildError::InvalidConfig {
+                field: "num_clients",
+                value: 4
+            })
+        );
     }
 
     #[test]

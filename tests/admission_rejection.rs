@@ -149,39 +149,37 @@ fn with_branch(branch: usize) -> BlueScaleConfig {
     }
 }
 
+/// Asserts that `config` fails to build with `InvalidConfig { field, value }`
+/// on every engine, and that the message names the field and its rule.
+fn assert_invalid(config: BlueScaleConfig, field: &'static str, value: usize) {
+    let err = build_error(config);
+    assert_eq!(err, BuildError::InvalidConfig { field, value });
+    let rule = if field == "branch" {
+        "must be in 2..=64"
+    } else {
+        "must be at least 1"
+    };
+    assert!(
+        err.to_string().ends_with(&format!("{field} {rule}")),
+        "{err}"
+    );
+}
+
 #[test]
 fn branch_zero_is_a_typed_build_error() {
-    assert_eq!(
-        build_error(with_branch(0)),
-        BuildError::InvalidConfig {
-            field: "branch",
-            value: 0
-        }
-    );
+    assert_invalid(with_branch(0), "branch", 0);
 }
 
 #[test]
 fn branch_one_is_a_typed_build_error_not_a_hang() {
     // A fan-in of 1 never covers two clients: the level count would loop
     // forever if the check did not come first.
-    assert_eq!(
-        build_error(with_branch(1)),
-        BuildError::InvalidConfig {
-            field: "branch",
-            value: 1
-        }
-    );
+    assert_invalid(with_branch(1), "branch", 1);
 }
 
 #[test]
 fn branch_above_sixty_four_is_a_typed_build_error() {
-    assert_eq!(
-        build_error(with_branch(65)),
-        BuildError::InvalidConfig {
-            field: "branch",
-            value: 65
-        }
-    );
+    assert_invalid(with_branch(65), "branch", 65);
     // The widest legal fan-in still builds.
     BlueScaleInterconnect::new(with_branch(64), &sets(16, 100, 1)).expect("branch 64 builds");
 }
@@ -192,13 +190,34 @@ fn zero_buffer_capacity_is_a_typed_build_error() {
         buffer_capacity: 0,
         ..BlueScaleConfig::for_clients(16)
     };
-    let err = build_error(config);
+    assert_invalid(config, "buffer_capacity", 0);
+}
+
+#[test]
+fn zero_granularity_divisor_is_a_typed_build_error() {
+    let config = BlueScaleConfig {
+        granularity_divisor: 0,
+        ..BlueScaleConfig::for_clients(16)
+    };
+    assert_invalid(config, "granularity_divisor", 0);
+}
+
+#[test]
+fn single_se_tree_is_rejected_by_the_sharded_harness_only() {
+    // Four clients fit one SE: the serial engines build it, the sharded
+    // harness has no subtree to shard.
+    let four = BlueScaleConfig::for_clients(4);
+    let few = sets(4, 100, 1);
+    BlueScaleInterconnect::new(four.clone(), &few).expect("one SE serves four clients");
+    let Err(err) = ShardedSystem::new(four, &few, 2) else {
+        panic!("the sharded harness built a single-SE tree");
+    };
     assert_eq!(
         err,
         BuildError::InvalidConfig {
-            field: "buffer_capacity",
-            value: 0
+            field: "num_clients",
+            value: 4
         }
     );
-    assert!(err.to_string().contains("buffer_capacity"), "{err}");
+    assert!(err.to_string().contains("must exceed branch"), "{err}");
 }

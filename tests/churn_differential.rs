@@ -21,6 +21,10 @@
 //! already lost its guarantee.
 
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
+use bluescale_bench::invariants::{
+    assert_conserved, build_serial, config_for, light_churn_plan, run_checked, sparse_config,
+    task_sets,
+};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
 use bluescale_interconnect::guard::{GuardConfig, QuarantinePolicy};
 use bluescale_interconnect::system::System;
@@ -29,97 +33,27 @@ use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 use bluescale_sim::metrics::{ComponentId, Counter};
 use bluescale_sim::rng::SimRng;
 use bluescale_workload::casestudy::{generate as casestudy, CaseStudyConfig};
-use bluescale_workload::synthetic::{generate, SyntheticConfig};
+use bluescale_workload::synthetic::SyntheticConfig;
 
 const SEED: u64 = 0xC0DE;
 const HORIZON: u64 = 20_000;
 
-fn task_sets(config: &SyntheticConfig) -> Vec<TaskSet> {
-    let mut rng = SimRng::seed_from(SEED);
-    generate(config, &mut rng)
-}
-
-/// Low-utilization, long-period workload: real idle stretches to jump over.
-fn sparse_config(clients: usize) -> SyntheticConfig {
-    SyntheticConfig {
-        clients,
-        util_lo: 0.05,
-        util_hi: 0.10,
-        max_tasks_per_client: 1,
-        period_min: 2_000,
-        period_max: 4_000,
-        util_floor: 1e-4,
-    }
-}
-
 fn build_system(sets: &[TaskSet]) -> System<BlueScaleInterconnect> {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = true;
-    let ic = BlueScaleInterconnect::new(config, sets).expect("valid task sets");
-    System::new(Box::new(ic), sets)
-}
-
-/// Everything two runs must agree on to count as bit-identical.
-fn fingerprint(sys: &mut System<BlueScaleInterconnect>, horizon: u64) -> (Vec<u64>, Vec<f64>) {
-    let mut m = sys.run(horizon);
-    let mut counts = vec![m.issued(), m.completed(), m.missed(), m.backlog()];
-    for c in sys.per_client_metrics() {
-        counts.extend([c.issued(), c.completed(), c.missed()]);
-    }
-    for level in sys.interconnect().forward_counts() {
-        counts.extend(level);
-    }
-    let config = sys.interconnect().config().clone();
-    for counter in [Counter::Grants, Counter::Replenishments] {
-        for depth in 0..config.levels() {
-            for order in 0..config.elements_at(depth) {
-                counts.extend(sys.interconnect().metrics().port_counters(
-                    depth,
-                    order,
-                    config.branch,
-                    counter,
-                ));
-            }
-        }
-    }
-    let mut samples = m.latency().as_slice().to_vec();
-    samples.extend_from_slice(m.blocking().as_slice());
-    (counts, samples)
-}
-
-/// A three-event plan over a sparse workload: retask, leave, rejoin.
-fn light_plan(sets: &[TaskSet]) -> ChurnPlan {
-    let mut plan = ChurnPlan::new(SEED ^ 0xC482);
-    plan.push(
-        6_000,
-        2,
-        ChurnKind::UpdateTasks {
-            tasks: TaskSet::new(vec![Task::new(0, 2_500, 2).unwrap()]).unwrap(),
-        },
-    )
-    .push(9_000, 9, ChurnKind::Leave)
-    .push(
-        13_000,
-        9,
-        ChurnKind::Join {
-            tasks: sets[9].clone(),
-        },
-    );
-    plan
+    build_serial(config_for(sets, true), sets)
 }
 
 #[test]
 fn empty_churn_plan_is_bit_identical_to_no_plan() {
-    let sets = task_sets(&SyntheticConfig::fig6(16));
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
     for fast_forward in [false, true] {
         let mut with_plan = build_system(&sets);
         with_plan.set_churn_plan(ChurnPlan::new(42));
         let mut without = build_system(&sets);
         with_plan.set_fast_forward(fast_forward);
         without.set_fast_forward(fast_forward);
-        let a = fingerprint(&mut with_plan, HORIZON);
-        let b = fingerprint(&mut without, HORIZON);
-        assert!(b.0[0] > 0, "the workload must issue requests");
+        let a = run_checked(&mut with_plan, HORIZON, "empty plan");
+        let b = run_checked(&mut without, HORIZON, "no plan");
+        assert!(b.issued() > 0, "the workload must issue requests");
         assert_eq!(
             a, b,
             "an empty churn plan must be inert (fast_forward={fast_forward})"
@@ -129,15 +63,15 @@ fn empty_churn_plan_is_bit_identical_to_no_plan() {
 
 #[test]
 fn fast_forward_never_jumps_over_a_reconfiguration_cycle() {
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let mut fast = build_system(&sets);
     let mut slow = build_system(&sets);
-    fast.set_churn_plan(light_plan(&sets));
-    slow.set_churn_plan(light_plan(&sets));
+    fast.set_churn_plan(light_churn_plan(&sets, SEED));
+    slow.set_churn_plan(light_churn_plan(&sets, SEED));
     fast.set_fast_forward(true);
     slow.set_fast_forward(false);
-    let a = fingerprint(&mut fast, HORIZON);
-    let b = fingerprint(&mut slow, HORIZON);
+    let a = run_checked(&mut fast, HORIZON, "fast-forward");
+    let b = run_checked(&mut slow, HORIZON, "per-cycle");
     assert_eq!(a, b, "fast-forward must be bit-identical under churn");
     assert!(
         fast.fast_forward_jumps() > 0,
@@ -158,9 +92,9 @@ fn merged_registry_counts_churn_exactly_once() {
     // Churn accounting (`Reconfigurations`/`Admitted`/`AdmissionRejected`)
     // is owned by the harness registry alone; the fabric must not tally it
     // too, or `merged_registry()` doubles every admitted transition.
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let mut sys = build_system(&sets);
-    sys.set_churn_plan(light_plan(&sets));
+    sys.set_churn_plan(light_churn_plan(&sets, SEED));
     sys.run(HORIZON);
     for counter in [
         Counter::Reconfigurations,
@@ -279,7 +213,7 @@ fn transitions_never_disturb_untouched_tenants() {
 fn rejected_reconfigurations_roll_back_bit_identically_mid_run() {
     // A hog request mid-run is rejected; the run must continue exactly as
     // if the request never arrived (compare against a run with no plan).
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let mut churned = build_system(&sets);
     let mut baseline = build_system(&sets);
     let mut plan = ChurnPlan::new(7);
@@ -291,8 +225,8 @@ fn rejected_reconfigurations_roll_back_bit_identically_mid_run() {
         },
     );
     churned.set_churn_plan(plan);
-    let a = fingerprint(&mut churned, HORIZON);
-    let b = fingerprint(&mut baseline, HORIZON);
+    let a = run_checked(&mut churned, HORIZON, "rejected hog");
+    let b = run_checked(&mut baseline, HORIZON, "baseline");
     assert_eq!(
         churned
             .registry()
@@ -348,7 +282,7 @@ fn churn_and_quarantine_share_one_reconfiguration_path() {
     .unwrap();
 
     let total = sys.run(HORIZON);
-    let outstanding = sys.guard_outstanding() as u64;
+    assert_conserved(&mut sys, &total, "churn + quarantine");
     let reg = sys.registry();
     let count = |counter| reg.counter(ComponentId::System, counter);
     assert_eq!(
@@ -374,11 +308,6 @@ fn churn_and_quarantine_share_one_reconfiguration_path() {
     assert!(
         count(Counter::TransitionCycles) > 0,
         "staged swaps must wait for replenishment boundaries"
-    );
-    assert_eq!(
-        total.issued(),
-        total.completed() + total.backlog() + outstanding,
-        "request conservation: issued = completed + backlog + outstanding"
     );
 }
 

@@ -4,9 +4,9 @@
 //! The fast-forward contract: with the flag on, `System::run` may jump over
 //! stretches every component proved idle, advancing server counters in
 //! closed form — and **nothing externally visible may change**. These tests
-//! enforce that bit-for-bit (counts, per-client counts, per-SE forwards,
-//! per-port grants *and replenishments*, full latency/blocking sample
-//! sequences) across:
+//! enforce that bit-for-bit (the `bluescale_bench::invariants`
+//! fingerprint: counts, per-client counts, per-SE forwards, per-port
+//! grants *and replenishments*, full sample sequences) across:
 //!
 //! * the paper's fig6 workloads in both strict and work-conserving modes,
 //! * a rogue client overdriving its declared demand,
@@ -15,70 +15,21 @@
 //! * a sparse workload where the test additionally asserts that jumps
 //!   actually happened, so the equality checks are not vacuous.
 
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
-use bluescale_interconnect::guard::{GuardConfig, WatchdogConfig};
+use bluescale::BlueScaleInterconnect;
+use bluescale_bench::invariants::{
+    build_serial, config_for, retry_guards, run_checked, sparse_config, sparse_fault_plan,
+    task_sets, Fingerprint,
+};
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::TaskSet;
 use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
-use bluescale_sim::metrics::Counter;
-use bluescale_sim::rng::SimRng;
-use bluescale_workload::synthetic::{generate, SyntheticConfig};
+use bluescale_workload::synthetic::SyntheticConfig;
 
 const SEED: u64 = 0xFF0D;
 const HORIZON: u64 = 20_000;
 
-fn task_sets(config: &SyntheticConfig) -> Vec<TaskSet> {
-    let mut rng = SimRng::seed_from(SEED);
-    generate(config, &mut rng)
-}
-
-/// A low-utilization workload with long periods: mostly idle cycles, so the
-/// fast path has real stretches to jump over.
-fn sparse_config(clients: usize) -> SyntheticConfig {
-    SyntheticConfig {
-        clients,
-        util_lo: 0.05,
-        util_hi: 0.10,
-        max_tasks_per_client: 1,
-        period_min: 2_000,
-        period_max: 4_000,
-        util_floor: 1e-4,
-    }
-}
-
 fn build_system(sets: &[TaskSet], work_conserving: bool) -> System<BlueScaleInterconnect> {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = work_conserving;
-    let ic = BlueScaleInterconnect::new(config, sets).expect("valid task sets");
-    System::new(Box::new(ic), sets)
-}
-
-/// Everything two runs must agree on to count as bit-identical.
-fn fingerprint(sys: &mut System<BlueScaleInterconnect>, horizon: u64) -> (Vec<u64>, Vec<f64>) {
-    let mut m = sys.run(horizon);
-    let mut counts = vec![m.issued(), m.completed(), m.missed(), m.backlog()];
-    for c in sys.per_client_metrics() {
-        counts.extend([c.issued(), c.completed(), c.missed()]);
-    }
-    for level in sys.interconnect().forward_counts() {
-        counts.extend(level);
-    }
-    let config = sys.interconnect().config().clone();
-    for counter in [Counter::Grants, Counter::Replenishments] {
-        for depth in 0..config.levels() {
-            for order in 0..config.elements_at(depth) {
-                counts.extend(sys.interconnect().metrics().port_counters(
-                    depth,
-                    order,
-                    config.branch,
-                    counter,
-                ));
-            }
-        }
-    }
-    let mut samples = m.latency().as_slice().to_vec();
-    samples.extend_from_slice(m.blocking().as_slice());
-    (counts, samples)
+    build_serial(config_for(sets, work_conserving), sets)
 }
 
 /// Runs the same workload with fast-forward on and off and asserts the
@@ -90,9 +41,9 @@ fn assert_modes_agree(
 ) -> System<BlueScaleInterconnect> {
     fast.set_fast_forward(true);
     slow.set_fast_forward(false);
-    let a = fingerprint(&mut fast, HORIZON);
-    let b = fingerprint(&mut slow, HORIZON);
-    assert!(b.0[0] > 0, "{label}: the workload must issue requests");
+    let a = run_checked(&mut fast, HORIZON, label);
+    let b = run_checked(&mut slow, HORIZON, label);
+    assert!(b.issued() > 0, "{label}: the workload must issue requests");
     assert_eq!(a, b, "{label}: fast-forward must be bit-identical");
     assert_eq!(
         slow.fast_forward_jumps(),
@@ -104,7 +55,7 @@ fn assert_modes_agree(
 
 #[test]
 fn fig6_work_conserving_is_bit_identical() {
-    let sets = task_sets(&SyntheticConfig::fig6(16));
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
     let fast = build_system(&sets, true);
     let slow = build_system(&sets, true);
     assert_modes_agree(fast, slow, "fig6/work-conserving");
@@ -112,7 +63,7 @@ fn fig6_work_conserving_is_bit_identical() {
 
 #[test]
 fn fig6_strict_mode_is_bit_identical() {
-    let sets = task_sets(&SyntheticConfig::fig6(16));
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
     let fast = build_system(&sets, false);
     let slow = build_system(&sets, false);
     assert_modes_agree(fast, slow, "fig6/strict");
@@ -122,7 +73,7 @@ fn fig6_strict_mode_is_bit_identical() {
 fn rogue_client_is_bit_identical() {
     // A misbehaving generator floods its port with 5x its declared demand;
     // the backlogged client must veto every jump attempt while it drains.
-    let sets = task_sets(&SyntheticConfig::fig6(16));
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
     let mut fast = build_system(&sets, false);
     let mut slow = build_system(&sets, false);
     for sys in [&mut fast, &mut slow] {
@@ -141,47 +92,8 @@ fn rogue_client_is_bit_identical() {
 
 fn faulted_guarded_system(sets: &[TaskSet]) -> System<BlueScaleInterconnect> {
     let mut sys = build_system(sets, true);
-    let mut plan = FaultPlan::new(SEED ^ 0xF00D);
-    plan.push(
-        FaultKind::RequestBurst {
-            client: 2,
-            requests: 24,
-        },
-        FaultWindow::new(5_000, 5_001),
-    )
-    .push(
-        FaultKind::StuckGrant {
-            depth: 1,
-            order: 0,
-            port: 0,
-        },
-        FaultWindow::new(3_000, 3_400),
-    )
-    .push(
-        FaultKind::DramJitter {
-            bank: 0,
-            max_extra_cycles: 4,
-        },
-        FaultWindow::new(1_000, 9_000),
-    )
-    .push(
-        FaultKind::DropResponse {
-            client: 3,
-            every: 3,
-        },
-        FaultWindow::new(0, 8_000),
-    );
-    sys.set_fault_plan(plan);
-    // Sub-window timeout (1024 < period_max 4000) on purpose: the
-    // differential needs live retry traffic to pin.
-    sys.set_guards_unchecked(GuardConfig {
-        deadline_miss_detection: true,
-        watchdog: Some(WatchdogConfig {
-            timeout: 1_024,
-            max_retries: 3,
-        }),
-        quarantine: None,
-    });
+    sys.set_fault_plan(sparse_fault_plan(SEED));
+    sys.set_guards_unchecked(retry_guards());
     sys
 }
 
@@ -191,7 +103,7 @@ fn fault_plan_with_guards_is_bit_identical() {
     // stepping while active and bound jumps when upcoming; guard timers
     // (miss detection + watchdog retries) must wake the harness exactly
     // when they act. Sparse workload so jumps are actually attempted.
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let fast = faulted_guarded_system(&sets);
     let slow = faulted_guarded_system(&sets);
     let fast = assert_modes_agree(fast, slow, "faults + guards");
@@ -203,7 +115,7 @@ fn fault_plan_with_guards_is_bit_identical() {
 
 #[test]
 fn sparse_workload_fast_forwards_and_stays_bit_identical() {
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let fast = build_system(&sets, true);
     let slow = build_system(&sets, true);
     let fast = assert_modes_agree(fast, slow, "sparse workload");
@@ -223,16 +135,14 @@ fn sparse_workload_fast_forwards_and_stays_bit_identical() {
 fn warmup_runs_agree_across_modes() {
     // run_with_warmup composes advance_to + reset + run; both segments must
     // fast-forward identically.
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let mut fast = build_system(&sets, true);
     let mut slow = build_system(&sets, true);
     slow.set_fast_forward(false);
     let mut a = fast.run_with_warmup(4_000, HORIZON);
     let mut b = slow.run_with_warmup(4_000, HORIZON);
     assert_eq!(
-        (a.issued(), a.completed(), a.missed(), a.backlog()),
-        (b.issued(), b.completed(), b.missed(), b.backlog())
+        Fingerprint::of(&mut fast, &mut a),
+        Fingerprint::of(&mut slow, &mut b)
     );
-    assert_eq!(a.latency().as_slice(), b.latency().as_slice());
-    assert_eq!(a.blocking().as_slice(), b.blocking().as_slice());
 }

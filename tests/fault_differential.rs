@@ -4,8 +4,8 @@
 //!
 //! 1. **Empty plan ≡ baseline** — installing an empty [`FaultPlan`] (and no
 //!    guards) leaves every externally visible quantity bit-identical to a
-//!    system that never heard of faults: counts, the full latency sample
-//!    sequences, per-SE forwards, per-port grants.
+//!    system that never heard of faults: the whole
+//!    `bluescale_bench::invariants` fingerprint.
 //! 2. **Guards without faults are inert** — deadline-miss detection and a
 //!    watchdog that never fires must not change a single decision.
 //! 3. **Seeded reproducibility** — the same seed + plan + guards replayed
@@ -14,55 +14,27 @@
 //! 4. **Containment** — a rogue client is quarantined and its victims stay
 //!    miss-free; dropped responses are recovered by the watchdog without
 //!    double-counting completions.
+//! 5. **Conservation** — every run with guards armed accounts for each
+//!    issued request as completed, backlogged or guard-outstanding.
 
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
+use bluescale::BlueScaleInterconnect;
+use bluescale_bench::invariants::{assert_conserved, build_serial, config_for, run_checked};
 use bluescale_interconnect::guard::{GuardConfig, QuarantinePolicy, WatchdogConfig};
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::TaskSet;
 use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 use bluescale_sim::metrics::{ComponentId, Counter};
-use bluescale_sim::rng::SimRng;
-use bluescale_workload::synthetic::{generate, SyntheticConfig};
+use bluescale_workload::synthetic::SyntheticConfig;
 
 const SEED: u64 = 0xFA17;
 const HORIZON: u64 = 20_000;
 
 fn task_sets(clients: usize) -> Vec<TaskSet> {
-    let mut rng = SimRng::seed_from(SEED);
-    generate(&SyntheticConfig::fig6(clients), &mut rng)
+    bluescale_bench::invariants::task_sets(&SyntheticConfig::fig6(clients), SEED)
 }
 
 fn build_system(sets: &[TaskSet]) -> System<BlueScaleInterconnect> {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = true;
-    let ic = BlueScaleInterconnect::new(config, sets).expect("valid task sets");
-    System::new(Box::new(ic), sets)
-}
-
-/// Everything two runs must agree on to count as bit-identical.
-fn fingerprint(sys: &mut System<BlueScaleInterconnect>, horizon: u64) -> (Vec<u64>, Vec<f64>) {
-    let mut m = sys.run(horizon);
-    let mut counts = vec![m.issued(), m.completed(), m.missed(), m.backlog()];
-    for c in sys.per_client_metrics() {
-        counts.extend([c.issued(), c.completed(), c.missed()]);
-    }
-    for level in sys.interconnect().forward_counts() {
-        counts.extend(level);
-    }
-    let config = sys.interconnect().config().clone();
-    for depth in 0..config.levels() {
-        for order in 0..config.elements_at(depth) {
-            counts.extend(sys.interconnect().metrics().port_counters(
-                depth,
-                order,
-                config.branch,
-                Counter::Grants,
-            ));
-        }
-    }
-    let mut samples = m.latency().as_slice().to_vec();
-    samples.extend_from_slice(m.blocking().as_slice());
-    (counts, samples)
+    build_serial(config_for(sets, true), sets)
 }
 
 #[test]
@@ -74,9 +46,9 @@ fn empty_fault_plan_is_bit_identical_to_baseline() {
     with_empty_plan.set_fault_plan(FaultPlan::new(SEED));
     assert!(with_empty_plan.fault_plan().is_empty());
 
-    let a = fingerprint(&mut baseline, HORIZON);
-    let b = fingerprint(&mut with_empty_plan, HORIZON);
-    assert!(a.0[1] > 0, "the workload must exercise the tree");
+    let a = run_checked(&mut baseline, HORIZON, "baseline");
+    let b = run_checked(&mut with_empty_plan, HORIZON, "empty plan");
+    assert!(a.completed() > 0, "the workload must exercise the tree");
     assert_eq!(a, b, "an empty plan must take the exact baseline path");
     assert_eq!(
         with_empty_plan
@@ -105,8 +77,8 @@ fn idle_guards_are_bit_identical_to_baseline() {
         })
         .expect("the horizon exceeds every deadline window");
 
-    let a = fingerprint(&mut baseline, HORIZON);
-    let b = fingerprint(&mut guarded, HORIZON);
+    let a = run_checked(&mut baseline, HORIZON, "baseline");
+    let b = run_checked(&mut guarded, HORIZON, "idle guards");
     assert_eq!(a, b, "idle guards must not change a single decision");
     assert_eq!(
         guarded
@@ -175,20 +147,23 @@ fn same_seed_and_plan_reproduce_bit_identically() {
     let mut first = faulted_system(&sets);
     let mut second = faulted_system(&sets);
 
-    let a = fingerprint(&mut first, HORIZON);
-    let b = fingerprint(&mut second, HORIZON);
+    // Guards are armed, so both runs must also conserve requests.
+    let a = run_checked(&mut first, HORIZON, "first");
+    let b = run_checked(&mut second, HORIZON, "second");
     assert_eq!(a, b, "seeded fault runs must replay exactly");
     assert_eq!(first.quarantined_clients(), second.quarantined_clients());
     assert_eq!(first.guard_outstanding(), second.guard_outstanding());
 
     // The plan actually did something in both runs (this is not the
-    // baseline): fault counters are non-zero and agree.
+    // baseline): the plan fired, the drop fault among it.
     for sys in [&mut first, &mut second] {
         let merged = sys.merged_registry();
-        assert!(
-            merged.counter(ComponentId::System, Counter::FaultsInjected) > 0,
-            "faults must have fired"
-        );
+        for counter in [Counter::FaultsInjected, Counter::ResponsesDropped] {
+            assert!(
+                merged.counter(ComponentId::System, counter) > 0,
+                "{counter:?}: faults must have fired"
+            );
+        }
     }
 }
 
@@ -199,9 +174,7 @@ fn rogue_client_is_quarantined_and_victims_stay_bounded() {
     // analysis keeps every victim on schedule. (Work-conserving mode
     // would simply absorb the flood in this workload's slack.)
     let sets = task_sets(16);
-    let config = BlueScaleConfig::for_clients(sets.len());
-    let ic = BlueScaleInterconnect::new(config, &sets).expect("valid task sets");
-    let mut sys = System::new(Box::new(ic), &sets);
+    let mut sys: System<BlueScaleInterconnect> = build_serial(config_for(&sets, false), &sets);
     let mut plan = FaultPlan::new(7);
     plan.push(
         FaultKind::RogueDemand {
@@ -217,7 +190,8 @@ fn rogue_client_is_quarantined_and_victims_stay_bounded() {
         quarantine: Some(QuarantinePolicy { miss_threshold: 20 }),
     })
     .expect("no watchdog to validate");
-    sys.run(HORIZON);
+    let metrics = sys.run(HORIZON);
+    assert_conserved(&mut sys, &metrics, "rogue under quarantine");
 
     assert_eq!(sys.quarantined_clients(), vec![0], "the rogue is contained");
     assert!(sys.detected_misses(0) >= 20);
@@ -264,14 +238,9 @@ fn watchdog_recovers_dropped_responses_without_double_counting() {
     assert!(dropped > 0, "the fault must have fired");
     assert!(retries > 0, "the watchdog must have re-issued");
 
-    // Request conservation: everything accepted either completed exactly
-    // once or is still tracked as outstanding (in flight or lost past the
-    // retry limit). Backlog never entered the interconnect.
-    assert_eq!(
-        m.issued(),
-        m.completed() + m.backlog() + sys.guard_outstanding() as u64,
-        "conservation: issued = completed + backlog + outstanding"
-    );
+    // Everything accepted either completed exactly once or is still
+    // tracked as outstanding (in flight or lost past the retry limit).
+    assert_conserved(&mut sys, &m, "watchdog recovery");
     assert!(
         m.completed() > 0 && m.latency().as_slice().len() == m.completed() as usize,
         "every completion sampled exactly once"

@@ -5,13 +5,13 @@
 //! equality assertion inside [`run_fastforward`] executes on every test
 //! run — not only when the full benchmark binary is invoked — and
 //! additionally pins a fig6-style point through both stepping modes with
-//! a full [`RunMetrics`] comparison.
+//! a full run-fingerprint comparison.
 
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect};
+use bluescale::BlueScaleInterconnect;
+use bluescale_bench::invariants::{build_serial, config_for, run_checked, task_sets};
 use bluescale_bench::scalability::{run_fastforward, FastForwardConfig};
 use bluescale_interconnect::system::System;
-use bluescale_sim::rng::SimRng;
-use bluescale_workload::synthetic::{generate, SyntheticConfig};
+use bluescale_workload::synthetic::SyntheticConfig;
 
 #[test]
 fn sweep_smoke_points_verify_and_jump() {
@@ -33,29 +33,14 @@ fn sweep_smoke_points_verify_and_jump() {
 
 #[test]
 fn fig6_point_has_identical_run_metrics_in_both_modes() {
-    let mut rng = SimRng::seed_from(0x5CA1E);
-    let sets = generate(&SyntheticConfig::fig6(4), &mut rng);
-    let build = || {
-        let mut config = BlueScaleConfig::for_clients(sets.len());
-        config.work_conserving = true;
-        let ic = BlueScaleInterconnect::new(config, &sets).expect("valid task sets");
-        System::new(Box::new(ic), &sets)
-    };
-    let mut fast = build();
-    let mut slow = build();
+    let sets = task_sets(&SyntheticConfig::fig6(4), 0x5CA1E);
+    let mut fast: System<BlueScaleInterconnect> = build_serial(config_for(&sets, true), &sets);
+    let mut slow: System<BlueScaleInterconnect> = build_serial(config_for(&sets, true), &sets);
     fast.set_fast_forward(true);
     slow.set_fast_forward(false);
-    let mut a = fast.run(15_000);
-    let mut b = slow.run(15_000);
     assert_eq!(
-        (a.issued(), a.completed(), a.missed(), a.backlog()),
-        (b.issued(), b.completed(), b.missed(), b.backlog())
-    );
-    assert_eq!(a.latency().as_slice(), b.latency().as_slice());
-    assert_eq!(a.blocking().as_slice(), b.blocking().as_slice());
-    assert_eq!(
-        a.normalized_response().as_slice(),
-        b.normalized_response().as_slice()
+        run_checked(&mut fast, 15_000, "fast-forward"),
+        run_checked(&mut slow, 15_000, "per-cycle")
     );
     assert_eq!(slow.fast_forward_jumps(), 0, "the oracle must not jump");
 }

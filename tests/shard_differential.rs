@@ -6,9 +6,10 @@
 //! DESIGN.md §14). These tests run the identical seeded workload on the
 //! serial harness (`System` over the SoA engine — itself pinned to the
 //! legacy engine by `soa_differential.rs`) and on the sharded twin at
-//! 1/2/4/8 workers, and require bit-identical fingerprints — counts,
-//! per-client counts, per-SE forwards, per-port grants and
-//! replenishments, and full latency/blocking sample sequences — across:
+//! 1/2/4/8 workers, and require bit-identical fingerprints
+//! (`bluescale_bench::invariants::Fingerprint`), the requested worker
+//! count, and request conservation on every sharded run
+//! (`issued = completed + backlog + pending + dropped`) across:
 //!
 //! * the paper's fig6 dense workload in strict and work-conserving modes,
 //! * a sparse faulted run (stuck grants, DRAM jitter, dropped responses,
@@ -27,117 +28,27 @@
 //!   and rejoins clients on long-idle leaf SEs and holds a grant line of
 //!   an idle depth-2 SE stuck.
 
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect, ShardedSystem};
+use bluescale::soa::SoaCore;
+use bluescale::ShardedSystem;
+use bluescale_bench::invariants::{
+    build_serial, build_sharded, config_for, deep_quiet_plans, deep_quiet_sets, light_churn_plan,
+    run_checked, sparse_config, sparse_fault_plan, task_sets, Harness, Scenario,
+};
 use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
-use bluescale_interconnect::system::System;
 use bluescale_rt::task::{Task, TaskSet};
-use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
-use bluescale_sim::metrics::Counter;
-use bluescale_sim::rng::SimRng;
-use bluescale_workload::synthetic::{generate, SyntheticConfig};
+use bluescale_sim::metrics::{ComponentId, Counter};
+use bluescale_workload::synthetic::SyntheticConfig;
 
 const SEED: u64 = 0x5AAD;
 const HORIZON: u64 = 20_000;
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-fn task_sets(config: &SyntheticConfig) -> Vec<TaskSet> {
-    let mut rng = SimRng::seed_from(SEED);
-    generate(config, &mut rng)
-}
-
-/// Low-utilization, long-period workload: real idle stretches, so the
-/// coordinator's fast-forward path is exercised alongside stepping.
-fn sparse_config(clients: usize) -> SyntheticConfig {
-    SyntheticConfig {
-        clients,
-        util_lo: 0.05,
-        util_hi: 0.10,
-        max_tasks_per_client: 1,
-        period_min: 2_000,
-        period_max: 4_000,
-        util_floor: 1e-4,
-    }
-}
-
-fn config_for(sets: &[TaskSet], work_conserving: bool) -> BlueScaleConfig {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = work_conserving;
-    config
-}
-
-fn build_serial(sets: &[TaskSet], work_conserving: bool) -> System<BlueScaleInterconnect> {
-    let ic =
-        BlueScaleInterconnect::new(config_for(sets, work_conserving), sets).expect("valid sets");
-    System::new(Box::new(ic), sets)
-}
-
-fn build_sharded(sets: &[TaskSet], work_conserving: bool, workers: usize) -> ShardedSystem {
-    ShardedSystem::new(config_for(sets, work_conserving), sets, workers).expect("valid sets")
-}
-
-/// Everything two runs must agree on to count as bit-identical.
-fn serial_fingerprint(
-    sys: &mut System<BlueScaleInterconnect>,
-    horizon: u64,
-) -> (Vec<u64>, Vec<f64>) {
-    let mut m = sys.run(horizon);
-    let mut counts = vec![m.issued(), m.completed(), m.missed(), m.backlog()];
-    for c in sys.per_client_metrics() {
-        counts.extend([c.issued(), c.completed(), c.missed()]);
-    }
-    for level in sys.interconnect().forward_counts() {
-        counts.extend(level);
-    }
-    let config = sys.interconnect().config().clone();
-    for counter in [Counter::Grants, Counter::Replenishments] {
-        for depth in 0..config.levels() {
-            for order in 0..config.elements_at(depth) {
-                counts.extend(sys.interconnect().metrics().port_counters(
-                    depth,
-                    order,
-                    config.branch,
-                    counter,
-                ));
-            }
-        }
-    }
-    let mut samples = m.latency().as_slice().to_vec();
-    samples.extend_from_slice(m.blocking().as_slice());
-    (counts, samples)
-}
-
-/// The sharded twin of [`serial_fingerprint`], field for field.
-fn shard_fingerprint(sys: &mut ShardedSystem, horizon: u64) -> (Vec<u64>, Vec<f64>) {
-    let mut m = sys.run(horizon);
-    let mut counts = vec![m.issued(), m.completed(), m.missed(), m.backlog()];
-    for c in sys.per_client_metrics() {
-        counts.extend([c.issued(), c.completed(), c.missed()]);
-    }
-    for level in sys.forward_counts() {
-        counts.extend(level);
-    }
-    let config = sys.config().clone();
-    for counter in [Counter::Grants, Counter::Replenishments] {
-        for depth in 0..config.levels() {
-            for order in 0..config.elements_at(depth) {
-                let ports =
-                    sys.fabric_metrics()
-                        .port_counters(depth, order, config.branch, counter);
-                counts.extend(ports);
-            }
-        }
-    }
-    let mut samples = m.latency().as_slice().to_vec();
-    samples.extend_from_slice(m.blocking().as_slice());
-    (counts, samples)
-}
 
 /// Runs the serial oracle once and the sharded twin at every sweep worker
 /// count; all five fingerprints must be bit-identical.
 fn assert_sharded_agrees(
     sets: &[TaskSet],
     work_conserving: bool,
-    prepare: impl Fn(&mut System<BlueScaleInterconnect>, &mut ShardedSystem),
+    prepare: &dyn Fn(&mut dyn Harness),
     label: &str,
 ) -> Vec<ShardedSystem> {
     assert_sharded_agrees_at(
@@ -155,81 +66,32 @@ fn assert_sharded_agrees(
 fn assert_sharded_agrees_at(
     sets: &[TaskSet],
     work_conserving: bool,
-    prepare: impl Fn(&mut System<BlueScaleInterconnect>, &mut ShardedSystem),
+    prepare: &dyn Fn(&mut dyn Harness),
     label: &str,
     horizon: u64,
     worker_counts: &[usize],
 ) -> Vec<ShardedSystem> {
-    let mut oracle = build_serial(sets, work_conserving);
-    let mut probe = build_sharded(sets, work_conserving, 1);
-    prepare(&mut oracle, &mut probe);
-    drop(probe);
-    let expected = serial_fingerprint(&mut oracle, horizon);
-    assert!(
-        expected.0[0] > 0,
-        "{label}: the workload must issue requests"
-    );
-    worker_counts
-        .iter()
-        .map(|&workers| {
-            let mut sharded = build_sharded(sets, work_conserving, workers);
-            let mut scratch = build_serial(sets, work_conserving);
-            prepare(&mut scratch, &mut sharded);
-            drop(scratch);
-            let got = shard_fingerprint(&mut sharded, horizon);
-            assert_eq!(
-                got, expected,
-                "{label}: sharded run must be bit-identical at {workers} workers"
-            );
-            sharded
-        })
-        .collect()
+    let scenario = Scenario {
+        sets,
+        config: config_for(sets, work_conserving),
+        horizon,
+        prepare,
+        label,
+    };
+    let (_, expected) = scenario.serial::<SoaCore>();
+    scenario.assert_sharded(&expected, worker_counts)
 }
 
 #[test]
 fn fig6_strict_mode_is_bit_identical() {
-    let sets = task_sets(&SyntheticConfig::fig6(16));
-    assert_sharded_agrees(&sets, false, |_, _| {}, "fig6/strict");
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
+    assert_sharded_agrees(&sets, false, &|_| {}, "fig6/strict");
 }
 
 #[test]
 fn fig6_work_conserving_is_bit_identical() {
-    let sets = task_sets(&SyntheticConfig::fig6(16));
-    assert_sharded_agrees(&sets, true, |_, _| {}, "fig6/work-conserving");
-}
-
-fn fault_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new(SEED ^ 0xF00D);
-    plan.push(
-        FaultKind::RequestBurst {
-            client: 2,
-            requests: 24,
-        },
-        FaultWindow::new(5_000, 5_001),
-    )
-    .push(
-        FaultKind::StuckGrant {
-            depth: 1,
-            order: 0,
-            port: 0,
-        },
-        FaultWindow::new(3_000, 3_400),
-    )
-    .push(
-        FaultKind::DramJitter {
-            bank: 0,
-            max_extra_cycles: 4,
-        },
-        FaultWindow::new(1_000, 9_000),
-    )
-    .push(
-        FaultKind::DropResponse {
-            client: 3,
-            every: 3,
-        },
-        FaultWindow::new(0, 8_000),
-    );
-    plan
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
+    assert_sharded_agrees(&sets, true, &|_| {}, "fig6/work-conserving");
 }
 
 #[test]
@@ -238,21 +100,26 @@ fn fault_plan_is_bit_identical() {
     // jittered service and dropped responses (coordinator-side, stateful)
     // and request bursts (worker-side) all cross the shard boundary; every
     // worker count must agree while fast-forward still jumps.
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let runs = assert_sharded_agrees(
         &sets,
         true,
-        |oracle, sharded| {
-            oracle.set_fault_plan(fault_plan());
-            sharded.set_fault_plan(fault_plan());
-        },
+        &|sys| sys.set_fault_plan(sparse_fault_plan(SEED)),
         "sparse + faults",
     );
-    for sys in &runs {
+    for mut sys in runs {
         assert!(
             sys.fast_forwarded_cycles() > 0,
             "the sparse faulted run must still find idle stretches to jump"
         );
+        let merged = sys.merged_registry();
+        for counter in [Counter::FaultsInjected, Counter::ResponsesDropped] {
+            assert!(
+                merged.counter(ComponentId::System, counter) > 0,
+                "{counter:?}: the fault plan must fire at {} workers",
+                sys.workers()
+            );
+        }
     }
 }
 
@@ -262,36 +129,11 @@ fn churn_plan_is_bit_identical() {
     // analysis tables while the deferred (Π,Θ) swaps are programmed into
     // the owning shard's core — and the transition-latency tally must
     // match the serial engine's cycle for cycle.
-    let sets = task_sets(&sparse_config(16));
-    let plan = {
-        let sets = sets.clone();
-        move || {
-            let mut plan = ChurnPlan::new(SEED ^ 0xC482);
-            plan.push(
-                6_000,
-                2,
-                ChurnKind::UpdateTasks {
-                    tasks: TaskSet::new(vec![Task::new(0, 2_500, 2).unwrap()]).unwrap(),
-                },
-            )
-            .push(9_000, 9, ChurnKind::Leave)
-            .push(
-                13_000,
-                9,
-                ChurnKind::Join {
-                    tasks: sets[9].clone(),
-                },
-            );
-            plan
-        }
-    };
+    let sets = task_sets(&sparse_config(16), SEED);
     let runs = assert_sharded_agrees(
         &sets,
         true,
-        |oracle, sharded| {
-            oracle.set_churn_plan(plan());
-            sharded.set_churn_plan(plan());
-        },
+        &|sys| sys.set_churn_plan(light_churn_plan(&sets, SEED)),
         "churn plan",
     );
     for sys in &runs {
@@ -300,10 +142,8 @@ fn churn_plan_is_bit_identical() {
             "the sparse churned run must still jump, or the check is vacuous"
         );
         assert_eq!(
-            sys.registry().counter(
-                bluescale_sim::metrics::ComponentId::System,
-                Counter::Admitted
-            ),
+            sys.registry()
+                .counter(ComponentId::System, Counter::Admitted),
             3,
             "all three churn events are feasible and must be admitted"
         );
@@ -326,11 +166,9 @@ fn single_busy_shard_is_bit_identical() {
             }
         })
         .collect();
-    let runs = assert_sharded_agrees(&sets, true, |_, _| {}, "single busy shard");
+    let runs = assert_sharded_agrees(&sets, true, &|_| {}, "single busy shard");
     for sys in &runs {
-        let issued = sys
-            .registry()
-            .counter(bluescale_sim::metrics::ComponentId::System, Counter::Issued);
+        let issued = sys.registry().counter(ComponentId::System, Counter::Issued);
         assert!(issued > 1_000, "the busy subtree must carry real load");
     }
 }
@@ -341,11 +179,11 @@ fn merged_registry_is_byte_identical_across_worker_counts() {
     // merged registry JSON must agree to the byte, pinning counters,
     // samples and gauges all at once (and pinning that worker count is a
     // pure wall-clock knob).
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let mut reference: Option<String> = None;
     for &workers in &WORKER_SWEEP {
-        let mut sys = build_sharded(&sets, true, workers);
-        sys.set_fault_plan(fault_plan());
+        let mut sys = build_sharded(config_for(&sets, true), &sets, workers);
+        sys.set_fault_plan(sparse_fault_plan(SEED));
         let mut plan = ChurnPlan::new(SEED ^ 0xC482);
         plan.push(9_000, 9, ChurnKind::Leave).push(
             13_000,
@@ -355,7 +193,11 @@ fn merged_registry_is_byte_identical_across_worker_counts() {
             },
         );
         sys.set_churn_plan(plan);
-        sys.run(HORIZON);
+        run_checked(
+            &mut sys,
+            HORIZON,
+            &format!("churn + faults at {workers} workers"),
+        );
         let json = sys.merged_registry().to_json();
         match &reference {
             None => reference = Some(json),
@@ -378,29 +220,30 @@ fn span_chunked_advances_are_bit_identical() {
     // threads. A dense run steps every cycle of every slice; the sparse
     // faulted run also jumps idle stretches across slice boundaries.
     const SLICES: u64 = 128;
-    let dense = task_sets(&SyntheticConfig::fig6(16));
-    let sparse = task_sets(&sparse_config(16));
+    let dense = task_sets(&SyntheticConfig::fig6(16), SEED);
+    let sparse = task_sets(&sparse_config(16), SEED);
     for (label, sets, faulted) in [("dense", &dense, false), ("sparse + faults", &sparse, true)] {
-        let mut oracle = build_serial(sets, true);
+        let config = config_for(sets, true);
+        let mut oracle = build_serial::<SoaCore>(config.clone(), sets);
         if faulted {
-            oracle.set_fault_plan(fault_plan());
+            oracle.set_fault_plan(sparse_fault_plan(SEED));
         }
-        let expected = serial_fingerprint(&mut oracle, HORIZON);
+        let expected = run_checked(&mut oracle, HORIZON, label);
         for workers in [2, 4] {
             let build = || {
-                let mut sys = build_sharded(sets, true, workers);
+                let mut sys = build_sharded(config.clone(), sets, workers);
                 if faulted {
-                    sys.set_fault_plan(fault_plan());
+                    sys.set_fault_plan(sparse_fault_plan(SEED));
                 }
                 sys
             };
-            let whole = shard_fingerprint(&mut build(), HORIZON);
+            let whole = run_checked(&mut build(), HORIZON, label);
             let mut chunked = build();
             for slice in 1..=SLICES {
                 chunked.advance_to(HORIZON * slice / SLICES);
             }
             assert_eq!(chunked.now(), HORIZON);
-            let sliced = shard_fingerprint(&mut chunked, HORIZON);
+            let sliced = run_checked(&mut chunked, HORIZON, label);
             assert_eq!(whole, expected, "{label}: one advance at {workers} workers");
             assert_eq!(
                 sliced, expected,
@@ -415,83 +258,33 @@ const DEEP_WORKERS: [usize; 3] = [1, 2, 4];
 #[test]
 fn deep_sparse_trees_are_bit_identical() {
     for (clients, horizon) in [(256, HORIZON), (1_024, 8_000)] {
-        let sets = task_sets(&sparse_config(clients));
+        let sets = task_sets(&sparse_config(clients), SEED);
         let label = format!("sparse {clients}");
-        let runs = assert_sharded_agrees_at(&sets, true, |_, _| {}, &label, horizon, &DEEP_WORKERS);
+        let runs = assert_sharded_agrees_at(&sets, true, &|_| {}, &label, horizon, &DEEP_WORKERS);
         for sys in &runs {
             assert!(sys.fast_forward_jumps() > 0, "{label}: the run must jump");
         }
     }
 }
 
-/// A sparse 256-client tree with three quiet corners: leaf SE 5 serves
-/// only client 20 and leaf SE 9 only client 36, each with one request per
-/// 4,000 cycles (more than two of their server periods), and depth-2 SE 3
-/// (clients 48–63) serves nobody.
-fn deep_quiet_sets() -> Vec<TaskSet> {
-    let mut sets = task_sets(&sparse_config(256));
-    let quiet = || TaskSet::new(vec![Task::new(0, 4_000, 2).unwrap()]).unwrap();
-    for client in (21..24).chain(37..40).chain(48..64) {
-        sets[client] = TaskSet::empty();
-    }
-    sets[20] = quiet();
-    sets[36] = quiet();
-    sets
-}
-
-/// Client 20 is retasked long after its last request, so the staged swap
-/// commits inside a multi-crossing catch-up; client 36 leaves and
-/// rejoins on an idle SE; grant lines of the idle depth-2 SE 3 (shard 0),
-/// a busy depth-2 SE and the quiet leaf SE 5 are held stuck.
-fn deep_quiet_plans() -> (ChurnPlan, FaultPlan) {
-    let mut churn = ChurnPlan::new(SEED ^ 0xDEE9);
-    churn
-        .push(
-            7_900,
-            20,
-            ChurnKind::UpdateTasks {
-                tasks: TaskSet::new(vec![Task::new(0, 9_000, 2).unwrap()]).unwrap(),
-            },
-        )
-        .push(5_000, 36, ChurnKind::Leave)
-        .push(
-            11_000,
-            36,
-            ChurnKind::Join {
-                tasks: TaskSet::new(vec![Task::new(0, 4_000, 2).unwrap()]).unwrap(),
-            },
-        );
-    let mut faults = FaultPlan::new(SEED ^ 0xDEE9);
-    let stuck = |depth, order, port| FaultKind::StuckGrant { depth, order, port };
-    faults
-        .push(stuck(2, 3, 1), FaultWindow::new(2_000, 2_600))
-        .push(stuck(2, 9, 0), FaultWindow::new(3_000, 3_400))
-        .push(stuck(3, 5, 0), FaultWindow::new(9_000, 9_100));
-    (churn, faults)
-}
-
 #[test]
 fn deep_tree_churn_and_stuck_grants_on_idle_ses_are_bit_identical() {
-    let sets = deep_quiet_sets();
-    let mut oracle = build_serial(&sets, false);
-    let install = |oracle: &mut System<BlueScaleInterconnect>, sharded: &mut ShardedSystem| {
-        let (churn, faults) = deep_quiet_plans();
-        oracle.set_churn_plan(churn.clone());
-        oracle.set_fault_plan(faults.clone());
-        sharded.set_churn_plan(churn);
-        sharded.set_fault_plan(faults);
+    let sets = deep_quiet_sets(SEED);
+    let install = |sys: &mut dyn Harness| {
+        let (churn, faults) = deep_quiet_plans(SEED, 9);
+        sys.set_churn_plan(churn);
+        sys.set_fault_plan(faults);
     };
-    install(&mut oracle, &mut build_sharded(&sets, false, 1));
-    oracle.run(HORIZON);
+    let scenario = Scenario {
+        sets: &sets,
+        config: config_for(&sets, false),
+        horizon: HORIZON,
+        prepare: &install,
+        label: "deep quiet corners",
+    };
+    let (mut oracle, fingerprint) = scenario.serial::<SoaCore>();
     let expected = oracle.merged_registry().to_json();
-    let runs = assert_sharded_agrees_at(
-        &sets,
-        false,
-        install,
-        "deep quiet corners",
-        HORIZON,
-        &DEEP_WORKERS,
-    );
+    let runs = scenario.assert_sharded(&fingerprint, &DEEP_WORKERS);
     for mut sys in runs {
         let workers = sys.workers();
         let mut reg = sys.merged_registry();
@@ -500,7 +293,7 @@ fn deep_tree_churn_and_stuck_grants_on_idle_ses_are_bit_identical() {
             expected,
             "merged registry at {workers} workers"
         );
-        let se = bluescale_sim::metrics::ComponentId::Se { depth: 2, order: 3 };
+        let se = ComponentId::Se { depth: 2, order: 3 };
         assert_eq!(
             reg.counter(se, Counter::FaultsInjected),
             600,

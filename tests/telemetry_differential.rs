@@ -17,15 +17,16 @@
 use bluescale::element::PerSeEngine;
 use bluescale::network::Engine;
 use bluescale::soa::SoaCore;
-use bluescale::{BlueScaleConfig, BlueScaleInterconnect, ShardedSystem};
-use bluescale_interconnect::admission::{ChurnKind, ChurnPlan};
+use bluescale::BlueScaleInterconnect;
+use bluescale_bench::invariants::{
+    build_serial, build_sharded, config_for, light_churn_plan, sparse_config, sparse_fault_plan,
+    task_sets,
+};
 use bluescale_interconnect::system::System;
-use bluescale_rt::task::{Task, TaskSet};
-use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
-use bluescale_sim::rng::SimRng;
+use bluescale_rt::task::TaskSet;
 use bluescale_telemetry::jsonl::fold_jsonl;
 use bluescale_telemetry::{JsonlSink, Pipeline, RingSink, SloConfig};
-use bluescale_workload::synthetic::{generate, SyntheticConfig};
+use bluescale_workload::synthetic::SyntheticConfig;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,32 +34,8 @@ const SEED: u64 = 0x7E1E;
 const HORIZON: u64 = 20_000;
 const PERIOD: u64 = 1_024;
 
-fn task_sets(config: &SyntheticConfig) -> Vec<TaskSet> {
-    let mut rng = SimRng::seed_from(SEED);
-    generate(config, &mut rng)
-}
-
-fn sparse_config(clients: usize) -> SyntheticConfig {
-    SyntheticConfig {
-        clients,
-        util_lo: 0.05,
-        util_hi: 0.10,
-        max_tasks_per_client: 1,
-        period_min: 2_000,
-        period_max: 4_000,
-        util_floor: 1e-4,
-    }
-}
-
-fn config_for(sets: &[TaskSet]) -> BlueScaleConfig {
-    let mut config = BlueScaleConfig::for_clients(sets.len());
-    config.work_conserving = true;
-    config
-}
-
-fn build_serial<E: Engine>(sets: &[TaskSet]) -> System<BlueScaleInterconnect<E>> {
-    let ic = BlueScaleInterconnect::<E>::with_engine(config_for(sets), sets).expect("valid sets");
-    System::new(Box::new(ic), sets)
+fn build_system<E: Engine>(sets: &[TaskSet]) -> System<BlueScaleInterconnect<E>> {
+    build_serial(config_for(sets, true), sets)
 }
 
 fn jsonl_path(tag: &str) -> PathBuf {
@@ -78,60 +55,6 @@ fn pipeline(path: &Path) -> Pipeline {
     pipe
 }
 
-fn fault_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new(SEED ^ 0xF00D);
-    plan.push(
-        FaultKind::RequestBurst {
-            client: 2,
-            requests: 24,
-        },
-        FaultWindow::new(5_000, 5_001),
-    )
-    .push(
-        FaultKind::StuckGrant {
-            depth: 1,
-            order: 0,
-            port: 0,
-        },
-        FaultWindow::new(3_000, 3_400),
-    )
-    .push(
-        FaultKind::DramJitter {
-            bank: 0,
-            max_extra_cycles: 4,
-        },
-        FaultWindow::new(1_000, 9_000),
-    )
-    .push(
-        FaultKind::DropResponse {
-            client: 3,
-            every: 3,
-        },
-        FaultWindow::new(0, 8_000),
-    );
-    plan
-}
-
-fn churn_plan(sets: &[TaskSet]) -> ChurnPlan {
-    let mut plan = ChurnPlan::new(SEED ^ 0xC482);
-    plan.push(
-        6_000,
-        2,
-        ChurnKind::UpdateTasks {
-            tasks: TaskSet::new(vec![Task::new(0, 2_500, 2).unwrap()]).unwrap(),
-        },
-    )
-    .push(9_000, 9, ChurnKind::Leave)
-    .push(
-        13_000,
-        9,
-        ChurnKind::Join {
-            tasks: sets[9].clone(),
-        },
-    );
-    plan
-}
-
 /// Streaming on vs off on the serial harness: byte-identical registries,
 /// and the JSONL fold must reconstruct both final registries exactly.
 fn assert_serial_scenario<E: Engine>(
@@ -139,12 +62,12 @@ fn assert_serial_scenario<E: Engine>(
     prepare: impl Fn(&mut System<BlueScaleInterconnect<E>>),
     label: &str,
 ) {
-    let mut baseline = build_serial::<E>(sets);
+    let mut baseline = build_system::<E>(sets);
     prepare(&mut baseline);
     baseline.run(HORIZON);
     let expected = baseline.merged_registry().to_json();
 
-    let mut streaming = build_serial::<E>(sets);
+    let mut streaming = build_system::<E>(sets);
     prepare(&mut streaming);
     let path = jsonl_path(label);
     streaming.attach_telemetry(pipeline(&path));
@@ -173,13 +96,13 @@ fn assert_serial_scenario<E: Engine>(
 
 #[test]
 fn dense_serial_soa_streaming_is_invisible_and_lossless() {
-    let sets = task_sets(&SyntheticConfig::fig6(16));
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
     assert_serial_scenario::<SoaCore>(&sets, |_| {}, "dense-soa");
 }
 
 #[test]
 fn dense_serial_legacy_streaming_is_invisible_and_lossless() {
-    let sets = task_sets(&SyntheticConfig::fig6(16));
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
     assert_serial_scenario::<PerSeEngine>(&sets, |_| {}, "dense-legacy");
 }
 
@@ -188,18 +111,22 @@ fn sparse_faulted_streaming_is_invisible_and_lossless() {
     // Fast-forward jumps interleave with flush boundaries here: the
     // chunked advance clamps jumps at each boundary, which must change
     // wall-clock only, never state.
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     assert_serial_scenario::<SoaCore>(
         &sets,
-        |sys| sys.set_fault_plan(fault_plan()),
+        |sys| sys.set_fault_plan(sparse_fault_plan(SEED)),
         "sparse-faults",
     );
 }
 
 #[test]
 fn churn_streaming_is_invisible_and_lossless() {
-    let sets = task_sets(&sparse_config(16));
-    assert_serial_scenario::<SoaCore>(&sets, |sys| sys.set_churn_plan(churn_plan(&sets)), "churn");
+    let sets = task_sets(&sparse_config(16), SEED);
+    assert_serial_scenario::<SoaCore>(
+        &sets,
+        |sys| sys.set_churn_plan(light_churn_plan(&sets, SEED)),
+        "churn",
+    );
 }
 
 #[test]
@@ -207,12 +134,11 @@ fn sharded_streaming_is_invisible_and_lossless_across_worker_counts() {
     // The coordinator flushes telemetry between spans; the worker count
     // must stay a pure wall-clock knob with streaming attached, and the
     // stream must fold to the coordinator's final registries.
-    let sets = task_sets(&sparse_config(16));
+    let sets = task_sets(&sparse_config(16), SEED);
     let mut expected: Option<String> = None;
     for &workers in &[1usize, 2, 4] {
-        let mut baseline =
-            ShardedSystem::new(config_for(&sets), &sets, workers).expect("valid sets");
-        baseline.set_fault_plan(fault_plan());
+        let mut baseline = build_sharded(config_for(&sets, true), &sets, workers);
+        baseline.set_fault_plan(sparse_fault_plan(SEED));
         baseline.run(HORIZON);
         let off = baseline.merged_registry().to_json();
         match &expected {
@@ -223,9 +149,8 @@ fn sharded_streaming_is_invisible_and_lossless_across_worker_counts() {
             ),
         }
 
-        let mut streaming =
-            ShardedSystem::new(config_for(&sets), &sets, workers).expect("valid sets");
-        streaming.set_fault_plan(fault_plan());
+        let mut streaming = build_sharded(config_for(&sets, true), &sets, workers);
+        streaming.set_fault_plan(sparse_fault_plan(SEED));
         let path = jsonl_path(&format!("shard-{workers}w"));
         streaming.attach_telemetry(pipeline(&path));
         streaming.run(HORIZON);
@@ -258,13 +183,13 @@ fn windowed_samples_stream_losslessly_under_eviction() {
     // the fold can no longer match sequences bit-exact, but accounting
     // (folded + dropped == pushed) and the retained suffix must hold —
     // and streaming must still be invisible to the simulation.
-    let sets = task_sets(&SyntheticConfig::fig6(16));
-    let mut baseline = build_serial::<SoaCore>(&sets);
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
+    let mut baseline = build_system::<SoaCore>(&sets);
     baseline.registry_mut().set_sample_window(Some(32));
     baseline.run(HORIZON);
     let expected = baseline.merged_registry().to_json();
 
-    let mut streaming = build_serial::<SoaCore>(&sets);
+    let mut streaming = build_system::<SoaCore>(&sets);
     streaming.registry_mut().set_sample_window(Some(32));
     let path = jsonl_path("windowed");
     streaming.attach_telemetry(pipeline(&path));
