@@ -5,27 +5,32 @@
 //! where software loads the task parameter table and a small datapath
 //! computes `(Π, Θ)`, and the single-cycle arbitration datapath those
 //! parameters program. [`Composition`] is the first half for the whole
-//! tree. It holds one [`InterfaceSelector`] per SE, the client task sets,
-//! the selected interfaces and the root admission verdict
-//! ([`CompositionReport`]), and it steps nothing. The runtime engines —
-//! [`BlueScaleInterconnect`](crate::BlueScaleInterconnect)'s engine and
-//! the sharded system's cores — are programmed from its interfaces.
+//! tree. It holds the client task sets, the selected interfaces and the
+//! root admission verdict ([`CompositionReport`]), and it steps nothing.
+//! The runtime engines — [`BlueScaleInterconnect`](crate::BlueScaleInterconnect)'s
+//! engine and the sharded system's cores — are programmed from its
+//! interfaces.
+//!
+//! An SE's parameter table is not stored: it is a function of what sits
+//! directly below the SE. A leaf port holds its client's tasks with their
+//! deflated analysis deadlines; an inner port holds the child SE's
+//! selected interfaces as server tasks. One private function derives it,
+//! and construction, admission trials, sheds and the fallback allocation
+//! all read it.
 //!
 //! Construction resolves the interface-selection problems level by level
 //! from the leaves to the root, each level's chosen interfaces becoming
 //! the server tasks of the level above; the exact root admission test
 //! `Σ Θ/Π ≤ 1` then decides schedulability. A reconfiguration re-solves
-//! only the client's request path: an admission trial runs on cloned
-//! selector tables, and only an admitted trial is committed.
+//! only the client's request path: an admission trial builds each path
+//! SE's problem from the cached interfaces with the trial's port swapped
+//! in, and only an admitted trial is committed.
 
-use crate::selector::{InterfaceSelector, TableRow};
 use crate::soa::MAX_BRANCH;
 use crate::topology::BlueScaleConfig;
-use bluescale_interconnect::admission::CancelToken;
-use bluescale_rt::interface::root_admissible;
+use bluescale_rt::interface::{root_admissible, select_se_interfaces_with_divisor};
 use bluescale_rt::supply::PeriodicResource;
-use bluescale_rt::task::TaskSet;
-use bluescale_rt::Error as RtError;
+use bluescale_rt::task::{Task, TaskSet};
 use std::fmt;
 
 /// Errors raised while building a BlueScale instance.
@@ -38,17 +43,17 @@ pub enum BuildError {
         /// Task sets supplied.
         got: usize,
     },
-    /// The analysis rejected the task parameters outright (invalid task,
-    /// duplicate ids).
-    Analysis(RtError),
     /// A setting no engine can run: `branch` outside `2..=64` (a fan-in
     /// below 2 never reaches a second client, and an SE's ports are the
     /// bits of one `u64`), a zero `buffer_capacity` (no request could ever
     /// enter a port), a zero `granularity_divisor` (no server period to
     /// divide), or, for a sharded build only, a `num_clients` that fits
-    /// one SE (a single-SE tree has no level-1 subtrees to shard).
+    /// one SE (a single-SE tree has no level-1 subtrees to shard) or zero
+    /// `workers`.
     InvalidConfig {
-        /// The offending [`BlueScaleConfig`] field.
+        /// The offending setting: a [`BlueScaleConfig`] field, or
+        /// `workers`, the worker count of
+        /// [`ShardedSystem::new`](crate::ShardedSystem::new).
         field: &'static str,
         /// The rejected value.
         value: usize,
@@ -61,7 +66,6 @@ impl fmt::Display for BuildError {
             BuildError::WrongClientCount { expected, got } => {
                 write!(f, "expected {expected} client task sets, got {got}")
             }
-            BuildError::Analysis(e) => write!(f, "analysis error: {e}"),
             BuildError::InvalidConfig { field, value } => {
                 write!(f, "invalid {field} {value}: {field} ")?;
                 match *field {
@@ -74,19 +78,30 @@ impl fmt::Display for BuildError {
     }
 }
 
-impl std::error::Error for BuildError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BuildError::Analysis(e) => Some(e),
-            BuildError::WrongClientCount { .. } | BuildError::InvalidConfig { .. } => None,
-        }
-    }
-}
+impl std::error::Error for BuildError {}
 
-impl From<RtError> for BuildError {
-    fn from(e: RtError) -> Self {
-        BuildError::Analysis(e)
+/// Rejects a configuration no engine can run (see
+/// [`BuildError::InvalidConfig`]); checked before anything else is built.
+pub(crate) fn check_config(config: &BlueScaleConfig) -> Result<(), BuildError> {
+    if !(2..=MAX_BRANCH).contains(&config.branch) {
+        return Err(BuildError::InvalidConfig {
+            field: "branch",
+            value: config.branch,
+        });
     }
+    if config.buffer_capacity == 0 {
+        return Err(BuildError::InvalidConfig {
+            field: "buffer_capacity",
+            value: 0,
+        });
+    }
+    if config.granularity_divisor == 0 {
+        return Err(BuildError::InvalidConfig {
+            field: "granularity_divisor",
+            value: 0,
+        });
+    }
+    Ok(())
 }
 
 /// Result of resolving all interface-selection problems over the tree.
@@ -114,20 +129,16 @@ pub struct CompositionReport {
 /// One path SE's result: `(depth, order, selected interfaces)`.
 pub(crate) type PathTrial = (usize, usize, Vec<Option<PeriodicResource>>);
 
-/// Why a cancellable admission trial produced no path: a final analytical
-/// rejection versus a caller-side cancellation that decided nothing (the
-/// request may be retried). Both leave the composition untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TrialAbort {
-    /// The analysis rejected the update (infeasible path SE, off-path
-    /// fallback, or root overshoot).
-    Rejected,
-    /// The caller's [`CancelToken`] fired mid-analysis.
-    Cancelled,
+/// What one SE port's tasks derive from: a client's task set at a leaf,
+/// a child SE's selected interfaces above it.
+#[derive(Clone, Copy)]
+enum Below<'a> {
+    Client(&'a TaskSet),
+    Child(&'a [Option<PeriodicResource>]),
 }
 
-/// The composition analysis of one BlueScale tree: per-SE interface
-/// selectors, client task sets and the selected interfaces.
+/// The composition analysis of one BlueScale tree: client task sets and
+/// the selected interfaces.
 ///
 /// # Example
 ///
@@ -145,8 +156,6 @@ pub(crate) enum TrialAbort {
 #[derive(Debug, Clone)]
 pub struct Composition {
     config: BlueScaleConfig,
-    /// `selectors[d][o]`: the task parameter table of SE `(d, o)`.
-    selectors: Vec<Vec<InterfaceSelector>>,
     client_tasks: Vec<TaskSet>,
     report: CompositionReport,
     /// Per-SE analysis outcome (`[depth][order]`): whether minimum-
@@ -155,8 +164,8 @@ pub struct Composition {
 }
 
 impl Composition {
-    /// Loads the leaf parameter tables from `task_sets` and resolves every
-    /// interface-selection problem from the leaves to the root.
+    /// Resolves every interface-selection problem of `task_sets` from the
+    /// leaves to the root.
     ///
     /// If some SE's clients are analytically over-utilized, construction
     /// still succeeds — the affected SEs get utilization-proportional
@@ -168,28 +177,9 @@ impl Composition {
     ///
     /// Returns [`BuildError::InvalidConfig`] for a `branch` outside
     /// `2..=64`, a zero `buffer_capacity` or a zero `granularity_divisor`,
-    /// [`BuildError::WrongClientCount`] on a task-set count mismatch, or
-    /// [`BuildError::Analysis`] if task parameters are malformed (zero
-    /// periods, duplicate ids).
+    /// and [`BuildError::WrongClientCount`] on a task-set count mismatch.
     pub fn new(config: BlueScaleConfig, task_sets: &[TaskSet]) -> Result<Self, BuildError> {
-        if !(2..=MAX_BRANCH).contains(&config.branch) {
-            return Err(BuildError::InvalidConfig {
-                field: "branch",
-                value: config.branch,
-            });
-        }
-        if config.buffer_capacity == 0 {
-            return Err(BuildError::InvalidConfig {
-                field: "buffer_capacity",
-                value: 0,
-            });
-        }
-        if config.granularity_divisor == 0 {
-            return Err(BuildError::InvalidConfig {
-                field: "granularity_divisor",
-                value: 0,
-            });
-        }
+        check_config(&config)?;
         if task_sets.len() != config.num_clients {
             return Err(BuildError::WrongClientCount {
                 expected: config.num_clients,
@@ -197,12 +187,7 @@ impl Composition {
             });
         }
         let levels = config.levels();
-        let mut selector = InterfaceSelector::new(config.branch);
-        selector.set_period_divisor(config.granularity_divisor);
         let mut this = Self {
-            selectors: (0..levels)
-                .map(|d| vec![selector.clone(); config.elements_at(d)])
-                .collect(),
             client_tasks: task_sets.to_vec(),
             se_analysis_ok: (0..levels)
                 .map(|d| vec![true; config.elements_at(d)])
@@ -218,18 +203,12 @@ impl Composition {
             },
             config,
         };
-        for (client, set) in task_sets.iter().enumerate() {
-            let (order, port) = this.config.attach_point(client);
-            for row in this.leaf_rows(port, set) {
-                this.selectors[levels - 1][order].load(row)?;
-            }
-        }
         for depth in (0..levels).rev() {
             for order in 0..this.config.elements_at(depth) {
-                this.resolve_se(depth, order)?;
+                this.resolve_se(depth, order);
             }
         }
-        this.refresh_summary(this.selectors.iter().map(Vec::len).sum());
+        this.refresh_summary(this.config.total_elements());
         Ok(this)
     }
 
@@ -248,92 +227,98 @@ impl Composition {
         &self.client_tasks
     }
 
-    /// Loads `tasks` into `client`'s leaf table rows, leaving the table
-    /// untouched when a row is invalid.
-    fn load_client(&mut self, client: usize, tasks: TaskSet) -> Result<(), RtError> {
-        let (order, port) = self.config.attach_point(client);
-        let rows = self.leaf_rows(port, &tasks);
-        self.selectors[self.config.levels() - 1][order].reload_port(port as u8, &rows)?;
-        self.client_tasks[client] = tasks;
-        Ok(())
-    }
-
-    /// The table rows describing `tasks` at a leaf `port` (analysis
-    /// deadlines deflated by the configured margin).
-    fn leaf_rows(&self, port: usize, tasks: &TaskSet) -> Vec<TableRow> {
-        tasks
-            .iter()
-            .map(|t| TableRow {
-                port: port as u8,
-                task_id: t.id(),
-                period: t.period(),
-                deadline: self.config.analysis_deadline(t.period(), t.wcet()),
-                wcet: t.wcet(),
-            })
-            .collect()
-    }
-
-    /// The table rows a child SE's selected interfaces become at its
-    /// parent's `port`.
-    fn interface_rows(port: u8, interfaces: &[Option<PeriodicResource>]) -> Vec<TableRow> {
-        interfaces
-            .iter()
-            .enumerate()
-            .filter_map(|(q, iface)| {
-                iface.map(|r| TableRow {
-                    port,
-                    task_id: q as u32,
-                    period: r.period(),
+    /// SE `(depth, order)`'s parameter table, one task list per port,
+    /// derived from what sits directly below it. A leaf port holds its
+    /// client's tasks with their analysis deadlines (deflated by the
+    /// configured margin); an inner port holds the child SE's selected
+    /// interfaces as server tasks `(T = Π, D = Π, C = Θ)` with the child's
+    /// port as id. `path` swaps in one port's input: an admission trial's
+    /// request path.
+    fn port_tasks(
+        &self,
+        depth: usize,
+        order: usize,
+        path: Option<(usize, Below<'_>)>,
+    ) -> Vec<Vec<Task>> {
+        let branch = self.config.branch;
+        let leaf = depth + 1 == self.report.interfaces.len();
+        (0..branch)
+            .map(|port| {
+                let below = match path {
+                    Some((p, below)) if p == port => Some(below),
+                    _ if leaf => self
+                        .client_tasks
+                        .get(order * branch + port)
+                        .map(Below::Client),
+                    _ => Some(Below::Child(
+                        &self.report.interfaces[depth + 1][order * branch + port],
+                    )),
+                };
+                match below {
+                    None => Vec::new(),
+                    Some(Below::Client(set)) => set
+                        .iter()
+                        .map(|t| {
+                            let deadline = self.config.analysis_deadline(t.period(), t.wcet());
+                            Task::with_deadline(t.id(), t.period(), deadline, t.wcet())
+                                .expect("the analysis deadline lies in [C, T]")
+                        })
+                        .collect(),
                     // Inner levels keep implicit deadlines: end-to-end
                     // slack is reserved once, at the leaves.
-                    deadline: r.period(),
-                    wcet: r.budget(),
-                })
+                    Some(Below::Child(ifaces)) => ifaces
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(q, iface)| {
+                            iface.map(|r| {
+                                Task::new(q as u32, r.period(), r.budget())
+                                    .expect("an interface has 0 < Θ ≤ Π")
+                            })
+                        })
+                        .collect(),
+                }
             })
             .collect()
+    }
+
+    /// Minimum-bandwidth selection over one SE's port tables: one `(Π, Θ)`
+    /// per non-idle port, sized against the SE's combined utilization.
+    /// `None` when a port's tasks cannot form a task set (a child's
+    /// interfaces sum above 1) or the analysis finds no feasible
+    /// interfaces.
+    fn select(&self, ports: Vec<Vec<Task>>) -> Option<Vec<Option<PeriodicResource>>> {
+        let sets = ports
+            .into_iter()
+            .map(TaskSet::new)
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
+        select_se_interfaces_with_divisor(&sets, self.config.granularity_divisor).ok()
     }
 
     /// Admission-tests `tasks` for `client` without touching the
     /// composition: the interface-selection problems along the client's
-    /// request path (leaf SE up to the root) are re-solved on *cloned*
-    /// parameter tables, every other subtree reusing its cached interfaces.
-    /// Returns the path's newly selected interfaces (leaf first) when the
-    /// update is admissible: selection succeeded at every path SE, every
-    /// off-path SE already held a valid analysis, and the root passes the
+    /// request path (leaf SE up to the root) are re-solved, each built
+    /// from the cached interfaces with the path port swapped in. Returns
+    /// the path's newly selected interfaces (leaf first) when the update
+    /// is admissible: selection succeeded at every path SE, every off-path
+    /// SE already held a valid analysis, and the root passes the
     /// **exact** admission test `Σ Θ/Π ≤ 1` ([`root_admissible`]).
-    /// The cancellation token (when supplied) is polled once per path SE —
-    /// each `compute()` is the expensive unit of work — and an expired
-    /// token aborts the trial with [`TrialAbort::Cancelled`]. The trial
-    /// mutates nothing, so abandoning it mid-path needs no rollback.
-    fn trial(
-        &self,
-        client: usize,
-        tasks: &TaskSet,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<PathTrial>, TrialAbort> {
+    fn trial(&self, client: usize, tasks: &TaskSet) -> Option<Vec<PathTrial>> {
         let levels = self.config.levels();
-        let (leaf_order, port) = self.config.attach_point(client);
+        let branch = self.config.branch;
+        let (mut order, mut port) = self.config.attach_point(client);
         let mut trial: Vec<PathTrial> = Vec::with_capacity(levels);
-        let mut order = leaf_order;
-        let mut reload = port as u8;
-        let mut rows = self.leaf_rows(port, tasks);
         for depth in (0..levels).rev() {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                return Err(TrialAbort::Cancelled);
-            }
-            let mut sel = self.selectors[depth][order].clone();
-            if sel.reload_port(reload, &rows).is_err() {
-                return Err(TrialAbort::Rejected);
-            }
+            let below = match trial.last() {
+                None => Below::Client(tasks),
+                Some((_, _, ifaces)) => Below::Child(ifaces),
+            };
             // Admission has no fallback: an analytically infeasible path
             // SE rejects the request outright.
-            let Ok(ifaces) = sel.compute() else {
-                return Err(TrialAbort::Rejected);
-            };
-            reload = (order % self.config.branch) as u8;
-            rows = Self::interface_rows(reload, &ifaces);
+            let ifaces = self.select(self.port_tasks(depth, order, Some((port, below))))?;
             trial.push((depth, order, ifaces));
-            order /= self.config.branch;
+            port = order % branch;
+            order /= branch;
         }
         // Off-path SEs keep their parameters; if any of them is already on
         // fallback interfaces the system has no guarantee to extend.
@@ -341,77 +326,56 @@ impl Composition {
         for (depth, row) in self.se_analysis_ok.iter().enumerate() {
             for (order, &ok) in row.iter().enumerate() {
                 if !ok && !path.contains(&(depth, order)) {
-                    return Err(TrialAbort::Rejected);
+                    return None;
                 }
             }
         }
         let (_, _, root) = trial.last().expect("levels >= 1");
         let root_ifaces: Vec<PeriodicResource> = root.iter().flatten().copied().collect();
-        if root_admissible(&root_ifaces) {
-            Ok(trial)
-        } else {
-            Err(TrialAbort::Rejected)
-        }
+        root_admissible(&root_ifaces).then_some(trial)
     }
 
     /// The one way a live composition changes: runs the admission trial
-    /// for `client`/`tasks` and, when admitted, commits it — the leaf
-    /// table rows, the cached interfaces and analysis flags along the
-    /// request path, the parent table rows, and the refreshed summary.
-    /// Returns the admitted path (leaf first) so the caller can program
-    /// its runtime engine. A rejected or cancelled trial writes nothing —
-    /// it is decided entirely on cloned tables.
+    /// for `client`/`tasks` and, when admitted, commits it — the client's
+    /// task set, the cached interfaces and analysis flags along the
+    /// request path, and the refreshed summary. Returns the admitted path
+    /// (leaf first) so the caller can program its runtime engine, or
+    /// `None` for a rejection (an out-of-range client or a failed trial),
+    /// which writes nothing.
     ///
     /// One case skips the trial: an empty set (the client leaves or is
     /// quarantined) on a composition that is already not schedulable.
     /// There is no guarantee left to protect, and a trial would reject
     /// the shed whenever a fallback SE sits off the client's path, so the
     /// path is re-solved with fallback as construction does. Such a shed
-    /// cannot be rejected and does not poll `cancel`.
-    pub(crate) fn commit(
-        &mut self,
-        client: usize,
-        tasks: &TaskSet,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<PathTrial>, TrialAbort> {
+    /// cannot be rejected.
+    pub(crate) fn commit(&mut self, client: usize, tasks: &TaskSet) -> Option<Vec<PathTrial>> {
         if client >= self.config.num_clients {
-            return Err(TrialAbort::Rejected);
+            return None;
         }
         if tasks.is_empty() && !self.report.schedulable {
-            return Ok(self.shed(client));
+            return Some(self.shed(client));
         }
-        let trial = self.trial(client, tasks, cancel)?;
-        // Rows re-validate trivially: the trial already loaded identical
-        // rows into the clones.
-        self.load_client(client, tasks.clone())
-            .expect("rows validated by the admission trial");
+        let trial = self.trial(client, tasks)?;
+        self.client_tasks[client] = tasks.clone();
         for (depth, order, ifaces) in &trial {
             self.se_analysis_ok[*depth][*order] = true;
             self.report.interfaces[*depth][*order] = ifaces.clone();
-            if *depth > 0 {
-                let parent_port = (order % self.config.branch) as u8;
-                let parent_rows = Self::interface_rows(parent_port, ifaces);
-                self.selectors[*depth - 1][order / self.config.branch]
-                    .reload_port(parent_port, &parent_rows)
-                    .expect("rows validated by the admission trial");
-            }
         }
         self.refresh_summary(trial.len());
-        Ok(trial)
+        Some(trial)
     }
 
     /// Empties `client`'s task set and re-solves its request path (leaf
     /// SE up to the root), falling back on analytical failure as
     /// construction does. Returns the path (leaf first).
     fn shed(&mut self, client: usize) -> Vec<PathTrial> {
-        self.load_client(client, TaskSet::empty())
-            .expect("an empty set loads no rows");
+        self.client_tasks[client] = TaskSet::empty();
         let levels = self.config.levels();
         let mut path = Vec::with_capacity(levels);
         let mut order = self.config.attach_point(client).0;
         for depth in (0..levels).rev() {
-            self.resolve_se(depth, order)
-                .expect("interface rows have one id per child port");
+            self.resolve_se(depth, order);
             path.push((depth, order, self.report.interfaces[depth][order].clone()));
             order /= self.config.branch;
         }
@@ -435,48 +399,33 @@ impl Composition {
     /// Utilization-proportional fallback: each non-idle port gets
     /// `Π = max(1, min_T/2)` and a budget proportional to its share of the
     /// total demand (normalized when demand exceeds capacity).
-    fn fallback_interfaces(&self, selector: &InterfaceSelector) -> Vec<Option<PeriodicResource>> {
-        let ports = self.config.branch;
-        let mut util = vec![0.0f64; ports];
-        let mut min_period = vec![u64::MAX; ports];
-        for r in selector.rows() {
-            let p = r.port as usize;
-            util[p] += r.wcet as f64 / r.period as f64;
-            min_period[p] = min_period[p].min(r.period);
-        }
+    fn fallback_interfaces(ports: &[Vec<Task>]) -> Vec<Option<PeriodicResource>> {
+        let util: Vec<f64> = ports
+            .iter()
+            .map(|tasks| tasks.iter().map(Task::utilization).sum())
+            .collect();
         let total: f64 = util.iter().sum();
         let scale = if total > 1.0 { 1.0 / total } else { 1.0 };
-        (0..ports)
-            .map(|p| {
-                if util[p] == 0.0 {
-                    return None;
-                }
-                let period = (min_period[p] / 2).max(1);
-                let share = util[p] * scale;
+        ports
+            .iter()
+            .zip(&util)
+            .map(|(tasks, &util)| {
+                let period = (tasks.iter().map(Task::period).min()? / 2).max(1);
+                let share = util * scale;
                 let budget = ((share * period as f64).round() as u64).clamp(1, period);
                 PeriodicResource::new(period, budget)
             })
             .collect()
     }
 
-    /// Resolves SE `(depth, order)`'s interface selection (falling back on
-    /// analytical failure) and reloads the parent's table row for this
-    /// SE's port.
-    fn resolve_se(&mut self, depth: usize, order: usize) -> Result<(), BuildError> {
-        let selector = &self.selectors[depth][order];
-        let (ifaces, ok) = match selector.compute() {
-            Ok(ifaces) => (ifaces, true),
-            Err(_) => (self.fallback_interfaces(selector), false),
-        };
-        self.se_analysis_ok[depth][order] = ok;
-        let branch = self.config.branch;
-        let parent_port = (order % branch) as u8;
-        let rows = Self::interface_rows(parent_port, &ifaces);
+    /// Resolves SE `(depth, order)`'s interface selection, falling back on
+    /// analytical failure.
+    fn resolve_se(&mut self, depth: usize, order: usize) {
+        let selected = self.select(self.port_tasks(depth, order, None));
+        self.se_analysis_ok[depth][order] = selected.is_some();
+        let ifaces = selected
+            .unwrap_or_else(|| Self::fallback_interfaces(&self.port_tasks(depth, order, None)));
         self.report.interfaces[depth][order] = ifaces;
-        if depth > 0 {
-            self.selectors[depth - 1][order / branch].reload_port(parent_port, &rows)?;
-        }
-        Ok(())
     }
 }
 
@@ -533,13 +482,10 @@ mod tests {
         let fresh = Composition::new(config, &sets).unwrap();
         assert!(fresh.report().analysis_ok, "every SE selects");
         assert!(!fresh.report().schedulable, "the root test alone rejects");
-        assert_eq!(
-            c.commit(1, &sets[1], None).unwrap_err(),
-            TrialAbort::Rejected
-        );
+        assert!(c.commit(1, &sets[1]).is_none());
         assert_eq!(c.report().interfaces, before);
         // A light tenant in the same slot is admitted.
-        assert!(c.commit(1, &set(&[(100, 1)]), None).is_ok());
+        assert!(c.commit(1, &set(&[(100, 1)])).is_some());
     }
 
     #[test]
@@ -568,7 +514,7 @@ mod tests {
         churn.extend([0, 17, 37, 63].map(|client| (client, original[client].clone())));
         for (client, tasks) in churn {
             sets[client] = tasks;
-            let path = c.commit(client, &sets[client], None).unwrap();
+            let path = c.commit(client, &sets[client]).unwrap();
             let leaf = config.attach_point(client).0;
             let coords: Vec<(usize, usize)> = path.iter().map(|(d, o, _)| (*d, *o)).collect();
             assert_eq!(coords, vec![(2, leaf), (1, leaf / 4), (0, 0)]);
@@ -588,7 +534,7 @@ mod tests {
         let mut c = Composition::new(BlueScaleConfig::for_clients(16), &sets(16, 400, 4)).unwrap();
         let before = c.report().interfaces.clone();
         let hog = TaskSet::new(vec![Task::new(0, 100, 95).unwrap()]).unwrap();
-        assert_eq!(c.commit(5, &hog, None).unwrap_err(), TrialAbort::Rejected);
+        assert!(c.commit(5, &hog).is_none());
         assert_eq!(c.report().interfaces, before);
         assert_eq!(c.client_tasks()[5], sets(1, 400, 4)[0]);
     }
@@ -606,7 +552,7 @@ mod tests {
         let mut c = Composition::new(BlueScaleConfig::for_clients(16), &sets).unwrap();
         assert!(!c.report().schedulable);
         let (order, port) = c.config().attach_point(5);
-        let path = c.commit(5, &TaskSet::empty(), None).unwrap();
+        let path = c.commit(5, &TaskSet::empty()).unwrap();
         assert_eq!(path.len(), 2);
         assert!(c.client_tasks()[5].is_empty());
         assert!(c.report().interfaces[1][order][port].is_none());
@@ -615,13 +561,13 @@ mod tests {
         // leaf selects again but the root still sums above 1; with three
         // gone the guarantee returns.
         for client in [0, 1] {
-            assert!(c.commit(client, &TaskSet::empty(), None).is_ok());
+            assert!(c.commit(client, &TaskSet::empty()).is_some());
         }
         assert!(c.report().analysis_ok && !c.report().schedulable);
-        assert!(c.commit(2, &TaskSet::empty(), None).is_ok());
+        assert!(c.commit(2, &TaskSet::empty()).is_some());
         assert!(c.report().schedulable);
         // A schedulable composition trials every set, empty or not.
         let hog = TaskSet::new(vec![Task::new(0, 100, 95).unwrap()]).unwrap();
-        assert_eq!(c.commit(0, &hog, None).unwrap_err(), TrialAbort::Rejected);
+        assert!(c.commit(0, &hog).is_none());
     }
 }

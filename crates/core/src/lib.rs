@@ -12,7 +12,7 @@
 //! * an **upper-level** queue over four **server tasks** — the local
 //!   scheduler ([`scheduler::LocalScheduler`]) whose period/budget counters
 //!   enforce the periodic-resource interfaces `(Π, Θ)` computed by the
-//!   interface selector ([`selector`]).
+//!   interface selection ([`composition`]).
 //!
 //! The result is *iterative compositional scheduling*: every SE makes a
 //! single-cycle GEDF decision using only local information, while the
@@ -21,8 +21,9 @@
 //!
 //! The crate keeps the two halves of an SE apart, as the paper does:
 //!
-//! * the **parameter path** — every SE's selector table, the selected
-//!   interfaces, root admission and trial reconfiguration — is
+//! * the **parameter path** — every SE's parameter table, derived from
+//!   the client task sets and the selected interfaces, root admission and
+//!   trial reconfiguration — is
 //!   [`composition::Composition`];
 //! * the **arbitration datapath** is an [`network::Engine`]:
 //!   [`soa::SoaCore`], one flat arena for the whole tree, runs every
@@ -59,7 +60,6 @@ mod memory_side;
 pub mod network;
 pub mod rab;
 pub mod scheduler;
-pub mod selector;
 pub mod shard;
 pub mod soa;
 pub mod topology;

@@ -16,11 +16,11 @@
 //! [`with_engine`](BlueScaleInterconnect::with_engine) names another
 //! engine.
 
-use crate::composition::{BuildError, Composition, CompositionReport, PathTrial, TrialAbort};
+use crate::composition::{BuildError, Composition, CompositionReport};
 use crate::memory_side::MemorySide;
 use crate::soa::SoaCore;
 use crate::topology::BlueScaleConfig;
-use bluescale_interconnect::admission::{CancelToken, ReconfigOutcome};
+use bluescale_interconnect::admission::ReconfigOutcome;
 use bluescale_interconnect::{ClientId, Interconnect, MemoryRequest, MemoryResponse, ServiceEvent};
 use bluescale_mem::ControllerStats;
 use bluescale_rt::supply::PeriodicResource;
@@ -183,9 +183,7 @@ impl BlueScaleInterconnect {
     ///
     /// Returns [`BuildError::InvalidConfig`] for a `branch` outside
     /// `2..=64`, a zero `buffer_capacity` or a zero `granularity_divisor`,
-    /// [`BuildError::WrongClientCount`] on a task-set count mismatch, or
-    /// [`BuildError::Analysis`] if task parameters are malformed (zero
-    /// periods, duplicate ids).
+    /// and [`BuildError::WrongClientCount`] on a task-set count mismatch.
     pub fn new(config: BlueScaleConfig, task_sets: &[TaskSet]) -> Result<Self, BuildError> {
         Self::with_engine(config, task_sets)
     }
@@ -343,33 +341,6 @@ impl<E: Engine> BlueScaleInterconnect<E> {
             .metrics
             .set_gauge(ComponentId::System, "root_bandwidth", bandwidth);
     }
-
-    /// Both reconfiguration entry points — the only way a live
-    /// composition changes: [`Composition::commit`], then the engine is
-    /// programmed along the committed path. The transition
-    /// latency depends on live server state, so it comes from the engine.
-    /// No fabric-side churn tally (`Reconfigurations`, `TransitionCycles`):
-    /// churn accounting is owned by the harness registry alone (fed
-    /// through the returned total), so `merged_registry()` counts each
-    /// transition exactly once.
-    fn reconfigure(
-        &mut self,
-        client: ClientId,
-        tasks: &TaskSet,
-        cancel: Option<&CancelToken>,
-    ) -> ReconfigOutcome {
-        let path: Vec<PathTrial> = match self.composition.commit(client as usize, tasks, cancel) {
-            Ok(path) => path,
-            Err(TrialAbort::Rejected) => return ReconfigOutcome::Rejected,
-            Err(TrialAbort::Cancelled) => return ReconfigOutcome::Cancelled,
-        };
-        self.mirror_root_bandwidth();
-        let transition_cycles = path
-            .iter()
-            .map(|(depth, order, ifaces)| self.engine.program_se_deferred(*depth, *order, ifaces))
-            .sum();
-        ReconfigOutcome::Admitted { transition_cycles }
-    }
 }
 
 impl<E: Engine> Interconnect for BlueScaleInterconnect<E> {
@@ -390,31 +361,28 @@ impl<E: Engine> Interconnect for BlueScaleInterconnect<E> {
         self.io.mem.install_faults(plan);
     }
 
+    // The only way a live composition changes: `Composition::commit`,
+    // then the engine is programmed along the committed path. The
+    // transition latency depends on live server state, so it comes from
+    // the engine. No fabric-side churn tally (`Reconfigurations`,
+    // `TransitionCycles`): churn accounting is owned by the harness
+    // registry alone (fed through the returned total), so
+    // `merged_registry()` counts each transition exactly once.
     fn reconfigure_client(
         &mut self,
         client: ClientId,
         tasks: &TaskSet,
         _now: Cycle,
     ) -> ReconfigOutcome {
-        self.reconfigure(client, tasks, None)
-    }
-
-    fn reconfigure_client_cancellable(
-        &mut self,
-        client: ClientId,
-        tasks: &TaskSet,
-        _now: Cycle,
-        cancel: &CancelToken,
-    ) -> ReconfigOutcome {
-        // The token is polled at every path SE of the admission trial (one
-        // poll per interface-selection solve), so a deadline that expires
-        // mid-analysis aborts within one solve's worth of work instead of
-        // after the whole leaf→root pass. Cancellation is decided entirely
-        // on cloned tables: an aborted request leaves the fabric
-        // bit-identical. Once the trial commits, the engine is programmed
-        // unconditionally — admission already succeeded, and answering
-        // `Cancelled` after mutating state would desynchronize the caller.
-        self.reconfigure(client, tasks, Some(cancel))
+        let Some(path) = self.composition.commit(client as usize, tasks) else {
+            return ReconfigOutcome::Rejected;
+        };
+        self.mirror_root_bandwidth();
+        let transition_cycles = path
+            .iter()
+            .map(|(depth, order, ifaces)| self.engine.program_se_deferred(*depth, *order, ifaces))
+            .sum();
+        ReconfigOutcome::Admitted { transition_cycles }
     }
 
     fn step(&mut self, now: Cycle) {
@@ -657,7 +625,7 @@ mod tests {
         let root_bandwidth = ic.composition().root_bandwidth;
         let hog = TaskSet::new(vec![Task::new(0, 100, 95).unwrap()]).unwrap();
         assert_eq!(ic.reconfigure_client(5, &hog, 7), ReconfigOutcome::Rejected);
-        // The trial ran on cloned tables: nothing in the live fabric moved.
+        // A rejected trial writes nothing: nothing in the live fabric moved.
         assert_eq!(ic.composition().interfaces, interfaces);
         assert_eq!(ic.client_tasks(), tasks);
         assert_eq!(ic.composition().root_bandwidth, root_bandwidth);
@@ -667,30 +635,6 @@ mod tests {
                 .counter(ComponentId::System, Counter::Reconfigurations),
             0
         );
-    }
-
-    #[test]
-    fn cancelled_reconfigure_leaves_fabric_bit_identical() {
-        use bluescale_interconnect::admission::CancelToken;
-
-        let mut ic =
-            BlueScaleInterconnect::new(BlueScaleConfig::for_clients(16), &sets(16, 400, 4))
-                .unwrap();
-        let interfaces = ic.composition().interfaces.clone();
-        let tasks = ic.client_tasks().to_vec();
-        let update = TaskSet::new(vec![Task::new(0, 400, 8).unwrap()]).unwrap();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        assert_eq!(
-            ic.reconfigure_client_cancellable(5, &update, 0, &cancel),
-            ReconfigOutcome::Cancelled
-        );
-        assert_eq!(ic.composition().interfaces, interfaces);
-        assert_eq!(ic.client_tasks(), tasks);
-        // A live token behaves exactly like the plain entry point.
-        let outcome = ic.reconfigure_client_cancellable(5, &update, 0, &CancelToken::new());
-        assert!(matches!(outcome, ReconfigOutcome::Admitted { .. }));
-        assert_eq!(ic.client_tasks()[5].tasks()[0].wcet(), 8);
     }
 
     #[test]
@@ -983,8 +927,6 @@ mod tests {
             got: 2,
         };
         assert!(e.to_string().contains("expected 4"));
-        let e = BuildError::from(bluescale_rt::Error::DuplicateTaskId { id: 3 });
-        assert!(e.to_string().starts_with("analysis error"));
     }
 
     #[test]

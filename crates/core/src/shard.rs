@@ -42,7 +42,7 @@
 //! state (`ShardFallbacks` counts the demotion). A degraded run completes
 //! but is *not* bit-identical — the interrupted cycle was half-applied.
 
-use crate::composition::{BuildError, Composition, CompositionReport};
+use crate::composition::{check_config, BuildError, Composition, CompositionReport};
 use crate::memory_side::{tally_stuck_ses, MemorySide};
 use crate::network::Engine;
 use crate::soa::SoaCore;
@@ -469,8 +469,7 @@ impl Coordinator {
 
     /// The serial harness's reconfiguration path, with the engine
     /// programming routed to the root/shard cores. Admission is decided by
-    /// the composition on cloned tables; a rejection writes
-    /// nothing anywhere.
+    /// the composition's trial; a rejection writes nothing anywhere.
     fn apply_reconfiguration(
         &mut self,
         shards: &[Mutex<Shard>],
@@ -482,8 +481,8 @@ impl Coordinator {
             self.core.reject_unknown_client(client, now);
             return;
         }
-        let outcome = match self.analysis.commit(client as usize, tasks, None) {
-            Ok(trial) => {
+        let outcome = match self.analysis.commit(client as usize, tasks) {
+            Some(trial) => {
                 let mut transition_cycles = 0;
                 for (depth, order, ifaces) in &trial {
                     transition_cycles += if *depth == 0 {
@@ -505,7 +504,7 @@ impl Coordinator {
                 );
                 ReconfigOutcome::Admitted { transition_cycles }
             }
-            Err(_) => ReconfigOutcome::Rejected,
+            None => ReconfigOutcome::Rejected,
         };
         if self.core.account_reconfiguration(client, now, &outcome) {
             let mut s = lock_shard(&shards[client as usize / self.clients_per_shard]);
@@ -679,24 +678,28 @@ impl ShardedSystem {
     ///
     /// Propagates [`BuildError`] from interface selection, exactly as the
     /// serial constructor does, and returns [`BuildError::InvalidConfig`]
-    /// for `num_clients` when the clients fit one SE: a single-SE tree has
-    /// no level-1 subtrees to shard; use the serial harness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
+    /// for `num_clients` when the clients fit one SE (a single-SE tree has
+    /// no level-1 subtrees to shard; use the serial harness) and for zero
+    /// `workers`. Both are rejected before any interface is selected.
     pub fn new(
         config: BlueScaleConfig,
         task_sets: &[TaskSet],
         workers: usize,
     ) -> Result<Self, BuildError> {
-        let analysis = Composition::new(config.clone(), task_sets)?;
+        check_config(&config)?;
         if config.levels() < 2 {
             return Err(BuildError::InvalidConfig {
                 field: "num_clients",
                 value: config.num_clients,
             });
         }
+        if workers == 0 {
+            return Err(BuildError::InvalidConfig {
+                field: "workers",
+                value: 0,
+            });
+        }
+        let analysis = Composition::new(config.clone(), task_sets)?;
         Ok(Self::with_analysis(config, analysis, task_sets, workers))
     }
 
@@ -851,7 +854,7 @@ impl ShardedSystem {
     /// Enables or disables next-event fast-forward (on by default;
     /// results are bit-identical either way).
     pub fn set_fast_forward(&mut self, on: bool) {
-        self.coord.core.config.fast_forward = on;
+        self.coord.core.fast_forward = on;
     }
 
     /// Idle jumps taken so far.
@@ -975,16 +978,6 @@ impl ShardedSystem {
         self.coord.core.attach_telemetry(pipeline)
     }
 
-    /// Detaches and returns the telemetry pipeline, if any.
-    pub fn detach_telemetry(&mut self) -> Option<Pipeline> {
-        self.coord.core.telemetry.take()
-    }
-
-    /// Whether a telemetry pipeline is attached.
-    pub fn telemetry_attached(&self) -> bool {
-        self.coord.core.telemetry.is_some()
-    }
-
     /// Epochs flushed by the attached pipeline (0 when detached).
     pub fn telemetry_epochs(&self) -> u64 {
         self.coord.core.telemetry_epochs()
@@ -1025,7 +1018,7 @@ impl ShardedSystem {
     /// as the 1-worker mode and as the reference the threaded path must
     /// match (they share every phase implementation).
     fn advance_serial(&mut self, horizon: Cycle) {
-        let fast = self.coord.core.config.fast_forward;
+        let fast = self.coord.core.fast_forward;
         let mut schedule = Schedule {
             failed_at: self.coord.core.now,
             coord: &mut self.coord,
@@ -1054,7 +1047,7 @@ impl ShardedSystem {
             stop: AtomicBool::new(false),
             failed: AtomicUsize::new(NO_FAILURE),
         };
-        let fast = self.coord.core.config.fast_forward;
+        let fast = self.coord.core.fast_forward;
         let mut failed_at = start;
         std::thread::scope(|scope| {
             for w in 1..self.workers {

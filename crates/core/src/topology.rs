@@ -176,11 +176,6 @@ impl BlueScaleConfig {
         (0..self.levels()).map(|d| self.elements_at(d)).sum()
     }
 
-    /// Number of leaf SEs (depth `levels-1`).
-    pub fn leaf_elements(&self) -> usize {
-        self.elements_at(self.levels() - 1)
-    }
-
     /// Leaf SE order and port for a client id.
     ///
     /// # Panics

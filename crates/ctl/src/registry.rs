@@ -4,7 +4,7 @@
 //! The registry owns a [`System`] sized for `capacity` client slots (all
 //! initially idle) and maps tenant identities onto slots. Every admission
 //! decision runs through the interconnect's real, deterministic admission
-//! path — trial on cloned selectors, exact rational root test, commit at
+//! path — trial along the request path, exact rational root test, commit at
 //! replenishment boundaries — so replaying the same operation sequence
 //! from the same starting state reproduces the same decisions and the
 //! same slot assignments bit-for-bit. That determinism is what makes the
@@ -21,11 +21,11 @@
 use crate::journal::{Op, Snapshot, SnapshotTenant};
 use crate::proto::{RejectReason, TaskSpec, TenantClass, TenantStats};
 use bluescale::{BlueScaleConfig, BlueScaleInterconnect, BuildError};
-use bluescale_interconnect::admission::{CancelToken, ReconfigOutcome};
+use bluescale_interconnect::admission::ReconfigOutcome;
 use bluescale_interconnect::metrics::RunMetrics;
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::{Task, TaskSet};
-use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry};
+use bluescale_sim::metrics::{ComponentId, Counter};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -119,16 +119,9 @@ impl ControlRegistry {
         self.tenants.get(&tenant)
     }
 
-    /// The service class of `tenant`, if admitted.
-    pub fn class_of(&self, tenant: u64) -> Option<TenantClass> {
-        self.tenants.get(&tenant).map(|e| e.class)
-    }
-
     fn install(&mut self, slot: u32, tasks: &TaskSet) -> ReconfigOutcome {
         let now = self.sys.now();
-        let token = CancelToken::new();
-        self.sys
-            .apply_reconfiguration_cancellable(slot, tasks, now, &token)
+        self.sys.apply_reconfiguration(slot, tasks, now)
     }
 
     fn build_task_set(specs: &[TaskSpec]) -> Result<TaskSet, RejectReason> {
@@ -481,11 +474,6 @@ impl ControlRegistry {
     /// Reads a System-scope counter from the sim registry.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.sys.registry().counter(ComponentId::System, counter)
-    }
-
-    /// The harness-side sim registry (counters, events, samples).
-    pub fn sim_registry(&self) -> &MetricsRegistry {
-        self.sys.registry()
     }
 
     /// Slots demoted through the quarantine path.

@@ -19,9 +19,6 @@ use crate::ClientId;
 use bluescale_rt::task::TaskSet;
 use bluescale_sim::next_event::NextEvent;
 use bluescale_sim::Cycle;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// What a reconfiguration request asks for.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,58 +198,6 @@ impl NextEvent for ChurnPlan {
     }
 }
 
-/// A cooperative cancellation/timeout handle for one admission request.
-///
-/// The control plane hands a token to
-/// [`Interconnect::reconfigure_client_cancellable`](crate::Interconnect::reconfigure_client_cancellable);
-/// the admission path polls it at cheap checkpoints (once per path SE in
-/// BlueScale's leaf→root trial) and abandons the request **without mutating
-/// any state** once it reports cancelled. Cancellation can come from two
-/// sources, checked together by [`is_cancelled`](Self::is_cancelled):
-///
-/// * an explicit [`cancel`](Self::cancel) from another thread (the caller
-///   gave up — e.g. a connection handler whose client vanished), and
-/// * an optional wall-clock decision deadline fixed at construction.
-///
-/// Cloning shares the underlying flag, so a handler thread and the
-/// admission worker observe the same state.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-}
-
-impl CancelToken {
-    /// A token that never expires on its own (cancellable only explicitly).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A token that additionally reports cancelled once `deadline` passes.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(deadline),
-        }
-    }
-
-    /// Marks the request cancelled. Idempotent; visible to all clones.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether the request should be abandoned: explicitly cancelled, or
-    /// past its decision deadline.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// The wall-clock decision deadline, if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-}
-
 /// Outcome of one live reconfiguration request (see
 /// [`Interconnect::reconfigure_client`](crate::Interconnect::reconfigure_client)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,11 +213,6 @@ pub enum ReconfigOutcome {
     /// Admission failed: the request was discarded and the interconnect's
     /// configuration is bit-identical to the state before the attempt.
     Rejected,
-    /// The request was abandoned before a verdict: its [`CancelToken`]
-    /// reported cancelled (explicitly, or past its decision deadline).
-    /// Like a rejection, nothing was mutated — but the verdict says
-    /// nothing about admissibility, so the caller may retry.
-    Cancelled,
     /// The architecture has no runtime admission control (baselines, test
     /// doubles). The caller decides how to degrade — the harness applies
     /// the retask without any guarantee.
@@ -282,7 +222,7 @@ pub enum ReconfigOutcome {
 impl ReconfigOutcome {
     /// Whether the request was applied (with or without a guarantee).
     pub fn applied(&self) -> bool {
-        !matches!(self, ReconfigOutcome::Rejected | ReconfigOutcome::Cancelled)
+        !matches!(self, ReconfigOutcome::Rejected)
     }
 }
 
@@ -392,28 +332,5 @@ mod tests {
         .applied());
         assert!(ReconfigOutcome::Unsupported.applied());
         assert!(!ReconfigOutcome::Rejected.applied());
-        assert!(!ReconfigOutcome::Cancelled.applied());
-    }
-
-    #[test]
-    fn cancel_token_is_shared_across_clones() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        assert!(!clone.is_cancelled());
-        token.cancel();
-        assert!(clone.is_cancelled());
-        assert!(token.deadline().is_none());
-    }
-
-    #[test]
-    fn cancel_token_deadline_expires() {
-        let past = Instant::now() - std::time::Duration::from_millis(1);
-        let token = CancelToken::with_deadline(past);
-        assert!(token.is_cancelled(), "past deadline reports cancelled");
-        let future = Instant::now() + std::time::Duration::from_secs(3_600);
-        let token = CancelToken::with_deadline(future);
-        assert!(!token.is_cancelled());
-        token.cancel();
-        assert!(token.is_cancelled(), "explicit cancel overrides deadline");
     }
 }

@@ -211,30 +211,6 @@ pub trait Interconnect {
         ReconfigOutcome::Unsupported
     }
 
-    /// [`reconfigure_client`](Self::reconfigure_client) with a cooperative
-    /// cancellation/timeout hook: implementations with a multi-stage
-    /// admission test poll `cancel` at cheap checkpoints and return
-    /// [`ReconfigOutcome::Cancelled`] — having mutated nothing — once it
-    /// reports cancelled. This is how a control plane bounds the decision
-    /// latency of every admission request instead of stalling a caller
-    /// behind an expensive analysis.
-    ///
-    /// The default checks the token once up front and then delegates, which
-    /// is correct (if coarse) for any architecture: a cancellation that
-    /// arrives mid-analysis is simply answered late.
-    fn reconfigure_client_cancellable(
-        &mut self,
-        client: ClientId,
-        tasks: &TaskSet,
-        now: Cycle,
-        cancel: &admission::CancelToken,
-    ) -> ReconfigOutcome {
-        if cancel.is_cancelled() {
-            return ReconfigOutcome::Cancelled;
-        }
-        self.reconfigure_client(client, tasks, now)
-    }
-
     /// The earliest cycle ≥ `now` at which this interconnect's observable
     /// state can change without new input — the fabric-side half of the
     /// next-event fast-forward contract (`Some(now)` = busy, do not jump;

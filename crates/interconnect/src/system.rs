@@ -10,7 +10,7 @@
 //! telemetry-chunked advance is [`advance_to`]. The shared pieces are generic over the engine, so each
 //! driver's copy is monomorphised — no dynamic dispatch on the hot path.
 
-use crate::admission::{CancelToken, ChurnPlan, ReconfigOutcome};
+use crate::admission::{ChurnPlan, ReconfigOutcome};
 use crate::calendar::Clients;
 use crate::client::TrafficGenerator;
 use crate::guard::{GuardConfig, GuardConfigError, GuardState};
@@ -22,28 +22,6 @@ use bluescale_sim::metrics::{ComponentId, Counter, Event, MetricsRegistry, Sampl
 use bluescale_sim::Cycle;
 use bluescale_telemetry::Pipeline;
 use std::cmp::Reverse;
-
-/// Harness-level knobs (distinct from any interconnect configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SystemConfig {
-    /// Jump over provably-idle stretches instead of stepping them cycle by
-    /// cycle. On by default; the per-cycle path is retained as the oracle
-    /// (set this to `false` to force it) and the two are pinned
-    /// bit-identical by `tests/fastforward_differential.rs`.
-    ///
-    /// Fast-forwarding needs every layer's cooperation: it engages only
-    /// when the interconnect implements
-    /// [`Interconnect::next_event_hint`] and detail recording (typed
-    /// events) is off. Otherwise the run silently stays per-cycle, which
-    /// is always correct.
-    pub fast_forward: bool,
-}
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        Self { fast_forward: true }
-    }
-}
 
 /// The harness state every engine driver shares, with the accounting
 /// written against it. [`System`] and the sharded engine each own one, so
@@ -68,8 +46,17 @@ pub struct HarnessCore {
     /// the fault plan: an empty plan keeps the harness on the exact
     /// churn-free code path.
     pub churn: ChurnPlan,
-    /// Harness knobs (fast-forward gating).
-    pub config: SystemConfig,
+    /// Jump over provably-idle stretches instead of stepping them cycle by
+    /// cycle. On by default; the per-cycle path is retained as the oracle
+    /// (set this to `false` to force it) and the two are pinned
+    /// bit-identical by `tests/fastforward_differential.rs`.
+    ///
+    /// Fast-forwarding needs every layer's cooperation: it engages only
+    /// when the interconnect implements
+    /// [`Interconnect::next_event_hint`] and detail recording (typed
+    /// events) is off. Otherwise the run silently stays per-cycle, which
+    /// is always correct.
+    pub fast_forward: bool,
     /// Fast-forward jumps taken. Kept out of the metrics registry on
     /// purpose — the registry must stay bit-identical between stepping
     /// modes.
@@ -92,7 +79,7 @@ impl Default for HarnessCore {
             service_log: Vec::new(),
             faults: FaultPlan::default(),
             churn: ChurnPlan::default(),
-            config: SystemConfig::default(),
+            fast_forward: true,
             ff_jumps: 0,
             ff_skipped: 0,
             telemetry: None,
@@ -176,10 +163,10 @@ impl HarnessCore {
     }
 
     /// Tallies a reconfiguration verdict and returns whether the client's
-    /// traffic generator must be retasked. Counters: `Admitted`,
-    /// `AdmissionRejected` or `AdmissionTimeouts` for the admission
-    /// decision, `Reconfigurations` and `TransitionCycles` for applied
-    /// transitions, plus a typed event when detail is on.
+    /// traffic generator must be retasked. Counters: `Admitted` or
+    /// `AdmissionRejected` for the admission decision, `Reconfigurations`
+    /// and `TransitionCycles` for applied transitions, plus a typed event
+    /// when detail is on.
     pub fn account_reconfiguration(
         &mut self,
         client: ClientId,
@@ -197,16 +184,6 @@ impl HarnessCore {
                 &[Counter::AdmissionRejected],
                 0,
                 Event::ReconfigRejected { client },
-                false,
-            ),
-            // The caller's deadline expired (or it gave up) before the
-            // admission analysis finished; nothing was mutated, and the
-            // caller may retry. Counted separately from rejections so
-            // overload shows up as timeouts, not capacity exhaustion.
-            ReconfigOutcome::Cancelled => (
-                &[Counter::AdmissionTimeouts],
-                0,
-                Event::AdmissionTimeout { client },
                 false,
             ),
             // No admission control to consult: apply the retask anyway so
@@ -482,7 +459,7 @@ impl<I: ?Sized + Interconnect> Driver for Serial<'_, I> {
         // cannot be replayed in closed form, and detail runs are
         // diagnostics where wall-clock is secondary.
         let sys = &*self.0;
-        let fast = sys.core.config.fast_forward
+        let fast = sys.core.fast_forward
             && !sys.core.registry.detail()
             && sys.interconnect.metrics().is_none_or(|m| !m.detail());
         run_span(self, horizon, fast);
@@ -559,20 +536,10 @@ impl<I: ?Sized + Interconnect> System<I> {
         }
     }
 
-    /// The harness configuration.
-    pub fn config(&self) -> SystemConfig {
-        self.core.config
-    }
-
-    /// Replaces the harness configuration.
-    pub fn set_config(&mut self, config: SystemConfig) {
-        self.core.config = config;
-    }
-
-    /// Convenience toggle for the idle-cycle fast-forward path (see
-    /// [`SystemConfig::fast_forward`]).
+    /// Enables or disables the idle-cycle fast-forward path (see
+    /// [`HarnessCore::fast_forward`]).
     pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.core.config.fast_forward = enabled;
+        self.core.fast_forward = enabled;
     }
 
     /// Number of idle-stretch jumps the fast-forward path has taken.
@@ -641,60 +608,26 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// Architectures without admission control ([`ReconfigOutcome::Unsupported`])
     /// get the retask applied directly, without any guarantee.
     ///
-    /// Returns whether the request was applied. Counters: `Admitted` /
+    /// Returns the verdict; [`ReconfigOutcome::applied`] says whether
+    /// the request took effect. Counters: `Admitted` /
     /// `AdmissionRejected` for the admission verdict, `Reconfigurations` +
     /// `TransitionCycles` for applied transitions, plus typed
     /// `Reconfigured` / `ReconfigRejected` events when detail is on.
-    pub fn apply_reconfiguration(&mut self, client: ClientId, tasks: &TaskSet, now: Cycle) -> bool {
-        if client as usize >= self.clients.len() {
-            self.core.reject_unknown_client(client, now);
-            return false;
-        }
-        let outcome = self.interconnect.reconfigure_client(client, tasks, now);
-        self.account_reconfiguration(client, tasks, now, &outcome)
-    }
-
-    /// [`apply_reconfiguration`](Self::apply_reconfiguration) with a
-    /// cooperative cancellation/timeout hook: the interconnect polls
-    /// `cancel` at cheap checkpoints inside its admission analysis and
-    /// abandons the request — having mutated nothing — once the token
-    /// reports cancelled. Returns the full [`ReconfigOutcome`] so a control
-    /// plane can distinguish a rejection (final) from a cancellation
-    /// (retryable). A cancelled request counts `AdmissionTimeouts` and
-    /// records a typed `AdmissionTimeout` event.
-    pub fn apply_reconfiguration_cancellable(
+    pub fn apply_reconfiguration(
         &mut self,
         client: ClientId,
         tasks: &TaskSet,
         now: Cycle,
-        cancel: &CancelToken,
     ) -> ReconfigOutcome {
         if client as usize >= self.clients.len() {
             self.core.reject_unknown_client(client, now);
             return ReconfigOutcome::Rejected;
         }
-        let outcome = self
-            .interconnect
-            .reconfigure_client_cancellable(client, tasks, now, cancel);
-        self.account_reconfiguration(client, tasks, now, &outcome);
-        outcome
-    }
-
-    /// Shared accounting for the reconfiguration entry points: tallies the
-    /// verdict and retasks the client for outcomes that took effect.
-    /// Returns whether the request was applied.
-    fn account_reconfiguration(
-        &mut self,
-        client: ClientId,
-        tasks: &TaskSet,
-        now: Cycle,
-        outcome: &ReconfigOutcome,
-    ) -> bool {
-        let applied = self.core.account_reconfiguration(client, now, outcome);
-        if applied {
+        let outcome = self.interconnect.reconfigure_client(client, tasks, now);
+        if self.core.account_reconfiguration(client, now, &outcome) {
             self.clients.retask(client as usize, tasks, now);
         }
-        applied
+        outcome
     }
 
     /// Activates runtime guards. Configure before stepping: requests
@@ -992,11 +925,8 @@ impl<I: ?Sized + Interconnect> System<I> {
             }
             // A fabric may reject a shed: BlueScale rejects one only when
             // its composition is schedulable and the trial fails, or for
-            // an out-of-range client. Cancelled cannot occur on the
-            // non-cancellable entry point. Neither demotes.
-            ReconfigOutcome::Rejected
-            | ReconfigOutcome::Cancelled
-            | ReconfigOutcome::Unsupported => false,
+            // an out-of-range client. Neither demotes.
+            ReconfigOutcome::Rejected | ReconfigOutcome::Unsupported => false,
         };
         if demoted {
             let r = &mut self.core.registry;
@@ -1041,16 +971,6 @@ impl<I: ?Sized + Interconnect> System<I> {
         self.core.attach_telemetry(pipeline)
     }
 
-    /// Removes the attached pipeline without a final flush.
-    pub fn detach_telemetry(&mut self) -> Option<Pipeline> {
-        self.core.telemetry.take()
-    }
-
-    /// Whether a telemetry pipeline is attached.
-    pub fn telemetry_attached(&self) -> bool {
-        self.core.telemetry.is_some()
-    }
-
     /// Epochs the attached pipeline has flushed (0 when none attached).
     pub fn telemetry_epochs(&self) -> u64 {
         self.core.telemetry_epochs()
@@ -1084,7 +1004,7 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// when their deadlines lie before the horizon. Returns the metrics.
     ///
     /// Provably-idle stretches are jumped in closed form when
-    /// [`SystemConfig::fast_forward`] is on (the default) and the
+    /// [`HarnessCore::fast_forward`] is on (the default) and the
     /// interconnect cooperates; results are bit-identical either way.
     pub fn run(&mut self, horizon: Cycle) -> RunMetrics {
         self.advance_to(horizon);
@@ -1945,45 +1865,6 @@ mod tests {
         };
         assert_eq!(sys.set_guards(ok), Ok(()));
         assert!(sys.guards().tracks());
-    }
-
-    #[test]
-    fn cancelled_reconfiguration_counts_timeouts_and_mutates_nothing() {
-        let ic = Box::new(IdealInterconnect {
-            clients: 2,
-            queue: VecDeque::new(),
-            ready: VecDeque::new(),
-            latency: 1,
-        });
-        let mut sys = System::new(ic as Box<dyn Interconnect>, &sets(2, 100, 2));
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let tasks = TaskSet::new(vec![Task::new(0, 100, 8).unwrap()]).unwrap();
-        let outcome = sys.apply_reconfiguration_cancellable(1, &tasks, 0, &cancel);
-        assert_eq!(outcome, ReconfigOutcome::Cancelled);
-        let reg = sys.registry();
-        assert_eq!(
-            reg.counter(ComponentId::System, Counter::AdmissionTimeouts),
-            1
-        );
-        assert_eq!(
-            reg.counter(ComponentId::Client(1), Counter::AdmissionTimeouts),
-            1
-        );
-        assert_eq!(
-            reg.counter(ComponentId::System, Counter::Reconfigurations),
-            0,
-            "a cancelled request must not retask the client"
-        );
-        // A live token goes through: the test double reports Unsupported,
-        // so the retask applies without an admission guarantee.
-        let outcome = sys.apply_reconfiguration_cancellable(1, &tasks, 0, &CancelToken::new());
-        assert_eq!(outcome, ReconfigOutcome::Unsupported);
-        assert_eq!(
-            sys.registry()
-                .counter(ComponentId::System, Counter::Reconfigurations),
-            1
-        );
     }
 
     #[test]

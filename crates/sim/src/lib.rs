@@ -9,7 +9,6 @@
 //!   every experiment is exactly reproducible from its seed.
 //! * [`stats`] — online statistics (Welford mean/variance) and sample-based
 //!   percentile summaries used to report latency distributions.
-//! * [`trace`] — an optional bounded event trace for debugging schedules.
 //! * [`metrics`] — a typed observability registry (counters, gauges,
 //!   distributions, events, per-request latency breakdowns) shared by every
 //!   interconnect model and consumed by the benches.
@@ -41,7 +40,6 @@ pub mod metrics;
 pub mod next_event;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 /// Simulation time, measured in interconnect clock cycles.
 ///

@@ -179,9 +179,10 @@ pub enum Counter {
     /// server's replenishment boundary — the mode-change transition
     /// latency, summed over affected servers.
     TransitionCycles,
-    /// Admission requests abandoned because their decision deadline passed
-    /// (or their caller cancelled) before the verdict was produced. The
-    /// control plane's per-request timeout discipline.
+    /// Admission requests that waited in the control plane's queue past
+    /// their decision deadline and were answered as timed out without
+    /// reaching admission. The control plane's per-request timeout
+    /// discipline.
     AdmissionTimeouts,
     /// Admission requests refused by overload shedding (bounded queue over
     /// its tier watermark) — explicit rejections, never silent drops.
@@ -428,13 +429,6 @@ pub enum Event {
         /// The client whose request was refused.
         client: u32,
     },
-    /// An admission request's decision deadline passed (or its caller
-    /// cancelled) before a verdict was produced; the request was abandoned
-    /// without mutating any state.
-    AdmissionTimeout {
-        /// The client (tenant slot) the abandoned request concerned.
-        client: u32,
-    },
     /// Overload shedding refused an admission request with an explicit
     /// rejection (bounded queue over its tier watermark).
     Shed {
@@ -492,9 +486,6 @@ impl fmt::Display for Event {
             }
             Event::ReconfigRejected { client } => {
                 write!(f, "client.{client} reconfiguration rejected")
-            }
-            Event::AdmissionTimeout { client } => {
-                write!(f, "client.{client} admission timed out")
             }
             Event::Shed { client } => write!(f, "client.{client} shed"),
             Event::RecoveryReplay { seq } => write!(f, "recovery replay #{seq}"),
@@ -863,11 +854,6 @@ impl MetricsRegistry {
     /// The retained events, oldest first.
     pub fn events(&self) -> &VecDeque<TimedEvent> {
         &self.events
-    }
-
-    /// Drops all retained events.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
     }
 
     // ----- request lifecycle -----------------------------------------

@@ -221,3 +221,23 @@ fn single_se_tree_is_rejected_by_the_sharded_harness_only() {
     );
     assert!(err.to_string().contains("must exceed branch"), "{err}");
 }
+
+#[test]
+fn zero_workers_is_a_typed_build_error_for_the_sharded_harness() {
+    // Sixteen clients shard fine; zero workers cannot step a shard.
+    let sixteen = BlueScaleConfig::for_clients(16);
+    let Err(err) = ShardedSystem::new(sixteen, &sets(16, 100, 1), 0) else {
+        panic!("the sharded harness built with zero workers");
+    };
+    assert_eq!(
+        err,
+        BuildError::InvalidConfig {
+            field: "workers",
+            value: 0
+        }
+    );
+    assert!(
+        err.to_string().contains("workers must be at least 1"),
+        "{err}"
+    );
+}
