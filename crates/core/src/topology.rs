@@ -154,12 +154,18 @@ impl BlueScaleConfig {
     }
 
     /// Number of SE levels needed: the smallest `d ≥ 1` with
-    /// `branch^d ≥ num_clients`.
+    /// `branch^d ≥ num_clients`, counted until `branch^d` stops growing.
+    /// A `branch` of 0 or 1 therefore gets one level; every builder
+    /// rejects such a branch with `BuildError::InvalidConfig` first.
     pub fn levels(&self) -> usize {
         let mut d = 1;
         let mut capacity = self.branch;
         while capacity < self.num_clients {
-            capacity *= self.branch;
+            let wider = capacity.saturating_mul(self.branch);
+            if wider <= capacity {
+                break;
+            }
+            capacity = wider;
             d += 1;
         }
         d
@@ -201,6 +207,23 @@ mod tests {
         assert_eq!(BlueScaleConfig::for_clients(5).levels(), 2);
         assert_eq!(BlueScaleConfig::for_clients(17).levels(), 3);
         assert_eq!(BlueScaleConfig::for_clients(1).levels(), 1);
+    }
+
+    #[test]
+    fn levels_terminate_when_the_branch_cannot_grow_the_tree() {
+        for branch in [0, 1] {
+            let c = BlueScaleConfig {
+                branch,
+                ..BlueScaleConfig::for_clients(4)
+            };
+            assert_eq!(c.levels(), 1, "branch {branch}");
+            assert_eq!(c.total_elements(), 1, "branch {branch}");
+        }
+        let c = BlueScaleConfig {
+            branch: 1 << (usize::BITS - 1),
+            ..BlueScaleConfig::for_clients(usize::MAX)
+        };
+        assert_eq!(c.levels(), 2, "the capacity saturates instead of wrapping");
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry, SampleKind};
 use bluescale_sim::Cycle;
-use std::collections::BTreeMap;
 
 /// Change in one counter since the previous epoch.
 ///
@@ -143,10 +142,18 @@ impl EpochDelta {
 #[derive(Debug, Default)]
 pub struct DeltaEngine {
     epoch: u64,
-    counter_base: BTreeMap<(&'static str, ComponentId, Counter), u64>,
-    gauge_base: BTreeMap<(&'static str, ComponentId, &'static str), u64>,
-    stat_base: BTreeMap<(&'static str, ComponentId, SampleKind), u64>,
-    cursors: BTreeMap<(&'static str, ComponentId, SampleKind), u64>,
+    sources: Vec<SourceBaselines>,
+}
+
+/// What the engine has exported of one source registry. Each list is
+/// sorted by key, the order the registry's iterators yield.
+#[derive(Debug, Default)]
+struct SourceBaselines {
+    source: &'static str,
+    counters: Vec<((ComponentId, Counter), u64)>,
+    gauges: Vec<((ComponentId, &'static str), u64)>,
+    stats: Vec<((ComponentId, SampleKind), u64)>,
+    cursors: Vec<((ComponentId, SampleKind), u64)>,
 }
 
 impl DeltaEngine {
@@ -180,13 +187,26 @@ impl DeltaEngine {
             slo: Vec::new(),
         };
         for &(source, reg) in sources {
-            for ((component, counter), total) in reg.counters_iter() {
-                let base = self
-                    .counter_base
-                    .entry((source, component, counter))
-                    .or_insert(0);
-                let delta = total as i64 - *base as i64;
-                if delta != 0 {
+            let at = match self.sources.iter().position(|b| b.source == source) {
+                Some(at) => at,
+                None => {
+                    self.sources.push(SourceBaselines {
+                        source,
+                        ..SourceBaselines::default()
+                    });
+                    self.sources.len() - 1
+                }
+            };
+            let base = &mut self.sources[at];
+            merge_walk(
+                &mut base.counters,
+                reg.counters_iter(),
+                |(component, counter), total, base| {
+                    let base = base.unwrap_or(0);
+                    let delta = total as i64 - base as i64;
+                    if delta == 0 {
+                        return base;
+                    }
                     out.counters.push(CounterDelta {
                         source,
                         component,
@@ -194,44 +214,55 @@ impl DeltaEngine {
                         delta,
                         total,
                     });
-                    *base = total;
-                }
-            }
-            for ((component, name), value) in reg.gauges_iter() {
-                // Bitwise comparison so a first sight (no baseline) and any
-                // change — including NaN-to-NaN with different payloads —
-                // are both emitted exactly once.
-                let bits = value.to_bits();
-                let key = (source, component, name);
-                if self.gauge_base.get(&key) != Some(&bits) {
-                    self.gauge_base.insert(key, bits);
-                    out.gauges.push(GaugeRecord {
-                        source,
-                        component,
-                        name,
-                        value,
-                    });
-                }
-            }
-            for ((component, kind), stats) in reg.stats_iter() {
-                let base = self.stat_base.entry((source, component, kind)).or_insert(0);
-                if stats.count() != *base {
-                    *base = stats.count();
-                    out.stats.push(StatRecord {
-                        source,
-                        component,
-                        kind,
-                        count: stats.count(),
-                        mean: stats.mean(),
-                        min: stats.min(),
-                        max: stats.max(),
-                    });
-                }
-            }
-            for ((component, kind), samples) in reg.samples_iter() {
-                let cursor = self.cursors.entry((source, component, kind)).or_insert(0);
-                if samples.total_pushed() > *cursor {
-                    let (tail, dropped) = samples.tail_from(*cursor);
+                    total
+                },
+            );
+            merge_walk(
+                &mut base.gauges,
+                reg.gauges_iter(),
+                |(component, name), value, base| {
+                    // Bitwise comparison so a first sight (no baseline) and
+                    // any change — including NaN-to-NaN with different
+                    // payloads — are both emitted exactly once.
+                    let bits = value.to_bits();
+                    if base != Some(bits) {
+                        out.gauges.push(GaugeRecord {
+                            source,
+                            component,
+                            name,
+                            value,
+                        });
+                    }
+                    bits
+                },
+            );
+            merge_walk(
+                &mut base.stats,
+                reg.stats_iter(),
+                |(component, kind), stats, base| {
+                    if stats.count() != base.unwrap_or(0) {
+                        out.stats.push(StatRecord {
+                            source,
+                            component,
+                            kind,
+                            count: stats.count(),
+                            mean: stats.mean(),
+                            min: stats.min(),
+                            max: stats.max(),
+                        });
+                    }
+                    stats.count()
+                },
+            );
+            merge_walk(
+                &mut base.cursors,
+                reg.samples_iter(),
+                |(component, kind), samples, cursor| {
+                    let cursor = cursor.unwrap_or(0);
+                    if samples.total_pushed() <= cursor {
+                        return cursor;
+                    }
+                    let (tail, dropped) = samples.tail_from(cursor);
                     out.windows.push(SampleRecord {
                         source,
                         component,
@@ -239,11 +270,45 @@ impl DeltaEngine {
                         values: tail.to_vec(),
                         dropped,
                     });
-                    *cursor = samples.total_pushed();
-                }
-            }
+                    samples.total_pushed()
+                },
+            );
         }
         out
+    }
+}
+
+/// Walks `base` (sorted by key) against `current` (strictly ascending
+/// keys, the order `MetricsRegistry`'s iterators yield) in one pass.
+/// `visit` sees every current entry with its baseline (`None` for a key
+/// seen for the first time) and returns the new baseline. A key missing
+/// from `current` — a registry replaced by `reset_metrics`, say — keeps
+/// its baseline.
+fn merge_walk<K: Ord + Copy, V>(
+    base: &mut Vec<(K, u64)>,
+    current: impl Iterator<Item = (K, V)>,
+    mut visit: impl FnMut(K, V, Option<u64>) -> u64,
+) {
+    let mut fresh = Vec::new();
+    let mut at = 0;
+    let mut last = None;
+    for (key, value) in current {
+        debug_assert!(last < Some(key), "registry keys must ascend");
+        last = Some(key);
+        while at < base.len() && base[at].0 < key {
+            at += 1;
+        }
+        match base.get_mut(at) {
+            Some((k, b)) if *k == key => {
+                *b = visit(key, value, Some(*b));
+                at += 1;
+            }
+            _ => fresh.push((key, visit(key, value, None))),
+        }
+    }
+    if !fresh.is_empty() {
+        base.extend(fresh);
+        base.sort_unstable_by_key(|&(k, _)| k);
     }
 }
 
@@ -284,6 +349,40 @@ mod tests {
         let d = engine.extract(1, &[("harness", &reg)]);
         assert_eq!(d.counters[0].delta, -3);
         assert_eq!(d.counters[0].total, 1);
+    }
+
+    #[test]
+    fn keys_missing_after_a_reset_keep_their_baselines() {
+        let mut engine = DeltaEngine::new();
+        let mut reg = MetricsRegistry::new();
+        for client in [0, 5] {
+            reg.add(ComponentId::Client(client), Counter::Issued, 5);
+        }
+        reg.set_gauge(ComponentId::Memory, "util", 0.5);
+        engine.extract(0, &[("harness", &reg)]);
+        // A fresh registry, as `reset_metrics` installs: client 3 appears
+        // between the two known keys, the others are missing.
+        let mut reg = MetricsRegistry::new();
+        reg.add(ComponentId::Client(3), Counter::Issued, 2);
+        let d = engine.extract(1, &[("harness", &reg)]);
+        let deltas: Vec<_> = d.counters.iter().map(|c| (c.component, c.delta)).collect();
+        assert_eq!(deltas, vec![(ComponentId::Client(3), 2)]);
+        assert!(d.gauges.is_empty());
+        for client in [0, 3, 5] {
+            reg.add(ComponentId::Client(client), Counter::Issued, 1);
+        }
+        reg.set_gauge(ComponentId::Memory, "util", 0.5);
+        let d = engine.extract(2, &[("harness", &reg)]);
+        let deltas: Vec<_> = d.counters.iter().map(|c| (c.component, c.delta)).collect();
+        assert_eq!(
+            deltas,
+            vec![
+                (ComponentId::Client(0), -4),
+                (ComponentId::Client(3), 1),
+                (ComponentId::Client(5), -4),
+            ]
+        );
+        assert!(d.gauges.is_empty(), "the gauge kept its baseline");
     }
 
     #[test]

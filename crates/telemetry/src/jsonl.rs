@@ -12,9 +12,9 @@
 //! no external dependencies.
 
 use crate::delta::EpochDelta;
-use bluescale_sim::metrics::MetricsRegistry;
-use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use bluescale_sim::metrics::{ComponentId, MetricsRegistry, SampleKind};
+use std::collections::{BTreeMap, HashMap};
+use std::io::Write as _;
 
 /// Schema version stamped on every line.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -24,107 +24,232 @@ pub const SCHEMA_VERSION: u64 = 1;
 // ---------------------------------------------------------------------
 
 /// Renders one epoch as a single JSONL line (trailing newline included).
+///
+/// Runs a fresh encoder; [`JsonlSink`](crate::JsonlSink) keeps one across
+/// epochs instead, so its buffer and number memo carry over.
 pub fn to_jsonl(delta: &EpochDelta) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"v\":{},\"epoch\":{},\"cycle\":{},\"records\":[",
-        SCHEMA_VERSION, delta.epoch, delta.cycle
-    );
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
-    for c in &delta.counters {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"src\":\"{}\",\"comp\":\"{}\",\"metric\":\"{}\",\"unit\":\"{}\",\
-             \"sem\":\"delta\",\"delta\":{},\"total\":{}}}",
-            c.source,
-            c.component,
-            c.counter.name(),
-            c.counter.unit(),
-            c.delta,
-            c.total
-        );
-    }
-    for g in &delta.gauges {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"src\":\"{}\",\"comp\":\"{}\",\"metric\":\"{}\",\"unit\":\"value\",\
-             \"sem\":\"instant\",\"value\":{}}}",
-            g.source,
-            g.component,
-            g.name,
-            Num(Some(g.value))
-        );
-    }
-    for s in &delta.stats {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"src\":\"{}\",\"comp\":\"{}\",\"metric\":\"{}\",\"unit\":\"{}\",\
-             \"sem\":\"stat\",\"count\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
-            s.source,
-            s.component,
-            s.kind,
-            s.kind.unit(),
-            s.count,
-            Num(Some(s.mean)),
-            Num(s.min),
-            Num(s.max)
-        );
-    }
-    for w in &delta.windows {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"src\":\"{}\",\"comp\":\"{}\",\"metric\":\"{}\",\"unit\":\"{}\",\
-             \"sem\":\"window\",\"dropped\":{},\"values\":[",
-            w.source,
-            w.component,
-            w.kind,
-            w.kind.unit(),
-            w.dropped
-        );
-        for (i, v) in w.values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", Num(Some(*v)));
-        }
-        out.push_str("]}");
-    }
-    for s in &delta.slo {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"src\":\"slo\",\"comp\":\"client.{}\",\"metric\":\"{}\",\"unit\":\"ratio\",\
-             \"sem\":\"instant\",\"value\":{}}}",
-            s.tenant,
-            s.metric,
-            Num(Some(s.value))
-        );
-    }
-    out.push_str("]}\n");
-    out
+    let line = JsonlEncoder::default().encode(delta).to_vec();
+    String::from_utf8(line).expect("the encoder writes only UTF-8")
 }
 
-/// A JSON number formatted straight into the line buffer: the
-/// shortest-roundtrip rendering of a finite f64, `null` otherwise.
-struct Num(Option<f64>);
+/// Most distinct non-integer numbers the [`JsonlEncoder`] memo holds
+/// before it is cleared. A `fig6_observed` run renders about 15,000
+/// distinct ones, so one run fits; the bound caps the memo at a few
+/// megabytes even when every number is a long subnormal.
+const MEMO_CAPACITY: usize = 1 << 14;
 
-impl fmt::Display for Num {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Some(v) if v.is_finite() => write!(f, "{v}"),
-            _ => f.write_str("null"),
+/// Integer-valued floats below this magnitude print as plain integers.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// Encodes epochs as JSONL lines into a buffer reused across epochs.
+///
+/// Integers, and floats that hold an integer below 2^53, are written with
+/// a digit loop. Every other finite float is rendered once through `{}`
+/// (the shortest text that parses back to the same bits) and memoised by
+/// its bit pattern; the memo holds at most [`MEMO_CAPACITY`] numbers and
+/// is cleared when full. The bytes equal a `write!`-based rendering of
+/// the same epoch: the stream is a published format that `fold_jsonl` and
+/// external readers parse.
+#[derive(Debug, Default)]
+pub(crate) struct JsonlEncoder {
+    line: Vec<u8>,
+    /// f64 bits → `(start, len)` of the number's text in `texts`.
+    memo: HashMap<u64, (u32, u16)>,
+    texts: Vec<u8>,
+}
+
+impl JsonlEncoder {
+    /// Renders one epoch as a single JSONL line (trailing newline
+    /// included), valid until the next call.
+    pub(crate) fn encode(&mut self, delta: &EpochDelta) -> &[u8] {
+        self.line.clear();
+        self.line.extend_from_slice(b"{\"v\":");
+        push_u64(&mut self.line, SCHEMA_VERSION);
+        self.line.extend_from_slice(b",\"epoch\":");
+        push_u64(&mut self.line, delta.epoch);
+        self.line.extend_from_slice(b",\"cycle\":");
+        push_u64(&mut self.line, delta.cycle);
+        self.line.extend_from_slice(b",\"records\":[");
+        let mut first = true;
+        for c in &delta.counters {
+            self.record(
+                &mut first,
+                c.source,
+                c.component,
+                c.counter.name(),
+                c.counter.unit(),
+            );
+            self.line.extend_from_slice(b"delta\",\"delta\":");
+            push_i64(&mut self.line, c.delta);
+            self.line.extend_from_slice(b",\"total\":");
+            push_u64(&mut self.line, c.total);
+            self.line.push(b'}');
         }
+        for g in &delta.gauges {
+            self.record(&mut first, g.source, g.component, g.name, "value");
+            self.line.extend_from_slice(b"instant\",\"value\":");
+            self.number(Some(g.value));
+            self.line.push(b'}');
+        }
+        for s in &delta.stats {
+            self.record(
+                &mut first,
+                s.source,
+                s.component,
+                kind_name(s.kind),
+                s.kind.unit(),
+            );
+            self.line.extend_from_slice(b"stat\",\"count\":");
+            push_u64(&mut self.line, s.count);
+            self.line.extend_from_slice(b",\"mean\":");
+            self.number(Some(s.mean));
+            self.line.extend_from_slice(b",\"min\":");
+            self.number(s.min);
+            self.line.extend_from_slice(b",\"max\":");
+            self.number(s.max);
+            self.line.push(b'}');
+        }
+        for w in &delta.windows {
+            self.record(
+                &mut first,
+                w.source,
+                w.component,
+                kind_name(w.kind),
+                w.kind.unit(),
+            );
+            self.line.extend_from_slice(b"window\",\"dropped\":");
+            push_u64(&mut self.line, w.dropped);
+            self.line.extend_from_slice(b",\"values\":[");
+            for (i, &v) in w.values.iter().enumerate() {
+                if i > 0 {
+                    self.line.push(b',');
+                }
+                self.number(Some(v));
+            }
+            self.line.extend_from_slice(b"]}");
+        }
+        for s in &delta.slo {
+            let tenant = ComponentId::Client(s.tenant);
+            self.record(&mut first, "slo", tenant, s.metric, "ratio");
+            self.line.extend_from_slice(b"instant\",\"value\":");
+            self.number(Some(s.value));
+            self.line.push(b'}');
+        }
+        self.line.extend_from_slice(b"]}\n");
+        &self.line
+    }
+
+    /// Opens a record: the separator, then every field up to the open
+    /// quote of the `sem` value.
+    fn record(
+        &mut self,
+        first: &mut bool,
+        source: &str,
+        component: ComponentId,
+        metric: &str,
+        unit: &str,
+    ) {
+        let out = &mut self.line;
+        if !std::mem::take(first) {
+            out.push(b',');
+        }
+        out.extend_from_slice(b"{\"src\":\"");
+        out.extend_from_slice(source.as_bytes());
+        out.extend_from_slice(b"\",\"comp\":\"");
+        push_component(out, component);
+        out.extend_from_slice(b"\",\"metric\":\"");
+        out.extend_from_slice(metric.as_bytes());
+        out.extend_from_slice(b"\",\"unit\":\"");
+        out.extend_from_slice(unit.as_bytes());
+        out.extend_from_slice(b"\",\"sem\":\"");
+    }
+
+    /// A JSON number: the shortest round-trip rendering of a finite f64,
+    /// `null` otherwise.
+    fn number(&mut self, value: Option<f64>) {
+        let out = &mut self.line;
+        let v = match value {
+            Some(v) if v.is_finite() => v,
+            _ => return out.extend_from_slice(b"null"),
+        };
+        // `{}` prints an integer-valued float as its integer digits,
+        // except -0.0, which prints as "-0".
+        if v.trunc() == v && v.abs() < EXACT_INTEGER_LIMIT && (v != 0.0 || v.is_sign_positive()) {
+            return push_i64(out, v as i64);
+        }
+        if let Some(&(start, len)) = self.memo.get(&v.to_bits()) {
+            let start = start as usize;
+            return out.extend_from_slice(&self.texts[start..start + len as usize]);
+        }
+        if self.memo.len() == MEMO_CAPACITY {
+            self.memo.clear();
+            self.texts.clear();
+        }
+        let start = self.texts.len();
+        write!(self.texts, "{v}").expect("writing to a Vec cannot fail");
+        out.extend_from_slice(&self.texts[start..]);
+        let len = (self.texts.len() - start) as u16;
+        self.memo.insert(v.to_bits(), (start as u32, len));
+    }
+}
+
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+fn push_i64(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// `component` as its `Display` renders it.
+fn push_component(out: &mut Vec<u8>, component: ComponentId) {
+    let index = |out: &mut Vec<u8>, prefix: &[u8], i: u64| {
+        out.extend_from_slice(prefix);
+        push_u64(out, i);
+    };
+    match component {
+        ComponentId::System => out.extend_from_slice(b"system"),
+        ComponentId::Client(c) => index(out, b"client.", c.into()),
+        ComponentId::Se { depth, order } => {
+            index(out, b"se.", depth as u64);
+            index(out, b".", order as u64);
+        }
+        ComponentId::Port { depth, order, port } => {
+            index(out, b"se.", depth as u64);
+            index(out, b".", order as u64);
+            index(out, b".p", port as u64);
+        }
+        ComponentId::Memory => out.extend_from_slice(b"mem"),
+        ComponentId::Bank(b) => index(out, b"bank.", b.into()),
+        ComponentId::Series(s) => index(out, b"series.", s.into()),
+    }
+}
+
+/// `kind` as its `Display` renders it.
+fn kind_name(kind: SampleKind) -> &'static str {
+    match kind {
+        SampleKind::Latency => "latency",
+        SampleKind::Blocking => "blocking",
+        SampleKind::NormalizedResponse => "normalized_response",
+        SampleKind::Queueing => "queueing",
+        SampleKind::NocTransit => "noc_transit",
+        SampleKind::Service => "service",
+        SampleKind::ResponseTransit => "response_transit",
+        SampleKind::MissRatio => "miss_ratio",
+        SampleKind::Custom(name) => name,
     }
 }
 
@@ -688,6 +813,130 @@ mod tests {
             "\n",
         );
         assert_eq!(to_jsonl(&golden_epoch()), expected);
+    }
+
+    /// `v` as the encoder renders it, fresh from `encoder`'s memo.
+    fn rendered(encoder: &mut JsonlEncoder, v: f64) -> String {
+        encoder.line.clear();
+        encoder.number(Some(v));
+        String::from_utf8(encoder.line.clone()).unwrap()
+    }
+
+    /// `v` as the line format defines it: `{}` when finite, else `null`.
+    fn reference(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v}")
+        } else {
+            "null".to_owned()
+        }
+    }
+
+    #[test]
+    fn numbers_render_as_display_does() {
+        let limit = EXACT_INTEGER_LIMIT;
+        let mut edges = vec![
+            0.0,
+            limit - 1.0,
+            limit,
+            limit + 2.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::EPSILON,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            1e-7,
+            123.456,
+        ];
+        edges.extend((15..=22).map(|e| 10f64.powi(e)));
+        edges.extend(edges.clone().into_iter().map(|v| -v));
+        edges.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        let mut encoder = JsonlEncoder::default();
+        for v in edges {
+            // Twice: the second rendering of a fraction comes from the memo.
+            assert_eq!(rendered(&mut encoder, v), reference(v), "{v:e}");
+            assert_eq!(rendered(&mut encoder, v), reference(v), "{v:e} again");
+        }
+        // Latencies over deadline windows, as the harness samples them,
+        // and the integer-valued latency and blocking samples themselves.
+        for window in 1..=300u32 {
+            for latency in (0..=900u32).step_by(7) {
+                let ratio = f64::from(latency) / f64::from(window);
+                assert_eq!(rendered(&mut encoder, ratio), reference(ratio));
+                let cycles = f64::from(latency * window);
+                assert_eq!(rendered(&mut encoder, cycles), reference(cycles));
+            }
+        }
+        assert_eq!(rendered(&mut encoder, -0.0), "-0");
+        encoder.line.clear();
+        encoder.number(None);
+        assert_eq!(encoder.line, b"null");
+    }
+
+    #[test]
+    fn the_memo_is_bounded_and_renders_the_same_after_clearing() {
+        let mut encoder = JsonlEncoder::default();
+        let mut cleared = false;
+        for i in 1..=(MEMO_CAPACITY as u32 + 1_000) {
+            let v = f64::from(i) + 0.5;
+            let before = encoder.memo.len();
+            assert_eq!(rendered(&mut encoder, v), reference(v));
+            assert!(encoder.memo.len() <= MEMO_CAPACITY);
+            cleared |= encoder.memo.len() < before;
+            // Values seen before the clear render again the same way.
+            let early = f64::from(i % 64) + 0.25;
+            assert_eq!(rendered(&mut encoder, early), reference(early));
+        }
+        assert!(cleared, "the memo must have been cleared mid-stream");
+    }
+
+    #[test]
+    fn component_and_kind_names_match_display() {
+        let components = [
+            ComponentId::System,
+            ComponentId::Client(0),
+            ComponentId::Client(u32::MAX),
+            ComponentId::Se {
+                depth: 3,
+                order: usize::MAX,
+            },
+            ComponentId::Port {
+                depth: 0,
+                order: 10,
+                port: 7,
+            },
+            ComponentId::Memory,
+            ComponentId::Bank(12),
+            ComponentId::Series(u16::MAX),
+        ];
+        for component in components {
+            let mut out = Vec::new();
+            push_component(&mut out, component);
+            assert_eq!(String::from_utf8(out).unwrap(), component.to_string());
+        }
+        let kinds = [
+            SampleKind::Latency,
+            SampleKind::Blocking,
+            SampleKind::NormalizedResponse,
+            SampleKind::Queueing,
+            SampleKind::NocTransit,
+            SampleKind::Service,
+            SampleKind::ResponseTransit,
+            SampleKind::MissRatio,
+            SampleKind::Custom("hops"),
+        ];
+        for kind in kinds {
+            assert_eq!(kind_name(kind), kind.to_string());
+        }
+        let mut out = Vec::new();
+        for v in [0, 9, 10, i64::MAX, i64::MIN, -1] {
+            out.clear();
+            push_i64(&mut out, v);
+            assert_eq!(String::from_utf8(out.clone()).unwrap(), v.to_string());
+        }
+        out.clear();
+        push_u64(&mut out, u64::MAX);
+        assert_eq!(out, u64::MAX.to_string().as_bytes());
     }
 
     #[test]

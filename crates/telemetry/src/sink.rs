@@ -10,7 +10,7 @@
 //!   simulator.
 
 use crate::delta::EpochDelta;
-use crate::jsonl::to_jsonl;
+use crate::jsonl::JsonlEncoder;
 use bluescale_sim::metrics::{ComponentId, Counter};
 use bluescale_sim::Cycle;
 use std::collections::{BTreeMap, VecDeque};
@@ -39,6 +39,7 @@ pub trait TelemetrySink {
 #[derive(Debug)]
 pub struct JsonlSink {
     out: BufWriter<File>,
+    encoder: JsonlEncoder,
     error: Option<io::Error>,
 }
 
@@ -47,6 +48,7 @@ impl JsonlSink {
     pub fn create(path: &Path) -> io::Result<Self> {
         Ok(Self {
             out: BufWriter::new(File::create(path)?),
+            encoder: JsonlEncoder::default(),
             error: None,
         })
     }
@@ -62,8 +64,7 @@ impl TelemetrySink for JsonlSink {
         if self.error.is_some() {
             return;
         }
-        let line = to_jsonl(delta);
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
+        if let Err(e) = self.out.write_all(self.encoder.encode(delta)) {
             self.error = Some(e);
         }
     }

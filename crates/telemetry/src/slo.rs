@@ -16,7 +16,8 @@
 
 use crate::delta::{EpochDelta, SloRecord};
 use bluescale_sim::metrics::{ComponentId, Counter, SampleKind};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Maps fabric leaf-port components to tenant (client) ids.
 ///
@@ -75,6 +76,8 @@ struct EpochPoint {
 pub struct SloTracker {
     config: SloConfig,
     rings: BTreeMap<u32, VecDeque<EpochPoint>>,
+    /// Reused by [`p99`] for the largest values of a ring.
+    top: BinaryHeap<Reverse<u64>>,
 }
 
 impl SloTracker {
@@ -87,6 +90,7 @@ impl SloTracker {
         Self {
             config,
             rings: BTreeMap::new(),
+            top: BinaryHeap::new(),
         }
     }
 
@@ -139,6 +143,7 @@ impl SloTracker {
 
         // Derive windowed values for tenants with any activity in window.
         let mut out = Vec::new();
+        let top = &mut self.top;
         self.rings.retain(|&tenant, ring| {
             let issued: i64 = ring.iter().map(|p| p.issued).sum();
             let completed: i64 = ring.iter().map(|p| p.completed).sum();
@@ -158,7 +163,7 @@ impl SloTracker {
             out.push(SloRecord {
                 tenant,
                 metric: "slo_p99_normalized",
-                value: p99(ring),
+                value: p99(ring, top),
             });
             out.push(SloRecord {
                 tenant,
@@ -180,22 +185,48 @@ fn ratio(num: i64, den: i64) -> f64 {
 }
 
 /// Nearest-rank p99 over the ring's normalized-response observations
-/// (the same `⌈p/100·n⌉` rule as [`bluescale_sim::stats::Samples`]),
-/// found by selection rather than a full sort.
-fn p99(ring: &VecDeque<EpochPoint>) -> f64 {
-    let mut all: Vec<f64> = ring
-        .iter()
-        .flat_map(|p| p.normalized.iter().copied())
-        .collect();
-    if all.is_empty() {
+/// (the same `⌈p/100·n⌉` rule as [`bluescale_sim::stats::Samples`]).
+///
+/// The rank-`r` value in ascending order is the smallest of the
+/// `k = n − r + 1` largest, so one scan keeps those `k` (about `n/100`)
+/// in the min-heap `top` instead of copying and selecting over all `n`.
+/// Normalized responses are finite (the deadline window is at least one
+/// cycle).
+fn p99(ring: &VecDeque<EpochPoint>, top: &mut BinaryHeap<Reverse<u64>>) -> f64 {
+    let n: usize = ring.iter().map(|p| p.normalized.len()).sum();
+    if n == 0 {
         return 0.0;
     }
-    let n = all.len();
     let rank = (99.0 * n as f64 / 100.0).ceil() as usize;
-    let (_, nth, _) = all.select_nth_unstable_by(rank.clamp(1, n) - 1, |a, b| {
-        a.partial_cmp(b).expect("NaN in normalized response")
-    });
-    *nth
+    let k = n + 1 - rank.clamp(1, n);
+    top.clear();
+    for &v in ring.iter().flat_map(|p| &p.normalized) {
+        debug_assert!(!v.is_nan(), "NaN in normalized response");
+        let key = Reverse(order_key(v));
+        if top.len() < k {
+            top.push(key);
+        } else if let Some(mut least) = top.peek_mut() {
+            if key < *least {
+                *least = key;
+            }
+        }
+    }
+    let Reverse(least) = *top.peek().expect("n > 0 values were scanned");
+    f64::from_bits(if least >> 63 == 1 {
+        least ^ (1 << 63)
+    } else {
+        !least
+    })
+}
+
+/// `v`'s bits mapped so that unsigned order is numeric order.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
 }
 
 #[cfg(test)]
@@ -308,17 +339,25 @@ mod tests {
             all[rank.clamp(1, n) - 1]
         }
         let mut rng = SimRng::seed_from(0x5E1EC7);
-        let mut sizes = vec![1, 100, 101];
+        // Below 100 values the scan keeps one (k = 1); 100 and 101 keep two.
+        let mut sizes = vec![1, 2, 50, 99, 100, 101, 199, 200, 201];
         sizes.extend((0..64).map(|_| rng.range_usize(1, 600)));
-        for n in sizes {
-            // Few distinct values, so most rings carry ties at the rank.
-            let distinct = rng.range_u64(1, 12);
+        let mut top = BinaryHeap::new();
+        for (case, n) in sizes.into_iter().enumerate() {
+            // Few distinct values, so most rings carry ties at the rank;
+            // every fourth ring repeats a single value.
+            let distinct = if case % 4 == 0 {
+                1
+            } else {
+                rng.range_u64(2, 12)
+            };
             let mut ring = VecDeque::new();
             let mut left = n;
             while left > 0 {
-                let take = rng.range_usize(1, left + 1);
+                // Empty epochs sit between the others.
+                let take = rng.range_usize(0, left + 1);
                 let normalized = (0..take)
-                    .map(|_| rng.range_u64(0, distinct) as f64 / 4.0)
+                    .map(|_| (rng.range_u64(0, distinct) as f64 - 2.0) / 4.0)
                     .collect();
                 ring.push_back(EpochPoint {
                     normalized,
@@ -326,8 +365,25 @@ mod tests {
                 });
                 left -= take;
             }
-            assert_eq!(p99(&ring).to_bits(), sorted_p99(&ring).to_bits(), "n = {n}");
+            ring.push_back(EpochPoint::default());
+            let got = p99(&ring, &mut top);
+            assert_eq!(got.to_bits(), sorted_p99(&ring).to_bits(), "n = {n}");
         }
+        // Rising values all enter the kept set; falling ones never do.
+        for n in [2, 99, 100, 101, 1_000] {
+            let rising: Vec<f64> = (0..n).map(|v| v as f64 / 8.0).collect();
+            let falling = rising.iter().rev().copied().collect();
+            for normalized in [rising, falling] {
+                let ring = VecDeque::from(vec![EpochPoint {
+                    normalized,
+                    ..EpochPoint::default()
+                }]);
+                let got = p99(&ring, &mut top);
+                assert_eq!(got.to_bits(), sorted_p99(&ring).to_bits(), "n = {n}");
+            }
+        }
+        let idle = VecDeque::from(vec![EpochPoint::default(); 3]);
+        assert_eq!(p99(&idle, &mut top), 0.0);
     }
 
     #[test]

@@ -19,11 +19,12 @@ use bluescale::network::Engine;
 use bluescale::soa::SoaCore;
 use bluescale::BlueScaleInterconnect;
 use bluescale_bench::invariants::{
-    build_serial, build_sharded, config_for, light_churn_plan, sparse_config, sparse_fault_plan,
-    task_sets,
+    build_serial, build_sharded, config_for, light_churn_plan, retry_guards, sparse_config,
+    sparse_fault_plan, task_sets,
 };
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::TaskSet;
+use bluescale_sim::metrics::{ComponentId, SampleKind};
 use bluescale_telemetry::jsonl::fold_jsonl;
 use bluescale_telemetry::{JsonlSink, Pipeline, RingSink, SloConfig};
 use bluescale_workload::synthetic::SyntheticConfig;
@@ -206,4 +207,57 @@ fn windowed_samples_stream_losslessly_under_eviction() {
         .matches_registry("harness", streaming.registry())
         .unwrap_or_else(|e| panic!("windowed harness fold diverged: {e}"));
     let _ = std::fs::remove_file(&path);
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn jsonl_stream_bytes_are_pinned() {
+    // One faulted, guarded run whose stream carries every number shape
+    // the encoder renders: integer-valued latencies, fractional
+    // normalized responses, negative counter deltas (the warm-up reset
+    // restarts counters below their baselines) and `null` (a non-finite
+    // gauge), plus stat records. The stream is a published format that
+    // external readers parse: every encoder must reproduce these bytes,
+    // so the digest and length never change.
+    const DIGEST: u64 = 0x8e4f_37ea_d30e_34fd;
+    const BYTES: usize = 2_793_502;
+    let sets = task_sets(&SyntheticConfig::fig6(16), SEED);
+    let mut sys = build_system::<SoaCore>(&sets);
+    sys.set_fault_plan(sparse_fault_plan(SEED));
+    sys.set_guards_unchecked(retry_guards());
+    let path = jsonl_path("pinned");
+    sys.attach_telemetry(pipeline(&path));
+    let registry = sys.registry_mut();
+    registry.set_gauge(ComponentId::System, "probe", f64::NAN);
+    registry.observe(ComponentId::System, SampleKind::Queueing, 1.0 / 3.0);
+    sys.advance_to(HORIZON / 4);
+    sys.reset_metrics();
+    let registry = sys.registry_mut();
+    registry.set_gauge(ComponentId::System, "probe", -0.0);
+    registry.observe(ComponentId::System, SampleKind::Queueing, 2.5);
+    registry.observe(ComponentId::System, SampleKind::Queueing, 1e21);
+    sys.run(2 * HORIZON);
+    sys.finish_telemetry();
+    let stream = std::fs::read(&path).expect("read jsonl");
+    let _ = std::fs::remove_file(&path);
+    let text = std::str::from_utf8(&stream).expect("the stream is UTF-8");
+    for needle in [
+        "normalized_response",
+        "\"delta\":-",
+        "null",
+        "\"sem\":\"stat\"",
+    ] {
+        assert!(text.contains(needle), "the stream must carry {needle}");
+    }
+    assert_eq!(
+        (fnv1a(&stream), stream.len()),
+        (DIGEST, BYTES),
+        "the JSONL bytes moved"
+    );
 }
