@@ -25,7 +25,7 @@ fn main() {
     let result = run(&config);
     for r in &result.runs {
         println!(
-            "  {:<6} {:>5} clients  seed {:>13} ns  tuned {:>11} ns  {:>7.2} us/client  {:.2}× vs seed",
+            "  {:<10} {:>5} clients  seed {:>13} ns  tuned {:>11} ns  {:>7.2} us/client  {:.2}× vs seed",
             r.workload,
             r.clients,
             r.seed_ns,

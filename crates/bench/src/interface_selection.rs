@@ -9,7 +9,7 @@
 //! * **tuned** — the bound-first search with demand-curve memoization
 //!   ([`select_se_interfaces_with_divisor`]).
 //!
-//! Two workload kinds are sized, each as one selection problem per client
+//! Three workload kinds are sized. Two are one selection problem per client
 //! under the clients' shared level context:
 //!
 //! * **fig6** — `SyntheticConfig::fig6(clients)`, the paper's evaluation
@@ -18,18 +18,31 @@
 //!   `[100n, 300n)` ([`sparse_task_sets`]), whose minimum-bandwidth
 //!   interfaces sit at the period cap.
 //!
+//! The third sizes a whole tree:
+//!
+//! * **shard_tree** — the shard sweep's workload ([`uniform_task_sets`]:
+//!   one task per client, periods in `[n, 4n]`, total utilization 0.9)
+//!   built by `Composition::new`, so every level's problems count, not
+//!   just the leaves'. Its seed variant runs the exhaustive selection on
+//!   every SE's parameter table, rebuilt from public data as
+//!   `tests/interface_tree_differential.rs` rebuilds it.
+//!
 //! Every variant must select **bit-identical** interfaces — the benchmark
-//! asserts this on every workload before it times anything. Each variant is
-//! then timed `reps` times over all workloads of a kind and the best
-//! (smallest) total wall time is reported, with the host's CPU count, as
-//! JSON for `results/BENCH_interface_selection.json`.
+//! asserts this on every workload (for the tree, on every SE that selects)
+//! before it times anything. Each variant is then timed `reps` times over
+//! all workloads of a kind and the best (smallest) total wall time is
+//! reported, with the host's CPU count, as JSON for
+//! `results/BENCH_interface_selection.json`.
 
-use crate::scalability::sparse_task_sets;
+use crate::scalability::{sparse_task_sets, uniform_task_sets};
+use bluescale::composition::Composition;
+use bluescale::BlueScaleConfig;
 use bluescale_rt::interface::{
     select_interface_exhaustive, select_se_interfaces_with_divisor, SelectionContext,
 };
+use bluescale_rt::rational::utilization_at_most_one;
 use bluescale_rt::supply::PeriodicResource;
-use bluescale_rt::task::TaskSet;
+use bluescale_rt::task::{Task, TaskSet};
 use bluescale_rt::Error;
 use bluescale_sim::rng::SimRng;
 use bluescale_workload::synthetic::{generate, SyntheticConfig};
@@ -42,6 +55,8 @@ pub struct SelectionBenchConfig {
     pub clients: usize,
     /// Clients per sparse workload.
     pub sparse_clients: usize,
+    /// Clients per shard-style tree.
+    pub tree_clients: usize,
     /// Independent workloads of each kind.
     pub workloads: u64,
     /// Timed repetitions per variant; the best one is reported.
@@ -57,6 +72,7 @@ impl Default for SelectionBenchConfig {
         Self {
             clients: 64,
             sparse_clients: 1024,
+            tree_clients: 1024,
             workloads: 4,
             reps: 3,
             seed: 0x5E1EC7,
@@ -69,7 +85,7 @@ impl Default for SelectionBenchConfig {
 /// wall time across its workloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionRun {
-    /// Workload kind: `fig6` or `sparse`.
+    /// Workload kind: `fig6`, `sparse` or `shard_tree`.
     pub workload: &'static str,
     /// Clients per workload.
     pub clients: usize,
@@ -159,8 +175,13 @@ fn sparse_sets(clients: usize, rng: &mut SimRng) -> Vec<TaskSet> {
     sparse_task_sets(clients, 2, rng)
 }
 
+fn shard_sets(clients: usize, rng: &mut SimRng) -> Vec<TaskSet> {
+    let n = clients as u64;
+    uniform_task_sets(clients, 0.9, n, 4 * n, rng)
+}
+
 /// Best-of-`reps` total wall time of `select` over `loads`.
-fn best_ns<T>(reps: u32, loads: &[Vec<TaskSet>], select: impl Fn(&[TaskSet]) -> T) -> u128 {
+fn best_ns<L, T>(reps: u32, loads: &[L], select: impl Fn(&L) -> T) -> u128 {
     (0..reps.max(1))
         .map(|_| {
             let start = Instant::now();
@@ -202,8 +223,113 @@ fn run_kind(
     }
 }
 
-/// Runs the benchmark: checks, then times both variants on the fig6 and the
-/// sparse workloads.
+/// One SE's selection problem in a built tree: the port task sets it
+/// loads, and the interfaces the tree selected for them.
+struct SeProblem {
+    ports: Vec<TaskSet>,
+    selected: Vec<Option<PeriodicResource>>,
+}
+
+/// The parameter tables of every SE of `composition` that selects, rebuilt
+/// from public data: a leaf port holds its client's tasks with the
+/// configuration's analysis deadlines, an inner port the child SE's
+/// interfaces as server tasks (`T = D = Π`, `C = Θ`, ids by child port).
+/// SEs whose table sums above 1 fall back rather than select and are left
+/// out; the report's analysis verdict must agree that they are the only
+/// ones.
+fn tree_problems(
+    config: &BlueScaleConfig,
+    sets: &[TaskSet],
+    composition: &Composition,
+) -> Vec<SeProblem> {
+    let report = composition.report();
+    let levels = config.levels();
+    let mut problems = Vec::new();
+    let mut fell_back = false;
+    for depth in 0..levels {
+        for order in 0..config.elements_at(depth) {
+            let ports = (0..config.branch).map(|port| {
+                let child = order * config.branch + port;
+                let tasks: Vec<Task> = if depth + 1 == levels {
+                    sets.get(child).map_or_else(Vec::new, |set| {
+                        set.iter()
+                            .map(|t| {
+                                let deadline = config.analysis_deadline(t.period(), t.wcet());
+                                Task::with_deadline(t.id(), t.period(), deadline, t.wcet())
+                                    .expect("the analysis deadline lies in [C, T]")
+                            })
+                            .collect()
+                    })
+                } else {
+                    let ifaces = report.interfaces[depth + 1][child].iter().enumerate();
+                    ifaces
+                        .filter_map(|(q, r)| r.map(|r| Task::new(q as u32, r.period(), r.budget())))
+                        .collect::<Result<_, _>>()
+                        .expect("an interface has 0 < Θ ≤ Π")
+                };
+                TaskSet::new(tasks).ok()
+            });
+            let ports = ports.collect::<Option<Vec<TaskSet>>>().filter(|ports| {
+                let tasks = ports.iter().flat_map(TaskSet::iter);
+                utilization_at_most_one(tasks.map(|t| (t.wcet(), t.period())))
+            });
+            match ports {
+                Some(ports) => problems.push(SeProblem {
+                    ports,
+                    selected: report.interfaces[depth][order].clone(),
+                }),
+                None => fell_back = true,
+            }
+        }
+    }
+    assert_eq!(
+        report.analysis_ok, !fell_back,
+        "only an SE whose table sums above 1 may fall back"
+    );
+    problems
+}
+
+/// Checks and times the whole-tree kind: `Composition::new` against the
+/// exhaustive selection of every SE's table.
+fn run_tree(config: &SelectionBenchConfig) -> SelectionRun {
+    let clients = config.tree_clients;
+    let tree = BlueScaleConfig {
+        granularity_divisor: config.divisor,
+        ..BlueScaleConfig::for_clients(clients)
+    };
+    let loads = workloads(config, clients, shard_sets);
+    // Correctness gate: every selecting SE of every tree, before any timing.
+    let problems: Vec<Vec<SeProblem>> = loads
+        .iter()
+        .map(|sets| {
+            let composition = Composition::new(tree.clone(), sets).expect("the tree builds");
+            tree_problems(&tree, sets, &composition)
+        })
+        .collect();
+    for problem in problems.iter().flatten() {
+        assert_eq!(
+            select_se_interfaces_seed(&problem.ports, config.divisor),
+            Ok(problem.selected.clone()),
+            "the tree's selection diverged from the exhaustive reference"
+        );
+    }
+    let seed = |problems: &Vec<SeProblem>| {
+        let select =
+            |problem: &SeProblem| select_se_interfaces_seed(&problem.ports, config.divisor);
+        problems.iter().map(select).collect::<Vec<_>>()
+    };
+    SelectionRun {
+        workload: "shard_tree",
+        clients,
+        seed_ns: best_ns(config.reps, &problems, seed),
+        tuned_ns: best_ns(config.reps, &loads, |sets| {
+            Composition::new(tree.clone(), sets)
+        }),
+    }
+}
+
+/// Runs the benchmark: checks, then times both variants on the fig6, the
+/// sparse and the shard-style tree workloads.
 ///
 /// # Panics
 ///
@@ -216,6 +342,7 @@ pub fn run(config: &SelectionBenchConfig) -> SelectionBenchResult {
         runs: vec![
             run_kind(config, "fig6", config.clients, fig6_sets),
             run_kind(config, "sparse", config.sparse_clients, sparse_sets),
+            run_tree(config),
         ],
     }
 }
@@ -274,12 +401,13 @@ mod tests {
         let config = SelectionBenchConfig {
             clients: 16,
             sparse_clients: 16,
+            tree_clients: 64,
             workloads: 1,
             reps: 1,
             ..Default::default()
         };
         let r = run(&config);
-        assert_eq!(r.runs.len(), 2);
+        assert_eq!(r.runs.len(), 3);
         assert!(r.runs.iter().all(|run| run.seed_ns > 0 && run.tuned_ns > 0));
         assert!(r.host_cpus >= 1);
     }

@@ -472,7 +472,8 @@ pub struct ShardRun {
     pub workers: usize,
     /// Worker count actually used (after the branch-factor clamp).
     pub effective_workers: usize,
-    /// Wall-clock of `run(horizon)`, nanoseconds (construction excluded).
+    /// Wall-clock of `run(horizon)`, nanoseconds (the build is timed once
+    /// per point, in [`ShardPoint::build_ns`]).
     pub wall_ns: u128,
 }
 
@@ -483,6 +484,10 @@ pub struct ShardPoint {
     pub clients: usize,
     /// Simulated horizon in cycles.
     pub horizon: Cycle,
+    /// Wall-clock of building the point's first system, nanoseconds: the
+    /// composition analysis (`Composition::new`, interface selection for
+    /// every SE) plus the sharded engine around it.
+    pub build_ns: u128,
     /// Timed runs, one per requested worker count.
     pub runs: Vec<ShardRun>,
     /// Requests issued (identical across worker counts by construction).
@@ -542,13 +547,16 @@ pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
             let horizon = config
                 .horizon_override
                 .unwrap_or_else(|| shard_horizon(clients));
+            let build = Instant::now();
             let analysis = shard_analysis(&sets);
+            let mut build_ns = None;
 
             let mut runs = Vec::new();
             let mut reference: Option<Fingerprint> = None;
             let mut verified = true;
             for &workers in &config.worker_counts {
                 let mut sys = sharded_system(&sets, &analysis, workers);
+                build_ns.get_or_insert_with(|| build.elapsed().as_nanos());
                 let t = Instant::now();
                 let mut m = sys.run(horizon);
                 let wall_ns = t.elapsed().as_nanos();
@@ -573,6 +581,7 @@ pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
             ShardPoint {
                 clients,
                 horizon,
+                build_ns: build_ns.expect("at least one worker count ran"),
                 runs,
                 issued: reference.issued(),
                 completed: reference.completed(),
@@ -606,12 +615,18 @@ pub fn render_shards_json(config: &ShardSweepConfig, points: &[ShardPoint]) -> S
                 "    {{\n",
                 "      \"clients\": {},\n",
                 "      \"horizon\": {},\n",
+                "      \"build_s\": {:.3},\n",
                 "      \"issued\": {},\n",
                 "      \"completed\": {},\n",
                 "      \"verified\": {},\n",
                 "      \"runs\": [\n",
             ),
-            p.clients, p.horizon, p.issued, p.completed, p.verified,
+            p.clients,
+            p.horizon,
+            p.build_ns as f64 / 1e9,
+            p.issued,
+            p.completed,
+            p.verified,
         ));
         for (j, r) in p.runs.iter().enumerate() {
             s.push_str(&format!(
@@ -638,15 +653,16 @@ pub fn render_shards_json(config: &ShardSweepConfig, points: &[ShardPoint]) -> S
 /// Renders the shard sweep as a human-readable table for stdout.
 pub fn render_shards_table(points: &[ShardPoint]) -> String {
     let mut s = String::from(
-        "| Clients | Horizon | Workers | Wall (ms) | Speedup | Verified |\n\
-         |---:|---:|---:|---:|---:|---:|\n",
+        "| Clients | Horizon | Build (s) | Workers | Wall (ms) | Speedup | Verified |\n\
+         |---:|---:|---:|---:|---:|---:|---:|\n",
     );
     for p in points {
         for r in &p.runs {
             s.push_str(&format!(
-                "| {} | {} | {} ({}) | {:.1} | {:.2}x | {} |\n",
+                "| {} | {} | {:.3} | {} ({}) | {:.1} | {:.2}x | {} |\n",
                 p.clients,
                 p.horizon,
+                p.build_ns as f64 / 1e9,
                 r.workers,
                 r.effective_workers,
                 r.wall_ns as f64 / 1e6,
@@ -777,6 +793,8 @@ mod tests {
         assert!(json.contains("\"verified\": true"));
         assert!(json.contains("\"host_cpus\""));
         assert_eq!(json.matches("\"wall_ns\"").count(), 2);
+        assert_eq!(json.matches("\"build_s\"").count(), 1);
+        assert!(pts[0].build_ns > 0);
         let table = render_shards_table(&pts);
         assert!(table.contains("Speedup"));
     }

@@ -286,10 +286,10 @@ impl Composition {
     /// `None` when a port's tasks cannot form a task set (a child's
     /// interfaces sum above 1) or the analysis finds no feasible
     /// interfaces.
-    fn select(&self, ports: Vec<Vec<Task>>) -> Option<Vec<Option<PeriodicResource>>> {
+    fn select(&self, ports: &[Vec<Task>]) -> Option<Vec<Option<PeriodicResource>>> {
         let sets = ports
-            .into_iter()
-            .map(TaskSet::new)
+            .iter()
+            .map(|tasks| TaskSet::new(tasks.clone()))
             .collect::<Result<Vec<_>, _>>()
             .ok()?;
         select_se_interfaces_with_divisor(&sets, self.config.granularity_divisor).ok()
@@ -315,18 +315,21 @@ impl Composition {
             };
             // Admission has no fallback: an analytically infeasible path
             // SE rejects the request outright.
-            let ifaces = self.select(self.port_tasks(depth, order, Some((port, below))))?;
+            let ifaces = self.select(&self.port_tasks(depth, order, Some((port, below))))?;
             trial.push((depth, order, ifaces));
             port = order % branch;
             order /= branch;
         }
         // Off-path SEs keep their parameters; if any of them is already on
-        // fallback interfaces the system has no guarantee to extend.
-        let path: Vec<(usize, usize)> = trial.iter().map(|(d, o, _)| (*d, *o)).collect();
-        for (depth, row) in self.se_analysis_ok.iter().enumerate() {
-            for (order, &ok) in row.iter().enumerate() {
-                if !ok && !path.contains(&(depth, order)) {
-                    return None;
+        // fallback interfaces the system has no guarantee to extend. Only
+        // a composition with a fallback SE somewhere needs the scan.
+        if !self.report.analysis_ok {
+            let path: Vec<(usize, usize)> = trial.iter().map(|(d, o, _)| (*d, *o)).collect();
+            for (depth, row) in self.se_analysis_ok.iter().enumerate() {
+                for (order, &ok) in row.iter().enumerate() {
+                    if !ok && !path.contains(&(depth, order)) {
+                        return None;
+                    }
                 }
             }
         }
@@ -421,10 +424,10 @@ impl Composition {
     /// Resolves SE `(depth, order)`'s interface selection, falling back on
     /// analytical failure.
     fn resolve_se(&mut self, depth: usize, order: usize) {
-        let selected = self.select(self.port_tasks(depth, order, None));
+        let ports = self.port_tasks(depth, order, None);
+        let selected = self.select(&ports);
         self.se_analysis_ok[depth][order] = selected.is_some();
-        let ifaces = selected
-            .unwrap_or_else(|| Self::fallback_interfaces(&self.port_tasks(depth, order, None)));
+        let ifaces = selected.unwrap_or_else(|| Self::fallback_interfaces(&ports));
         self.report.interfaces[depth][order] = ifaces;
     }
 }

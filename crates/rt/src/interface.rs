@@ -20,27 +20,38 @@
 //! # The selection fast path
 //!
 //! Interface selection runs per SE, per level, on *every* admission
-//! decision, so [`select_interface`] searches bound-first (without changing
-//! any answer — the differential tests in `tests/differential.rs` pin this
-//! down against [`select_interface_exhaustive`]):
+//! decision, so [`select_interface`] searches bound-first and does only the
+//! work its answer needs (without changing any answer — the differential
+//! tests in `tests/differential.rs` pin this down against
+//! [`select_interface_exhaustive`]):
 //!
 //! * **Bound pass.** [`NecessaryBudgets`] yields, for every candidate
 //!   period, a proven lower bound `Θ_nec(Π)` on any schedulable budget: the
 //!   larger of the bandwidth gate `Θ/Π > U` and the first-deadline bound
 //!   `Θ·(t₁ − Π + Θ) ≥ dbf(t₁)·Π`, clamped to `Π`. Both are non-decreasing
 //!   in `Π`, so the pass carries them forward with one comparison each.
-//! * **Cheapest candidate first.** The period with the smallest
-//!   `Θ_nec(Π)/Π` (the smallest such period on ties) is tested first, its
-//!   budget search starting at `Θ_nec`. On light ports that bound is met, so
-//!   the first test already yields the answer.
-//! * **Pruned scan.** Every other period is tested only if `Θ_nec(Π)/Π`
-//!   could strictly beat the incumbent's bandwidth, or tie it at a smaller
-//!   period — compared exactly by cross-multiplication. The result is the
+//!   [`NecessaryBudgets::cheapest`] finds the floor interface with the
+//!   smallest `Θ_nec(Π)/Π` (the smallest such period on ties) by jumping
+//!   from one floor rise to the next and comparing only the two ends of
+//!   each run of equal floors, so its cost follows the number of rises,
+//!   not the period cap.
+//! * **Cheapest candidate first.** That period is tested first, its budget
+//!   search starting at `Θ_nec`. When the floor schedules it precedes
+//!   every other period's floor, hence every other period's budget, and
+//!   the selection ends there: on light ports the first test is the whole
+//!   search.
+//! * **Pruned scan.** Otherwise the floors are walked again, and every
+//!   other period is tested only if `Θ_nec(Π)/Π` could strictly beat the
+//!   incumbent's bandwidth, or tie it at a smaller period — compared
+//!   exactly by cross-multiplication. Its budget search stops at the
+//!   largest budget that would still beat the incumbent. The result is the
 //!   same `(bandwidth, Π)` lexicographic minimum as the exhaustive scan.
 //! * **Demand memoization.** All candidates test the *same* task set, so
 //!   one [`DemandCurve`] carries the sorted demand change points and their
 //!   `dbf` values across the entire search (every budget probed by every
 //!   binary search, for every period) instead of recomputing them per test.
+//!   It builds points lazily, in growing chunks, only as far as a test has
+//!   read, and a test stops at its first violation.
 
 use crate::demand::dbf_set;
 use crate::rational::UtilizationSum;
@@ -111,9 +122,11 @@ impl SelectionContext {
     /// Overrides the hard cap on enumerated candidate periods (default
     /// [`MAX_PERIOD_CANDIDATES`]). Widening the cap lets sets with large
     /// deadlines reach their true minimum-bandwidth interface when
-    /// [`feasible_period_bound`] reports truncation, at proportionally
-    /// higher selection cost (time, and one budget floor per candidate
-    /// period in memory).
+    /// [`feasible_period_bound`] reports truncation. The bound pass costs
+    /// about `U` steps per candidate period and keeps nothing per period in
+    /// memory; a problem its first test does not decide walks the floors
+    /// once more and may test any candidate, so its cost can still grow in
+    /// proportion to the cap.
     ///
     /// # Panics
     ///
@@ -266,6 +279,92 @@ impl NecessaryBudgets {
             by_deadline: 1,
         }
     }
+
+    /// The floor interface `(Π, Θ_nec(Π))` that precedes every other over
+    /// `Π ∈ [1, last]` — lowest `Θ_nec/Π`, then the smallest `Π` — exactly
+    /// as a scan of the first `last` floors finds it, without visiting
+    /// every period.
+    ///
+    /// Between two periods where a carried floor rises, the floor is
+    /// `min(m, Π)` for a fixed `m`: bandwidth 1 below `m`, where the
+    /// smallest period wins the tie, and `m/Π`, falling, from `m` on. So
+    /// only the two ends of each such run can win, and the pass jumps from
+    /// one rise to the next:
+    ///
+    /// * floor (a) next rises at the first `q` with `by_rate / q ≤ U`,
+    ///   estimated as `⌈by_rate/U⌉` and corrected with the exact
+    ///   floating-point predicate (monotone in `q`);
+    /// * floor (b) next rises at `⌊Θ_b(t₁+Θ_b)/(dbf(t₁)+Θ_b)⌋ + 1`, the
+    ///   first `q` with `Θ_b·(t₁ + Θ_b − q) < dbf(t₁)·q`, in u128.
+    ///
+    /// Its cost is the number of rises up to `last`, not `last`: about
+    /// `U·last` for floor (a), so a light port's problem takes a handful of
+    /// steps at any period cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` is zero.
+    pub fn cheapest(mut self, last: Time) -> (Time, Time) {
+        assert!(last > 0, "at least one candidate period");
+        let first = self.next().expect("the floors never end");
+        let mut best = (1, first);
+        while self.period < last {
+            let start = self.period + 1;
+            let floor = self.next().expect("the floors never end");
+            if precedes((start, floor), best) {
+                best = (start, floor);
+            }
+            if start == last {
+                break;
+            }
+            let end = self.rate_run_end(last).min(self.deadline_run_end(last));
+            if end > start {
+                let floor = (self.by_rate as Time).max(self.by_deadline).min(end);
+                if precedes((end, floor), best) {
+                    best = (end, floor);
+                }
+                self.period = end;
+            }
+        }
+        best
+    }
+
+    /// The last period up to `last` before floor (a) rises again; the
+    /// current period lies below `last`.
+    fn rate_run_end(&self, last: Time) -> Time {
+        let rises = |q: Time| self.by_rate / q as f64 <= self.utilization;
+        let first = self.period + 1;
+        if rises(first) {
+            return self.period;
+        }
+        if !rises(last) {
+            return last;
+        }
+        // `by_rate / q` only falls as `q` grows, so the predicate flips
+        // once; the float estimate lands within a step or two of the flip.
+        let estimate = (self.by_rate / self.utilization).ceil();
+        let mut q = (estimate as Time).clamp(first, last);
+        while !rises(q) {
+            q += 1;
+        }
+        while rises(q - 1) {
+            q -= 1;
+        }
+        q - 1
+    }
+
+    /// The last period up to `last` before floor (b) rises again; the
+    /// current period lies below `last`.
+    fn deadline_run_end(&self, last: Time) -> Time {
+        let budget = self.by_deadline as u128;
+        let reach = self.first_deadline.saturating_add(self.by_deadline) as u128;
+        let demand = self.first_demand as u128;
+        if demand == 0 {
+            return last;
+        }
+        let rise = (budget * reach / (demand + budget) + 1).max(self.period as u128 + 1);
+        (rise - 1).min(last as u128) as Time
+    }
 }
 
 impl Iterator for NecessaryBudgets {
@@ -303,25 +402,32 @@ pub fn min_budget_for_period(set: &TaskSet, period: Time) -> Option<Time> {
 /// [`NecessaryBudgets`], so it can serve as that bound's check.
 pub fn min_budget_with_curve(curve: &mut DemandCurve<'_>, period: Time) -> Option<Time> {
     let floor = budget_lower_bound(curve.set().utilization(), period).min(period);
-    min_budget_from(curve, period, floor)
+    min_budget_within(curve, period, floor, period)
 }
 
-/// The budget search on `period` from a proven `floor`: no schedulable
-/// budget lies below it, so when the floor passes it *is* the minimum and
-/// both the `Θ = Π` feasibility gate and the binary search collapse into
-/// this single test.
-fn min_budget_from(curve: &mut DemandCurve<'_>, period: Time, floor: Time) -> Option<Time> {
-    debug_assert!(1 <= floor && floor <= period);
+/// The budget search on `period` over `[floor, ceiling]`. No schedulable
+/// budget lies below the proven `floor`, so when the floor passes it *is*
+/// the minimum and one test decides. A budget above `ceiling` is of no use
+/// to the caller, so the `Θ = Π` feasibility gate becomes a test at the
+/// ceiling, and `None` means that no budget up to it schedules. With
+/// `ceiling = Π` this is the plain minimum-budget search.
+fn min_budget_within(
+    curve: &mut DemandCurve<'_>,
+    period: Time,
+    floor: Time,
+    ceiling: Time,
+) -> Option<Time> {
+    debug_assert!(1 <= floor && floor <= ceiling && ceiling <= period);
     let probe = PeriodicResource::new(period, floor).expect("1 ≤ floor ≤ Π");
     if curve.is_schedulable(&probe) {
         return Some(floor);
     }
-    let full = PeriodicResource::new(period, period).expect("Θ=Π is always valid");
-    if floor == period || !curve.is_schedulable(&full) {
+    let top = PeriodicResource::new(period, ceiling).expect("1 ≤ ceiling ≤ Π");
+    if floor == ceiling || !curve.is_schedulable(&top) {
         return None;
     }
     let mut lo = floor + 1;
-    let mut hi = period;
+    let mut hi = ceiling;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         let r = PeriodicResource::new(period, mid).expect("1 ≤ mid ≤ Π");
@@ -389,29 +495,29 @@ pub fn select_interface_detailed(
         return Err(Error::NoFeasibleInterface);
     }
     let period_bound = feasible_period_bound(set, ctx);
-    // Bound pass: every candidate period's floor, and the floor interface
-    // promising the lowest bandwidth (the smallest period on ties).
-    let candidates = usize::try_from(period_bound.period).expect("one floor per candidate period");
-    let floors: Vec<Time> = NecessaryBudgets::new(set).take(candidates).collect();
-    let mut cheapest = (1, floors[0]);
-    for (period, &floor) in (1..).zip(&floors) {
-        if precedes((period, floor), cheapest) {
-            cheapest = (period, floor);
-        }
-    }
+    let last = period_bound.period;
+    // Bound pass: the floor interface promising the lowest bandwidth (the
+    // smallest period on ties).
+    let cheapest = NecessaryBudgets::new(set).cheapest(last);
     let mut curve = DemandCurve::new(set);
-    let mut best = min_budget_from(&mut curve, cheapest.0, cheapest.1).map(|b| (cheapest.0, b));
-    for (period, &floor) in (1..).zip(&floors) {
-        // A period can only win if its floor already precedes the
-        // incumbent: its selected budget is at least the floor.
-        if period == cheapest.0 || best.is_some_and(|b| !precedes((period, floor), b)) {
-            continue;
-        }
-        let Some(budget) = min_budget_from(&mut curve, period, floor) else {
-            continue;
-        };
-        if best.is_none_or(|b| precedes((period, budget), b)) {
-            best = Some((period, budget));
+    let mut best =
+        min_budget_within(&mut curve, cheapest.0, cheapest.1, cheapest.0).map(|b| (cheapest.0, b));
+    // When the cheapest floor schedules it precedes every other period's
+    // floor, hence every other period's budget: nothing is left to scan.
+    if best != Some(cheapest) {
+        for (period, floor) in (1..=last).zip(NecessaryBudgets::new(set)) {
+            // A period can only win if its floor already precedes the
+            // incumbent: its selected budget is at least the floor.
+            if period == cheapest.0 || best.is_some_and(|b| !precedes((period, floor), b)) {
+                continue;
+            }
+            // Only a budget whose interface precedes the incumbent can
+            // win, so the search stops there: any budget it finds replaces
+            // the incumbent.
+            let ceiling = best.map_or(period, |b| budget_ceiling(period, b));
+            if let Some(budget) = min_budget_within(&mut curve, period, floor, ceiling) {
+                best = Some((period, budget));
+            }
         }
     }
     best.map(|(period, budget)| SelectionResult {
@@ -419,6 +525,19 @@ pub fn select_interface_detailed(
         period_bound,
     })
     .ok_or(Error::NoFeasibleInterface)
+}
+
+/// The largest budget on `period` whose interface precedes `incumbent`
+/// (at most `Π`): strictly lower bandwidth, or equal bandwidth at a smaller
+/// period.
+fn budget_ceiling(period: Time, (incumbent_period, incumbent_budget): (Time, Time)) -> Time {
+    let scaled = incumbent_budget as u128 * period as u128;
+    let ceiling = if period < incumbent_period {
+        scaled / incumbent_period as u128
+    } else {
+        (scaled - 1) / incumbent_period as u128
+    };
+    ceiling.min(period as u128) as Time
 }
 
 /// The selection order on `(Π, Θ)` pairs: lower bandwidth `Θ/Π` first

@@ -36,9 +36,13 @@ pub const MAX_TEST_POINTS: u64 = 2_000_000;
 /// `Some(0.0)`: no points need checking because `sbf(t) = t ≥ dbf(t)`
 /// always holds when `U ≤ 1`.
 pub fn theorem1_bound(set: &TaskSet, resource: &PeriodicResource) -> Option<f64> {
+    horizon(set.utilization(), set.density_excess(), resource)
+}
+
+/// [`theorem1_bound`] from the set's utilization `u` and horizon constant
+/// `k`, so a [`DemandCurve`] computes them once per set, not per test.
+fn horizon(u: f64, k: f64, resource: &PeriodicResource) -> Option<f64> {
     let bw = resource.bandwidth();
-    let u = set.utilization();
-    let k = set.density_excess();
     if resource.budget() == resource.period() && k == 0.0 {
         return Some(0.0);
     }
@@ -75,16 +79,19 @@ pub fn is_schedulable(set: &TaskSet, resource: &PeriodicResource) -> bool {
 }
 
 /// A memoized demand curve for one task set: the sorted demand change
-/// points and the `dbf` value at each, materialized incrementally up to the
-/// largest horizon any test has needed so far.
+/// points and the `dbf` value at each, materialized lazily, in growing
+/// chunks, only as far as some test has read.
 ///
 /// The interface-selection hot path tests the *same* task set against many
 /// `(Π, Θ)` candidates (every budget probed by the binary search, for every
 /// candidate period). The demand side of `dbf(t) ≤ sbf(t)` depends only on
 /// the task set, so one curve serves the whole search: each test re-uses the
-/// cached `(t, dbf(t))` pairs and evaluates only the cheap supply side. The
-/// answers are bit-identical to [`is_schedulable`] — this type *is* its
-/// implementation.
+/// cached `(t, dbf(t))` pairs and evaluates only the cheap supply side. A
+/// test stops at its first violation, and the curve is extended only when
+/// the test has read every cached point below its horizon, so a failing
+/// probe with a huge Theorem 1 horizon builds at most one chunk past the
+/// point that refutes it. The answers are bit-identical to
+/// [`is_schedulable`] — this type *is* its implementation.
 ///
 /// # Example
 ///
@@ -108,16 +115,21 @@ pub struct DemandCurve<'a> {
     set: &'a TaskSet,
     /// Next unmaterialized change point per task (`Dᵢ + k·Tᵢ` cursors).
     cursors: Vec<Time>,
-    /// Horizon below which every change point has been materialized.
-    horizon: Time,
-    /// Sorted, deduplicated change points `< horizon`.
+    /// The set's utilization `U` and horizon constant `K`.
+    utilization: f64,
+    excess: f64,
+    /// Sorted, deduplicated change points: every change point below the
+    /// smallest cursor.
     points: Vec<Time>,
     /// `dbf_set(set, points[i])`, cached alongside.
     demands: Vec<Time>,
-    /// Scratch buffer for newly materialized points (kept to avoid
-    /// re-allocating on every extension).
-    fresh: Vec<Time>,
 }
+
+/// The first chunk a [`DemandCurve`] materializes; each later chunk is as
+/// long as the whole curve before it, so a curve read to `n` points is
+/// built in `O(log n)` extensions and at most `max(MIN_CHUNK, n)` points
+/// past what was read.
+const MIN_CHUNK: usize = 64;
 
 impl<'a> DemandCurve<'a> {
     /// Creates an empty curve for `set`; points materialize on demand.
@@ -125,10 +137,10 @@ impl<'a> DemandCurve<'a> {
         Self {
             set,
             cursors: set.iter().map(Task::deadline).collect(),
-            horizon: 0,
+            utilization: set.utilization(),
+            excess: set.density_excess(),
             points: Vec::new(),
             demands: Vec::new(),
-            fresh: Vec::new(),
         }
     }
 
@@ -137,42 +149,45 @@ impl<'a> DemandCurve<'a> {
         self.set
     }
 
-    /// Materializes all change points `< horizon`. New points are strictly
-    /// above every cached one (the cursors sit at or beyond the old
-    /// horizon), so extension is append-only.
-    fn extend_to(&mut self, horizon: Time) {
-        if horizon <= self.horizon {
-            return;
-        }
-        self.fresh.clear();
-        for (cursor, tau) in self.cursors.iter_mut().zip(self.set.iter()) {
-            while *cursor < horizon {
-                self.fresh.push(*cursor);
-                *cursor += tau.period();
+    /// Appends the next chunk of change points below `horizon`, merging the
+    /// per-task cursors in order; `dbf` steps by the WCET of every task
+    /// whose cursor sits on the point. New points are strictly above every
+    /// cached one, so extension is append-only. Returns `false` when no
+    /// change point below `horizon` was left to add.
+    fn extend(&mut self, horizon: Time) -> bool {
+        let cached = self.points.len();
+        let target = cached + cached.max(MIN_CHUNK);
+        let mut demand = self.demands.last().copied().unwrap_or(0);
+        while self.points.len() < target {
+            let Some(t) = self.cursors.iter().copied().min().filter(|&t| t < horizon) else {
+                break;
+            };
+            for (cursor, tau) in self.cursors.iter_mut().zip(self.set.iter()) {
+                if *cursor == t {
+                    demand += tau.wcet();
+                    *cursor += tau.period();
+                }
             }
-        }
-        self.fresh.sort_unstable();
-        self.fresh.dedup();
-        for &t in &self.fresh {
             self.points.push(t);
-            self.demands.push(dbf_set(self.set, t));
+            self.demands.push(demand);
         }
-        self.horizon = horizon;
+        self.points.len() > cached
     }
 
     /// The memoized equivalent of [`is_schedulable`]: same Theorem 1 bound,
-    /// same conservative [`MAX_TEST_POINTS`] guard, same change points —
-    /// the demand side just comes from the cache.
+    /// same conservative [`MAX_TEST_POINTS`] guard (estimated before any
+    /// point is built), same change points — the demand side just comes
+    /// from the cache.
     pub fn is_schedulable(&mut self, resource: &PeriodicResource) -> bool {
         let set = self.set;
         if set.is_empty() {
             return true;
         }
-        let Some(beta) = theorem1_bound(set, resource) else {
+        let Some(beta) = horizon(self.utilization, self.excess, resource) else {
             return false;
         };
         // Dedicated resource with implicit deadlines: sbf(t) = t ≥ U·t ≥ dbf(t).
-        if resource.budget() == resource.period() && set.density_excess() == 0.0 {
+        if resource.budget() == resource.period() && self.excess == 0.0 {
             return true;
         }
         let horizon = beta.ceil() as Time;
@@ -181,12 +196,18 @@ impl<'a> DemandCurve<'a> {
         if estimated > MAX_TEST_POINTS {
             return false;
         }
-        self.extend_to(horizon);
-        let end = self.points.partition_point(|&t| t < horizon);
-        self.points[..end]
-            .iter()
-            .zip(&self.demands[..end])
-            .all(|(&t, &demand)| demand <= resource.sbf(t))
+        let mut read = 0;
+        loop {
+            let end = read + self.points[read..].partition_point(|&t| t < horizon);
+            let mut checked = self.points[read..end].iter().zip(&self.demands[read..end]);
+            if !checked.all(|(&t, &demand)| demand <= resource.sbf(t)) {
+                return false;
+            }
+            if end < self.points.len() || !self.extend(horizon) {
+                return true;
+            }
+            read = end;
+        }
     }
 }
 
@@ -200,6 +221,7 @@ pub fn is_schedulable_brute(set: &TaskSet, resource: &PeriodicResource, horizon:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::change_points;
     use crate::task::Task;
 
     fn set(specs: &[(u64, u64)]) -> TaskSet {
@@ -364,6 +386,56 @@ mod tests {
         // A single constrained task at U < 1 fits on a dedicated resource.
         let ok = TaskSet::new(vec![Task::with_deadline(0, 10, 5, 3).unwrap()]).unwrap();
         assert!(is_schedulable(&ok, &PeriodicResource::dedicated(1)));
+    }
+
+    #[test]
+    fn a_failing_probe_builds_at_most_one_chunk_past_its_violation() {
+        // Every failing probe on a fresh curve: the curve holds the points
+        // up to the first violation plus at most the chunk that reached it.
+        let sets = [
+            set(&[(100, 10)]),
+            set(&[(10, 2), (15, 3)]),
+            set(&[(8, 1), (12, 2), (20, 5)]),
+            TaskSet::new(vec![
+                Task::with_deadline(0, 12, 6, 2).unwrap(),
+                Task::with_deadline(1, 30, 15, 4).unwrap(),
+            ])
+            .unwrap(),
+        ];
+        let mut failing = 0;
+        for s in &sets {
+            for period in [7, 40, 300] {
+                for budget in 1..=period {
+                    let r = PeriodicResource::new(period, budget).unwrap();
+                    let Some(beta) = theorem1_bound(s, &r) else {
+                        continue;
+                    };
+                    let mut curve = DemandCurve::new(s);
+                    if curve.is_schedulable(&r) {
+                        continue;
+                    }
+                    failing += 1;
+                    let violation = change_points(s, beta.ceil() as Time)
+                        .iter()
+                        .position(|&t| dbf_set(s, t) > r.sbf(t))
+                        .expect("a failing probe has a violation");
+                    assert!(
+                        curve.points.len() <= MIN_CHUNK.max(2 * (violation + 1)),
+                        "{} points built for a violation at index {violation} ({r:?}, {s:?})",
+                        curve.points.len()
+                    );
+                }
+            }
+        }
+        assert!(failing > 100, "only {failing} failing probes");
+        // A sliver just above U = 0.1 with a 1,000-cycle period: its β is
+        // about 180,000 (1,800 change points), yet the first point fails.
+        let s = set(&[(100, 10)]);
+        let sliver = PeriodicResource::new(1_000, 101).unwrap();
+        assert!(theorem1_bound(&s, &sliver).unwrap() > 100_000.0);
+        let mut curve = DemandCurve::new(&s);
+        assert!(!curve.is_schedulable(&sliver));
+        assert_eq!(curve.points.len(), MIN_CHUNK);
     }
 
     #[test]

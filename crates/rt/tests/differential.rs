@@ -11,7 +11,7 @@ use bluescale_rt::interface::{
     select_interface_exhaustive, select_se_interfaces_with_divisor, NecessaryBudgets,
     SelectionContext,
 };
-use bluescale_rt::schedulability::{is_schedulable, DemandCurve};
+use bluescale_rt::schedulability::{is_schedulable, is_schedulable_brute, DemandCurve};
 use bluescale_rt::supply::PeriodicResource;
 use bluescale_rt::task::{Task, TaskSet};
 use bluescale_sim::rng::SimRng;
@@ -294,6 +294,176 @@ fn necessary_budgets_never_exceed_the_minimum_budget() {
                     floor - 1
                 );
             }
+        }
+    }
+}
+
+/// The bound pass `NecessaryBudgets::cheapest` replaced: the first `last`
+/// floors scanned in order, keeping the lowest bandwidth (the smallest
+/// period on ties).
+fn cheapest_by_scan(set: &TaskSet, last: u64) -> (u64, u64) {
+    let mut floors = (1..=last).zip(NecessaryBudgets::new(set));
+    let first = floors.next().expect("at least one period");
+    floors.fold(first, |best, (period, floor)| {
+        if (floor as u128) * (best.0 as u128) < (best.1 as u128) * (period as u128) {
+            (period, floor)
+        } else {
+            best
+        }
+    })
+}
+
+/// Constrained deadlines whose first deadline carries more demand than it
+/// has cycles (`dbf(t₁) > t₁`), so the carried floor (b) lags the exact
+/// one; such sets are infeasible but still have a bound pass.
+fn overloaded_first_deadline(rng: &mut SimRng) -> TaskSet {
+    let deadline = rng.range_u64(1, 12);
+    let copies = rng.range_usize(2, 5);
+    let tasks = (0..copies)
+        .map(|i| {
+            let wcet = rng.range_u64(deadline / 2 + 1, deadline + 1);
+            let period = rng.range_u64(copies as u64 * wcet, 400);
+            Task::with_deadline(i as u32, period, deadline, wcet).expect("valid parameters")
+        })
+        .collect();
+    let set = TaskSet::new(tasks).expect("utilization at most one");
+    assert!(bluescale_rt::demand::dbf_set(&set, deadline) > deadline);
+    set
+}
+
+/// Utilization exactly 1: floor (a) rises on every period.
+fn full_utilization(rng: &mut SimRng) -> TaskSet {
+    let period = rng.range_u64(2, 200);
+    let split = rng.range_u64(1, period);
+    let deadline = rng.range_u64(split, period + 1);
+    TaskSet::new(vec![
+        Task::new(0, period, period - split).expect("valid parameters"),
+        Task::with_deadline(1, period, deadline, split).expect("valid parameters"),
+    ])
+    .expect("utilization exactly one")
+}
+
+/// The run-jumping bound pass picks exactly the floor interface the linear
+/// scan picks, for caps from one period to 2^20.
+#[test]
+fn cheapest_floor_matches_the_linear_scan() {
+    let mut rng = SimRng::seed_from(0xC4EA);
+    for case in 0..240 {
+        let set = match case % 5 {
+            0 => random_taskset(&mut rng),
+            1 => deflated_taskset(&mut rng, 4, 4_000, 0.9),
+            2 => deflated_taskset(&mut rng, 2, 40, 0.5),
+            3 => full_utilization(&mut rng),
+            _ => overloaded_first_deadline(&mut rng),
+        };
+        let caps: &[u64] = if case % 12 == 0 {
+            &[1, 2, 4096, 1 << 20]
+        } else {
+            &[1, 2, 3, 4096]
+        };
+        for &last in caps {
+            assert_eq!(
+                NecessaryBudgets::new(&set).cheapest(last),
+                cheapest_by_scan(&set, last),
+                "case {case}: cap {last} for {set:?}"
+            );
+        }
+    }
+}
+
+/// One curve shared across a probe that fails early at a huge Theorem 1
+/// horizon and the probes after it answers as fresh curves and the
+/// brute-force scan do: the lazily built prefix serves later probes whole.
+#[test]
+fn shared_curve_survives_an_early_failure_at_a_huge_horizon() {
+    let mut rng = SimRng::seed_from(0x1A2F);
+    let mut failed_early = 0;
+    for case in 0..80 {
+        let set = random_taskset(&mut rng);
+        let utilization = set.utilization();
+        if utilization > 0.9 {
+            continue;
+        }
+        let max_period = set.iter().map(Task::period).max().expect("non-empty");
+        // A long period with bandwidth just above U: its blackout starves
+        // the first deadline, and its horizon β is tens of thousands.
+        let period = 20 * max_period;
+        let budget = (utilization * period as f64).floor() as u64 + 1;
+        let sliver = PeriodicResource::new(period, budget).unwrap();
+        let mut shared = DemandCurve::new(&set);
+        let mut probes = vec![sliver];
+        for period in 1..=6 {
+            probes.extend((1..=period).map(|b| PeriodicResource::new(period, b).unwrap()));
+        }
+        for r in &probes {
+            let fresh = is_schedulable(&set, r);
+            assert_eq!(
+                shared.is_schedulable(r),
+                fresh,
+                "case {case}: {r:?} on {set:?}"
+            );
+            assert_eq!(
+                is_schedulable_brute(&set, r, 4 * max_period + 2 * period),
+                fresh,
+                "case {case}: brute force disagrees on {r:?} for {set:?}"
+            );
+        }
+        failed_early += usize::from(!is_schedulable(&set, &sliver));
+    }
+    assert!(
+        failed_early >= 40,
+        "only {failed_early} huge-horizon probes failed"
+    );
+}
+
+/// The leaf interfaces of a shard-style SE: four single-task clients with
+/// periods in `[n, 4n]` at `0.9/n` each and deadlines deflated to `0.9·T`,
+/// selected under their shared context as the tree does.
+fn shard_leaf_interfaces(clients: u64, rng: &mut SimRng) -> Vec<PeriodicResource> {
+    let share = 0.9 / clients as f64;
+    let sets: Vec<TaskSet> = (0..4)
+        .map(|_| {
+            let lo = clients.max((1.0 / share).ceil() as u64);
+            let (period, wcet) = if lo > 4 * clients {
+                (4 * clients, 1)
+            } else {
+                let period = rng.range_u64(lo, 4 * clients + 1);
+                (period, (share * period as f64).round().max(1.0) as u64)
+            };
+            let deadline = ((0.9 * period as f64).floor() as u64).clamp(wcet, period);
+            let task = Task::with_deadline(0, period, deadline, wcet).expect("valid parameters");
+            TaskSet::new(vec![task]).expect("one task")
+        })
+        .collect();
+    select_se_interfaces_with_divisor(&sets, 1)
+        .expect("a light leaf selects")
+        .into_iter()
+        .map(|iface| iface.expect("every port is busy"))
+        .collect()
+}
+
+/// The problems just above the shard workload's leaves: each port holds
+/// four server tasks built from one leaf SE's interfaces, and the four
+/// ports share the level's utilization.
+#[test]
+fn shard_inner_level_problems_match_exhaustive() {
+    let mut rng = SimRng::seed_from(0x5A4D);
+    for case in 0..12 {
+        let clients = [256, 1_024, 4_096][case % 3];
+        let ports: Vec<TaskSet> = (0..4)
+            .map(|_| {
+                let servers = shard_leaf_interfaces(clients, &mut rng)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(q, r)| Task::new(q as u32, r.period(), r.budget()).unwrap())
+                    .collect();
+                TaskSet::new(servers).expect("leaf interfaces fit")
+            })
+            .collect();
+        let total: f64 = ports.iter().map(TaskSet::utilization).sum();
+        let ctx = SelectionContext::shared(total);
+        for (port, set) in ports.iter().enumerate() {
+            assert_matches_exhaustive(set, &ctx, &format!("inner case {case}, port {port}"));
         }
     }
 }

@@ -22,7 +22,7 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> interface-selection bench (tuned kernel bit-identical to the seed selection)"
+echo "==> interface-selection bench (tuned kernel bit-identical to the seed selection, per client and on every SE of a 1,024-client shard tree)"
 sel_out="$(mktemp)"
 cargo run --release -q -p bluescale-bench --bin selection_bench -- --workloads 1 --out "$sel_out"
 rm -f "$sel_out"
