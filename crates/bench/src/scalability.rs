@@ -497,6 +497,11 @@ pub struct ShardPoint {
     /// Whether every worker count produced an identical run
     /// [`Fingerprint`].
     pub verified: bool,
+    /// Peak resident set (`VmHWM`) of a process that ran this point and
+    /// nothing else, MiB: the analysis, every worker count's build and
+    /// run. `None` when the point shared its process with other work
+    /// ([`run_shards`] leaves it to the caller, who knows).
+    pub peak_rss_mb: Option<f64>,
 }
 
 impl ShardPoint {
@@ -536,12 +541,13 @@ fn sharded_system(
 /// sizes the differential tests cannot afford, pinning that the worker
 /// count is a pure wall-clock knob all the way to the 2^20-client point.
 pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
-    let mut master = SimRng::seed_from(config.seed);
     config
         .client_counts
         .iter()
         .map(|&clients| {
-            let mut rng = master.fork();
+            // A point's workload depends on the seed and its client count
+            // only, so a point run alone draws what it draws in a sweep.
+            let mut rng = SimRng::seed_from(config.seed).fork();
             let n = clients as u64;
             let sets = uniform_task_sets(clients, config.utilization, n, 4 * n, &mut rng);
             let horizon = config
@@ -586,6 +592,7 @@ pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
                 issued: reference.issued(),
                 completed: reference.completed(),
                 verified,
+                peak_rss_mb: None,
             }
         })
         .collect()
@@ -596,6 +603,13 @@ pub fn run_shards(config: &ShardSweepConfig) -> Vec<ShardPoint> {
 /// parallelism actually available to the run — wall-clock speedup is a
 /// hardware property, unlike the `verified` determinism bit.
 pub fn render_shards_json(config: &ShardSweepConfig, points: &[ShardPoint]) -> String {
+    let blocks: Vec<String> = points.iter().map(render_shard_point).collect();
+    assemble_shards_json(config, &blocks)
+}
+
+/// The artefact around already rendered point blocks (see
+/// [`shard_point_blocks`]), in the given order.
+pub fn assemble_shards_json(config: &ShardSweepConfig, blocks: &[String]) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = format!(
         concat!(
@@ -609,44 +623,59 @@ pub fn render_shards_json(config: &ShardSweepConfig, points: &[ShardPoint]) -> S
         ),
         config.utilization, config.seed, host_cpus
     );
-    for (i, p) in points.iter().enumerate() {
+    s.push_str(&blocks.join(",\n"));
+    s.push_str("\n  ]\n}\n");
+    s
+}
+
+/// The `points` blocks of an artefact [`render_shards_json`] wrote, as
+/// one string [`assemble_shards_json`] takes back: how a sweep that runs
+/// each point in a process of its own collects the points.
+pub fn shard_point_blocks(json: &str) -> Option<&str> {
+    let start = json.find("  \"points\": [\n")? + "  \"points\": [\n".len();
+    let end = json.rfind("\n  ]\n}")?;
+    json.get(start..end)
+}
+
+/// One point's object in the `points` array, without a separator.
+fn render_shard_point(p: &ShardPoint) -> String {
+    let peak_rss_mb = p
+        .peak_rss_mb
+        .map_or_else(|| "null".to_owned(), |mb| format!("{mb:.1}"));
+    let mut s = format!(
+        concat!(
+            "    {{\n",
+            "      \"clients\": {},\n",
+            "      \"horizon\": {},\n",
+            "      \"build_s\": {:.3},\n",
+            "      \"peak_rss_mb\": {},\n",
+            "      \"issued\": {},\n",
+            "      \"completed\": {},\n",
+            "      \"verified\": {},\n",
+            "      \"runs\": [\n",
+        ),
+        p.clients,
+        p.horizon,
+        p.build_ns as f64 / 1e9,
+        peak_rss_mb,
+        p.issued,
+        p.completed,
+        p.verified,
+    );
+    for (j, r) in p.runs.iter().enumerate() {
         s.push_str(&format!(
             concat!(
-                "    {{\n",
-                "      \"clients\": {},\n",
-                "      \"horizon\": {},\n",
-                "      \"build_s\": {:.3},\n",
-                "      \"issued\": {},\n",
-                "      \"completed\": {},\n",
-                "      \"verified\": {},\n",
-                "      \"runs\": [\n",
+                "        {{ \"workers\": {}, \"effective_workers\": {}, ",
+                "\"wall_ns\": {}, \"speedup\": {:.2} }}{}\n",
             ),
-            p.clients,
-            p.horizon,
-            p.build_ns as f64 / 1e9,
-            p.issued,
-            p.completed,
-            p.verified,
-        ));
-        for (j, r) in p.runs.iter().enumerate() {
-            s.push_str(&format!(
-                concat!(
-                    "        {{ \"workers\": {}, \"effective_workers\": {}, ",
-                    "\"wall_ns\": {}, \"speedup\": {:.2} }}{}\n",
-                ),
-                r.workers,
-                r.effective_workers,
-                r.wall_ns,
-                p.speedup(r),
-                if j + 1 < p.runs.len() { "," } else { "" },
-            ));
-        }
-        s.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if i + 1 < points.len() { "," } else { "" }
+            r.workers,
+            r.effective_workers,
+            r.wall_ns,
+            p.speedup(r),
+            if j + 1 < p.runs.len() { "," } else { "" },
         ));
     }
-    s.push_str("  ]\n}\n");
+    s.push_str("      ]\n    }");
     s
 }
 
@@ -795,8 +824,18 @@ mod tests {
         assert_eq!(json.matches("\"wall_ns\"").count(), 2);
         assert_eq!(json.matches("\"build_s\"").count(), 1);
         assert!(pts[0].build_ns > 0);
+        assert!(json.contains("\"peak_rss_mb\": null"));
         let table = render_shards_table(&pts);
         assert!(table.contains("Speedup"));
+        // A sweep assembled from per-process artefacts reads the same.
+        let blocks = shard_point_blocks(&json).expect("points").to_owned();
+        assert_eq!(
+            assemble_shards_json(&cfg, std::slice::from_ref(&blocks)),
+            json
+        );
+        let two = assemble_shards_json(&cfg, &[blocks.clone(), blocks]);
+        assert_eq!(two.matches("\"wall_ns\"").count(), 4);
+        assert!(two.contains("    },\n    {\n"));
     }
 
     #[test]

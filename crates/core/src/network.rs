@@ -237,7 +237,11 @@ impl<E: Engine> BlueScaleInterconnect<E> {
     /// recorded; call [`MetricsRegistry::enable_detail`] to additionally
     /// record typed events and per-request latency breakdowns (bounded ring
     /// buffer — safe on long runs). Memory-controller counters are
-    /// refreshed on each `metrics_mut` call.
+    /// refreshed on each `metrics_mut` call, and the engine's batched
+    /// SE and port deltas are folded in: every changed tally is one add
+    /// into the registry's dense `Se`/`Port` rows, so the fold costs one
+    /// scan of the servers plus what changed, not an ordered-map update
+    /// per key.
     ///
     /// # Example
     ///

@@ -960,6 +960,11 @@ impl SoaCore {
     /// larger tree flushes under the subtree's *global* coordinates, so a
     /// registry fed by several shard cores is indistinguishable from one
     /// fed by a single whole-tree core.
+    ///
+    /// The cost is one pass settling every server's owed countdowns and
+    /// taking every delta, plus one add per non-zero delta; each add lands
+    /// in the registry's dense `Se`/`Port` rows (an indexed short vector,
+    /// not an ordered-map walk).
     pub fn flush_metrics_mapped(
         &mut self,
         metrics: &mut MetricsRegistry,

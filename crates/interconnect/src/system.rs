@@ -465,7 +465,8 @@ impl<I: ?Sized + Interconnect> Driver for Serial<'_, I> {
         run_span(self, horizon, fast);
         // Fold in any counters the interconnect batches during the run so
         // that read-only `metrics()` fingerprints taken after a run are
-        // exact.
+        // exact. Every host that advances in pieces pays this once per
+        // piece; it writes through the registry's dense SE and port rows.
         self.0.interconnect.metrics_mut();
     }
 

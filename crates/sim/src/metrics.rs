@@ -7,9 +7,10 @@
 //! * **Tallies** — named [`Counter`]s, gauges, [`OnlineStats`] and
 //!   [`Samples`] keyed by [`ComponentId`]. These are the experiment
 //!   *results* (grant counts, latency distributions) and are always
-//!   recorded. `System` and `Client` keys index dense rows (the harness
-//!   touches them on every request); every other key is a b-tree lookup
-//!   over a small, fixed key set.
+//!   recorded. `System`, `Client`, `Se` and `Port` keys index dense rows
+//!   (the harness touches the first two on every request, the span-end
+//!   fabric fold the last two on every span); every other key is a
+//!   b-tree lookup over a small, fixed key set.
 //! * **Detail** — typed [`Event`]s in a bounded ring buffer plus
 //!   per-request lifecycle tracking that yields end-to-end
 //!   [`LatencyBreakdown`]s (queueing vs. NoC vs. memory service vs.
@@ -541,64 +542,171 @@ struct Lifecycle {
 /// a stray `Client(u32::MAX)` allocates no rows.
 const DENSE_CLIENTS: u32 = 1 << 20;
 
+/// SE coordinates with `depth < DENSE_DEPTHS` and `order < DENSE_ORDERS`
+/// are stored in dense rows, and so are their ports below `DENSE_PORTS`.
+/// That covers every tree a fabric builds (at most 64 ports per SE; a
+/// binary tree over 2²⁰ clients has 20 levels of at most 2¹⁹ SEs).
+/// Farther coordinates go to the ordered map, so a stray
+/// `Se { order: usize::MAX }` allocates no rows.
+const DENSE_DEPTHS: usize = 32;
+const DENSE_ORDERS: usize = 1 << 20;
+const DENSE_PORTS: usize = 64;
+
+/// One component's tallies: a short vector kept sorted by metric kind.
+type Row<K, V> = Vec<(K, V)>;
+
 /// One tally layer of the registry, keyed by `(ComponentId, K)`.
 ///
-/// `System` is row 0 and `Client(n)` (for `n < DENSE_CLIENTS`) is row
-/// `n + 1` of a dense table, so the per-request harness updates index a
-/// short vector instead of walking a b-tree. Each row is a short vector
-/// kept sorted by `K`. Every other key lives in an ordered map. The derived
-/// [`ComponentId`] order puts `System` and `Client(_)` before every other
-/// variant, and the map's clients sort after every dense one, so "rows,
-/// then map" is exactly the key order of a single `BTreeMap`. A key exists
-/// only once it is touched.
+/// The keys a run touches on every request or every span live in dense
+/// rows indexed directly, so a harness update or a span-end fold indexes
+/// a short vector instead of walking a b-tree:
+///
+/// * `System` is `system` and `Client(n)` (for `n < DENSE_CLIENTS`) is
+///   `clients[n - client_base]`, where `client_base` is the lowest id
+///   touched so far (or a little below it), so a registry that sees only
+///   one high range of ids — a shard's — holds rows for that range only;
+/// * `Se { depth, order }` is `ses[depth][order]` and
+///   `Port { depth, order, port }` is `ports[depth][order][port]`, within
+///   the `DENSE_*` bounds.
+///
+/// Every other key (`Memory`, `Bank`, `Series` and far coordinates) lives
+/// in an ordered map. Read in the order above, the dense rows are sorted
+/// by the derived [`ComponentId`] order, so iteration merges them with the
+/// map in one pass and yields exactly the key order of a single
+/// `BTreeMap` (a map-held `Se { depth: d, order: huge }` lands between the
+/// dense `Se { depth: d, .. }` and `Se { depth: d + 1, .. }` keys). A key
+/// exists only once it is touched: looking up an absent key allocates
+/// nothing.
 #[derive(Debug, Clone)]
 struct Table<K, V> {
-    rows: Vec<Vec<(K, V)>>,
+    system: Row<K, V>,
+    client_base: u32,
+    clients: Vec<Row<K, V>>,
+    ses: Vec<Vec<Row<K, V>>>,
+    ports: Vec<Vec<Vec<Row<K, V>>>>,
     map: BTreeMap<(ComponentId, K), V>,
 }
 
 impl<K, V> Default for Table<K, V> {
     fn default() -> Self {
         Self {
-            rows: Vec::new(),
+            system: Vec::new(),
+            client_base: 0,
+            clients: Vec::new(),
+            ses: Vec::new(),
+            ports: Vec::new(),
             map: BTreeMap::new(),
         }
     }
 }
 
-/// The dense row of `component`, if it has one.
-fn row_of(component: ComponentId) -> Option<usize> {
+/// Where a component's tallies live in a [`Table`].
+enum Home {
+    System,
+    Client(u32),
+    Se(usize, usize),
+    Port(usize, usize, usize),
+    Map,
+}
+
+fn home_of(component: ComponentId) -> Home {
     match component {
-        ComponentId::System => Some(0),
-        ComponentId::Client(c) if c < DENSE_CLIENTS => Some(c as usize + 1),
-        _ => None,
+        ComponentId::System => Home::System,
+        ComponentId::Client(c) if c < DENSE_CLIENTS => Home::Client(c),
+        ComponentId::Se { depth, order } if depth < DENSE_DEPTHS && order < DENSE_ORDERS => {
+            Home::Se(depth, order)
+        }
+        ComponentId::Port { depth, order, port }
+            if depth < DENSE_DEPTHS && order < DENSE_ORDERS && port < DENSE_PORTS =>
+        {
+            Home::Port(depth, order, port)
+        }
+        _ => Home::Map,
     }
 }
 
-/// Inverse of [`row_of`].
-fn row_component(row: usize) -> ComponentId {
-    match row {
-        0 => ComponentId::System,
-        r => ComponentId::Client((r - 1) as u32),
+/// `v[i]`, growing `v` with empty entries to reach it.
+fn grow<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= v.len() {
+        v.resize_with(i + 1, T::default);
     }
+    &mut v[i]
+}
+
+fn find<K: Ord, V>(row: &[(K, V)], key: &K) -> Result<usize, usize> {
+    row.binary_search_by(|(k, _)| k.cmp(key))
+}
+
+/// Merges two streams sorted by disjoint keys into one sorted stream.
+fn merge_sorted<T: Ord, I>(
+    a: impl Iterator<Item = (T, I)>,
+    b: impl Iterator<Item = (T, I)>,
+) -> impl Iterator<Item = (T, I)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some((x, _)), Some((y, _))) if y < x => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// Every entry of a [`Table`] in key order, borrowed through `$iter`
+/// (`iter` or `iter_mut`): the dense rows in their order, merged with
+/// the map.
+macro_rules! table_entries {
+    ($table:expr, $iter:ident $(, $mut:tt)?) => {{
+        let table = $table;
+        let base = table.client_base;
+        let clients = table
+            .clients
+            .$iter()
+            .zip(base..)
+            .map(|(row, c)| (ComponentId::Client(c), row));
+        let ses = table.ses.$iter().enumerate().flat_map(|(depth, level)| {
+            level
+                .$iter()
+                .enumerate()
+                .map(move |(order, row)| (ComponentId::Se { depth, order }, row))
+        });
+        let ports = table.ports.$iter().enumerate().flat_map(|(depth, level)| {
+            level.$iter().enumerate().flat_map(move |(order, se)| {
+                se.$iter()
+                    .enumerate()
+                    .map(move |(port, row)| (ComponentId::Port { depth, order, port }, row))
+            })
+        });
+        let dense = std::iter::once((ComponentId::System, &$($mut)? table.system))
+            .chain(clients)
+            .chain(ses)
+            .chain(ports)
+            .flat_map(|(component, row)| row.$iter().map(move |(k, v)| ((component, *k), v)));
+        merge_sorted(dense, table.map.$iter().map(|(&key, v)| (key, v)))
+    }};
 }
 
 impl<K: Ord + Copy, V> Table<K, V> {
     fn get(&self, component: ComponentId, key: K) -> Option<&V> {
-        let Some(r) = row_of(component) else {
-            return self.map.get(&(component, key));
-        };
-        let row = self.rows.get(r)?;
-        let i = row.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
-        Some(&row[i].1)
+        let row = match home_of(component) {
+            Home::System => Some(&self.system),
+            Home::Client(c) => self.clients.get(c.checked_sub(self.client_base)? as usize),
+            Home::Se(d, o) => self.ses.get(d)?.get(o),
+            Home::Port(d, o, p) => self.ports.get(d)?.get(o)?.get(p),
+            Home::Map => return self.map.get(&(component, key)),
+        }?;
+        Some(&row[find(row, &key).ok()?].1)
     }
 
     fn get_mut(&mut self, component: ComponentId, key: K) -> Option<&mut V> {
-        let Some(r) = row_of(component) else {
-            return self.map.get_mut(&(component, key));
-        };
-        let row = self.rows.get_mut(r)?;
-        let i = row.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
+        let row = match home_of(component) {
+            Home::System => Some(&mut self.system),
+            Home::Client(c) => self
+                .clients
+                .get_mut(c.checked_sub(self.client_base)? as usize),
+            Home::Se(d, o) => self.ses.get_mut(d)?.get_mut(o),
+            Home::Port(d, o, p) => self.ports.get_mut(d)?.get_mut(o)?.get_mut(p),
+            Home::Map => return self.map.get_mut(&(component, key)),
+        }?;
+        let i = find(row, &key).ok()?;
         Some(&mut row[i].1)
     }
 
@@ -608,37 +716,44 @@ impl<K: Ord + Copy, V> Table<K, V> {
         key: K,
         make: impl FnOnce() -> V,
     ) -> &mut V {
-        let Some(r) = row_of(component) else {
-            return self.map.entry((component, key)).or_insert_with(make);
+        let row = match home_of(component) {
+            Home::System => &mut self.system,
+            Home::Client(c) => self.client_row(c),
+            Home::Se(d, o) => grow(grow(&mut self.ses, d), o),
+            Home::Port(d, o, p) => grow(grow(grow(&mut self.ports, d), o), p),
+            Home::Map => return self.map.entry((component, key)).or_insert_with(make),
         };
-        if r >= self.rows.len() {
-            self.rows.resize_with(r + 1, Vec::new);
-        }
-        let row = &mut self.rows[r];
-        let i = match row.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => i,
-            Err(i) => {
-                row.insert(i, (key, make()));
-                i
-            }
-        };
+        let i = find(row, &key).unwrap_or_else(|i| {
+            row.insert(i, (key, make()));
+            i
+        });
         &mut row[i].1
     }
 
+    /// `Client(c)`'s row, growing the client rows to reach it: upward
+    /// directly, downward by at least the rows already held, so a
+    /// descending run of first touches still costs amortized O(1).
+    fn client_row(&mut self, c: u32) -> &mut Row<K, V> {
+        if self.clients.is_empty() {
+            self.client_base = c;
+        } else if c < self.client_base {
+            // At most `DENSE_CLIENTS` rows, so the length fits a u32.
+            let held = self.clients.len() as u32;
+            let base = c.min(self.client_base.saturating_sub(held));
+            let below = (self.client_base - base) as usize;
+            self.clients
+                .splice(0..0, std::iter::repeat_with(Vec::new).take(below));
+            self.client_base = base;
+        }
+        grow(&mut self.clients, (c - self.client_base) as usize)
+    }
+
     fn iter(&self) -> impl Iterator<Item = ((ComponentId, K), &V)> {
-        let rows = self.rows.iter().enumerate().flat_map(|(r, row)| {
-            let component = row_component(r);
-            row.iter().map(move |(k, v)| ((component, *k), v))
-        });
-        rows.chain(self.map.iter().map(|(&key, v)| (key, v)))
+        table_entries!(self, iter)
     }
 
     fn iter_mut(&mut self) -> impl Iterator<Item = ((ComponentId, K), &mut V)> {
-        let rows = self.rows.iter_mut().enumerate().flat_map(|(r, row)| {
-            let component = row_component(r);
-            row.iter_mut().map(move |(k, v)| ((component, *k), v))
-        });
-        rows.chain(self.map.iter_mut().map(|(&key, v)| (key, v)))
+        table_entries!(self, iter_mut, mut)
     }
 }
 
@@ -1380,6 +1495,78 @@ mod tests {
         assert_eq!(Counter::SubscriberLagged.unit(), "events");
         assert_eq!(SampleKind::Latency.unit(), "cycles");
         assert_eq!(SampleKind::MissRatio.unit(), "ratio");
+    }
+
+    #[test]
+    fn absent_key_lookups_allocate_no_rows() {
+        let mut reg = MetricsRegistry::new();
+        let far = ComponentId::Se {
+            depth: 3,
+            order: 900,
+        };
+        for c in [ComponentId::Client(7), far, far.port(5)] {
+            assert_eq!(reg.counter(c, Counter::Grants), 0);
+            reg.sub(c, Counter::Grants, 1);
+            assert_eq!(reg.gauge(c, "util"), None);
+            assert_eq!(reg.stat(c, SampleKind::Latency).count(), 0);
+            assert!(reg.samples(c, SampleKind::Latency).is_none());
+        }
+        assert!(reg.counters.system.is_empty() && reg.counters.clients.is_empty());
+        assert!(reg.counters.ses.is_empty());
+        assert!(reg.counters.ports.is_empty());
+        assert!(reg.gauges.ses.is_empty() && reg.stats.ports.is_empty());
+        assert!(reg.samples.ses.is_empty() && reg.samples.ports.is_empty());
+        assert_eq!(reg.counters_iter().count(), 0);
+    }
+
+    #[test]
+    fn client_rows_cover_the_touched_range_only() {
+        let mut reg = MetricsRegistry::new();
+        let ids = (1_000_000..1_000_010).chain((999_000..1_000_000).rev());
+        for c in ids.clone() {
+            reg.inc(ComponentId::Client(c), Counter::Issued);
+        }
+        reg.inc(ComponentId::System, Counter::Issued);
+        let rows = reg.counters.clients.len();
+        assert!((1_010..2_100).contains(&rows), "{rows} rows for 1,010 ids");
+        let mut seen: Vec<_> = ids.map(ComponentId::Client).collect();
+        seen.sort();
+        seen.insert(0, ComponentId::System);
+        let iterated: Vec<_> = reg.counters_iter().map(|((c, _), _)| c).collect();
+        assert_eq!(iterated, seen);
+    }
+
+    #[test]
+    fn se_and_port_keys_are_dense_within_the_bounds_only() {
+        let mut reg = MetricsRegistry::new();
+        let deep = ComponentId::Se {
+            depth: DENSE_DEPTHS - 1,
+            order: 3,
+        };
+        reg.inc(deep, Counter::Grants);
+        reg.inc(deep.port(DENSE_PORTS - 1), Counter::Grants);
+        let wide = ComponentId::Se {
+            depth: 1,
+            order: DENSE_ORDERS - 1,
+        };
+        reg.inc(wide, Counter::Grants);
+        assert!(reg.counters.map.is_empty(), "in-bound keys are dense");
+        for far in [
+            ComponentId::Se {
+                depth: DENSE_DEPTHS,
+                order: 0,
+            },
+            ComponentId::Se {
+                depth: 0,
+                order: usize::MAX,
+            },
+            SE.port(DENSE_PORTS),
+        ] {
+            reg.inc(far, Counter::Grants);
+        }
+        assert_eq!(reg.counters.map.len(), 3, "far keys go to the map");
+        assert_eq!(reg.counters.ses.len(), DENSE_DEPTHS);
+        assert_eq!(reg.counters.ses[0].len(), 0, "order usize::MAX took no row");
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! — the registry's documented semantics written the obvious way. After
 //! every operation the point reads and the ordered iterators must agree;
 //! periodically the whole `to_json` export must agree byte for byte. The
-//! key set spans the dense-row components (`System`, small `Client` ids),
-//! client ids far above any dense bound and every other component variant.
+//! key set spans the dense-row components (`System`, small `Client` ids,
+//! `Se` and `Port` coordinates of a small tree), client ids and SE
+//! coordinates far beyond any dense bound — some at the same depth as
+//! dense ones, so the two interleave in key order — and every other
+//! component variant.
 
 use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry, SampleKind};
 use bluescale_sim::rng::SimRng;
@@ -38,15 +41,27 @@ const GAUGES: [&str; 3] = ["root_bandwidth", "clients", "util"];
 fn components() -> Vec<ComponentId> {
     let mut all = vec![ComponentId::System];
     all.extend((0..70).map(ComponentId::Client));
+    // Every SE and port of a three-level, four-port tree.
+    for depth in 0..3 {
+        for order in 0..4usize.pow(depth as u32) {
+            let se = ComponentId::Se { depth, order };
+            all.push(se);
+            all.extend((0..4).map(|port| se.port(port)));
+        }
+    }
+    // Far coordinates: alone at their depth, and at the depths of the
+    // dense SEs above.
+    for (depth, order) in [(40, 0), (1, 1 << 40), (2, usize::MAX), (usize::MAX, 3)] {
+        let se = ComponentId::Se { depth, order };
+        all.extend([se, se.port(0), se.port(usize::MAX)]);
+    }
     all.extend([
         ComponentId::Client(1 << 20),
         ComponentId::Client(u32::MAX),
-        ComponentId::Se { depth: 0, order: 0 },
-        ComponentId::Se { depth: 2, order: 5 },
         ComponentId::Port {
-            depth: 2,
-            order: 5,
-            port: 3,
+            depth: 1,
+            order: 2,
+            port: 64,
         },
         ComponentId::Memory,
         ComponentId::Bank(0),
@@ -337,4 +352,43 @@ fn far_client_ids_sort_between_dense_rows_and_other_components() {
     reg.sub(ComponentId::Client(5), Counter::Issued, 1);
     reg.sub(ComponentId::Bank(1), Counter::Issued, 1);
     assert_eq!(reg.counters_iter().count(), order.len());
+}
+
+#[test]
+fn far_se_and_port_coordinates_interleave_with_dense_ones() {
+    let se = |depth, order| ComponentId::Se { depth, order };
+    let order = [
+        se(0, 0),
+        se(1, 0),
+        se(1, 3),
+        se(1, 1 << 40),
+        se(1, usize::MAX),
+        se(2, 0),
+        se(40, 0),
+        se(usize::MAX, 0),
+        se(0, 0).port(0),
+        se(0, 0).port(63),
+        se(0, 0).port(64),
+        se(0, 0).port(usize::MAX),
+        se(0, 1).port(0),
+        se(0, 1 << 40).port(0),
+        se(1, 0).port(2),
+        se(40, 0).port(0),
+        ComponentId::Memory,
+    ];
+    let mut reg = MetricsRegistry::new();
+    for &c in order.iter().rev() {
+        reg.inc(c, Counter::Grants);
+        reg.inc(c, Counter::Issued);
+    }
+    let seen: Vec<_> = reg.counters_iter().map(|(key, _)| key).collect();
+    let want: Vec<_> = order
+        .iter()
+        .flat_map(|&c| [(c, Counter::Issued), (c, Counter::Grants)])
+        .collect();
+    assert_eq!(seen, want);
+    // A retraction on an absent key creates nothing, near or far.
+    reg.sub(se(3, 7), Counter::Grants, 1);
+    reg.sub(se(3, usize::MAX).port(1), Counter::Grants, 1);
+    assert_eq!(reg.counters_iter().count(), want.len());
 }

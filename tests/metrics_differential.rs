@@ -8,13 +8,19 @@
 //! The detail-enabled run must additionally have recorded events and
 //! lifecycle breakdowns, proving it actually observed the run it did not
 //! perturb.
+//!
+//! A last guard pins the storage the span-end folds write through: after
+//! a 1,024-client run every `Se` and `Port` tally sits in the registry's
+//! dense rows, none in its ordered fallback map.
 
 use bluescale::BlueScaleInterconnect;
-use bluescale_bench::invariants::{build_serial, config_for, run_checked};
+use bluescale_bench::invariants::{
+    build_serial, build_sharded, config_for, run_checked, sparse_config,
+};
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::TaskSet;
 use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
-use bluescale_sim::metrics::{ComponentId, Counter, SampleKind};
+use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry, SampleKind};
 use bluescale_workload::synthetic::SyntheticConfig;
 
 const SEED: u64 = 0xD1FF;
@@ -93,4 +99,41 @@ fn detail_recording_is_inert_under_a_rogue_client() {
         .metrics()
         .counter(root, Counter::ThrottledCycles);
     assert_eq!(t_plain, t_observed);
+}
+
+/// Fails if any `Se`/`Port` key of `fabric` lives in a fallback map. The
+/// dense rows store no component id, so the registry's `Debug` rendering
+/// names an SE or a port only where a map holds it as a key (detail is
+/// off: no events or lifecycles name one either).
+fn assert_se_and_port_keys_dense(fabric: &MetricsRegistry, label: &str) {
+    assert!(
+        !fabric.detail(),
+        "{label}: the guard reads a detail-off registry"
+    );
+    let ports = fabric
+        .counters_iter()
+        .filter(|((c, _), _)| matches!(c, ComponentId::Port { .. }))
+        .count();
+    assert!(
+        ports > 1_000,
+        "{label}: the run must tally the tree's ports"
+    );
+    let rendered = format!("{fabric:?}");
+    for name in ["Se {", "Port {"] {
+        assert!(
+            !rendered.contains(name),
+            "{label}: a `{name} .. }}` key fell back to the ordered map"
+        );
+    }
+}
+
+#[test]
+fn span_end_folds_keep_se_and_port_keys_dense_at_1024_clients() {
+    let sets = bluescale_bench::invariants::task_sets(&sparse_config(1_024), SEED);
+    let mut serial = build_system(&sets);
+    serial.run(HORIZON);
+    assert_se_and_port_keys_dense(serial.interconnect().metrics(), "serial");
+    let mut sharded = build_sharded(config_for(&sets, true), &sets, 2);
+    sharded.run(HORIZON);
+    assert_se_and_port_keys_dense(sharded.fabric_metrics(), "sharded");
 }
