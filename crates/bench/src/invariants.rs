@@ -35,6 +35,8 @@ pub trait Harness {
     fn set_churn_plan(&mut self, plan: ChurnPlan);
     /// Runs to `horizon` and returns the aggregate metrics.
     fn run(&mut self, horizon: Cycle) -> RunMetrics;
+    /// Steps to `horizon` without end-of-run accounting.
+    fn advance_to(&mut self, horizon: Cycle);
     /// The fabric's configuration.
     fn config(&self) -> &BlueScaleConfig;
     /// The harness registry (System and Client aggregates).
@@ -59,6 +61,9 @@ impl<E: Engine> Harness for System<BlueScaleInterconnect<E>> {
     fn run(&mut self, horizon: Cycle) -> RunMetrics {
         System::run(self, horizon)
     }
+    fn advance_to(&mut self, horizon: Cycle) {
+        System::advance_to(self, horizon);
+    }
     fn config(&self) -> &BlueScaleConfig {
         self.interconnect().config()
     }
@@ -69,7 +74,7 @@ impl<E: Engine> Harness for System<BlueScaleInterconnect<E>> {
         self.interconnect().forward_counts()
     }
     fn fabric_metrics(&mut self) -> &MetricsRegistry {
-        self.interconnect().metrics()
+        System::fabric_metrics(self).expect("a BlueScale fabric keeps a registry")
     }
     /// With guards armed, every accepted request the guard layer has not
     /// seen delivered — in flight, or lost past the retry limit.
@@ -89,6 +94,9 @@ impl Harness for ShardedSystem {
     }
     fn run(&mut self, horizon: Cycle) -> RunMetrics {
         ShardedSystem::run(self, horizon)
+    }
+    fn advance_to(&mut self, horizon: Cycle) {
+        ShardedSystem::advance_to(self, horizon);
     }
     fn config(&self) -> &BlueScaleConfig {
         ShardedSystem::config(self)

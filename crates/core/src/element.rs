@@ -188,8 +188,7 @@ impl ScaleElement {
     /// handshake were held low. This is the fault layer's stuck-grant
     /// hook; 0 is the healthy path and behaves exactly like
     /// [`step`](Self::step).
-    /// Masked-out ports still accrue blocking charges and their servers
-    /// still tick, so time advances uniformly.
+    /// Masked-out ports' servers still tick, so time advances uniformly.
     pub fn step_masked(
         &mut self,
         now: Cycle,
@@ -211,12 +210,6 @@ impl ScaleElement {
                     .pop()
                     .expect("selected port must have a pending request");
                 self.scheduler.commit_grant(port, metrics);
-                // Blocking accounting: everything still buffered with an
-                // earlier deadline just lost a cycle to lower-priority
-                // traffic.
-                for buffer in &mut self.buffers {
-                    buffer.charge_blocking(request.deadline);
-                }
                 metrics.inc(self.component(), Counter::Forwarded);
                 metrics.request_granted(now, request.id, self.component(), port);
                 granted = Some(request);
@@ -481,10 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn blocking_charged_to_earlier_deadlines() {
+    fn earlier_server_deadline_outranks_earlier_request_deadline() {
         let mut se = ScaleElement::new(SeIndex::new(1, 0), 2, 8, false);
-        // Port 1 replenishes sooner → wins; port 0 has the earlier request
-        // deadline → gets blocked.
+        // Port 1 replenishes sooner → wins, though port 0 holds the earlier
+        // request deadline.
         se.program(&[
             Some(PeriodicResource::new(10, 5).unwrap()),
             Some(PeriodicResource::new(2, 1).unwrap()),
@@ -494,10 +487,8 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         let first = se.step(0, true, &mut reg).unwrap();
         assert_eq!(first.id, 2, "port 1 wins on server deadline");
-        // Now the remaining request carries one blocked cycle.
         let second = se.step(1, true, &mut reg).unwrap();
         assert_eq!(second.id, 1);
-        assert_eq!(second.blocked_cycles, 1);
     }
 
     #[test]

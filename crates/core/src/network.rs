@@ -265,14 +265,21 @@ impl<E: Engine> BlueScaleInterconnect<E> {
         &mut self.io.metrics
     }
 
-    /// Read access to the metrics registry. Memory-controller counters may
-    /// lag behind [`MemoryController::stats`](bluescale_mem::MemoryController::stats)
-    /// until the next [`metrics_mut`](Self::metrics_mut) call — that lag is
-    /// a pinned part of the contract (a `&self` read cannot flush), and
-    /// `metrics_mut` reconverges the mirror *exactly* (pinned by
-    /// `registry_lag_reconverges_exactly`). Callers needing mid-run memory
-    /// statistics without a flush read [`memory_stats`](Self::memory_stats),
-    /// which never lags.
+    /// Read access to the metrics registry. Two kinds of tally may lag
+    /// until the next [`metrics_mut`](Self::metrics_mut) call: the
+    /// memory-controller mirror (behind
+    /// [`MemoryController::stats`](bluescale_mem::MemoryController::stats))
+    /// and, on the batching [`SoaCore`] engine, the
+    /// SE and port tallies (grants, forwards, throttled cycles, overruns,
+    /// replenishments). The harness does not fold after each span, so
+    /// mid-run the lag covers everything since the last exact read. That
+    /// lag is a pinned part of the contract (a `&self` read cannot fold),
+    /// and `metrics_mut` reconverges both *exactly* (pinned by
+    /// `registry_lag_reconverges_exactly`). Callers needing mid-run
+    /// memory statistics without a fold read
+    /// [`memory_stats`](Self::memory_stats), which never lags;
+    /// [`forward_counts`](Self::forward_counts) adds the pending deltas
+    /// and is exact too.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.io.metrics
     }
@@ -936,7 +943,9 @@ mod tests {
     #[test]
     fn registry_lag_reconverges_exactly() {
         use bluescale_mem::DramConfig;
-        fn check<E: Engine>() {
+        /// The folded SE and port tallies; the `&self` read before the
+        /// fold may lag them but never lead.
+        fn check<E: Engine>() -> Vec<((ComponentId, Counter), u64)> {
             let cfg = BlueScaleConfig {
                 dram: Some(DramConfig::default()),
                 ..BlueScaleConfig::for_clients(16)
@@ -956,6 +965,14 @@ mod tests {
                 .metrics()
                 .counter(ComponentId::Memory, Counter::MemAccepted);
             assert!(lagged <= live.accepted, "mirror may lag, never lead");
+            let fabric = |m: &MetricsRegistry| -> Vec<_> {
+                m.counters_iter()
+                    .filter(|((c, _), _)| {
+                        matches!(c, ComponentId::Se { .. } | ComponentId::Port { .. })
+                    })
+                    .collect()
+            };
+            let before = fabric(ic.metrics());
             // metrics_mut flushes: the mirror reconverges *exactly*.
             let flushed = ic.metrics_mut();
             let m = ComponentId::Memory;
@@ -964,9 +981,25 @@ mod tests {
             assert_eq!(flushed.counter(m, Counter::RowHits), live.row_hits);
             assert_eq!(flushed.counter(m, Counter::RowMisses), live.row_misses);
             assert_eq!(flushed.counter(m, Counter::BusyCycles), live.busy_cycles);
+            for ((component, counter), value) in before {
+                assert!(
+                    value <= flushed.counter(component, counter),
+                    "{component}/{counter:?}: a lagging tally may never lead"
+                );
+            }
+            fabric(flushed)
         }
-        check::<PerSeEngine>();
-        check::<SoaCore>();
+        // The per-SE engine tallies SEs and ports as it steps, so its
+        // registry is the exact reference the batching engine's fold
+        // must reconverge to.
+        let exact = check::<PerSeEngine>();
+        assert!(
+            exact
+                .iter()
+                .any(|((_, k), _)| *k == Counter::Replenishments),
+            "the run must replenish some port"
+        );
+        assert_eq!(check::<SoaCore>(), exact);
     }
 
     #[test]

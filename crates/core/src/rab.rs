@@ -7,10 +7,9 @@
 //! vector of entries scanned linearly (the comparator tree), with FIFO
 //! tie-breaking by arrival order (the register-chain position).
 //!
-//! Unlike a FIFO, the buffer also supports *blocking accounting*: when the
-//! local scheduler forwards a request with deadline `D`, every buffered
-//! request with an earlier deadline was just blocked by lower-priority
-//! traffic for one cycle ([`RandomAccessBuffer::charge_blocking`]).
+//! The buffer keeps no blocking tally: a request's blocking latency is
+//! measured once, at the shared memory channel, when the harness records
+//! its response (`HarnessCore::record_response` in `bluescale-interconnect`).
 
 use bluescale_interconnect::MemoryRequest;
 
@@ -131,21 +130,6 @@ impl RandomAccessBuffer {
         Some(self.entries.swap_remove(i).1)
     }
 
-    /// Charges one cycle of blocking to every buffered request whose
-    /// deadline is strictly earlier than `served_deadline` — they just
-    /// waited while a lower-priority request used the provider port.
-    /// Returns how many requests were charged.
-    pub fn charge_blocking(&mut self, served_deadline: u64) -> usize {
-        let mut charged = 0;
-        for (_, r) in &mut self.entries {
-            if r.deadline < served_deadline {
-                r.blocked_cycles += 1;
-                charged += 1;
-            }
-        }
-        charged
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -238,42 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn charge_blocking_hits_earlier_deadlines_only() {
-        let mut rab = RandomAccessBuffer::with_capacity(4);
-        rab.try_push(req(1, 10)).unwrap();
-        rab.try_push(req(2, 50)).unwrap();
-        rab.try_push(req(3, 30)).unwrap();
-        // A request with deadline 40 was served: ids 1 (dl 10) and 3
-        // (dl 30) were blocked; id 2 (dl 50) was not.
-        let charged = rab.charge_blocking(40);
-        assert_eq!(charged, 2);
-        let blocked: Vec<(u64, u64)> = rab.iter().map(|r| (r.id, r.blocked_cycles)).collect();
-        for (id, b) in blocked {
-            match id {
-                1 | 3 => assert_eq!(b, 1),
-                2 => assert_eq!(b, 0),
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    #[test]
-    fn charge_blocking_accumulates() {
-        let mut rab = RandomAccessBuffer::with_capacity(2);
-        rab.try_push(req(1, 10)).unwrap();
-        rab.charge_blocking(100);
-        rab.charge_blocking(100);
-        rab.charge_blocking(100);
-        assert_eq!(rab.pop().unwrap().blocked_cycles, 3);
-    }
-
-    #[test]
     fn empty_behaviour() {
         let mut rab = RandomAccessBuffer::with_capacity(1);
         assert!(rab.is_empty());
         assert_eq!(rab.pop(), None);
         assert_eq!(rab.peek_deadline(), None);
-        assert_eq!(rab.charge_blocking(100), 0);
     }
 
     #[test]
@@ -340,7 +293,6 @@ mod tests {
         // An equal-deadline arrival never overtakes a waiting request.
         let mut rab = RandomAccessBuffer::with_capacity(2);
         rab.try_push(req(7, 25)).unwrap();
-        rab.charge_blocking(100); // ageing must not affect the tiebreak
         rab.try_push(req(8, 25)).unwrap();
         assert_eq!(rab.pop().unwrap().id, 7);
         assert_eq!(rab.pop().unwrap().id, 8);

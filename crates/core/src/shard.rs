@@ -548,11 +548,23 @@ impl Coordinator {
         }
     }
 
-    /// Folds every batched tally into the two registries: memory-controller
-    /// counters, the root core's deltas (identity coordinates), each shard
-    /// core's deltas (remapped to global coordinates) and the per-shard
-    /// harness/fabric delta registries. Idempotent.
-    fn flush(&mut self, shards: &[Mutex<Shard>]) {
+    /// Merges each shard's harness delta into the harness registry, so
+    /// `registry()` is exact between spans as the serial harness's is.
+    /// Runs after every span.
+    fn merge_harness(&mut self, shards: &[Mutex<Shard>]) {
+        for shard in shards {
+            let mut s = lock_shard(shard);
+            self.core.registry.merge(&s.harness_delta);
+            s.harness_delta = MetricsRegistry::new();
+        }
+    }
+
+    /// Folds every batched fabric tally into the fabric registry:
+    /// memory-controller counters, the root core's deltas (identity
+    /// coordinates), each shard core's deltas (remapped to global
+    /// coordinates) and the per-shard fabric delta registries. Runs when
+    /// the fabric registry is read, not after every span. Idempotent.
+    fn fold_fabric(&mut self, shards: &[Mutex<Shard>]) {
         self.mem.controller().record_metrics(&mut self.fabric);
         self.root.flush_metrics(&mut self.fabric);
         for shard in shards {
@@ -562,9 +574,7 @@ impl Coordinator {
                 .flush_metrics_mapped(&mut self.fabric, |depth, order| {
                     (depth + 1, q * branch.pow(depth as u32) + order)
                 });
-            self.core.registry.merge(&s.harness_delta);
             self.fabric.merge(&s.fabric_delta);
-            s.harness_delta = MetricsRegistry::new();
             s.fabric_delta = MetricsRegistry::new();
         }
     }
@@ -663,7 +673,7 @@ impl Driver for Spans<'_> {
 
     fn sources(&mut self) -> (&mut HarnessCore, Option<&MetricsRegistry>) {
         let sys = &mut *self.0;
-        sys.coord.flush(&sys.shards);
+        sys.coord.fold_fabric(&sys.shards);
         (&mut sys.coord.core, Some(&sys.coord.fabric))
     }
 }
@@ -888,23 +898,24 @@ impl ShardedSystem {
     }
 
     /// The harness-level registry (System and Client aggregates). Exact
-    /// after a `run`/flush; per-shard deltas may be pending mid-run.
+    /// after every `advance_to` and `run`, as the serial harness's is.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.coord.core.registry
     }
 
     /// The fabric registry (per-SE/port/bank tallies under global
-    /// coordinates), flushed — indexed exactly like the serial
-    /// interconnect's internal registry.
+    /// coordinates), with every batched tally folded in — indexed exactly
+    /// like the serial interconnect's internal registry. Spans leave
+    /// those tallies pending; this read folds them.
     pub fn fabric_metrics(&mut self) -> &MetricsRegistry {
-        self.coord.flush(&self.shards);
+        self.coord.fold_fabric(&self.shards);
         &self.coord.fabric
     }
 
-    /// Harness + fabric in one snapshot, flushed — mirrors the serial
+    /// Harness + fabric in one snapshot, folded — mirrors the serial
     /// `System::merged_registry`.
     pub fn merged_registry(&mut self) -> MetricsRegistry {
-        self.coord.flush(&self.shards);
+        self.coord.fold_fabric(&self.shards);
         let mut merged = self.coord.core.registry.clone();
         merged.merge(&self.coord.fabric);
         merged
@@ -913,7 +924,7 @@ impl ShardedSystem {
     /// Per-SE forwarded-request counters, `[depth][order]` under global
     /// coordinates — mirrors the serial `forward_counts`.
     pub fn forward_counts(&mut self) -> Vec<Vec<u64>> {
-        self.coord.flush(&self.shards);
+        self.coord.fold_fabric(&self.shards);
         let levels = self.coord.config.levels();
         (0..levels)
             .map(|depth| {
@@ -964,10 +975,14 @@ impl ShardedSystem {
     }
 
     /// Steps (or fast-forwards) up to `horizon` without end-of-run
-    /// accounting, then flushes all batched tallies. With telemetry
-    /// attached the span is chunked at flush boundaries; chunking only
-    /// moves where the coordinator pauses, never what it computes, so
-    /// results stay bit-identical streaming on or off.
+    /// accounting, then merges the shards' harness deltas, so
+    /// [`registry`](Self::registry) is exact. The fabric's batched tallies
+    /// stay pending until a reader folds them: [`fabric_metrics`](Self::fabric_metrics),
+    /// [`merged_registry`](Self::merged_registry), [`forward_counts`](Self::forward_counts)
+    /// or a telemetry flush. With telemetry attached the span is chunked
+    /// at flush boundaries; chunking only moves where the coordinator
+    /// pauses, never what it computes, so results stay bit-identical
+    /// streaming on or off.
     pub fn advance_to(&mut self, horizon: Cycle) {
         system::advance_to(&mut Spans(self), horizon);
     }
@@ -998,7 +1013,7 @@ impl ShardedSystem {
     }
 
     /// One uninterrupted span: serial-or-threaded advance plus the
-    /// coordinator flush that makes the registries exact.
+    /// harness-delta merge that makes the harness registry exact.
     fn advance_span(&mut self, horizon: Cycle) {
         if self.workers <= 1 || self.error.is_some() {
             self.advance_serial(horizon);
@@ -1011,7 +1026,7 @@ impl ShardedSystem {
                 self.advance_serial(horizon);
             }
         }
-        self.coord.flush(&self.shards);
+        self.coord.merge_harness(&self.shards);
     }
 
     /// Single-worker path: the identical schedule, run inline. Used both

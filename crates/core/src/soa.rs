@@ -293,20 +293,6 @@ impl PortQueues {
         mask
     }
 
-    /// Charges one blocked cycle to every request buffered at the ports
-    /// `b0..b0 + branch` whose deadline is strictly earlier than
-    /// `served_deadline`.
-    fn charge_blocking_se(&mut self, b0: usize, branch: usize, served_deadline: u64) {
-        for slot in b0..b0 + branch {
-            let base = slot * self.capacity;
-            for r in &mut self.reqs[base..base + self.len[slot] as usize] {
-                if r.deadline < served_deadline {
-                    r.blocked_cycles += 1;
-                }
-            }
-        }
-    }
-
     fn is_full(&self, slot: usize) -> bool {
         self.len[slot] as usize == self.capacity
     }
@@ -371,8 +357,8 @@ impl PortQueues {
 }
 
 /// A set of SEs (linear indices) as a bitset, iterated in ascending
-/// order: the order every engine visits SEs in, so grant order, blocking
-/// charges and response order do not depend on which SEs are skipped.
+/// order: the order every engine visits SEs in, so grant order and
+/// response order do not depend on which SEs are skipped.
 #[derive(Debug, Clone)]
 struct SeSet(Vec<u64>);
 
@@ -886,8 +872,7 @@ impl SoaCore {
     }
 
     /// Pops `port`'s head request and commits the grant (the legacy
-    /// `commit_grant`): consumes a budget unit or reports the overrun, and
-    /// charges blocking across every port of the SE.
+    /// `commit_grant`): consumes a budget unit or reports the overrun.
     #[inline(always)]
     fn take_grant(&mut self, se: usize, b0: usize, port: usize) -> (MemoryRequest, bool) {
         let slot = b0 + port;
@@ -904,8 +889,6 @@ impl SoaCore {
         if !overrun {
             self.arena.b[slot] -= 1;
         }
-        self.queues
-            .charge_blocking_se(b0, self.branch, request.deadline);
         (request, overrun)
     }
 
@@ -1217,30 +1200,6 @@ mod tests {
                     }
                 }
                 assert!(rejected > 0, "{policy:?}/{capacity}: no slot ever filled");
-            }
-        }
-    }
-
-    #[test]
-    fn slab_charge_blocking_matches_legacy() {
-        for policy in POLICIES {
-            let mut slab = PortQueues::new(3, 8, policy);
-            let mut legacy: Vec<RandomAccessBuffer> = (0..3)
-                .map(|_| RandomAccessBuffer::with_policy(8, policy))
-                .collect();
-            for (slot, id, dl) in [(0, 1, 10), (1, 2, 50), (0, 3, 30), (1, 4, 30), (2, 5, 10)] {
-                slab.try_push(slot, req(id, dl)).unwrap();
-                legacy[slot].try_push(req(id, dl)).unwrap();
-            }
-            // A grant with deadline 40 at an SE owning slots 0 and 1 only.
-            slab.charge_blocking_se(0, 2, 40);
-            legacy[0].charge_blocking(40);
-            legacy[1].charge_blocking(40);
-            for (slot, legacy) in legacy.iter_mut().enumerate() {
-                while let Some(b) = legacy.pop() {
-                    let a = slab.pop(slot).unwrap();
-                    assert_eq!((a.id, a.blocked_cycles), (b.id, b.blocked_cycles));
-                }
             }
         }
     }

@@ -44,10 +44,9 @@ pub enum AccessKind {
 /// sub-system.
 ///
 /// The request carries its real-time context (deadline, owning task) because
-/// BlueScale's whole point is that arbitration decisions can read it; it
-/// also accumulates `blocked_cycles`, incremented by whichever stage holds
-/// the request back while serving a *later-deadline* (lower-priority) one —
-/// the paper's "blocking latency" metric.
+/// BlueScale's whole point is that arbitration decisions can read it. Its
+/// `blocked_cycles` field carries the paper's "blocking latency" metric,
+/// written once when the harness records the response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryRequest {
     /// Globally unique request id.
@@ -64,7 +63,12 @@ pub struct MemoryRequest {
     pub issued_at: Cycle,
     /// Absolute deadline (job release + task period; implicit deadlines).
     pub deadline: Cycle,
-    /// Cycles this request spent blocked behind later-deadline requests.
+    /// Cycles this request spent blocked behind later-deadline requests:
+    /// the memory-channel time granted to later-deadline requests while it
+    /// waited. [`system::HarnessCore::record_response`] writes it on
+    /// delivery, for every architecture alike; stages do not keep it up to
+    /// date in flight (the FIFO baselines still charge their own per-stage
+    /// count, which that write replaces).
     pub blocked_cycles: u64,
 }
 
@@ -172,13 +176,20 @@ pub trait Interconnect {
     /// Component-level counters (per-SE grants, memory-controller tallies)
     /// live here; harness-level aggregates live in the
     /// [`system::System`]'s own registry. The default reports none.
+    ///
+    /// A `&self` read cannot fold, so an implementation that batches its
+    /// tallies may return values that lag until the next
+    /// [`metrics_mut`](Self::metrics_mut). The harness does not fold after
+    /// each span: read through [`system::System::fabric_metrics`] (or
+    /// after [`system::System::run`]) for exact tallies.
     fn metrics(&self) -> Option<&MetricsRegistry> {
         None
     }
 
     /// Mutable access to the internal registry (used to enable detail
-    /// recording and by exporters; implementations may refresh mirrored
-    /// counters on this call). The default reports none.
+    /// recording and by exporters). Implementations fold any batched or
+    /// mirrored tallies on this call, so the registry it returns is exact.
+    /// The default reports none.
     fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
         None
     }

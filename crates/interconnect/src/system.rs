@@ -314,8 +314,9 @@ pub fn run_span(engine: &mut impl Stepper, horizon: Cycle, fast: bool) {
 pub trait Driver {
     /// The shared harness state.
     fn core(&mut self) -> &mut HarnessCore;
-    /// One uninterrupted simulation span up to `horizon`, leaving every
-    /// batched tally folded into the registries.
+    /// One uninterrupted simulation span up to `horizon`. The harness
+    /// registry is exact afterwards; the engine's batched fabric tallies
+    /// stay pending until a reader folds them (see [`sources`](Self::sources)).
     fn advance_span(&mut self, horizon: Cycle);
     /// Folds the engine's batched tallies (memory-controller stats, SoA
     /// delta arrays, shard deltas) and returns the harness state alongside
@@ -463,11 +464,6 @@ impl<I: ?Sized + Interconnect> Driver for Serial<'_, I> {
             && !sys.core.registry.detail()
             && sys.interconnect.metrics().is_none_or(|m| !m.detail());
         run_span(self, horizon, fast);
-        // Fold in any counters the interconnect batches during the run so
-        // that read-only `metrics()` fingerprints taken after a run are
-        // exact. Every host that advances in pieces pays this once per
-        // piece; it writes through the registry's dense SE and port rows.
-        self.0.interconnect.metrics_mut();
     }
 
     fn sources(&mut self) -> (&mut HarnessCore, Option<&MetricsRegistry>) {
@@ -730,6 +726,15 @@ impl<I: ?Sized + Interconnect> System<I> {
         if let Some(m) = self.interconnect.metrics_mut() {
             m.enable_detail();
         }
+    }
+
+    /// The interconnect's registry (component-level grant, throttle and
+    /// memory tallies) with every batched tally folded in, or `None` when
+    /// the interconnect keeps none. Spans leave the fabric's batched
+    /// tallies pending, so `interconnect().metrics()` may lag mid-run;
+    /// this read is exact. Mirrors the sharded harness's `fabric_metrics`.
+    pub fn fabric_metrics(&mut self) -> Option<&MetricsRegistry> {
+        self.interconnect.metrics_mut().map(|m| &*m)
     }
 
     /// A snapshot combining the harness registry with the interconnect's
@@ -995,20 +1000,27 @@ impl<I: ?Sized + Interconnect> System<I> {
     /// Steps (or fast-forwards) the simulation up to `horizon` without any
     /// end-of-run accounting. With telemetry attached, the horizon is
     /// covered as a sequence of spans bounded by flush boundaries; the
-    /// per-cycle loop itself never checks for flushes.
+    /// per-cycle loop itself never checks for flushes. The harness
+    /// registry is exact afterwards; the interconnect's batched tallies
+    /// are folded by the next exact read ([`fabric_metrics`](Self::fabric_metrics),
+    /// [`merged_registry`](Self::merged_registry), a telemetry flush or
+    /// [`run`](Self::run)), not here.
     pub fn advance_to(&mut self, horizon: Cycle) {
         advance_to(&mut Serial(self), horizon);
     }
 
-    /// Runs until `horizon` cycles have elapsed, then accounts still-pending
-    /// requests (in client backlogs and inside the interconnect) as misses
-    /// when their deadlines lie before the horizon. Returns the metrics.
+    /// Runs until `horizon` cycles have elapsed, folds the interconnect's
+    /// batched tallies once (so `interconnect().metrics()` is exact after
+    /// a run), then accounts still-pending requests (in client backlogs
+    /// and inside the interconnect) as misses when their deadlines lie
+    /// before the horizon. Returns the metrics.
     ///
     /// Provably-idle stretches are jumped in closed form when
     /// [`HarnessCore::fast_forward`] is on (the default) and the
     /// interconnect cooperates; results are bit-identical either way.
     pub fn run(&mut self, horizon: Cycle) -> RunMetrics {
         self.advance_to(horizon);
+        self.interconnect.metrics_mut();
         let mut metrics = RunMetrics::from_registry(&self.core.registry, ComponentId::System);
         self.core
             .account_backlog(&mut metrics, &mut self.clients, horizon);

@@ -42,9 +42,10 @@ churn_out="$(mktemp)"
 cargo run --release -q -p bluescale-bench --bin churn -- --clients 16,64 --events 10 --out "$churn_out"
 rm -f "$churn_out"
 
-echo "==> serial differentials in release (churn, fast-forward, SoA, faults, scalability points)"
+echo "==> serial differentials in release (churn, fast-forward, SoA, faults, scalability points, fold-on-read pins at 1,024 clients)"
 cargo test -q --release --test churn_differential --test fastforward_differential \
-    --test soa_differential --test fault_differential --test scalability_smoke
+    --test soa_differential --test fault_differential --test scalability_smoke \
+    --test metrics_differential
 
 echo "==> sharded differentials in release (shard, memory-policy, telemetry; one test at a time)"
 RUST_BACKTRACE=1 cargo test -q --release --test shard_differential \

@@ -9,18 +9,27 @@
 //! lifecycle breakdowns, proving it actually observed the run it did not
 //! perturb.
 //!
-//! A last guard pins the storage the span-end folds write through: after
-//! a 1,024-client run every `Se` and `Port` tally sits in the registry's
+//! A guard pins the storage the fabric fold writes through: after a
+//! 1,024-client run every `Se` and `Port` tally sits in the registry's
 //! dense rows, none in its ordered fallback map.
+//!
+//! The last tests pin when the fabric's batched tallies are folded: when
+//! they are read, not after every span. On a 1,024-client sparse workload,
+//! advancing in 1, 128 or 1,024 pieces and then folding gives registries
+//! byte-identical to one `run`, serially and sharded at 1, 2 and 4
+//! workers; the sharded harness registry equals the serial one after
+//! every piece; and a span leaves the `&self` fabric read lagging until a
+//! folding read brings it back exactly.
 
 use bluescale::BlueScaleInterconnect;
 use bluescale_bench::invariants::{
-    build_serial, build_sharded, config_for, run_checked, sparse_config,
+    build_serial, build_sharded, config_for, run_checked, sparse_config, Harness,
 };
 use bluescale_interconnect::system::System;
 use bluescale_rt::task::TaskSet;
 use bluescale_sim::fault::{FaultKind, FaultPlan, FaultWindow};
 use bluescale_sim::metrics::{ComponentId, Counter, MetricsRegistry, SampleKind};
+use bluescale_sim::Cycle;
 use bluescale_workload::synthetic::SyntheticConfig;
 
 const SEED: u64 = 0xD1FF;
@@ -136,4 +145,123 @@ fn span_end_folds_keep_se_and_port_keys_dense_at_1024_clients() {
     let mut sharded = build_sharded(config_for(&sets, true), &sets, 2);
     sharded.run(HORIZON);
     assert_se_and_port_keys_dense(sharded.fabric_metrics(), "sharded");
+}
+
+fn sparse_sets() -> Vec<TaskSet> {
+    bluescale_bench::invariants::task_sets(&sparse_config(1_024), SEED)
+}
+
+/// Whether two registries hold the same counters, gauges, stats and
+/// sample sequences — what `to_json` renders, without its cost, so it can
+/// run after every piece of an advance.
+fn same_tallies(a: &MetricsRegistry, b: &MetricsRegistry) -> bool {
+    let stats = |m: &MetricsRegistry| {
+        m.stats_iter()
+            .map(|(k, s)| (k, s.count(), s.mean().to_bits(), s.max().map(f64::to_bits)))
+            .collect::<Vec<_>>()
+    };
+    let samples = |m: &MetricsRegistry| {
+        m.samples_iter()
+            .map(|(k, s)| (k, s.as_slice().iter().map(|v| v.to_bits()).collect()))
+            .collect::<Vec<(_, Vec<u64>)>>()
+    };
+    a.counters_iter().eq(b.counters_iter())
+        && a.gauges_iter()
+            .map(|(k, v)| (k, v.to_bits()))
+            .eq(b.gauges_iter().map(|(k, v)| (k, v.to_bits())))
+        && stats(a) == stats(b)
+        && samples(a) == samples(b)
+}
+
+/// Advances `sys` to `horizon` in `pieces` equal `advance_to` steps,
+/// calling `after_piece` after each, then closes the run and folds.
+/// Returns the harness and fabric registries as JSON.
+fn sliced(
+    sys: &mut impl Harness,
+    pieces: Cycle,
+    mut after_piece: impl FnMut(&mut dyn Harness, Cycle),
+) -> (String, String) {
+    for k in 1..=pieces {
+        let cut = HORIZON * k / pieces;
+        sys.advance_to(cut);
+        after_piece(sys, cut);
+    }
+    sys.run(HORIZON);
+    let harness = sys.registry().clone().to_json();
+    (harness, sys.fabric_metrics().clone().to_json())
+}
+
+#[test]
+fn sliced_advances_fold_to_the_registries_of_one_run() {
+    let sets = sparse_sets();
+    let config = config_for(&sets, true);
+    let mut single = build_system(&sets);
+    let (harness, fabric) = sliced(&mut single, 1, |_, _| {});
+    for pieces in [1, 128, 1_024] {
+        let mut serial = build_system(&sets);
+        assert_eq!(
+            sliced(&mut serial, pieces, |_, _| {}),
+            (harness.clone(), fabric.clone()),
+            "serial, {pieces} pieces"
+        );
+        for workers in [1, 2, 4] {
+            // The serial oracle advances in lockstep: after every piece
+            // the sharded harness registry must already be exact.
+            let mut oracle = build_system(&sets);
+            let mut sharded = build_sharded(config.clone(), &sets, workers);
+            let got = sliced(&mut sharded, pieces, |sys, cut| {
+                oracle.advance_to(cut);
+                assert!(
+                    same_tallies(sys.registry(), oracle.registry()),
+                    "{workers} workers, {pieces} pieces: harness registry differs at cycle {cut}"
+                );
+            });
+            assert_eq!(
+                got,
+                (harness.clone(), fabric.clone()),
+                "{workers} workers, {pieces} pieces"
+            );
+        }
+    }
+}
+
+/// The sum of every port's `Replenishments` tally.
+fn port_replenishments(fabric: &MetricsRegistry) -> u64 {
+    fabric
+        .counters_iter()
+        .filter(|((c, k), _)| {
+            matches!(c, ComponentId::Port { .. }) && *k == Counter::Replenishments
+        })
+        .map(|(_, v)| v)
+        .sum()
+}
+
+#[test]
+fn spans_leave_fabric_tallies_pending_until_a_read_folds_them() {
+    let sets = sparse_sets();
+    let horizon = HORIZON / 2;
+    let mut reference = build_system(&sets);
+    reference.run(horizon);
+    let mut expected = reference
+        .fabric_metrics()
+        .expect("BlueScale keeps a registry")
+        .clone();
+    let exact = port_replenishments(&expected);
+    assert!(exact > 0, "the servers must replenish within the horizon");
+
+    let mut sys = build_system(&sets);
+    for k in 1..=8 {
+        sys.advance_to(horizon * k / 8);
+    }
+    // No span folded: the `&self` read still lacks the port tallies.
+    assert!(
+        port_replenishments(sys.interconnect().metrics()) < exact,
+        "a span folded the fabric's batched port tallies"
+    );
+    let mut folded = sys
+        .fabric_metrics()
+        .expect("BlueScale keeps a registry")
+        .clone();
+    assert_eq!(port_replenishments(&folded), exact);
+    assert_eq!(folded.to_json(), expected.to_json());
 }
